@@ -14,13 +14,14 @@ import sys
 
 import numpy as np
 
-from .errdyn import GuidanceState, InputCmd, dynamics
+from .errdyn import GuidanceState, InputCmd, dynamics_flat
 from .exceptions import (ConfigError, DomainError, Infeasible, InfeasibleStart,
                          NonRegularPath, PFGuideError, QPFailure, StateEscape,
                          TerminalWeightUnset, UnstableTerminalLoop)
 from .config import load_scenario
-from .paths import case_study_path, check_path_derivatives, line_path, polynomial_path
-from .pnmpc import jacobian_block
+from .paths import (case_study_path, check_path_derivatives, line_path,
+                    path_frame, polynomial_path)
+from .pnmpc import jacobian_block, state_jacobian
 from .sim import LAWS, compute_metrics, run_scenario, scenario_with_law
 
 _SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
@@ -60,49 +61,72 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _check_jacobians(samples: int, seed: int) -> int:
-    """Analytic input Jacobian vs central differences of the dynamics."""
+def _rel_err(J: np.ndarray, fd: np.ndarray) -> float:
+    """Largest relative error, with a floor of 1e-3 on the analytic entry."""
+    return float((np.abs(J - fd) / np.maximum(np.abs(J), 1e-3)).max())
+
+
+def _check_jacobians(path, samples: int, seed: int) -> tuple:
+    """Worst relative errors of the analytic input and state Jacobians
+    against central differences of the dynamics, over random points.
+
+    The differences run on the float dynamics, so the z stencil may cross
+    z = 1 (omega slightly below 0, where every built-in path is smooth).
+    The z step scales with z: omega = 1/z - 1 moves by h/z^2 per unit
+    step, so a fixed step would dominate the error for small z.
+    """
     rng = np.random.default_rng(seed)
-    path = case_study_path()
     h = 1e-6
-    worst = 0.0
+    worst_in = worst_st = 0.0
     for _ in range(samples):
         x = GuidanceState(rng.uniform(-10, 10), rng.uniform(-10, 10),
                           rng.uniform(0.01, 1.0))
         u = InputCmd(rng.uniform(0.0, 0.225), rng.uniform(-math.pi, math.pi),
                      rng.uniform(0.01, 0.75))
         v = rng.uniform(-0.15, 0.15)
-        J = jacobian_block(x, u, v, path).m
-        fd = np.empty((3, 3))
-        base = np.array([u.u, u.psi, u.u_tar])
+        xs = np.array([x.x_e, x.y_e, x.z])
+        us = np.array([u.u, u.psi, u.u_tar])
+
+        def f(xv, uv):
+            return np.array(dynamics_flat(
+                *xv, *uv, v, path_frame(path, 1.0 / xv[2] - 1.0)))
+
+        fd_in = np.empty((3, 3))
+        fd_st = np.empty((3, 3))
         for col in range(3):
-            du = np.zeros(3)
-            du[col] = h
-            hi = np.array(dynamics(x, InputCmd(*(base + du)), v, path))
-            lo = np.array(dynamics(x, InputCmd(*(base - du)), v, path))
-            fd[:, col] = (hi - lo) / (2.0 * h)
-        # relative tolerance 1e-6 with an absolute floor of 1e-9
-        err = np.abs(J - fd) / np.maximum(np.abs(J), 1e-3)
-        worst = max(worst, float(err.max()))
-    print(f"input-Jacobian check: worst relative error {worst:.3e} "
-          f"over {samples} samples")
-    return 0 if worst <= 1e-6 else 1
+            d = np.zeros(3)
+            d[col] = h
+            fd_in[:, col] = (f(xs, us + d) - f(xs, us - d)) / (2.0 * h)
+            if col == 2:
+                d[col] = h * x.z
+            fd_st[:, col] = (f(xs + d, us) - f(xs - d, us)) / (2.0 * d[col])
+        worst_in = max(worst_in, _rel_err(jacobian_block(x, u, v, path).m,
+                                          fd_in))
+        worst_st = max(worst_st, _rel_err(state_jacobian(x, u, v, path),
+                                          fd_st))
+    return worst_in, worst_st
 
 
 def _cmd_check_derivatives(args) -> int:
     failures = 0
     omegas = np.linspace(0.0, 120.0, 100)
     for path in (case_study_path(), line_path(),
-                 polynomial_path([0.0, 1.0, 0.01], [0.0, 0.5, -0.002])):
+                 polynomial_path([0.0, 1.0, 0.01, 1e-4],
+                                 [0.0, 0.5, -0.002, -1e-5])):
         try:
             check_path_derivatives(path, omegas)
             print(f"path derivative check: {path.name} ok")
         except NonRegularPath as exc:
             print(f"path derivative check FAILED: {exc}")
             failures += 1
-    if _check_jacobians(args.samples, args.seed) != 0:
-        print("input-Jacobian check FAILED")
-        failures += 1
+        worst_in, worst_st = _check_jacobians(path, args.samples, args.seed)
+        for label, worst, tol in (("input", worst_in, 1e-6),
+                                  ("state", worst_st, 1e-5)):
+            verdict = "ok" if worst <= tol else "FAILED"
+            print(f"{label}-Jacobian check: {path.name} worst relative error "
+                  f"{worst:.3e} over {args.samples} samples (tol {tol:.0e}) "
+                  f"{verdict}")
+            failures += worst > tol
     if failures:
         raise NonRegularPath(f"{failures} derivative check(s) failed")
     print("all derivative checks passed")

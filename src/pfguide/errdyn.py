@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from .angles import wrap_angle
 from .exceptions import StateEscape
-from .paths import PathDef, omega_of_z, sample_path, z_of_omega
+from .paths import (Frame, PathDef, omega_of_z, path_frame, sample_path,
+                    z_of_omega)
 
 # z is kept strictly positive so omega = 1/z - 1 stays defined; omega -> inf
 # only asymptotically.
@@ -73,21 +74,69 @@ def compute_errors(pose: VesselPose, omega: float, path: PathDef) -> Tuple[float
     return (c * dx + s * dy, -s * dx + c * dy)
 
 
-def dynamics(x: GuidanceState, u: InputCmd, v: float,
-             path: PathDef) -> Tuple[float, float, float]:
-    """Continuous-time error dynamics (dx_e/dt, dy_e/dt, dz/dt).
+def dynamics_flat(xe: float, ye: float, z: float, u: float, psi: float,
+                  u_tar: float, v: float,
+                  frame: Frame) -> Tuple[float, float, float]:
+    """Error dynamics on plain floats, given the path frame at omega(z).
 
     The heading is consumed only through the wrapped difference psi - phi_p.
     """
-    pt = sample_path(path, omega_of_z(x.z))
-    dpsi = wrap_angle(u.psi - pt.phi_p)
+    phi_p, F, dphi_dw = frame[:3]
+    dpsi = wrap_angle(psi - phi_p)
     c = math.cos(dpsi)
     s = math.sin(dpsi)
-    kw = pt.dphi_dw / pt.F  # tangent-angle rate per meter of target travel
-    dxe = u.u * c - v * s + u.u_tar * (kw * x.y_e - 1.0)
-    dye = u.u * s + v * c - u.u_tar * kw * x.x_e
-    dz = -x.z * x.z * u.u_tar / pt.F
-    return (dxe, dye, dz)
+    kw = dphi_dw / F  # tangent-angle rate per meter of target travel
+    return (u * c - v * s + u_tar * (kw * ye - 1.0),
+            u * s + v * c - u_tar * kw * xe,
+            -z * z * u_tar / F)
+
+
+def dynamics(x: GuidanceState, u: InputCmd, v: float,
+             path: PathDef) -> Tuple[float, float, float]:
+    """Continuous-time error dynamics (dx_e/dt, dy_e/dt, dz/dt)."""
+    return dynamics_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar, v,
+                         path_frame(path, omega_of_z(x.z)))
+
+
+def rollout_flat(x0: Sequence[float], U: Sequence[float], v: float, dt: float,
+                 path: PathDef) -> Tuple[List[float], List[Frame]]:
+    """Forward-Euler rollout on plain floats, one path frame per step.
+
+    x0 is (x_e, y_e, z) with z in (0, 1]; U stacks (u, psi, u_tar) per
+    step.  Returns the stacked states 0..N as one flat list and the frame
+    each step was taken from, so the linearization along the same
+    trajectory needs no further path evaluation.  Every z is clamped into
+    (Z_MIN, 1].  Raises ValueError on a non-finite input and StateEscape
+    if a step produces a non-finite state.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    xe, ye, z = x0
+    X = [xe, ye, z]
+    frames = []
+    for j in range(0, len(U), 3):
+        u, psi, u_tar = U[j], U[j + 1], U[j + 2]
+        if not (math.isfinite(u) and math.isfinite(psi)
+                and math.isfinite(u_tar)):
+            raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
+        frame = path_frame(path, 1.0 / z - 1.0)
+        dxe, dye, dz = dynamics_flat(xe, ye, z, u, psi, u_tar, v, frame)
+        nxe = xe + dt * dxe
+        nye = ye + dt * dye
+        nz = z + dt * dz
+        if not (math.isfinite(nxe) and math.isfinite(nye)
+                and math.isfinite(nz)):
+            raise StateEscape(f"non-finite state after Euler step from "
+                              f"{(xe, ye, z)!r}")
+        xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
+        X += (xe, ye, z)
+        frames.append(frame)
+    return X, frames
+
+
+def flat_inputs(u_seq: Sequence[InputCmd]) -> List[float]:
+    """Stack an input sequence as (u, psi, u_tar) per step."""
+    return [c for u in u_seq for c in (u.u, u.psi, u.u_tar)]
 
 
 def euler_step(x: GuidanceState, u: InputCmd, v: float, dt: float,
@@ -97,26 +146,17 @@ def euler_step(x: GuidanceState, u: InputCmd, v: float, dt: float,
     The resulting z is clamped into (Z_MIN, 1].  Raises StateEscape if the
     step produces a non-finite state.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    dxe, dye, dz = dynamics(x, u, v, path)
-    x_e = x.x_e + dt * dxe
-    y_e = x.y_e + dt * dye
-    z = x.z + dt * dz
-    if not (math.isfinite(x_e) and math.isfinite(y_e) and math.isfinite(z)):
-        raise StateEscape(f"non-finite state after Euler step from {x!r}")
-    z = min(max(z, Z_MIN), 1.0)
-    return GuidanceState(x_e, y_e, z)
+    X = rollout_flat((x.x_e, x.y_e, x.z), (u.u, u.psi, u.u_tar), v, dt,
+                     path)[0]
+    return GuidanceState(X[3], X[4], X[5])
 
 
 def rollout(x0: GuidanceState, u_seq, v: float, dt: float, path: PathDef):
     """Chain euler_step over an input sequence; returns len(u_seq)+1 states."""
-    states = [x0]
-    x = x0
-    for u in u_seq:
-        x = euler_step(x, u, v, dt, path)
-        states.append(x)
-    return states
+    X = rollout_flat((x0.x_e, x0.y_e, x0.z), flat_inputs(u_seq), v, dt,
+                     path)[0]
+    return [x0] + [GuidanceState(X[i], X[i + 1], X[i + 2])
+                   for i in range(3, len(X), 3)]
 
 
 def pose_errors_state(pose: VesselPose, omega: float, path: PathDef) -> GuidanceState:

@@ -19,6 +19,7 @@ exists from the start and only improves.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -28,15 +29,17 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .angles import wrap_angle
-from .errdyn import GuidanceState, InputCmd, euler_step, rollout
+from .errdyn import GuidanceState, InputCmd, euler_step, rollout, rollout_flat
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import SGLOSParams, require_in_box, sglos
 from .los import InputConstraints
 from .paths import PathDef, omega_of_z, sample_path
-from .pnmpc import (SolveResult, horizon_cost, horizon_weights,
-                    reference_stack, sensitivity_along, snap_feasible,
-                    stack_inputs, stack_states)
+from .pnmpc import (SolveResult, cost_weights, horizon_cost,
+                    horizon_cost_flat, horizon_weights, reference_stack,
+                    sensitivity_flat, snap_feasible, stack_inputs)
 from .qp import QPProblem, QPSolution, solve_qp
+
+logger = logging.getLogger(__name__)
 
 KKT_TOL = 1e-6
 MAX_MAJOR_ITER = 30
@@ -281,6 +284,7 @@ class NMPCSolver:
         self._A_rows, self._tags = _sqp_rows(cfg.N)
         self._W, self._r_vec = horizon_weights(cfg)
         self._zero_warm = QPSolution(np.zeros(3 * cfg.N), (), math.inf, 0)
+        self._weights = cost_weights(cfg)
 
     def _bounds(self, U: np.ndarray, u_prev: InputCmd):
         c = self.cfg.constraints
@@ -301,27 +305,26 @@ class NMPCSolver:
                 lb[i], ub[i] = lo - U[idx], hi - U[idx]
         return lb, ub
 
-    def _cmds(self, U: np.ndarray) -> List[InputCmd]:
-        return [InputCmd(float(U[3 * j]), float(U[3 * j + 1]),
-                         float(U[3 * j + 2])) for j in range(self.cfg.N)]
-
-    def _candidates(self, x_k, v_k, u_prev, warm):
+    def _candidates(self, x0, v_k, u_prev, warm):
+        """Best of the held previous input and, given a warm start, its
+        sequence and its shifted sequence: (U, states, frames, cost)."""
         cfg = self.cfg
-        cands = [tuple([u_prev] * cfg.N)]
+        cands = [stack_inputs([u_prev] * cfg.N)]
         if warm is not None and len(warm.u_seq) == cfg.N:
-            cands.append(snap_feasible(stack_inputs(warm.u_seq), u_prev,
-                                       cfg.constraints))
+            cands.append(stack_inputs(snap_feasible(
+                stack_inputs(warm.u_seq), u_prev, cfg.constraints)))
             tail = terminal_control(warm.x_pred[-1], self.path,
                                     cfg.terminal_law)
             shifted = tuple(warm.u_seq[1:]) + (tail,)
-            cands.append(snap_feasible(stack_inputs(shifted), u_prev,
-                                       cfg.constraints))
+            cands.append(stack_inputs(snap_feasible(
+                stack_inputs(shifted), u_prev, cfg.constraints)))
         best = None
-        for seq in cands:
-            states = rollout(x_k, seq, v_k, cfg.T_m, self.path)
-            J = horizon_cost(x_k, states, seq, cfg)
-            if best is None or J < best[2]:
-                best = (list(seq), states, J)
+        for U in cands:
+            u_flat = U.tolist()
+            X, frames = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
+            J = horizon_cost_flat(X, u_flat, self._weights)
+            if best is None or J < best[3]:
+                best = (U, X, frames, J)
         return best
 
     def solve(self, x_k: GuidanceState, v_k: float, u_prev: InputCmd,
@@ -330,8 +333,8 @@ class NMPCSolver:
         t0 = timer()
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
-        u_list, states, J = self._candidates(x_k, v_k, u_prev, warm)
-        U = stack_inputs(u_list)
+        x0 = (x_k.x_e, x_k.y_e, x_k.z)
+        U, X, frames, J = self._candidates(x0, v_k, u_prev, warm)
         Uref = reference_stack(cfg, u_prev.psi)
 
         kkt = math.inf
@@ -339,8 +342,9 @@ class NMPCSolver:
         mu = 0.0  # Levenberg damping; grows when full steps overshoot
         eye = np.eye(3 * cfg.N)
         for it in range(1, self.max_iterations + 1):
-            S = sensitivity_along(states, u_list, v_k, cfg.T_m, self.path)
-            X0 = stack_states(states[1:])
+            S = sensitivity_flat(X, U.tolist(), frames, v_k, cfg.T_m,
+                                 self.path)
+            X0 = np.array(X[3:])
             WS = self._W @ S
             H = 2.0 * (S.T @ WS + np.diag(self._r_vec))
             H = 0.5 * (H + H.T)
@@ -355,16 +359,26 @@ class NMPCSolver:
                             warm=self._zero_warm)
             iters = it
             delta = qsol.x
-            if float(np.max(np.abs(delta), initial=0.0)) <= 1e-12:
+            if qsol.converged and \
+                    float(np.max(np.abs(delta), initial=0.0)) <= 1e-12:
                 break
             gd = float(g @ delta)
+            if not qsol.converged or gd >= 0.0:
+                # Not a certified descent step: the Armijo test below could
+                # accept a cost increase, so keep the feasible incumbent.
+                logger.warning(
+                    "SQP iteration %d: QP step rejected (converged=%s, "
+                    "KKT residual %.3e, g.d = %.3e); keeping the incumbent",
+                    it, qsol.converged, qsol.kkt_residual, gd)
+                break
             alpha = 1.0
             accepted = False
             while alpha >= 1e-7:
                 U_try = U + alpha * delta
-                u_try = self._cmds(U_try)
-                states_try = rollout(x_k, u_try, v_k, cfg.T_m, self.path)
-                J_try = horizon_cost(x_k, states_try, u_try, cfg)
+                u_flat = U_try.tolist()
+                X_try, frames_try = rollout_flat(x0, u_flat, v_k, cfg.T_m,
+                                                 self.path)
+                J_try = horizon_cost_flat(X_try, u_flat, self._weights)
                 if J_try <= J + 1e-4 * alpha * gd:
                     accepted = True
                     break
@@ -378,7 +392,7 @@ class NMPCSolver:
                 mu = 0.0 if mu < 1e-6 else 0.25 * mu
             elif alpha < 0.25:
                 mu = max(4.0 * mu, 1e-3)
-            U, u_list, states, J = U_try, u_try, states_try, J_try
+            U, X, frames, J = U_try, X_try, frames_try, J_try
 
         u_seq = snap_feasible(U, u_prev, cfg.constraints)
         x_pred = rollout(x_k, u_seq, v_k, cfg.T_m, self.path)

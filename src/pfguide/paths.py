@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .angles import wrap_angle
 from .exceptions import DomainError, NonRegularPath
@@ -24,12 +24,17 @@ Vec2 = Tuple[float, float]
 
 @dataclass(frozen=True)
 class PathDef:
-    """Planar path with analytic first and second derivatives in omega."""
+    """Planar path with analytic derivatives in omega.
+
+    deriv3 is optional: the predictive laws use it for the closed-form
+    state Jacobian and fall back to finite differences without it.
+    """
 
     eval: Callable[[float], Vec2]      # omega -> (x_p, y_p)        [m]
     deriv: Callable[[float], Vec2]     # omega -> (dx_p, dy_p)      [m]
     deriv2: Callable[[float], Vec2]    # omega -> (ddx_p, ddy_p)    [m]
     name: str = "path"
+    deriv3: Optional[Callable[[float], Vec2]] = None  # (d3x_p, d3y_p) [m]
 
 
 @dataclass(frozen=True)
@@ -44,11 +49,38 @@ class PathPoint:
     dphi_dw: float  # rad per unit omega
 
 
-def sample_path(path: PathDef, omega: float) -> PathPoint:
-    """Evaluate position, tangent angle, speed factor and tangent rate.
+# Local geometry on plain floats, the form the prediction core consumes:
+# (phi_p, F, dphi_dw, dx, dy, ddx, ddy) with the raw derivatives kept for
+# the rates of F and of the curvature.
+Frame = Tuple[float, float, float, float, float, float, float]
+
+
+def path_frame(path: PathDef, omega: float) -> Frame:
+    """Tangent angle, speed factor and tangent rate, plus the first and
+    second derivatives they come from, without evaluating the position.
 
     dphi_dw is computed from first and second derivatives,
     (x' y'' - y' x'') / F^2, rather than by differencing the wrapped angle.
+
+    Raises NonRegularPath when F <= F_MIN.
+    """
+    dx, dy = path.deriv(omega)
+    F = math.hypot(dx, dy)
+    if F <= F_MIN:
+        raise NonRegularPath(
+            f"path {path.name!r} has speed factor {F:.3e} <= {F_MIN:.0e} "
+            f"at omega={omega!r}")
+    ddx, ddy = path.deriv2(omega)
+    return (wrap_angle(math.atan2(dy, dx)), F, (dx * ddy - dy * ddx) / (F * F),
+            dx, dy, ddx, ddy)
+
+
+def sample_path(path: PathDef, omega: float) -> PathPoint:
+    """Evaluate position, tangent angle, speed factor and tangent rate.
+
+    The same arithmetic as path_frame, written out again: the plant loop
+    and the SGLOS law call this once per step, and delegating would add a
+    call and a tuple to each.
 
     Raises NonRegularPath when F <= F_MIN.
     """
@@ -97,7 +129,10 @@ def case_study_path() -> PathDef:
     def _deriv2(w: float) -> Vec2:
         return (-10.0 * k * k * math.sin(k * w), -0.02)
 
-    return PathDef(_eval, _deriv, _deriv2, name="case_study")
+    def _deriv3(w: float) -> Vec2:
+        return (-10.0 * k * k * k * math.cos(k * w), 0.0)
+
+    return PathDef(_eval, _deriv, _deriv2, name="case_study", deriv3=_deriv3)
 
 
 def line_path(origin: Vec2 = (0.0, 0.0), direction: Vec2 = (1.0, 0.0)) -> PathDef:
@@ -112,6 +147,7 @@ def line_path(origin: Vec2 = (0.0, 0.0), direction: Vec2 = (1.0, 0.0)) -> PathDe
         deriv=lambda w: (dx, dy),
         deriv2=lambda w: (0.0, 0.0),
         name="line",
+        deriv3=lambda w: (0.0, 0.0),
     )
 
 
@@ -140,11 +176,18 @@ def polynomial_path(x_coeffs: Sequence[float], y_coeffs: Sequence[float]) -> Pat
             acc = acc * w + i * (i - 1) * c[i]
         return acc
 
+    def _dddpoly(c, w):
+        acc = 0.0
+        for i in range(len(c) - 1, 2, -1):
+            acc = acc * w + i * (i - 1) * (i - 2) * c[i]
+        return acc
+
     return PathDef(
         eval=lambda w: (_poly(cx, w), _poly(cy, w)),
         deriv=lambda w: (_dpoly(cx, w), _dpoly(cy, w)),
         deriv2=lambda w: (_ddpoly(cx, w), _ddpoly(cy, w)),
         name="polynomial",
+        deriv3=lambda w: (_dddpoly(cx, w), _dddpoly(cy, w)),
     )
 
 
@@ -175,7 +218,8 @@ def path_from_config(name: str, params: dict | None = None) -> PathDef:
 
 def check_path_derivatives(path: PathDef, omegas: Sequence[float],
                            step: float = 1e-5, rel_tol: float = 1e-6) -> None:
-    """Verify deriv/deriv2 against central finite differences of eval/deriv.
+    """Verify deriv/deriv2 (and deriv3 when the path supplies it) against
+    central finite differences of eval/deriv (/deriv2).
 
     Raises NonRegularPath on any mismatch beyond rel_tol (with a small
     absolute floor for near-zero components).
@@ -183,8 +227,10 @@ def check_path_derivatives(path: PathDef, omegas: Sequence[float],
     for w in omegas:
         if w < step:
             continue
-        for got, probe in ((path.deriv(w), path.eval),
-                           (path.deriv2(w), path.deriv)):
+        pairs = [(path.deriv(w), path.eval), (path.deriv2(w), path.deriv)]
+        if path.deriv3 is not None:
+            pairs.append((path.deriv3(w), path.deriv2))
+        for got, probe in pairs:
             hi = probe(w + step)
             lo = probe(w - step)
             for g, h, l in zip(got, hi, lo):

@@ -30,10 +30,14 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .angles import unwrap_near, wrap_angle
-from .errdyn import GuidanceState, InputCmd, dynamics, rollout
+from .errdyn import (GuidanceState, InputCmd, dynamics_flat, flat_inputs,
+                     rollout, rollout_flat)
 from .exceptions import QPFailure
 from .los import InputConstraints, clamp_inputs, require_in_box
-from .paths import PathDef, omega_of_z, sample_path
+from .paths import Frame, PathDef, omega_of_z, path_frame
+# Unused here since the prediction core samples through path_frame; the
+# binding stays because perfbench's tracer tests expect pnmpc.sample_path.
+from .paths import sample_path  # noqa: F401
 from .qp import QPProblem, QPSolution, solve_qp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -78,50 +82,79 @@ class SolveResult:
     solve_time: float                  # s
 
 
+def _input_jacobian(xe: float, ye: float, z: float, u: float, psi: float,
+                    v: float, frame: Frame) -> list:
+    """Input Jacobian rows of the continuous dynamics at one frame."""
+    phi_p, F, dphi_dw = frame[:3]
+    dpsi = wrap_angle(psi - phi_p)
+    c = math.cos(dpsi)
+    s = math.sin(dpsi)
+    kw = dphi_dw / F
+    return [[c, -u * s - v * c, kw * ye - 1.0],
+            [s, u * c - v * s, -kw * xe],
+            [0.0, 0.0, -z * z / F]]
+
+
+def _state_jacobian(xe: float, ye: float, z: float, u: float, psi: float,
+                    u_tar: float, v: float, frame: Frame, path: PathDef,
+                    step: float = _FD_STEP) -> list:
+    """State Jacobian rows of the continuous dynamics at one frame.
+
+    With kappa = dphi_dw / F (tangent-angle rate per metre) the x_e and y_e
+    columns are (0, -u_tar kappa, 0) and (u_tar kappa, 0, 0).  The z column
+    differentiates phi_p, kappa and F along omega, with domega/dz = -1/z^2;
+    the curvature rate needs the path's third derivative.  Paths without
+    deriv3 get the z column from central differences of the dynamics,
+    second-order one-sided where the central stencil would leave (0, 1].
+    """
+    phi_p, F, dphi_dw, dx, dy, ddx, ddy = frame
+    kw = dphi_dw / F
+    if path.deriv3 is not None:
+        dpsi = wrap_angle(psi - phi_p)
+        c = math.cos(dpsi)
+        s = math.sin(dpsi)
+        d3x, d3y = path.deriv3(1.0 / z - 1.0)
+        dF = (dx * ddx + dy * ddy) / F
+        dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * kw * dF / F
+        dw_dz = -1.0 / (z * z)
+        col_z = (dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye),
+                 -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe),
+                 -2.0 * z * u_tar / F - u_tar * dF / (F * F))
+    else:
+        def f(zz):
+            return dynamics_flat(xe, ye, zz, u, psi, u_tar, v,
+                                 path_frame(path, 1.0 / zz - 1.0))
+
+        if z + step <= 1.0 and z - step > 0.0:
+            hi, lo = f(z + step), f(z - step)
+            col_z = [(h - l) / (2.0 * step) for h, l in zip(hi, lo)]
+        elif z + step > 1.0:
+            f0, f1, f2 = f(z), f(z - step), f(z - 2.0 * step)
+            col_z = [(3.0 * a - 4.0 * b + c) / (2.0 * step)
+                     for a, b, c in zip(f0, f1, f2)]
+        else:
+            f0, f1, f2 = f(z), f(z + step), f(z + 2.0 * step)
+            col_z = [(-3.0 * a + 4.0 * b - c) / (2.0 * step)
+                     for a, b, c in zip(f0, f1, f2)]
+    return [[0.0, u_tar * kw, col_z[0]],
+            [-u_tar * kw, 0.0, col_z[1]],
+            [0.0, 0.0, col_z[2]]]
+
+
 def jacobian_block(x0: GuidanceState, u0: InputCmd, v0: float,
                    path: PathDef) -> JacobianBlock:
     """Analytic input Jacobian of the continuous error dynamics."""
-    pt = sample_path(path, omega_of_z(x0.z))
-    dpsi = wrap_angle(u0.psi - pt.phi_p)
-    c = math.cos(dpsi)
-    s = math.sin(dpsi)
-    kw = pt.dphi_dw / pt.F
-    return JacobianBlock(np.array([
-        [c, -u0.u * s - v0 * c, kw * x0.y_e - 1.0],
-        [s, u0.u * c - v0 * s, -kw * x0.x_e],
-        [0.0, 0.0, -x0.z * x0.z / pt.F],
-    ]))
+    frame = path_frame(path, omega_of_z(x0.z))
+    return JacobianBlock(np.array(_input_jacobian(
+        x0.x_e, x0.y_e, x0.z, u0.u, u0.psi, v0, frame)))
 
 
 def state_jacobian(x0: GuidanceState, u0: InputCmd, v0: float, path: PathDef,
                    step: float = _FD_STEP) -> np.ndarray:
-    """State Jacobian of the continuous dynamics by central differences.
-
-    The z column falls back to a second-order one-sided stencil when the
-    central one would leave the (0, 1] domain.
-    """
-
-    def f(xe, ye, z):
-        return np.array(dynamics(GuidanceState(xe, ye, z), u0, v0, path))
-
-    J = np.empty((3, 3))
-    J[:, 0] = (f(x0.x_e + step, x0.y_e, x0.z)
-               - f(x0.x_e - step, x0.y_e, x0.z)) / (2.0 * step)
-    J[:, 1] = (f(x0.x_e, x0.y_e + step, x0.z)
-               - f(x0.x_e, x0.y_e - step, x0.z)) / (2.0 * step)
-    z = x0.z
-    if z + step <= 1.0 and z - step > 0.0:
-        J[:, 2] = (f(x0.x_e, x0.y_e, z + step)
-                   - f(x0.x_e, x0.y_e, z - step)) / (2.0 * step)
-    elif z + step > 1.0:
-        J[:, 2] = (3.0 * f(x0.x_e, x0.y_e, z)
-                   - 4.0 * f(x0.x_e, x0.y_e, z - step)
-                   + f(x0.x_e, x0.y_e, z - 2.0 * step)) / (2.0 * step)
-    else:
-        J[:, 2] = (-3.0 * f(x0.x_e, x0.y_e, z)
-                   + 4.0 * f(x0.x_e, x0.y_e, z + step)
-                   - f(x0.x_e, x0.y_e, z + 2.0 * step)) / (2.0 * step)
-    return J
+    """State Jacobian of the continuous dynamics (see _state_jacobian)."""
+    frame = path_frame(path, omega_of_z(x0.z))
+    return np.array(_state_jacobian(x0.x_e, x0.y_e, x0.z, u0.u, u0.psi,
+                                    u0.u_tar, v0, frame, path, step))
 
 
 def assemble_G(J: JacobianBlock, N: int, T_m: float) -> PredictionMatrix:
@@ -144,6 +177,31 @@ def free_response(x_k: GuidanceState, u_prev: InputCmd, v_k: float,
     return rollout(x_k, [u_prev] * cfg.N, v_k, cfg.T_m, path)
 
 
+def sensitivity_flat(X: Sequence[float], U: Sequence[float],
+                     frames: Sequence[Frame], v: float, T_m: float,
+                     path: PathDef) -> np.ndarray:
+    """Exact first-order sensitivity of the Euler rollout, on plain floats.
+
+    X stacks states 0..N, U the inputs and frames the path frame of each
+    step, as rollout_flat returns them.  Maps per-step absolute input
+    perturbations (stacked, 3N) to the stacked predicted-state
+    perturbations (states 1..N).  The first step needs no state Jacobian.
+    """
+    N = len(frames)
+    S = np.zeros((3 * N, 3 * N))
+    for i in range(N):
+        r = 3 * i
+        xe, ye, z = X[r], X[r + 1], X[r + 2]
+        u, psi, u_tar = U[r], U[r + 1], U[r + 2]
+        if i > 0:
+            Ad = np.eye(3) + T_m * np.array(_state_jacobian(
+                xe, ye, z, u, psi, u_tar, v, frames[i], path))
+            S[r:r + 3, :r] = Ad @ S[r - 3:r, :r]
+        S[r:r + 3, r:r + 3] = T_m * np.array(_input_jacobian(
+            xe, ye, z, u, psi, v, frames[i]))
+    return S
+
+
 def sensitivity_along(states: Sequence[GuidanceState],
                       u_seq: Sequence[InputCmd], v: float, T_m: float,
                       path: PathDef) -> np.ndarray:
@@ -154,18 +212,9 @@ def sensitivity_along(states: Sequence[GuidanceState],
     along the supplied trajectory.
     """
     N = len(u_seq)
-    S = np.zeros((3 * N, 3 * N))
-    eye = np.eye(3)
-    for i in range(1, N + 1):
-        x_prev = states[i - 1]
-        u_prev = u_seq[i - 1]
-        Ad = eye + T_m * state_jacobian(x_prev, u_prev, v, path)
-        Bd = T_m * jacobian_block(x_prev, u_prev, v, path).m
-        r = 3 * (i - 1)
-        if i > 1:
-            S[r:r + 3, :r] = Ad @ S[r - 3:r, :r]
-        S[r:r + 3, r:r + 3] = Bd
-    return S
+    X = [c for x in states[:N] for c in (x.x_e, x.y_e, x.z)]
+    frames = [path_frame(path, omega_of_z(x.z)) for x in states[:N]]
+    return sensitivity_flat(X, flat_inputs(u_seq), frames, v, T_m, path)
 
 
 @lru_cache(maxsize=8)
@@ -200,10 +249,7 @@ def _increment_rows(N: int) -> Tuple[np.ndarray, list]:
 
 
 def stack_inputs(u_seq: Sequence[InputCmd]) -> np.ndarray:
-    out = np.empty(3 * len(u_seq))
-    for j, u in enumerate(u_seq):
-        out[3 * j:3 * j + 3] = (u.u, u.psi, u.u_tar)
-    return out
+    return np.array(flat_inputs(u_seq), dtype=float)
 
 
 def stack_states(states: Sequence[GuidanceState]) -> np.ndarray:
@@ -267,23 +313,42 @@ def snap_feasible(U: np.ndarray, u_prev: InputCmd,
     return tuple(cmds)
 
 
+def cost_weights(cfg: "NMPCConfig") -> tuple:
+    """The horizon cost's weights as plain floats, for horizon_cost_flat:
+    the Q and R diagonals, the input reference, lambda and the terminal
+    weight rows."""
+    return (tuple(cfg.Q.tolist()), tuple(cfg.R.tolist()),
+            (cfg.u_ref.u, cfg.u_ref.psi, cfg.u_ref.u_tar), cfg.lam,
+            tuple(tuple(row) for row in cfg.terminal_weight().tolist()))
+
+
+def horizon_cost_flat(X: Sequence[float], U: Sequence[float],
+                      weights: tuple) -> float:
+    """Nonlinear horizon cost on plain floats (stacked states 0..N and
+    inputs, weights from cost_weights)."""
+    (q0, q1, q2), (r0, r1, r2), (ref_u, ref_psi, ref_tar), lam, P = weights
+    J = 0.0
+    for j in range(0, len(U), 3):
+        xe, ye, z = X[j], X[j + 1], X[j + 2]
+        du = U[j] - ref_u
+        dpsi = wrap_angle(U[j + 1] - ref_psi)
+        dtar = U[j + 2] - ref_tar
+        J += (q0 * xe * xe + q1 * ye * ye + q2 * z * z
+              + r0 * du * du + r1 * dpsi * dpsi + r2 * dtar * dtar)
+    n = len(U)
+    xe, ye, z = X[n], X[n + 1], X[n + 2]
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
+    return J + lam * (xe * (p00 * xe + p01 * ye + p02 * z)
+                      + ye * (p10 * xe + p11 * ye + p12 * z)
+                      + z * (p20 * xe + p21 * ye + p22 * z))
+
+
 def horizon_cost(x_k: GuidanceState, states: Sequence[GuidanceState],
                  u_seq: Sequence[InputCmd], cfg: "NMPCConfig") -> float:
     """Nonlinear horizon cost: sum of stage costs plus weighted terminal."""
-    Q = cfg.Q
-    R = cfg.R
-    ref = cfg.u_ref
-    J = 0.0
-    for j, u in enumerate(u_seq):
-        x = x_k if j == 0 else states[j]
-        du = u.u - ref.u
-        dpsi = wrap_angle(u.psi - ref.psi)
-        dtar = u.u_tar - ref.u_tar
-        J += (Q[0] * x.x_e * x.x_e + Q[1] * x.y_e * x.y_e + Q[2] * x.z * x.z
-              + R[0] * du * du + R[1] * dpsi * dpsi + R[2] * dtar * dtar)
-    xN = states[len(u_seq)]
-    v = np.array([xN.x_e, xN.y_e, xN.z])
-    return J + cfg.lam * float(v @ cfg.terminal_weight() @ v)
+    X = [x_k.x_e, x_k.y_e, x_k.z]
+    X += [c for x in states[1:len(u_seq) + 1] for c in (x.x_e, x.y_e, x.z)]
+    return horizon_cost_flat(X, flat_inputs(u_seq), cost_weights(cfg))
 
 
 class PNMPCSolver:
@@ -328,16 +393,17 @@ class PNMPCSolver:
         t0 = timer()
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
-        hold = [u_prev] * cfg.N
-        free = rollout(x_k, hold, v_k, cfg.T_m, self.path)
+        hold = flat_inputs([u_prev] * cfg.N)
+        X, frames = rollout_flat((x_k.x_e, x_k.y_e, x_k.z), hold, v_k,
+                                 cfg.T_m, self.path)
         if self.linearization == "exact":
-            S = sensitivity_along(free, hold, v_k, cfg.T_m, self.path)
+            S = sensitivity_flat(X, hold, frames, v_k, cfg.T_m, self.path)
             G = S @ self._L
         else:
             G = assemble_G(jacobian_block(x_k, u_prev, v_k, self.path),
                            cfg.N, cfg.T_m).G
-        X0 = stack_states(free[1:])
-        U0 = stack_inputs(hold)
+        X0 = np.array(X[3:])
+        U0 = np.array(hold)
         Udev0 = U0 - reference_stack(cfg, u_prev.psi)
         H, g = quadratic_in_decision(self._W, self._r_vec, G, self._L,
                                      X0, Udev0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pfguide import (DomainError, NonRegularPath,
+from pfguide import (DomainError, NonRegularPath, PathDef,
                      check_path_derivatives, line_path, omega_of_z,
                      path_from_config, polynomial_path, sample_path,
                      z_of_omega)
@@ -136,3 +136,27 @@ class TestPathFromConfig:
     def test_polynomial_derivatives_consistent(self):
         poly = polynomial_path([1.0, 0.5, -0.02, 0.001], [0.0, 2.0, 0.03])
         check_path_derivatives(poly, np.linspace(0.5, 20.0, 40))
+
+    def test_third_derivatives_closed_form(self, demo_path):
+        k = 2.0 * math.pi / 40.0
+        for w in (0.0, 3.3, 47.0):
+            assert demo_path.deriv3(w) == pytest.approx(
+                (-10.0 * k ** 3 * math.cos(k * w), 0.0), rel=1e-14)
+        assert line_path(direction=(2.0, -1.0)).deriv3(5.0) == (0.0, 0.0)
+        cubic = polynomial_path([1.0, 0.5, -0.02, 0.001], [0.0, 2.0, 0.03])
+        assert cubic.deriv3(7.0) == (0.006, 0.0)
+
+
+class TestCheckPathDerivatives:
+    def test_deriv3_checked_when_supplied(self, demo_path):
+        check_path_derivatives(demo_path, np.linspace(0.0, 120.0, 100))
+        wrong = PathDef(demo_path.eval, demo_path.deriv, demo_path.deriv2,
+                        name="bad_deriv3",
+                        deriv3=lambda w: (0.0, 0.0))
+        with pytest.raises(NonRegularPath, match="bad_deriv3"):
+            check_path_derivatives(wrong, np.linspace(0.0, 120.0, 100))
+
+    def test_deriv3_optional(self, demo_path):
+        bare = PathDef(demo_path.eval, demo_path.deriv, demo_path.deriv2)
+        assert bare.deriv3 is None
+        check_path_derivatives(bare, np.linspace(0.0, 120.0, 100))
