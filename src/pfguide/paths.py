@@ -78,22 +78,10 @@ def path_frame(path: PathDef, omega: float) -> Frame:
 def sample_path(path: PathDef, omega: float) -> PathPoint:
     """Evaluate position, tangent angle, speed factor and tangent rate.
 
-    The same arithmetic as path_frame, written out again: the plant loop
-    and the SGLOS law call this once per step, and delegating would add a
-    call and a tuple to each.
-
     Raises NonRegularPath when F <= F_MIN.
     """
     x_p, y_p = path.eval(omega)
-    dx, dy = path.deriv(omega)
-    F = math.hypot(dx, dy)
-    if F <= F_MIN:
-        raise NonRegularPath(
-            f"path {path.name!r} has speed factor {F:.3e} <= {F_MIN:.0e} "
-            f"at omega={omega!r}")
-    ddx, ddy = path.deriv2(omega)
-    phi_p = wrap_angle(math.atan2(dy, dx))
-    dphi_dw = (dx * ddy - dy * ddx) / (F * F)
+    phi_p, F, dphi_dw = path_frame(path, omega)[:3]
     return PathPoint(omega, x_p, y_p, phi_p, F, dphi_dw)
 
 

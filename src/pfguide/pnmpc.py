@@ -82,37 +82,29 @@ class SolveResult:
     solve_time: float                  # s
 
 
-def _input_jacobian(xe: float, ye: float, z: float, u: float, psi: float,
-                    v: float, frame: Frame) -> list:
-    """Input Jacobian rows of the continuous dynamics at one frame."""
-    phi_p, F, dphi_dw = frame[:3]
+def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
+               u_tar: float, v: float, frame: Frame, path: PathDef,
+               step: float = _FD_STEP) -> Tuple[list, list]:
+    """Input and state Jacobian rows (B, A) of the continuous dynamics at
+    one frame.
+
+    With kappa = dphi_dw / F (tangent-angle rate per metre) the x_e and y_e
+    columns of A are (0, -u_tar kappa, 0) and (u_tar kappa, 0, 0).  The z
+    column differentiates phi_p, kappa and F along omega, with
+    domega/dz = -1/z^2; the curvature rate needs the path's third
+    derivative.  Paths without deriv3 get the z column from central
+    differences of the dynamics, second-order one-sided where the central
+    stencil would leave (0, 1].
+    """
+    phi_p, F, dphi_dw, dx, dy, ddx, ddy = frame
     dpsi = wrap_angle(psi - phi_p)
     c = math.cos(dpsi)
     s = math.sin(dpsi)
     kw = dphi_dw / F
-    return [[c, -u * s - v * c, kw * ye - 1.0],
-            [s, u * c - v * s, -kw * xe],
-            [0.0, 0.0, -z * z / F]]
-
-
-def _state_jacobian(xe: float, ye: float, z: float, u: float, psi: float,
-                    u_tar: float, v: float, frame: Frame, path: PathDef,
-                    step: float = _FD_STEP) -> list:
-    """State Jacobian rows of the continuous dynamics at one frame.
-
-    With kappa = dphi_dw / F (tangent-angle rate per metre) the x_e and y_e
-    columns are (0, -u_tar kappa, 0) and (u_tar kappa, 0, 0).  The z column
-    differentiates phi_p, kappa and F along omega, with domega/dz = -1/z^2;
-    the curvature rate needs the path's third derivative.  Paths without
-    deriv3 get the z column from central differences of the dynamics,
-    second-order one-sided where the central stencil would leave (0, 1].
-    """
-    phi_p, F, dphi_dw, dx, dy, ddx, ddy = frame
-    kw = dphi_dw / F
+    B = [[c, -u * s - v * c, kw * ye - 1.0],
+         [s, u * c - v * s, -kw * xe],
+         [0.0, 0.0, -z * z / F]]
     if path.deriv3 is not None:
-        dpsi = wrap_angle(psi - phi_p)
-        c = math.cos(dpsi)
-        s = math.sin(dpsi)
         d3x, d3y = path.deriv3(1.0 / z - 1.0)
         dF = (dx * ddx + dy * ddy) / F
         dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * kw * dF / F
@@ -136,25 +128,28 @@ def _state_jacobian(xe: float, ye: float, z: float, u: float, psi: float,
             f0, f1, f2 = f(z), f(z + step), f(z + 2.0 * step)
             col_z = [(-3.0 * a + 4.0 * b - c) / (2.0 * step)
                      for a, b, c in zip(f0, f1, f2)]
-    return [[0.0, u_tar * kw, col_z[0]],
-            [-u_tar * kw, 0.0, col_z[1]],
-            [0.0, 0.0, col_z[2]]]
+    A = [[0.0, u_tar * kw, col_z[0]],
+         [-u_tar * kw, 0.0, col_z[1]],
+         [0.0, 0.0, col_z[2]]]
+    return B, A
 
 
 def jacobian_block(x0: GuidanceState, u0: InputCmd, v0: float,
                    path: PathDef) -> JacobianBlock:
     """Analytic input Jacobian of the continuous error dynamics."""
     frame = path_frame(path, omega_of_z(x0.z))
-    return JacobianBlock(np.array(_input_jacobian(
-        x0.x_e, x0.y_e, x0.z, u0.u, u0.psi, v0, frame)))
+    B, _ = _jacobians(x0.x_e, x0.y_e, x0.z, u0.u, u0.psi, u0.u_tar, v0,
+                      frame, path)
+    return JacobianBlock(np.array(B))
 
 
 def state_jacobian(x0: GuidanceState, u0: InputCmd, v0: float, path: PathDef,
                    step: float = _FD_STEP) -> np.ndarray:
-    """State Jacobian of the continuous dynamics (see _state_jacobian)."""
+    """State Jacobian of the continuous dynamics (see _jacobians)."""
     frame = path_frame(path, omega_of_z(x0.z))
-    return np.array(_state_jacobian(x0.x_e, x0.y_e, x0.z, u0.u, u0.psi,
-                                    u0.u_tar, v0, frame, path, step))
+    _, A = _jacobians(x0.x_e, x0.y_e, x0.z, u0.u, u0.psi, u0.u_tar, v0,
+                      frame, path, step)
+    return np.array(A)
 
 
 def assemble_G(J: JacobianBlock, N: int, T_m: float) -> PredictionMatrix:
@@ -185,20 +180,18 @@ def sensitivity_flat(X: Sequence[float], U: Sequence[float],
     X stacks states 0..N, U the inputs and frames the path frame of each
     step, as rollout_flat returns them.  Maps per-step absolute input
     perturbations (stacked, 3N) to the stacked predicted-state
-    perturbations (states 1..N).  The first step needs no state Jacobian.
+    perturbations (states 1..N).
     """
     N = len(frames)
     S = np.zeros((3 * N, 3 * N))
     for i in range(N):
         r = 3 * i
-        xe, ye, z = X[r], X[r + 1], X[r + 2]
-        u, psi, u_tar = U[r], U[r + 1], U[r + 2]
+        B, A = _jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1],
+                          U[r + 2], v, frames[i], path)
         if i > 0:
-            Ad = np.eye(3) + T_m * np.array(_state_jacobian(
-                xe, ye, z, u, psi, u_tar, v, frames[i], path))
+            Ad = np.eye(3) + T_m * np.array(A)
             S[r:r + 3, :r] = Ad @ S[r - 3:r, :r]
-        S[r:r + 3, r:r + 3] = T_m * np.array(_input_jacobian(
-            xe, ye, z, u, psi, v, frames[i]))
+        S[r:r + 3, r:r + 3] = T_m * np.array(B)
     return S
 
 
