@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from .config import load_scenario
 from .paths import (case_study_path, check_path_derivatives, line_path,
                     path_frame, polynomial_path)
 from .pnmpc import jacobian_block, state_jacobian
-from .sim import LAWS, compute_metrics, run_scenario, scenario_with_law
+from .sim import LAWS, compute_metrics, run_scenario
 
 _SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
                   UnstableTerminalLoop)
@@ -48,7 +49,7 @@ def _cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     combined = {}
     for law in laws:
-        trace = run_scenario(scenario_with_law(sc, law))
+        trace = run_scenario(dataclasses.replace(sc, law=law))
         out_csv = os.path.join(args.out, f"{law}.csv")
         trace.write_csv(out_csv)
         combined[law] = compute_metrics(trace).to_dict()

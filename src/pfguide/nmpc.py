@@ -11,10 +11,12 @@ Lyapunov equation around a far-along-the-path equilibrium, closed with the
 SGLOS law as terminal controller.
 
 The solver is an SQP: each major iteration linearizes the prediction with
-the exact sensitivities from the pnmpc module, solves one strictly convex
-QP for the step, and backtracks on the true nonlinear cost.  The constant
-hold of the previous input is always feasible, so a feasible incumbent
-exists from the start and only improves.
+the exact sensitivities and solves the strictly convex QP that
+pnmpc.linearized_qp builds for the step, then backtracks on the true
+nonlinear cost.  The constant hold of the previous input is always
+feasible, so a feasible incumbent exists from the start and only
+improves.  The fast law in the pnmpc module is the first full step of this
+SQP from that hold.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,9 +36,10 @@ from .los import SGLOSParams, require_in_box, sglos
 from .los import InputConstraints
 from .paths import PathDef, omega_of_z, sample_path
 from .pnmpc import (SolveResult, cost_weights, horizon_cost,
-                    horizon_cost_flat, horizon_weights, reference_stack,
-                    sensitivity_flat, snap_feasible, stack_inputs)
-from .qp import QPProblem, QPSolution, solve_qp
+                    horizon_cost_flat, horizon_weights, linearized_qp,
+                    quadratic_form, reference_stack, sensitivity_flat,
+                    snap_feasible, stack_inputs, stage_cost_flat, zero_start)
+from .qp import solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -109,20 +111,15 @@ class NMPCConfig:
 
 def stage_cost(x: GuidanceState, u: InputCmd, cfg: NMPCConfig) -> float:
     """x'Qx + (u - u_ref)'R(u - u_ref), heading deviation wrapped."""
-    du = u.u - cfg.u_ref.u
-    dpsi = wrap_angle(u.psi - cfg.u_ref.psi)
-    dtar = u.u_tar - cfg.u_ref.u_tar
-    return (cfg.Q[0] * x.x_e * x.x_e + cfg.Q[1] * x.y_e * x.y_e
-            + cfg.Q[2] * x.z * x.z
-            + cfg.R[0] * du * du + cfg.R[1] * dpsi * dpsi
-            + cfg.R[2] * dtar * dtar)
+    ref = cfg.u_ref
+    return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar, cfg.Q,
+                           cfg.R, (ref.u, ref.psi, ref.u_tar))
 
 
 def terminal_cost(x: GuidanceState, cfg: NMPCConfig) -> float:
     """x'Px, nonnegative and zero only at the origin."""
-    P = cfg.terminal_weight()
-    v = np.array([x.x_e, x.y_e, x.z])
-    return float(v @ P @ v)
+    return quadratic_form(x.x_e, x.y_e, x.z,
+                          cfg.terminal_weight().tolist())
 
 
 def predict(x0: GuidanceState, u_seq: Sequence[InputCmd], v_held: float,
@@ -141,12 +138,6 @@ def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     M = np.kron(A.T, A.T) - np.eye(n * n)
     P = np.linalg.solve(M, -S.reshape(n * n)).reshape(n, n)
     return 0.5 * (P + P.T)
-
-
-def terminal_control(x: GuidanceState, path: PathDef,
-                     p: SGLOSParams) -> InputCmd:
-    """Terminal controller: the SGLOS law with its own commanded surge."""
-    return sglos(x, path, p)
 
 
 def _state_vec(x: GuidanceState) -> np.ndarray:
@@ -224,27 +215,6 @@ def make_config(path: PathDef, u_r: float = 0.15,
     return cfg.with_terminal(synthesize_terminal_weight(path, cfg, p))
 
 
-@lru_cache(maxsize=8)
-def _sqp_rows(N: int) -> Tuple[np.ndarray, tuple]:
-    """Constraint rows for the absolute per-step perturbation vector."""
-    rows = []
-    tags = []
-    for j in range(N):
-        for comp in (0, 1):  # rate on u and psi
-            e = np.zeros(3 * N)
-            e[3 * j + comp] = 1.0
-            if j > 0:
-                e[3 * (j - 1) + comp] = -1.0
-            rows.append(e)
-            tags.append(("rate", j, comp))
-        for comp in (0, 2):  # box on u and u_tar
-            e = np.zeros(3 * N)
-            e[3 * j + comp] = 1.0
-            rows.append(e)
-            tags.append(("box", j, comp))
-    return np.vstack(rows), tuple(tags)
-
-
 def _stationarity_residual(g: np.ndarray, A_rows: np.ndarray,
                            lb: np.ndarray, ub: np.ndarray) -> float:
     """KKT stationarity residual at the current point (decision = 0).
@@ -281,29 +251,9 @@ class NMPCSolver:
         self.path = path
         self.kkt_tol = kkt_tol
         self.max_iterations = max_iterations
-        self._A_rows, self._tags = _sqp_rows(cfg.N)
-        self._W, self._r_vec = horizon_weights(cfg)
-        self._zero_warm = QPSolution(np.zeros(3 * cfg.N), (), math.inf, 0)
+        self._qp_weights = horizon_weights(cfg)
+        self._zero_warm = zero_start(cfg.N)
         self._weights = cost_weights(cfg)
-
-    def _bounds(self, U: np.ndarray, u_prev: InputCmd):
-        c = self.cfg.constraints
-        m = len(self._tags)
-        lb = np.empty(m)
-        ub = np.empty(m)
-        for i, (kind, j, comp) in enumerate(self._tags):
-            idx = 3 * j + comp
-            if kind == "rate":
-                half = c.du_max if comp == 0 else c.dpsi_max
-                prev = (u_prev.u if comp == 0 else u_prev.psi) if j == 0 \
-                    else U[3 * (j - 1) + comp]
-                cur = U[idx] - prev
-                lb[i], ub[i] = -half - cur, half - cur
-            else:
-                lo = 0.0 if comp == 0 else c.eps
-                hi = c.u_max if comp == 0 else c.u_tar_max
-                lb[i], ub[i] = lo - U[idx], hi - U[idx]
-        return lb, ub
 
     def _candidates(self, x0, v_k, u_prev, warm):
         """Best of the held previous input and, given a warm start, its
@@ -313,8 +263,7 @@ class NMPCSolver:
         if warm is not None and len(warm.u_seq) == cfg.N:
             cands.append(stack_inputs(snap_feasible(
                 stack_inputs(warm.u_seq), u_prev, cfg.constraints)))
-            tail = terminal_control(warm.x_pred[-1], self.path,
-                                    cfg.terminal_law)
+            tail = sglos(warm.x_pred[-1], self.path, cfg.terminal_law)
             shifted = tuple(warm.u_seq[1:]) + (tail,)
             cands.append(stack_inputs(snap_feasible(
                 stack_inputs(shifted), u_prev, cfg.constraints)))
@@ -344,25 +293,20 @@ class NMPCSolver:
         for it in range(1, self.max_iterations + 1):
             S = sensitivity_flat(X, U.tolist(), frames, v_k, cfg.T_m,
                                  self.path)
-            X0 = np.array(X[3:])
-            WS = self._W @ S
-            H = 2.0 * (S.T @ WS + np.diag(self._r_vec))
-            H = 0.5 * (H + H.T)
-            g = 2.0 * (WS.T @ X0 + self._r_vec * (U - Uref))
-            lb, ub = self._bounds(U, u_prev)
-            kkt = _stationarity_residual(g, self._A_rows, lb, ub)
+            qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
+                               cfg.constraints)
+            kkt = _stationarity_residual(qp.g, qp.A, qp.lb, qp.ub)
             if kkt <= self.kkt_tol:
                 break
-            scale = float(np.trace(H)) / H.shape[0]
-            qsol = solve_qp(QPProblem(H + mu * scale * eye, g,
-                                      self._A_rows, lb, ub),
-                            warm=self._zero_warm)
+            scale = float(np.trace(qp.H)) / qp.H.shape[0]
+            qp.H = qp.H + mu * scale * eye
+            qsol = solve_qp(qp, warm=self._zero_warm)
             iters = it
             delta = qsol.x
             if qsol.converged and \
                     float(np.max(np.abs(delta), initial=0.0)) <= 1e-12:
                 break
-            gd = float(g @ delta)
+            gd = float(qp.g @ delta)
             if not qsol.converged or gd >= 0.0:
                 # Not a certified descent step: the Armijo test below could
                 # accept a cost increase, so keep the feasible incumbent.
@@ -399,10 +343,3 @@ class NMPCSolver:
         J_opt = horizon_cost(x_k, x_pred, u_seq, cfg)
         return SolveResult(u_seq, tuple(x_pred), J_opt, iters, kkt,
                            timer() - t0)
-
-
-def solve(x_k: GuidanceState, v_k: float, u_prev: InputCmd,
-          warm: Optional[SolveResult], cfg: NMPCConfig,
-          path: PathDef) -> SolveResult:
-    """One-shot convenience wrapper around NMPCSolver."""
-    return NMPCSolver(cfg, path).solve(x_k, v_k, u_prev, warm)

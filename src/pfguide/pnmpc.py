@@ -1,22 +1,22 @@
-"""Linearized receding-horizon machinery and the single-QP guidance step.
+"""Linearized receding-horizon machinery and the fast guidance step.
 
-The fast law linearizes the Euler prediction around the free response
-(zero future input increments) so the horizon cost becomes one strictly
-convex QP in the input increments:
+Both predictive laws step on the same QP (linearized_qp): the Euler
+prediction is linearized around an input sequence U, X(U + delta) ~
+X(U) + S . delta, and the horizon cost becomes one strictly convex QP in
+the per-step input perturbation delta, started from delta = 0.  The
+nonlinear law iterates it with damping and a line search; the fast law
+(PNMPCSolver) is the first full step of that SQP from the held previous
+input, a real-time iteration.  It has two sources of S:
 
-    y_hat = y_free + G . delta_u
-
-Two linear forced-response operators are available:
-
-* "frozen": the block-Toeplitz matrix with blocks G_i = i * T_m * J, the
-  instant-0 input Jacobian shifted down the horizon (assemble_G);
 * "exact": the first-order sensitivity of the Euler recursion, with state
-  and input Jacobians evaluated along the free response.
+  and input Jacobians evaluated along the held-input prediction;
+* "frozen": the block-Toeplitz matrix with blocks G_i = i * T_m * J, the
+  instant-0 input Jacobian shifted down the horizon (assemble_G), mapped
+  from input increments onto perturbations.
 
 The exact operator is the default: its residual against the nonlinear
-prediction is genuinely second order in the increments, which the frozen
-form is not once state coupling matters.  The solvers and the sequential
-outer loop in the nonlinear law both reuse this module's Jacobians.
+prediction is genuinely second order in the perturbation, which the
+frozen form is not once state coupling matters.
 """
 
 from __future__ import annotations
@@ -217,28 +217,77 @@ def _increment_lower(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _increment_rows(N: int) -> Tuple[np.ndarray, list]:
-    """Constraint rows for the increment decision vector.
+def _increment_difference(N: int) -> np.ndarray:
+    """Inverse of _increment_lower: I on the block diagonal, -I below it."""
+    return np.kron(np.eye(N) - np.eye(N, k=-1), np.eye(3))
+
+
+@lru_cache(maxsize=8)
+def _sqp_rows(N: int) -> Tuple[np.ndarray, tuple]:
+    """Constraint rows for the per-step perturbation vector.
 
     Returns (A, tags); tags name each row so per-solve bounds can be
-    filled in: ("rate", j, comp) is an identity row on the increment,
-    ("box", j, comp) a cumulative-sum row equal to u(j)[comp] - u_prev[comp].
+    filled in: ("rate", j, comp) differences steps j and j-1 (step 0
+    against the previous input), ("box", j, comp) is an identity row.
     Heading has no box row (wrapped output always lies in the box) and the
     target speed has no rate row.
     """
-    L = _increment_lower(N)
     rows = []
     tags = []
     for j in range(N):
         for comp in (0, 1):  # rate on u and psi
             e = np.zeros(3 * N)
             e[3 * j + comp] = 1.0
+            if j > 0:
+                e[3 * (j - 1) + comp] = -1.0
             rows.append(e)
             tags.append(("rate", j, comp))
         for comp in (0, 2):  # box on u and u_tar
-            rows.append(L[3 * j + comp])
+            e = np.zeros(3 * N)
+            e[3 * j + comp] = 1.0
+            rows.append(e)
             tags.append(("box", j, comp))
-    return np.vstack(rows), tags
+    return np.vstack(rows), tuple(tags)
+
+
+def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
+                  u_prev: InputCmd, Uref: np.ndarray,
+                  weights: Tuple[np.ndarray, np.ndarray],
+                  c: InputConstraints) -> QPProblem:
+    """The Gauss-Newton QP in the perturbation delta of the inputs U.
+
+    X stacks the states 0..N predicted under U, S is their sensitivity to
+    U, weights is (W, r) from horizon_weights and Uref the input reference:
+    H = 2(S'WS + diag r), and the _sqp_rows rows keep U + delta in the box
+    and rate sets.
+    """
+    W, r_vec = weights
+    X0 = np.array(X[3:])
+    WS = W @ S
+    H = 2.0 * (S.T @ WS + np.diag(r_vec))
+    H = 0.5 * (H + H.T)
+    g = 2.0 * (WS.T @ X0 + r_vec * (U - Uref))
+    A, tags = _sqp_rows(U.shape[0] // 3)
+    lb = np.empty(len(tags))
+    ub = np.empty(len(tags))
+    for i, (kind, j, comp) in enumerate(tags):
+        idx = 3 * j + comp
+        if kind == "rate":
+            half = c.du_max if comp == 0 else c.dpsi_max
+            prev = (u_prev.u if comp == 0 else u_prev.psi) if j == 0 \
+                else U[3 * (j - 1) + comp]
+            cur = U[idx] - prev
+            lb[i], ub[i] = -half - cur, half - cur
+        else:
+            lo = 0.0 if comp == 0 else c.eps
+            hi = c.u_max if comp == 0 else c.u_tar_max
+            lb[i], ub[i] = lo - U[idx], hi - U[idx]
+    return QPProblem(H, g, A, lb, ub)
+
+
+def zero_start(N: int) -> QPSolution:
+    """QP warm start at delta = 0, feasible whenever U is."""
+    return QPSolution(np.zeros(3 * N), (), math.inf, 0)
 
 
 def stack_inputs(u_seq: Sequence[InputCmd]) -> np.ndarray:
@@ -264,20 +313,6 @@ def horizon_weights(cfg: "NMPCConfig") -> Tuple[np.ndarray, np.ndarray]:
         W[3 * j:3 * j + 3, 3 * j:3 * j + 3] = np.diag(cfg.Q)
     W[3 * (N - 1):, 3 * (N - 1):] = cfg.lam * cfg.terminal_weight()
     return W, np.tile(cfg.R, N)
-
-
-def quadratic_in_decision(W: np.ndarray, r_vec: np.ndarray, M: np.ndarray,
-                          T: np.ndarray, X0: np.ndarray,
-                          Udev0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Hessian and gradient of the horizon cost in a decision vector y,
-
-    with X = X0 + M y and U - Uref = Udev0 + T y.
-    """
-    WM = W @ M
-    RT = r_vec[:, None] * T
-    H = 2.0 * (M.T @ WM + T.T @ RT)
-    g = 2.0 * (WM.T @ X0 + RT.T @ Udev0)
-    return 0.5 * (H + H.T), g
 
 
 def reference_stack(cfg: "NMPCConfig", psi_branch: float) -> np.ndarray:
@@ -315,25 +350,39 @@ def cost_weights(cfg: "NMPCConfig") -> tuple:
             tuple(tuple(row) for row in cfg.terminal_weight().tolist()))
 
 
+def stage_cost_flat(xe: float, ye: float, z: float, u: float, psi: float,
+                    u_tar: float, q: Sequence[float], r: Sequence[float],
+                    ref: Sequence[float]) -> float:
+    """x'Qx + (u - u_ref)'R(u - u_ref) on plain floats, heading deviation
+    wrapped (q, r the diagonals, ref the input reference)."""
+    q0, q1, q2 = q
+    r0, r1, r2 = r
+    du = u - ref[0]
+    dpsi = wrap_angle(psi - ref[1])
+    dtar = u_tar - ref[2]
+    return (q0 * xe * xe + q1 * ye * ye + q2 * z * z
+            + r0 * du * du + r1 * dpsi * dpsi + r2 * dtar * dtar)
+
+
+def quadratic_form(xe: float, ye: float, z: float, P: Sequence) -> float:
+    """x'Px on plain floats, P given by its rows."""
+    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
+    return (xe * (p00 * xe + p01 * ye + p02 * z)
+            + ye * (p10 * xe + p11 * ye + p12 * z)
+            + z * (p20 * xe + p21 * ye + p22 * z))
+
+
 def horizon_cost_flat(X: Sequence[float], U: Sequence[float],
                       weights: tuple) -> float:
     """Nonlinear horizon cost on plain floats (stacked states 0..N and
     inputs, weights from cost_weights)."""
-    (q0, q1, q2), (r0, r1, r2), (ref_u, ref_psi, ref_tar), lam, P = weights
+    q, r, ref, lam, P = weights
     J = 0.0
     for j in range(0, len(U), 3):
-        xe, ye, z = X[j], X[j + 1], X[j + 2]
-        du = U[j] - ref_u
-        dpsi = wrap_angle(U[j + 1] - ref_psi)
-        dtar = U[j + 2] - ref_tar
-        J += (q0 * xe * xe + q1 * ye * ye + q2 * z * z
-              + r0 * du * du + r1 * dpsi * dpsi + r2 * dtar * dtar)
+        J += stage_cost_flat(X[j], X[j + 1], X[j + 2],
+                             U[j], U[j + 1], U[j + 2], q, r, ref)
     n = len(U)
-    xe, ye, z = X[n], X[n + 1], X[n + 2]
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
-    return J + lam * (xe * (p00 * xe + p01 * ye + p02 * z)
-                      + ye * (p10 * xe + p11 * ye + p12 * z)
-                      + z * (p20 * xe + p21 * ye + p22 * z))
+    return J + lam * quadratic_form(X[n], X[n + 1], X[n + 2], P)
 
 
 def horizon_cost(x_k: GuidanceState, states: Sequence[GuidanceState],
@@ -345,9 +394,10 @@ def horizon_cost(x_k: GuidanceState, states: Sequence[GuidanceState],
 
 
 class PNMPCSolver:
-    """One-QP linearized guidance step; owns constraint patterns and warm data.
+    """Fast guidance step: one full SQP step from the held previous input.
 
-    Instances are not safe for concurrent use; distinct instances are.
+    Holds only per-configuration constants, so a step depends on its
+    arguments alone.
     """
 
     def __init__(self, cfg: "NMPCConfig", path: PathDef,
@@ -358,31 +408,15 @@ class PNMPCSolver:
         self.cfg = cfg
         self.path = path
         self.linearization = linearization
-        self._A_rows, self._tags = _increment_rows(cfg.N)
-        self._L = _increment_lower(cfg.N)
-        self._W, self._r_vec = horizon_weights(cfg)
-        self._qp_warm: Optional[QPSolution] = None
-
-    def _bounds(self, U0: np.ndarray, u_prev: InputCmd):
-        c = self.cfg.constraints
-        m = len(self._tags)
-        lb = np.empty(m)
-        ub = np.empty(m)
-        for i, (kind, j, comp) in enumerate(self._tags):
-            if kind == "rate":
-                half = c.du_max if comp == 0 else c.dpsi_max
-                lb[i], ub[i] = -half, half
-            else:
-                idx = 3 * j + comp
-                base = u_prev.u if comp == 0 else u_prev.u_tar
-                lo = 0.0 if comp == 0 else c.eps
-                hi = c.u_max if comp == 0 else c.u_tar_max
-                lb[i], ub[i] = lo - base, hi - base
-        return lb, ub
+        self._qp_weights = horizon_weights(cfg)
+        self._zero = zero_start(cfg.N)
 
     def solve(self, x_k: GuidanceState, v_k: float, u_prev: InputCmd,
               warm: Optional[SolveResult] = None,
               timer=time.perf_counter) -> SolveResult:
+        """Linearize at the hold, solve the QP from delta = 0 and return
+        the hold plus the full step.  warm is unused; it keeps the call
+        signature of NMPCSolver.solve."""
         t0 = timer()
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
@@ -391,32 +425,19 @@ class PNMPCSolver:
                                  cfg.T_m, self.path)
         if self.linearization == "exact":
             S = sensitivity_flat(X, hold, frames, v_k, cfg.T_m, self.path)
-            G = S @ self._L
         else:
-            G = assemble_G(jacobian_block(x_k, u_prev, v_k, self.path),
-                           cfg.N, cfg.T_m).G
-        X0 = np.array(X[3:])
-        U0 = np.array(hold)
-        Udev0 = U0 - reference_stack(cfg, u_prev.psi)
-        H, g = quadratic_in_decision(self._W, self._r_vec, G, self._L,
-                                     X0, Udev0)
-        lb, ub = self._bounds(U0, u_prev)
-        qsol = solve_qp(QPProblem(H, g, self._A_rows, lb, ub),
-                        warm=self._qp_warm)
+            S = assemble_G(jacobian_block(x_k, u_prev, v_k, self.path),
+                           cfg.N, cfg.T_m).G @ _increment_difference(cfg.N)
+        U = np.array(hold)
+        qsol = solve_qp(linearized_qp(S, X, U, u_prev,
+                                      reference_stack(cfg, u_prev.psi),
+                                      self._qp_weights, cfg.constraints),
+                        warm=self._zero)
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        self._qp_warm = qsol
-        u_seq = snap_feasible(U0 + self._L @ qsol.x, u_prev, cfg.constraints)
+        u_seq = snap_feasible(U + qsol.x, u_prev, cfg.constraints)
         x_pred = rollout(x_k, u_seq, v_k, cfg.T_m, self.path)
         J_opt = horizon_cost(x_k, x_pred, u_seq, cfg)
         return SolveResult(u_seq, tuple(x_pred), J_opt, qsol.iterations,
                            qsol.kkt_residual, timer() - t0)
-
-
-def pnmpc_solve(x_k: GuidanceState, v_k: float, u_prev: InputCmd,
-                cfg: "NMPCConfig", path: PathDef,
-                warm: Optional[SolveResult] = None,
-                linearization: str = "exact") -> SolveResult:
-    """One-shot convenience wrapper around PNMPCSolver."""
-    return PNMPCSolver(cfg, path, linearization).solve(x_k, v_k, u_prev, warm)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -125,13 +125,6 @@ class LowLevelFilter:
         return float(self._x[0])
 
 
-def filter_step(f: LowLevelFilter, command: float, T_p: float) -> float:
-    """Functional wrapper over LowLevelFilter.step."""
-    if abs(T_p - f.T_p) > 1e-12:
-        raise ConfigError(f"filter was discretized at T_p={f.T_p}, got {T_p}")
-    return f.step(command)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Complete closed-loop experiment description (no hidden randomness)."""
@@ -221,9 +214,11 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
 
     pt0 = sample_path(path, sc.omega0)
     psi0 = pt0.phi_p if sc.psi0 is None else wrap_angle(sc.psi0)
-    u_prev = sc.initial_input if sc.initial_input is not None else \
+    # The previous input against which the first rate increment counts.
+    u_initial = sc.initial_input if sc.initial_input is not None else \
         InputCmd(0.0, pt0.phi_p, sc.constraints.eps)
-    require_in_box(u_prev, sc.constraints)
+    require_in_box(u_initial, sc.constraints)
+    u_prev = u_initial
 
     solver = None
     if sc.law != "sglos":
@@ -307,19 +302,12 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
         "duration": sc.duration,
         "guidance_stride": m,
         "constraints": sc.constraints,
-        "initial_input": u_prev_initial(sc, pt0),
+        "initial_input": u_initial,
         "converge_band": sc.converge_band,
         "disturbance": sc.disturbance,
         "filter_enabled": sc.filter_enabled,
     }
     return Trace(cols, meta)
-
-
-def u_prev_initial(sc: Scenario, pt0) -> InputCmd:
-    """Initial previous-input against which the first rate increment counts."""
-    if sc.initial_input is not None:
-        return sc.initial_input
-    return InputCmd(0.0, pt0.phi_p, sc.constraints.eps)
 
 
 @dataclass
@@ -397,7 +385,3 @@ def compute_metrics(trace: Trace, converge_band: Optional[float] = None) -> Repo
         guidance_steps=len(solve_times),
         duration=trace.meta["duration"],
     )
-
-
-def scenario_with_law(sc: Scenario, law: str) -> Scenario:
-    return replace(sc, law=law)

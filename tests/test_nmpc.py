@@ -7,9 +7,8 @@ import pytest
 from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
                      NMPCSolver, TerminalWeightUnset,
                      UnstableTerminalLoop, discrete_lyapunov, euler_step,
-                     predict, sample_path, solve, stage_cost,
-                     synthesize_terminal_weight, terminal_control,
-                     terminal_cost, z_of_omega)
+                     predict, sample_path, sglos, stage_cost,
+                     synthesize_terminal_weight, terminal_cost, z_of_omega)
 from pfguide.errdyn import rollout
 from pfguide.los import clamp_inputs
 from pfguide.pnmpc import horizon_cost
@@ -141,7 +140,7 @@ class TestSynthesis:
                 continue
             count += 1
             x = GuidanceState(*xv)
-            kf = terminal_control(x, demo_path, cfg.terminal_law)
+            kf = sglos(x, demo_path, cfg.terminal_law)
             xp = euler_step(x, kf, 0.0, cfg.T_m, demo_path)
             gap = (terminal_cost(xp, cfg) - terminal_cost(x, cfg)
                    + stage_cost(x, kf, cfg))
@@ -295,7 +294,7 @@ class TestSolve:
         c = demo_config.constraints
         x = GuidanceState(-5.0, 7.0, 0.6)
         up = InputCmd(0.05, -1.0, 0.5)
-        res = solve(x, -0.1, up, None, demo_config, demo_path)
+        res = NMPCSolver(demo_config, demo_path).solve(x, -0.1, up)
         prev = up
         for cmd in res.u_seq:
             assert clamp_inputs(cmd, prev, c) == cmd

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from pfguide import (GuidanceState, InputCmd, JacobianBlock, NMPCConfig,
-                     NMPCSolver, PNMPCSolver, assemble_G, dynamics,
+                     NMPCSolver, PNMPCSolver, QPProblem, assemble_G, dynamics,
                      free_response, horizon_cost, jacobian_block, predict,
-                     pnmpc_solve, sample_path, z_of_omega)
+                     sample_path, solve_qp, wrap_angle, z_of_omega)
 from pfguide.errdyn import rollout
 from pfguide.los import clamp_inputs
-from pfguide.pnmpc import (_increment_lower, sensitivity_along, stack_inputs,
+from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
+                           sensitivity_along, snap_feasible, stack_inputs,
                            stack_states)
 
 
@@ -251,12 +252,14 @@ class TestPNMPCSolve:
             prev = cmd
 
     def test_frozen_linearization_mode(self, demo_path, demo_config):
+        # the operator choice reaches the QP (test_matches_increment_qp
+        # checks what each operator gives)
         x = GuidanceState(0.5, 0.5, 0.3)
         up = InputCmd(0.1, 0.5, 0.1)
-        res = pnmpc_solve(x, 0.0, up, demo_config, demo_path,
-                          linearization="frozen")
-        assert len(res.u_seq) == demo_config.N
-        assert math.isfinite(res.J_opt)
+        exact = PNMPCSolver(demo_config, demo_path).solve(x, 0.0, up)
+        frozen = PNMPCSolver(demo_config, demo_path, "frozen").solve(
+            x, 0.0, up)
+        assert frozen.u_seq != exact.u_seq
         with pytest.raises(ValueError):
             PNMPCSolver(demo_config, demo_path, "other")
 
@@ -266,3 +269,59 @@ class TestPNMPCSolve:
         res = PNMPCSolver(demo_config, demo_path).solve(x, 0.05, up)
         ref = rollout(x, res.u_seq, 0.05, demo_config.T_m, demo_path)
         assert tuple(ref) == res.x_pred
+
+
+def _increment_qp_commands(x, up, v, cfg, path, linearization):
+    """The fast step written as one QP in the input increments du, with
+    U = U_hold + L du: rate rows on du, cumulative box rows, a cold QP."""
+    N, c = cfg.N, cfg.constraints
+    L = _increment_lower(N)
+    hold = [up] * N
+    states = rollout(x, hold, v, cfg.T_m, path)
+    if linearization == "exact":
+        G = sensitivity_along(states, hold, v, cfg.T_m, path) @ L
+    else:
+        G = assemble_G(jacobian_block(x, up, v, path), N, cfg.T_m).G
+    W, r = horizon_weights(cfg)
+    U0 = stack_inputs(hold)
+    dev = U0 - reference_stack(cfg, up.psi)
+    H = 2.0 * (G.T @ W @ G + L.T @ (r[:, None] * L))
+    g = 2.0 * (G.T @ W @ stack_states(states[1:]) + L.T @ (r * dev))
+    rows, lb, ub = [], [], []
+    for j in range(N):
+        for comp, half in ((0, c.du_max), (1, c.dpsi_max)):
+            rows.append(np.eye(3 * N)[3 * j + comp])
+            lb.append(-half)
+            ub.append(half)
+        for comp, lo, hi, base in ((0, 0.0, c.u_max, up.u),
+                                   (2, c.eps, c.u_tar_max, up.u_tar)):
+            rows.append(L[3 * j + comp])
+            lb.append(lo - base)
+            ub.append(hi - base)
+    sol = solve_qp(QPProblem(0.5 * (H + H.T), g, np.array(rows),
+                             np.array(lb), np.array(ub)))
+    assert sol.converged
+    return snap_feasible(U0 + L @ sol.x, up, c)
+
+
+@pytest.mark.parametrize("linearization", ["exact", "frozen"])
+def test_matches_increment_qp(demo_path, demo_config, linearization):
+    """One full SQP step from the hold equals the single QP in the input
+    increments, for both forced-response operators."""
+    solver = PNMPCSolver(demo_config, demo_path, linearization)
+    c = demo_config.constraints
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(200):
+        x = GuidanceState(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                          rng.uniform(0.05, 1.0))
+        up = InputCmd(rng.uniform(0.0, c.u_max), rng.uniform(-math.pi, math.pi),
+                      rng.uniform(c.eps, c.u_tar_max))
+        v = rng.uniform(-0.15, 0.15)
+        got = solver.solve(x, v, up).u_seq
+        ref = _increment_qp_commands(x, up, v, demo_config, demo_path,
+                                     linearization)
+        for a, b in zip(got, ref):
+            worst = max(worst, abs(a.u - b.u), abs(a.u_tar - b.u_tar),
+                        abs(wrap_angle(a.psi - b.psi)))
+    assert worst <= 1e-9

@@ -7,8 +7,7 @@ import pytest
 from pfguide import (DisturbanceSpec, EmptyTrace, GuidanceState, InputCmd,
                      LowLevelFilter, Scenario, Trace,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
-                     filter_step, predict, run_scenario,
-                     transient_scenario)
+                     predict, run_scenario, transient_scenario)
 from pfguide.exceptions import ConfigError
 from pfguide.paths import line_path
 from pfguide.sim import TRACE_COLUMNS
@@ -103,12 +102,6 @@ class TestLowLevelFilter:
         f = LowLevelFilter(0.1, initial=0.56)
         for _ in range(20):
             assert f.step(0.56) == pytest.approx(0.56, rel=1e-12)
-
-    def test_wrapper_checks_step(self):
-        f = LowLevelFilter(0.1)
-        filter_step(f, 1.0, 0.1)
-        with pytest.raises(ConfigError):
-            filter_step(f, 1.0, 0.2)
 
 
 class TestScenarioValidation:
