@@ -3,9 +3,12 @@
 Solves   min  1/2 x^T H x + g^T x   s.t.  lb <= A x <= ub
 
 with a primal active-set method.  Problem sizes here are tiny (n <= ~30),
-so one Cholesky factorization of H is reused across iterations and each
-working-set change re-solves a small Schur system.  Ties in the ratio test
-break toward the lowest constraint row, making runs reproducible.
+so H is Cholesky-factored and inverted once per solve, and H^-1 A^T and
+A H^-1 A^T are formed once: each working-set change slices them into a
+small Schur system.  The start is the unconstrained minimizer, returned
+as the optimum when it is feasible; otherwise a feasible warm point, else
+a Phase-1 point.  Ties in the ratio test break toward the lowest
+constraint row, making runs reproducible.
 """
 
 from __future__ import annotations
@@ -70,29 +73,37 @@ class QPSolution:
         return self.kkt_residual <= KKT_TOL
 
 
-def _chol_factor(H: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _chol_factor(H: np.ndarray) -> np.ndarray:
     """Cholesky of H, adding REG_EPS*I whenever a pivot falls below REG_EPS."""
     Hr = 0.5 * (H + H.T)
     for bump in (0.0, REG_EPS, 1e4 * REG_EPS, 1e8 * REG_EPS):
         try:
             Hb = Hr + bump * np.eye(Hr.shape[0]) if bump else Hr
             L = np.linalg.cholesky(Hb)
-            if np.min(np.diag(L)) ** 2 >= REG_EPS * 0.5 or bump:
-                return L, Hb
+            if L.diagonal().min() ** 2 >= REG_EPS * 0.5 or bump:
+                return L
         except LinAlgError:
             continue
     raise LinAlgError("Hessian not positive definite after regularization")
 
 
-def _chol_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.linalg.solve(L, b)
-    return np.linalg.solve(L.T, y)
+def _inverse(H: np.ndarray) -> np.ndarray:
+    """(Regularized) H^-1 = L^-T L^-1 from one Cholesky factor."""
+    Li = np.linalg.inv(_chol_factor(H))
+    return Li.T @ Li
 
 
 def _violation(A, lb, ub, x) -> float:
     r = A @ x
-    return float(max(np.max(np.append(r - ub, 0.0)),
-                     np.max(np.append(lb - r, 0.0))))
+    return float(max((r - ub).max(initial=0.0), (lb - r).max(initial=0.0)))
+
+
+def _multipliers(work, mu) -> dict:
+    """Multipliers by (row, side) from the Schur solution of
+    grad + Aw^T mu = 0: an upper bound keeps mu and a lower bound flips its
+    sign, so both read >= 0 at an optimum; equality rows keep mu."""
+    return {(row, side): float(mu_k) if side >= 0 else -float(mu_k)
+            for (row, side), mu_k in zip(work, mu)}
 
 
 def _kkt_residual(H, g, A, lb, ub, x, mult) -> float:
@@ -100,19 +111,20 @@ def _kkt_residual(H, g, A, lb, ub, x, mult) -> float:
     gradient magnitude so badly scaled Hessians stay certifiable."""
     grad = H @ x + g
     scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
-    for (row, side), lam in mult.items():
+    r = _violation(A, lb, ub, x)
+    if mult:
+        rows = np.array([row for row, _ in mult])
+        sides = np.array([side for _, side in mult])
+        lam = np.array(list(mult.values()))
         # Stationarity: grad + sum(lam_ub * a) - sum(lam_lb * a) = 0, lam >= 0.
-        grad = grad + (lam if side >= 0 else -lam) * A[row]
-    r = float(np.max(np.abs(grad))) / scale
-    res = A @ x
-    r = max(r, _violation(A, lb, ub, x))
-    for (row, side), lam in mult.items():
-        if side == 0:
-            continue  # equality multipliers are sign-free
-        r = max(r, (-lam if lam < 0.0 else 0.0) / scale)  # sign condition
-        slack = (ub[row] - res[row]) if side >= 0 else (res[row] - lb[row])
-        r = max(r, abs(lam * slack) / scale)
-    return r
+        Aw = A[rows]
+        grad = grad + np.where(sides >= 0, lam, -lam) @ Aw
+        res = Aw @ x
+        slack = np.where(sides >= 0, ub[rows] - res, res - lb[rows])
+        ineq = sides != 0  # equality multipliers are sign-free
+        r = max(r, float(np.max(-lam[ineq], initial=0.0)) / scale,  # sign
+                float(np.max(np.abs(lam * slack)[ineq], initial=0.0)) / scale)
+    return max(r, float(np.max(np.abs(grad))) / scale)
 
 
 def _polish(H, g, A, lb, ub, x, work) -> np.ndarray:
@@ -141,8 +153,43 @@ def _polish(H, g, A, lb, ub, x, work) -> np.ndarray:
     return x
 
 
-def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
-    """Primal active-set iteration from a feasible start x0.
+def _active_rows(A, lb, ub, x, n) -> list:
+    """Working set of the rows active at x, at most n of them, in row
+    order: equality rows, then rows at their upper, else lower bound."""
+    r = A @ x
+    eq = lb == ub
+    at_ub = ~eq & (r >= ub - FEAS_TOL) & np.isfinite(ub)
+    at_lb = ~eq & (r <= lb + FEAS_TOL) & np.isfinite(lb)
+    return [(int(i), 0 if eq[i] else (1 if at_ub[i] else -1))
+            for i in np.flatnonzero(eq | at_ub | at_lb)[:n]]
+
+
+def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
+    """Longest step alpha <= 1 along d that keeps x feasible, and the
+    (row, side) that blocks it (None for the full step); rows in the
+    working set are skipped.
+
+    Each row's step is to the bound it moves toward: infinite for an
+    infinite bound or a row d leaves parallel.  Rows that can block are
+    scanned in ascending order, so ties break toward the lowest row.
+    """
+    Ad = A @ d
+    step = np.divide(np.where(Ad > 0.0, ub, lb) - A @ x, Ad,
+                     out=np.full(Ad.shape[0], np.inf),
+                     where=np.abs(Ad) > _DIR_TOL)
+    step[rows] = np.inf
+    alpha = 1.0
+    blocker = None
+    for i in np.flatnonzero(step < alpha - 1e-15):
+        if step[i] < alpha - 1e-15:
+            alpha = max(float(step[i]), 0.0)
+            blocker = (int(i), 1 if Ad[i] > 0.0 else -1)
+    return alpha, blocker
+
+
+def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
+    """Primal active-set iteration from a feasible start x0, with Hinv the
+    (regularized) inverse of H.
 
     objective_trace, when given, collects the objective value after every
     iteration (debug hook for the monotone-descent invariant).
@@ -150,24 +197,15 @@ def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     n = g.shape[0]
     m = lb.shape[0]
     x = np.array(x0, dtype=float)
+    # Every Schur system is a slice of these two products.
+    HiAt = Hinv @ A.T
+    AHiAt = A @ HiAt
 
-    # Working set from currently active rows (warm sets are re-detected from
-    # the point itself, which keeps the set consistent after bound changes).
-    work: list = []
-    if m:
-        r = A @ x
-        for i in range(m):
-            if lb[i] == ub[i]:
-                work.append((i, 0))
-            elif r[i] >= ub[i] - FEAS_TOL and np.isfinite(ub[i]):
-                work.append((i, +1))
-            elif r[i] <= lb[i] + FEAS_TOL and np.isfinite(lb[i]):
-                work.append((i, -1))
-            if len(work) == n:
-                break
-
-    mult: dict = {}
+    # Warm sets are re-detected from the point itself, which keeps the set
+    # consistent after bound changes.
+    work = _active_rows(A, lb, ub, x, n)
     mu = np.zeros(0)
+    mu_work: list = []  # the working set that mu belongs to
     max_iter = 50 * (m + 1)
     it = 0
     stall = 0
@@ -175,22 +213,22 @@ def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     while it < max_iter:
         it += 1
         grad = H @ x + g
+        rows = [rs[0] for rs in work]
+        mu_work = list(work)
         if len(work) == n:
             # Full square working set: the equality step is identically
             # zero and the multipliers come from stationarity directly.
-            Aw = A[[rs[0] for rs in work]]
+            Aw = A[rows]
             try:
                 mu = -np.linalg.solve(Aw.T, grad)
             except LinAlgError:
                 mu, *_ = np.linalg.lstsq(Aw.T, -grad, rcond=None)
             d = np.zeros(n)
         elif work:
-            rows = [rs[0] for rs in work]
-            Aw = A[rows]
-            Hin_g = _chol_solve(L, grad)
-            Hin_At = _chol_solve(L, Aw.T)
-            S = Aw @ Hin_At
-            rhs = -(Aw @ Hin_g)
+            Hin_g = Hinv @ grad
+            Hin_At = HiAt[:, rows]
+            S = AHiAt[np.ix_(rows, rows)]
+            rhs = -(A[rows] @ Hin_g)
             try:
                 mu = np.linalg.solve(S, rhs)
                 mu += np.linalg.solve(S, rhs - S @ mu)
@@ -199,23 +237,20 @@ def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             d = -Hin_g - Hin_At @ mu
         else:
             mu = np.zeros(0)
-            d = -_chol_solve(L, grad)
+            d = -(Hinv @ grad)
 
         # A dependent or noisy working set yields phantom steps that do not
         # move the objective; treat those like a stationary point too.
-        tiny_d = float(np.max(np.abs(d), initial=0.0)) <= \
-            _ZERO_STEP * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+        tiny_d = float(np.abs(d).max(initial=0.0)) <= \
+            _ZERO_STEP * (1.0 + float(np.abs(x).max(initial=0.0)))
         if tiny_d or stall >= 2:
-            # Stationary on the working set; check multiplier signs.
-            # Stationarity was solved as grad + Aw^T mu = 0, so an upper
-            # bound needs mu >= 0 and a lower bound needs mu <= 0.
+            # Stationary on the working set; check multiplier signs and drop
+            # the most negative inequality multiplier (lowest row on ties).
             stall = 0
+            mult = _multipliers(work, mu)
             worst = None
             worst_val = -1e-10
-            mult = {}
-            for k, (row, side) in enumerate(work):
-                lam = float(mu[k]) if side >= 0 else -float(mu[k])
-                mult[(row, side)] = lam if side != 0 else float(mu[k])
+            for k, ((row, side), lam) in enumerate(mult.items()):
                 if side != 0 and (lam < worst_val
                                   or (worst is not None and lam == worst_val
                                       and row < work[worst][0])):
@@ -224,9 +259,7 @@ def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             if worst is None:
                 # Guard against sign-valid garbage multipliers from a
                 # dependent working set: require genuine stationarity.
-                stat = grad.copy()
-                for k, (row, side) in enumerate(work):
-                    stat += float(mu[k]) * A[row]
+                stat = grad + mu @ A[rows]
                 scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
                 if float(np.max(np.abs(stat), initial=0.0)) <= 1e-6 * scale:
                     x = _polish(H, g, A, lb, ub, x, work)
@@ -244,25 +277,7 @@ def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             del work[worst]
             continue
 
-        # Ratio test toward the nearest blocking constraint.
-        alpha = 1.0
-        blocker = None
-        if m:
-            Ad = A @ d
-            res = A @ x
-            in_work = {rs[0] for rs in work}
-            for i in range(m):
-                if i in in_work:
-                    continue
-                ad = Ad[i]
-                if ad > _DIR_TOL and np.isfinite(ub[i]):
-                    a_i = (ub[i] - res[i]) / ad
-                    if a_i < alpha - 1e-15:
-                        alpha, blocker = max(a_i, 0.0), (i, +1)
-                elif ad < -_DIR_TOL and np.isfinite(lb[i]):
-                    a_i = (lb[i] - res[i]) / ad
-                    if a_i < alpha - 1e-15:
-                        alpha, blocker = max(a_i, 0.0), (i, -1)
+        alpha, blocker = _ratio_test(A, lb, ub, x, d, rows)
         x = x + alpha * d
         obj_new = 0.5 * float(x @ H @ x) + float(g @ x)
         if blocker is None and obj_new >= obj - 1e-9 * (1.0 + abs(obj)):
@@ -275,7 +290,7 @@ def _active_set(H, L, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
         if blocker is not None and len(work) < n:
             work.append(blocker)
 
-    mult = {rs: float(m_) for rs, m_ in zip(work, mu)} if work else {}
+    mult = _multipliers(mu_work, mu)
     return QPSolution(x, tuple(work),
                       _kkt_residual(H, g, A, lb, ub, x, mult), it, mult)
 
@@ -311,8 +326,8 @@ def _phase1(A, lb, ub, x0) -> np.ndarray:
     ga = np.zeros(n + 1)
     ga[-1] = 1.0
     y0 = np.append(x0, _violation(A, lb, ub, x0) + 1.0)
-    La, _ = _chol_factor(Ha)
-    sol = _active_set(Ha, La, ga, Aa, np.asarray(lbs), np.asarray(ubs), y0)
+    sol = _active_set(Ha, _inverse(Ha), ga, Aa, np.asarray(lbs),
+                      np.asarray(ubs), y0)
     t = float(sol.x[-1])
     if t > 1e2 * FEAS_TOL:
         raise Infeasible(f"no feasible point (best bound relaxation {t:.3e})")
@@ -323,23 +338,25 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
              objective_trace: Optional[list] = None) -> QPSolution:
     """Minimize over the polytope; deterministic for fixed inputs.
 
-    Returns the optimum with KKT residual <= 1e-8, or the best feasible
-    iterate with a larger reported residual when the iteration cap is hit.
-    Raises Infeasible when no point satisfies the constraints.
+    H is factored and inverted once per solve.  The unconstrained minimizer
+    (with one refinement step) is returned at once, with zero iterations,
+    when it is feasible: it is then the optimum.  Otherwise the active-set
+    iteration starts from warm.x if that is feasible, else from a Phase-1
+    point.  Returns the optimum with KKT residual <= 1e-8, or the best
+    feasible iterate with a larger reported residual when the iteration cap
+    is hit.  Raises Infeasible when no point satisfies the constraints.
     objective_trace, when given, records the per-iteration objective.
     """
     H, g, A, lb, ub = prob.H, prob.g, prob.A, prob.lb, prob.ub
     n = g.shape[0]
-    m = lb.shape[0]
-    L, _ = _chol_factor(H)
-
+    Hinv = _inverse(H)
+    x = -(Hinv @ g)
+    x += Hinv @ (-g - H @ x)
+    if _violation(A, lb, ub, x) <= FEAS_TOL:
+        return QPSolution(x, (), _kkt_residual(H, g, A, lb, ub, x, {}), 0)
     if (warm is not None and warm.x.shape == (n,)
             and _violation(A, lb, ub, warm.x) <= FEAS_TOL):
         x = np.array(warm.x, dtype=float)
-    elif m == 0:
-        x = -_chol_solve(L, g)
     else:
-        x = -_chol_solve(L, g)
-        if _violation(A, lb, ub, x) > FEAS_TOL:
-            x = _phase1(A, lb, ub, x)
-    return _active_set(H, L, g, A, lb, ub, x, objective_trace)
+        x = _phase1(A, lb, ub, x)
+    return _active_set(H, Hinv, g, A, lb, ub, x, objective_trace)

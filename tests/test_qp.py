@@ -1,8 +1,38 @@
 import numpy as np
 import pytest
 
-from pfguide import Infeasible, QPProblem, solve_qp
+from pfguide import Infeasible, QPProblem, QPSolution, qp, solve_qp
 from qp_oracle import qp_oracle, random_feasible_qp
+
+
+def random_qp_around_zero(rng, constrained, n_max=6, m_max=10):
+    """Strictly convex QP with lb < 0 < ub, so x = 0 is strictly feasible, as
+    in the SQP's step problems.  The unconstrained minimizer is placed inside
+    the polytope, or outside it when constrained is True."""
+    n = int(rng.integers(1, n_max + 1))
+    m = int(rng.integers(1, m_max + 1))
+    M = rng.normal(size=(n, n))
+    H = M.T @ M + (0.2 + rng.random()) * np.eye(n)
+    A = rng.normal(size=(m, n))
+    lb = -np.abs(rng.normal(size=m)) - 0.05
+    ub = np.abs(rng.normal(size=m)) + 0.05
+    for i in range(m):
+        u01 = rng.random()
+        if u01 < 0.15:
+            lb[i] = -np.inf
+        elif u01 < 0.3:
+            ub[i] = np.inf
+    # Scale a random direction to a point strictly inside the polytope (or
+    # 1.5x past its boundary); g then makes it the unconstrained minimizer.
+    reach = np.inf
+    while not np.isfinite(reach):
+        d = rng.normal(size=n)
+        Ad = A @ d
+        with np.errstate(divide="ignore"):
+            reach = np.min(np.where(Ad > 0, ub / Ad,
+                                    np.where(Ad < 0, lb / Ad, np.inf)))
+    x_star = (1.5 if constrained else 0.5 * rng.random()) * reach * d
+    return H, -H @ x_star, A, lb, ub
 
 
 class TestShapes:
@@ -64,6 +94,143 @@ class TestAgainstOracle:
             J = 0.5 * sol.x @ H @ sol.x + g @ sol.x
             assert np.max(np.abs(sol.x - x_ref)) <= 1e-7
             assert abs(J - J_ref) <= 1e-8
+
+
+class TestSQPStart:
+    """The laws call solve_qp with a feasible warm start at delta = 0."""
+
+    def test_zero_start_matches_enumeration(self):
+        rng = np.random.default_rng(77)
+        n_free = 0
+        for k in range(80):
+            H, g, A, lb, ub = random_qp_around_zero(rng, constrained=k % 2)
+            n = g.shape[0]
+            x_unc = np.linalg.solve(H, -g)
+            r = A @ x_unc
+            n_free += bool(np.all(r <= ub) and np.all(r >= lb))
+            J_ref, x_ref = qp_oracle(H, g, A, lb, ub)
+            sol = solve_qp(QPProblem(H, g, A, lb, ub),
+                           warm=QPSolution(np.zeros(n), (), np.inf, 0))
+            J = 0.5 * sol.x @ H @ sol.x + g @ sol.x
+            assert sol.converged
+            assert np.max(np.abs(sol.x - x_ref)) <= 1e-7
+            assert abs(J - J_ref) <= 1e-8
+        assert n_free == 40  # both kinds of problem were exercised
+
+    def test_feasible_unconstrained_minimizer_returned_at_once(self,
+                                                               monkeypatch):
+        def no_phase1(*args):
+            raise AssertionError("Phase-1 must not run")
+
+        monkeypatch.setattr(qp, "_phase1", no_phase1)
+        rng = np.random.default_rng(78)
+        for _ in range(40):
+            H, g, A, lb, ub = random_qp_around_zero(rng, constrained=False)
+            n = g.shape[0]
+            # An infeasible warm point must not matter either.
+            far = QPSolution(np.full(n, 1e3), (), np.inf, 0)
+            for warm in (None, far, QPSolution(np.zeros(n), (), np.inf, 0)):
+                sol = solve_qp(QPProblem(H, g, A, lb, ub), warm=warm)
+                assert sol.iterations == 0
+                assert sol.active_set == ()
+                assert sol.multipliers == {}
+                assert sol.converged
+                assert np.max(np.abs(sol.x - np.linalg.solve(H, -g))) <= 1e-9
+
+
+class TestMultipliers:
+    def test_signs_by_side(self):
+        # Schur multipliers solve grad + Aw^T mu = 0: an upper bound keeps
+        # mu, a lower bound flips it, an equality row keeps it.
+        work = [(4, +1), (1, -1), (2, 0)]
+        mult = qp._multipliers(work, np.array([0.5, -0.25, -3.0]))
+        assert list(mult) == work
+        assert mult == {(4, +1): 0.5, (1, -1): 0.25, (2, 0): -3.0}
+        assert all(type(v) is float for v in mult.values())
+        assert qp._multipliers([], np.zeros(0)) == {}
+
+
+def active_rows_loop(A, lb, ub, x, n):
+    """Row-by-row reference for qp._active_rows."""
+    work = []
+    r = A @ x
+    for i in range(lb.shape[0]):
+        if lb[i] == ub[i]:
+            work.append((i, 0))
+        elif r[i] >= ub[i] - qp.FEAS_TOL and np.isfinite(ub[i]):
+            work.append((i, +1))
+        elif r[i] <= lb[i] + qp.FEAS_TOL and np.isfinite(lb[i]):
+            work.append((i, -1))
+        if len(work) == n:
+            break
+    return work
+
+
+def ratio_test_loop(A, lb, ub, x, d, rows):
+    """Row-by-row reference for qp._ratio_test."""
+    alpha = 1.0
+    blocker = None
+    Ad = A @ d
+    res = A @ x
+    for i in range(lb.shape[0]):
+        if i in rows:
+            continue
+        if Ad[i] > qp._DIR_TOL and np.isfinite(ub[i]):
+            a_i = (ub[i] - res[i]) / Ad[i]
+            if a_i < alpha - 1e-15:
+                alpha, blocker = max(a_i, 0.0), (i, +1)
+        elif Ad[i] < -qp._DIR_TOL and np.isfinite(lb[i]):
+            a_i = (lb[i] - res[i]) / Ad[i]
+            if a_i < alpha - 1e-15:
+                alpha, blocker = max(a_i, 0.0), (i, -1)
+    return alpha, blocker
+
+
+class TestRowScansMatchLoops:
+    """The array forms of the working-set detection and the ratio test keep
+    the row-by-row semantics exactly, lowest-row tie rule included."""
+
+    @staticmethod
+    def _rows(rng):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 12))
+        A = rng.normal(size=(m, n))
+        A[rng.random(m) < 0.2] = A[0] if m else 0.0  # duplicate rows: ties
+        x = rng.normal(size=n)
+        r = A @ x
+        # Bounds at, near (either side of FEAS_TOL) or away from A x.
+        off = rng.choice([0.0, 0.5e-9, -0.5e-9, 2e-9, 0.3, 1.0], size=(2, m))
+        lb, ub = r - off[0], r + off[1]
+        lb[rng.random(m) < 0.2] = -np.inf
+        ub[rng.random(m) < 0.2] = np.inf
+        eq = rng.random(m) < 0.15
+        lb[eq] = ub[eq] = r[eq]
+        ub = np.maximum(lb, ub)
+        return A, lb, ub, x
+
+    def test_active_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(400):
+            A, lb, ub, x = self._rows(rng)
+            for n in (1, 2, A.shape[1], 50):
+                assert qp._active_rows(A, lb, ub, x, n) == \
+                    active_rows_loop(A, lb, ub, x, n)
+
+    def test_ratio_test(self):
+        rng = np.random.default_rng(32)
+        blocked = 0
+        for _ in range(400):
+            A, lb, ub, x = self._rows(rng)
+            m, n = A.shape
+            d = rng.normal(size=n) * rng.choice([1e-3, 1.0, 10.0])
+            if m and rng.random() < 0.2:
+                d = np.linalg.lstsq(A[:1], [1e-14], rcond=None)[0]  # ~parallel
+            rows = sorted(rng.choice(m, size=int(rng.integers(0, m + 1)),
+                                     replace=False).tolist()) if m else []
+            got = qp._ratio_test(A, lb, ub, x, d, rows)
+            assert got == ratio_test_loop(A, lb, ub, x, d, rows)
+            blocked += got[1] is not None
+        assert 100 < blocked < 400
 
 
 class TestInvariantsAndWarmStart:
