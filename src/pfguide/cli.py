@@ -15,14 +15,17 @@ import sys
 
 import numpy as np
 
-from .errdyn import GuidanceState, InputCmd, dynamics_flat
+from .errdyn import GuidanceState, InputCmd, dynamics_flat, rollout_flat
 from .exceptions import (ConfigError, DomainError, Infeasible, InfeasibleStart,
                          NonRegularPath, PFGuideError, QPFailure, StateEscape,
                          TerminalWeightUnset, UnstableTerminalLoop)
 from .config import load_scenario
 from .paths import (case_study_path, check_path_derivatives, line_path,
                     path_frame, polynomial_path)
-from .pnmpc import jacobian_block, state_jacobian
+from .nmpc import NMPCConfig
+from .pnmpc import (curvature_flat, horizon_weights, jacobian_block,
+                    linearized_qp, reference_stack, sensitivity_flat,
+                    state_jacobian)
 from .sim import LAWS, compute_metrics, run_scenario
 
 _SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
@@ -108,6 +111,53 @@ def _check_jacobians(path, samples: int, seed: int) -> tuple:
     return worst_in, worst_st
 
 
+def _check_curvature(path, samples: int, seed: int) -> float:
+    """Worst error of the exact SQP Hessian (Gauss-Newton plus the
+    curvature term) against central differences of the exact cost
+    gradient, relative to the largest entry, over random horizons.
+
+    The gradient is linearized_qp's g, re-linearized along the rollout of
+    each perturbed input sequence.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = NMPCConfig(P=np.eye(3))
+    weights = horizon_weights(cfg)
+    n = 3 * cfg.N
+    h = 1e-6
+    worst = 0.0
+    for _ in range(samples):
+        x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
+              rng.uniform(0.01, 1.0))
+        U = np.array([c for _ in range(cfg.N)
+                      for c in (rng.uniform(0.0, 0.225),
+                                rng.uniform(-math.pi, math.pi),
+                                rng.uniform(0.01, 0.75))])
+        v = rng.uniform(-0.15, 0.15)
+        u_prev = InputCmd(*U[:3])
+        Uref = reference_stack(cfg, u_prev.psi)
+
+        def linearize(Uv):
+            u = Uv.tolist()
+            X, frames = rollout_flat(x0, u, v, cfg.T_m, path)
+            S = sensitivity_flat(X, u, frames, v, cfg.T_m, path)
+            qp = linearized_qp(S, X, Uv, u_prev, Uref, weights,
+                               cfg.constraints)
+            return qp, S, X, frames
+
+        qp, S, X, frames = linearize(U)
+        H = qp.H + curvature_flat(S, X, U.tolist(), frames, v, cfg.T_m,
+                                  path, weights[0])
+        fd = np.empty((n, n))
+        for col in range(n):
+            d = np.zeros(n)
+            d[col] = h
+            fd[:, col] = (linearize(U + d)[0].g
+                          - linearize(U - d)[0].g) / (2.0 * h)
+        worst = max(worst, float(np.abs(H - fd).max())
+                    / max(float(np.abs(fd).max()), 1e-3))
+    return worst
+
+
 def _cmd_check_derivatives(args) -> int:
     failures = 0
     omegas = np.linspace(0.0, 120.0, 100)
@@ -121,10 +171,12 @@ def _cmd_check_derivatives(args) -> int:
             print(f"path derivative check FAILED: {exc}")
             failures += 1
         worst_in, worst_st = _check_jacobians(path, args.samples, args.seed)
-        for label, worst, tol in (("input", worst_in, 1e-6),
-                                  ("state", worst_st, 1e-5)):
+        worst_h = _check_curvature(path, args.samples, args.seed)
+        for label, worst, tol in (("input-Jacobian", worst_in, 1e-6),
+                                  ("state-Jacobian", worst_st, 1e-5),
+                                  ("curvature", worst_h, 1e-5)):
             verdict = "ok" if worst <= tol else "FAILED"
-            print(f"{label}-Jacobian check: {path.name} worst relative error "
+            print(f"{label} check: {path.name} worst relative error "
                   f"{worst:.3e} over {args.samples} samples (tol {tol:.0e}) "
                   f"{verdict}")
             failures += worst > tol

@@ -13,10 +13,17 @@ SGLOS law as terminal controller.
 The solver is an SQP: each major iteration linearizes the prediction with
 the exact sensitivities and solves the strictly convex QP that
 pnmpc.linearized_qp builds for the step, then backtracks on the true
-nonlinear cost.  The constant hold of the previous input is always
-feasible, so a feasible incumbent exists from the start and only
-improves.  The fast law in the pnmpc module is the first full step of this
-SQP from that hold.
+nonlinear cost.  The QP's Hessian starts as Gauss-Newton,
+2(S'WS + diag r).  Far from the path the residuals are large and that
+Hessian only contracts the stationarity residual linearly, so from the
+first major iteration that leaves more than STALL_RATIO of the previous
+residual to the end of the solve, the exact second-order term of the
+rollout (pnmpc.curvature_flat) is added, with the eigenvalues of the sum
+clipped from below at the smallest eigenvalue of the Gauss-Newton
+Hessian.  The constant hold of the previous input is always feasible, so
+a feasible incumbent exists from the start and only improves.  The fast
+law in the pnmpc module is the first full step of this SQP from that
+hold.
 """
 
 from __future__ import annotations
@@ -30,21 +37,29 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .angles import wrap_angle
-from .errdyn import GuidanceState, InputCmd, euler_step, rollout, rollout_flat
+from .errdyn import (GuidanceState, InputCmd, euler_step, flat_inputs,
+                     rollout, rollout_flat)
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import SGLOSParams, require_in_box, sglos
 from .los import InputConstraints
 from .paths import PathDef, omega_of_z, sample_path
-from .pnmpc import (SolveResult, cost_weights, horizon_cost,
+from .pnmpc import (SolveResult, cost_weights, curvature_flat,
                     horizon_cost_flat, horizon_weights, linearized_qp,
-                    quadratic_form, reference_stack, sensitivity_flat,
-                    snap_feasible, stack_inputs, stage_cost_flat, zero_start)
+                    predicted_states, quadratic_form, reference_stack,
+                    sensitivity_flat, snap_feasible, stack_inputs,
+                    stage_cost_flat, zero_start)
 from .qp import solve_qp
 
 logger = logging.getLogger(__name__)
 
 KKT_TOL = 1e-6
 MAX_MAJOR_ITER = 30
+# Gauss-Newton has stalled once a major iteration leaves more than this
+# share of the previous stationarity residual; the solve then switches to
+# the exact Hessian for its remaining iterations.
+STALL_RATIO = 0.25
+
+_COLUMN_SIGNS = np.array([-1.0, 1.0])  # upper-bound, lower-bound column
 
 _SYN_Z = 1e-2    # linearization point z for the terminal synthesis
 _SYN_STEP = 1e-6  # central-difference step for the numeric linearization
@@ -220,21 +235,27 @@ def _stationarity_residual(g: np.ndarray, A_rows: np.ndarray,
     """KKT stationarity residual at the current point (decision = 0).
 
     Uses a least-squares multiplier fit over the active rows with wrong
-    signs clipped, so a small value certifies a genuine KKT point.
+    signs clipped, so a small value certifies a genuine KKT point.  Each
+    active row contributes a column in row order, -a_i for an active upper
+    bound before a_i for an active lower bound.
     """
     act_tol = 1e-9
-    cols = []
-    for i in range(lb.shape[0]):
-        if ub[i] <= act_tol:
-            cols.append(-A_rows[i])
-        if lb[i] >= -act_tol:
-            cols.append(A_rows[i])
-    if not cols:
+    active = np.stack((ub <= act_tol, lb >= -act_tol), axis=1).ravel()
+    if not active.any():
         return float(np.max(np.abs(g), initial=0.0))
-    C = np.stack(cols, axis=1)
+    rows = np.flatnonzero(active)
+    # C order: lstsq's last bits depend on the memory layout of C.
+    C = np.ascontiguousarray(A_rows[rows // 2].T) * _COLUMN_SIGNS[rows % 2]
     lam, *_ = np.linalg.lstsq(C, g, rcond=None)
     lam = np.maximum(lam, 0.0)
     return float(np.max(np.abs(g - C @ lam), initial=0.0))
+
+
+def _convexified(H: np.ndarray, H_gn: np.ndarray) -> np.ndarray:
+    """H with its eigenvalues clipped from below at the smallest eigenvalue
+    of the Gauss-Newton Hessian H_gn (positive definite)."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.maximum(w, np.linalg.eigvalsh(H_gn)[0])) @ V.T
 
 
 class NMPCSolver:
@@ -254,6 +275,7 @@ class NMPCSolver:
         self._qp_weights = horizon_weights(cfg)
         self._zero_warm = zero_start(cfg.N)
         self._weights = cost_weights(cfg)
+        self._eye = np.eye(3 * cfg.N)
 
     def _candidates(self, x0, v_k, u_prev, warm):
         """Best of the held previous input and, given a warm start, its
@@ -289,17 +311,24 @@ class NMPCSolver:
         kkt = math.inf
         iters = 0
         mu = 0.0  # Levenberg damping; grows when full steps overshoot
-        eye = np.eye(3 * cfg.N)
+        exact = False  # Gauss-Newton Hessian until its contraction stalls
         for it in range(1, self.max_iterations + 1):
-            S = sensitivity_flat(X, U.tolist(), frames, v_k, cfg.T_m,
-                                 self.path)
+            u_flat = U.tolist()
+            S = sensitivity_flat(X, u_flat, frames, v_k, cfg.T_m, self.path)
             qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
                                cfg.constraints)
+            prev_kkt = kkt
             kkt = _stationarity_residual(qp.g, qp.A, qp.lb, qp.ub)
             if kkt <= self.kkt_tol:
                 break
+            exact = exact or kkt > STALL_RATIO * prev_kkt
             scale = float(np.trace(qp.H)) / qp.H.shape[0]
-            qp.H = qp.H + mu * scale * eye
+            if exact:
+                qp.H = _convexified(
+                    qp.H + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
+                                          self.path, self._qp_weights[0]),
+                    qp.H)
+            qp.H = qp.H + mu * scale * self._eye
             qsol = solve_qp(qp, warm=self._zero_warm)
             iters = it
             delta = qsol.x
@@ -319,10 +348,10 @@ class NMPCSolver:
             accepted = False
             while alpha >= 1e-7:
                 U_try = U + alpha * delta
-                u_flat = U_try.tolist()
-                X_try, frames_try = rollout_flat(x0, u_flat, v_k, cfg.T_m,
+                u_try = U_try.tolist()
+                X_try, frames_try = rollout_flat(x0, u_try, v_k, cfg.T_m,
                                                  self.path)
-                J_try = horizon_cost_flat(X_try, u_flat, self._weights)
+                J_try = horizon_cost_flat(X_try, u_try, self._weights)
                 if J_try <= J + 1e-4 * alpha * gd:
                     accepted = True
                     break
@@ -337,9 +366,16 @@ class NMPCSolver:
             elif alpha < 0.25:
                 mu = max(4.0 * mu, 1e-3)
             U, X, frames, J = U_try, X_try, frames_try, J_try
+        else:
+            logger.warning(
+                "SQP stopped at the iteration cap (%d) with KKT residual "
+                "%.3e above the tolerance %.1e", self.max_iterations, kkt,
+                self.kkt_tol)
 
         u_seq = snap_feasible(U, u_prev, cfg.constraints)
-        x_pred = rollout(x_k, u_seq, v_k, cfg.T_m, self.path)
-        J_opt = horizon_cost(x_k, x_pred, u_seq, cfg)
-        return SolveResult(u_seq, tuple(x_pred), J_opt, iters, kkt,
+        u_flat = flat_inputs(u_seq)
+        if u_flat != U.tolist():  # else X and J belong to u_seq already
+            X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
+            J = horizon_cost_flat(X, u_flat, self._weights)
+        return SolveResult(u_seq, predicted_states(x_k, X), J, iters, kkt,
                            timer() - t0)

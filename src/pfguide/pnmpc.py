@@ -44,6 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .nmpc import NMPCConfig
 
 _FD_STEP = 1e-6
+_ZZ_STEP = 1e-5  # relative z step of the curvature's z-z difference
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,31 @@ class SolveResult:
     solve_time: float                  # s
 
 
+def _frame_rates(frame: Frame, path: PathDef, z: float) -> Tuple[float, float]:
+    """dF/domega and dkappa/domega at a frame taken at omega = 1/z - 1;
+    the curvature rate needs the path's third derivative."""
+    _, F, dphi_dw, dx, dy, ddx, ddy = frame
+    d3x, d3y = path.deriv3(1.0 / z - 1.0)
+    dF = (dx * ddx + dy * ddy) / F
+    dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * (dphi_dw / F) * dF / F
+    return dF, dkw
+
+
+def _z_derivative(fn, z: float, step: float) -> list:
+    """Derivative in z of the vector function fn: central differences,
+    second-order one-sided where the central stencil would leave (0, 1]."""
+    if z + step <= 1.0 and z - step > 0.0:
+        hi, lo = fn(z + step), fn(z - step)
+        return [(h - l) / (2.0 * step) for h, l in zip(hi, lo)]
+    if z + step > 1.0:
+        f0, f1, f2 = fn(z), fn(z - step), fn(z - 2.0 * step)
+        return [(3.0 * a - 4.0 * b + c) / (2.0 * step)
+                for a, b, c in zip(f0, f1, f2)]
+    f0, f1, f2 = fn(z), fn(z + step), fn(z + 2.0 * step)
+    return [(-3.0 * a + 4.0 * b - c) / (2.0 * step)
+            for a, b, c in zip(f0, f1, f2)]
+
+
 def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
                u_tar: float, v: float, frame: Frame, path: PathDef,
                step: float = _FD_STEP) -> Tuple[list, list]:
@@ -105,29 +132,16 @@ def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
          [s, u * c - v * s, -kw * xe],
          [0.0, 0.0, -z * z / F]]
     if path.deriv3 is not None:
-        d3x, d3y = path.deriv3(1.0 / z - 1.0)
-        dF = (dx * ddx + dy * ddy) / F
-        dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * kw * dF / F
+        dF, dkw = _frame_rates(frame, path, z)
         dw_dz = -1.0 / (z * z)
         col_z = (dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye),
                  -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe),
                  -2.0 * z * u_tar / F - u_tar * dF / (F * F))
     else:
-        def f(zz):
-            return dynamics_flat(xe, ye, zz, u, psi, u_tar, v,
-                                 path_frame(path, 1.0 / zz - 1.0))
-
-        if z + step <= 1.0 and z - step > 0.0:
-            hi, lo = f(z + step), f(z - step)
-            col_z = [(h - l) / (2.0 * step) for h, l in zip(hi, lo)]
-        elif z + step > 1.0:
-            f0, f1, f2 = f(z), f(z - step), f(z - 2.0 * step)
-            col_z = [(3.0 * a - 4.0 * b + c) / (2.0 * step)
-                     for a, b, c in zip(f0, f1, f2)]
-        else:
-            f0, f1, f2 = f(z), f(z + step), f(z + 2.0 * step)
-            col_z = [(-3.0 * a + 4.0 * b - c) / (2.0 * step)
-                     for a, b, c in zip(f0, f1, f2)]
+        col_z = _z_derivative(
+            lambda zz: dynamics_flat(xe, ye, zz, u, psi, u_tar, v,
+                                     path_frame(path, 1.0 / zz - 1.0)),
+            z, step)
     A = [[0.0, u_tar * kw, col_z[0]],
          [-u_tar * kw, 0.0, col_z[1]],
          [0.0, 0.0, col_z[2]]]
@@ -189,10 +203,118 @@ def sensitivity_flat(X: Sequence[float], U: Sequence[float],
         B, A = _jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1],
                           U[r + 2], v, frames[i], path)
         if i > 0:
-            Ad = np.eye(3) + T_m * np.array(A)
+            Ad = _EYE3 + T_m * np.array(A)
             S[r:r + 3, :r] = Ad @ S[r - 3:r, :r]
         S[r:r + 3, r:r + 3] = T_m * np.array(B)
     return S
+
+
+def _kappa(path: PathDef, z: float) -> float:
+    """Tangent-angle rate per metre, dphi_dw / F, at omega = 1/z - 1."""
+    frame = path_frame(path, 1.0 / z - 1.0)
+    return frame[2] / frame[1]
+
+
+def _weighted_hessian(xe: float, ye: float, z: float, u: float, psi: float,
+                      u_tar: float, v: float, frame: Frame, path: PathDef,
+                      p: Sequence[float]) -> list:
+    """sum_i p_i * (Hessian of the i-th continuous dynamics component) in
+    (x_e, y_e, z, u, psi, u_tar) at one frame, as 6 rows.
+
+    f is linear in x_e, y_e, u and u_tar, so the entries are trig terms and
+    the path rates of _jacobians.  The z-z entry needs a fourth path
+    derivative: it is a central difference of the z column of _jacobians
+    in z.  Paths without deriv3 get dkappa/dz the same way.
+    """
+    phi_p, F, dphi_dw = frame[:3]
+    dpsi = wrap_angle(psi - phi_p)
+    c = math.cos(dpsi)
+    s = math.sin(dpsi)
+    kw = dphi_dw / F
+    dw_dz = -1.0 / (z * z)
+    step = _ZZ_STEP * z
+    if path.deriv3 is not None:
+        dF, dkw = _frame_rates(frame, path, z)
+        kw_z = dkw * dw_dz
+    else:
+        dF = (frame[3] * frame[5] + frame[4] * frame[6]) / F
+        kw_z = _z_derivative(lambda zz: (_kappa(path, zz),), z, step)[0]
+    col_zz = _z_derivative(
+        lambda zz: [row[2] for row in _jacobians(
+            xe, ye, zz, u, psi, u_tar, v, path_frame(path, 1.0 / zz - 1.0),
+            path)[1]],
+        z, step)
+    p1, p2, p3 = p
+    phi_z = dphi_dw * dw_dz
+    a = u * c - v * s  # df2/dpsi
+    b = u * s + v * c  # -df1/dpsi
+    xz = -p2 * u_tar * kw_z
+    xt = -p2 * kw
+    yz = p1 * u_tar * kw_z
+    yt = p1 * kw
+    zz = p1 * col_zz[0] + p2 * col_zz[1] + p3 * col_zz[2]
+    zu = phi_z * (p1 * s - p2 * c)
+    zp = phi_z * (p1 * a + p2 * b)
+    zt = kw_z * (p1 * ye - p2 * xe) - p3 * (2.0 * z / F + dF / (F * F))
+    up = p2 * c - p1 * s
+    pp = -(p1 * a + p2 * b)
+    return [[0.0, 0.0, xz, 0.0, 0.0, xt],
+            [0.0, 0.0, yz, 0.0, 0.0, yt],
+            [xz, yz, zz, zu, zp, zt],
+            [0.0, 0.0, zu, 0.0, up, 0.0],
+            [0.0, 0.0, zp, up, pp, 0.0],
+            [xt, yt, zt, 0.0, 0.0, 0.0]]
+
+
+def curvature_flat(S: np.ndarray, X: Sequence[float], U: Sequence[float],
+                   frames: Sequence[Frame], v: float, T_m: float,
+                   path: PathDef, W: np.ndarray) -> np.ndarray:
+    """Second-order term of the exact Hessian of the horizon cost in U.
+
+    With S, X, U and frames as for sensitivity_flat and W the state weight
+    of horizon_weights, returns the 3N x 3N matrix
+
+        M = sum_j G_j' (sum_i p_{j+1,i} T_m Hess f_i(x_j, u_j)) G_j,
+
+    G_j = [Z_j; E_j], where Z_j are the state-sensitivity rows of S
+    (Z_0 = 0), E_j picks out u_j and p is the costate of one backward pass: p_N = 2 W_N x_N and
+    p_j = 2 W_j x_j + (I + T_m A_j)' p_{j+1}.  The Gauss-Newton Hessian
+    2(S'WS + diag r) plus M is the exact Hessian of the cost.
+    """
+    N = len(frames)
+    n = 3 * N
+    Wl = W.tolist()
+
+    def weighted_state(r):  # 2 W x for the state at X[r:r+3], r >= 3
+        w = Wl[r - 3:r]
+        return [2.0 * (w[i][r - 3] * X[r] + w[i][r - 2] * X[r + 1]
+                       + w[i][r - 1] * X[r + 2]) for i in range(3)]
+
+    K = []
+    p = weighted_state(n)
+    for j in range(N - 1, -1, -1):
+        r = 3 * j
+        args = (X[r], X[r + 1], X[r + 2], U[r], U[r + 1], U[r + 2], v,
+                frames[j], path)
+        K.append(_weighted_hessian(*args, [T_m * q for q in p]))
+        if j:
+            A = _jacobians(*args)[1]
+            p = [wx + q + T_m * (A[0][i] * p[0] + A[1][i] * p[1]
+                                 + A[2][i] * p[2])
+                 for i, (wx, q) in enumerate(zip(weighted_state(r), p))]
+    G = _stage_selector(N).copy()
+    G[1:, :3] = S[:-3].reshape(N - 1, 3, n)
+    M = (G.transpose(0, 2, 1) @ (np.array(K[::-1]) @ G)).sum(axis=0)
+    return 0.5 * (M + M.T)
+
+
+@lru_cache(maxsize=8)
+def _stage_selector(N: int) -> np.ndarray:
+    """[Z_j; E_j] per step j with the sensitivity rows Z_j left zero."""
+    G = np.zeros((N, 6, 3 * N))
+    for j in range(N):
+        G[j, 3:, 3 * j:3 * j + 3] = _EYE3
+    return G
 
 
 def sensitivity_along(states: Sequence[GuidanceState],
@@ -223,31 +345,38 @@ def _increment_difference(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sqp_rows(N: int) -> Tuple[np.ndarray, tuple]:
-    """Constraint rows for the per-step perturbation vector.
+def _sqp_rows(N: int, c: InputConstraints
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constraint rows for the per-step perturbation vector, with bounds.
 
-    Returns (A, tags); tags name each row so per-solve bounds can be
-    filled in: ("rate", j, comp) differences steps j and j-1 (step 0
-    against the previous input), ("box", j, comp) is an identity row.
-    Heading has no box row (wrapped output always lies in the box) and the
-    target speed has no rate row.
+    Returns (A, lo, hi) such that lo <= A (U + delta) - s <= hi keeps
+    U + delta in the box and rate sets, s being zero except on the first
+    two rows, where it is the previous input's surge and heading.  Per
+    step j the rows are the rates of u and psi (steps j and j-1
+    differenced, step 0 against the previous input), then the boxes of u
+    and u_tar (identity rows).  Heading has no box row (wrapped output
+    always lies in the box) and the target speed has no rate row.
     """
     rows = []
-    tags = []
+    lo = []
+    hi = []
     for j in range(N):
-        for comp in (0, 1):  # rate on u and psi
+        for comp, half in ((0, c.du_max), (1, c.dpsi_max)):
             e = np.zeros(3 * N)
             e[3 * j + comp] = 1.0
             if j > 0:
                 e[3 * (j - 1) + comp] = -1.0
             rows.append(e)
-            tags.append(("rate", j, comp))
-        for comp in (0, 2):  # box on u and u_tar
+            lo.append(-half)
+            hi.append(half)
+        for comp, lower, upper in ((0, 0.0, c.u_max),
+                                   (2, c.eps, c.u_tar_max)):
             e = np.zeros(3 * N)
             e[3 * j + comp] = 1.0
             rows.append(e)
-            tags.append(("box", j, comp))
-    return np.vstack(rows), tuple(tags)
+            lo.append(lower)
+            hi.append(upper)
+    return np.vstack(rows), np.array(lo), np.array(hi)
 
 
 def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
@@ -267,22 +396,11 @@ def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
     H = 2.0 * (S.T @ WS + np.diag(r_vec))
     H = 0.5 * (H + H.T)
     g = 2.0 * (WS.T @ X0 + r_vec * (U - Uref))
-    A, tags = _sqp_rows(U.shape[0] // 3)
-    lb = np.empty(len(tags))
-    ub = np.empty(len(tags))
-    for i, (kind, j, comp) in enumerate(tags):
-        idx = 3 * j + comp
-        if kind == "rate":
-            half = c.du_max if comp == 0 else c.dpsi_max
-            prev = (u_prev.u if comp == 0 else u_prev.psi) if j == 0 \
-                else U[3 * (j - 1) + comp]
-            cur = U[idx] - prev
-            lb[i], ub[i] = -half - cur, half - cur
-        else:
-            lo = 0.0 if comp == 0 else c.eps
-            hi = c.u_max if comp == 0 else c.u_tar_max
-            lb[i], ub[i] = lo - U[idx], hi - U[idx]
-    return QPProblem(H, g, A, lb, ub)
+    A, lo, hi = _sqp_rows(U.shape[0] // 3, c)
+    cur = A @ U
+    cur[0] -= u_prev.u
+    cur[1] -= u_prev.psi
+    return QPProblem(H, g, A, lo - cur, hi - cur)
 
 
 def zero_start(N: int) -> QPSolution:
@@ -292,6 +410,13 @@ def zero_start(N: int) -> QPSolution:
 
 def stack_inputs(u_seq: Sequence[InputCmd]) -> np.ndarray:
     return np.array(flat_inputs(u_seq), dtype=float)
+
+
+def predicted_states(x_k: GuidanceState, X: Sequence[float]
+                     ) -> Tuple[GuidanceState, ...]:
+    """The states 0..N stacked in X (X[:3] being x_k) as GuidanceStates."""
+    return (x_k,) + tuple(GuidanceState(X[i], X[i + 1], X[i + 2])
+                          for i in range(3, len(X), 3))
 
 
 def stack_states(states: Sequence[GuidanceState]) -> np.ndarray:
@@ -318,9 +443,8 @@ def horizon_weights(cfg: "NMPCConfig") -> Tuple[np.ndarray, np.ndarray]:
 def reference_stack(cfg: "NMPCConfig", psi_branch: float) -> np.ndarray:
     """Stacked input reference with the heading reference moved onto the
     2*pi branch nearest psi_branch."""
-    ref = np.array([cfg.u_ref.u, unwrap_near(cfg.u_ref.psi, psi_branch),
-                    cfg.u_ref.u_tar])
-    return np.tile(ref, cfg.N)
+    return np.array([cfg.u_ref.u, unwrap_near(cfg.u_ref.psi, psi_branch),
+                     cfg.u_ref.u_tar] * cfg.N)
 
 
 def snap_feasible(U: np.ndarray, u_prev: InputCmd,
@@ -409,6 +533,7 @@ class PNMPCSolver:
         self.path = path
         self.linearization = linearization
         self._qp_weights = horizon_weights(cfg)
+        self._weights = cost_weights(cfg)
         self._zero = zero_start(cfg.N)
 
     def solve(self, x_k: GuidanceState, v_k: float, u_prev: InputCmd,
@@ -421,8 +546,8 @@ class PNMPCSolver:
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
         hold = flat_inputs([u_prev] * cfg.N)
-        X, frames = rollout_flat((x_k.x_e, x_k.y_e, x_k.z), hold, v_k,
-                                 cfg.T_m, self.path)
+        x0 = (x_k.x_e, x_k.y_e, x_k.z)
+        X, frames = rollout_flat(x0, hold, v_k, cfg.T_m, self.path)
         if self.linearization == "exact":
             S = sensitivity_flat(X, hold, frames, v_k, cfg.T_m, self.path)
         else:
@@ -437,7 +562,8 @@ class PNMPCSolver:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
         u_seq = snap_feasible(U + qsol.x, u_prev, cfg.constraints)
-        x_pred = rollout(x_k, u_seq, v_k, cfg.T_m, self.path)
-        J_opt = horizon_cost(x_k, x_pred, u_seq, cfg)
-        return SolveResult(u_seq, tuple(x_pred), J_opt, qsol.iterations,
-                           qsol.kkt_residual, timer() - t0)
+        u_flat = flat_inputs(u_seq)
+        X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
+        return SolveResult(u_seq, predicted_states(x_k, X),
+                           horizon_cost_flat(X, u_flat, self._weights),
+                           qsol.iterations, qsol.kkt_residual, timer() - t0)

@@ -106,12 +106,13 @@ def _multipliers(work, mu) -> dict:
             for (row, side), mu_k in zip(work, mu)}
 
 
-def _kkt_residual(H, g, A, lb, ub, x, mult) -> float:
+def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
     """KKT residual; stationarity and complementarity are scaled by the
-    gradient magnitude so badly scaled Hessians stay certifiable."""
+    gradient magnitude so badly scaled Hessians stay certifiable.
+    violation, when given, is the caller's _violation at x."""
     grad = H @ x + g
     scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
-    r = _violation(A, lb, ub, x)
+    r = _violation(A, lb, ub, x) if violation is None else violation
     if mult:
         rows = np.array([row for row, _ in mult])
         sides = np.array([side for _, side in mult])
@@ -352,8 +353,10 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
     Hinv = _inverse(H)
     x = -(Hinv @ g)
     x += Hinv @ (-g - H @ x)
-    if _violation(A, lb, ub, x) <= FEAS_TOL:
-        return QPSolution(x, (), _kkt_residual(H, g, A, lb, ub, x, {}), 0)
+    violation = _violation(A, lb, ub, x)
+    if violation <= FEAS_TOL:
+        return QPSolution(
+            x, (), _kkt_residual(H, g, A, lb, ub, x, {}, violation), 0)
     if (warm is not None and warm.x.shape == (n,)
             and _violation(A, lb, ub, warm.x) <= FEAS_TOL):
         x = np.array(warm.x, dtype=float)
