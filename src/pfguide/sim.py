@@ -8,6 +8,11 @@ The guidance law runs every T_m = m * T_p, measuring the PF errors from
 the true pose and the sway at its own instant, and holding its command
 until the next guidance instant.
 
+Each plant instant evaluates the path and the sway once.  The filter
+updates on plain floats, so its last bits no longer depend on the BLAS
+kernel a numpy matrix-vector product uses.  Rows fill one float buffer;
+the CSV is written CSV_CHUNK rows at a time.
+
 Runs are fully deterministic; the only wall-clock quantity is the solver
 timing column, and the clock itself is injectable.
 """
@@ -23,11 +28,11 @@ from typing import List, Optional
 import numpy as np
 
 from .angles import unwrap_near, wrap_angle
-from .errdyn import InputCmd, VesselPose, pose_errors_state
+from .errdyn import GuidanceState, InputCmd
 from .exceptions import ConfigError, EmptyTrace, PFGuideError
 from .los import InputConstraints, SGLOSParams, clamp_inputs, require_in_box, sglos
 from .nmpc import NMPCConfig, NMPCSolver, make_config, synthesize_terminal_weight
-from .paths import PathDef, sample_path, z_of_omega
+from .paths import PathDef, path_frame, sample_path, z_of_omega
 from .pnmpc import PNMPCSolver
 
 LAWS = ("nmpc", "pnmpc", "sglos")
@@ -105,15 +110,14 @@ class LowLevelFilter:
         c1 = (1.0 - E) / a
         c2 = (1.0 - E * (1.0 + a * T)) / (a * a)
         self._Bd = np.array([c2 * a * a, c1 * a * a - c2 * a * a * a])
+        # The update runs on float copies of the same entries.
+        self._coef = self._Ad.ravel().tolist() + self._Bd.tolist()
         k = delay / T
         self._lag = int(math.floor(k))
         self._frac = k - self._lag
         self._hist: List[float] = [float(initial)] * (self._lag + 2)
-        self._x = np.array([float(initial), 0.0])
-
-    @property
-    def output(self) -> float:
-        return float(self._x[0])
+        self.output = float(initial)
+        self._rate = 0.0
 
     def step(self, command: float) -> float:
         """Advance one plant step driven by the delayed command history."""
@@ -121,8 +125,11 @@ class LowLevelFilter:
         del self._hist[0]
         u_d = ((1.0 - self._frac) * self._hist[-1 - self._lag]
                + self._frac * self._hist[-2 - self._lag])
-        self._x = self._Ad @ self._x + self._Bd * u_d
-        return float(self._x[0])
+        a00, a01, a10, a11, b0, b1 = self._coef
+        x0, x1 = self.output, self._rate
+        self.output = a00 * x0 + a01 * x1 + b0 * u_d
+        self._rate = a10 * x0 + a11 * x1 + b1 * u_d
+        return self.output
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,8 @@ TRACE_COLUMNS = ("t", "x", "y", "psi_cmd", "psi_act", "u_cmd", "u_act",
                  "u_tar", "v", "omega", "z", "x_e", "y_e", "J_opt",
                  "kkt_residual", "iterations", "solve_time_s")
 
+CSV_CHUNK = 256  # trace rows formatted per write
+
 
 @dataclass
 class Trace:
@@ -191,10 +200,14 @@ class Trace:
         return self.columns[name]
 
     def to_csv(self, fileobj) -> None:
+        """Header plus one row per record, each value as f"{v:.9g}" (one
+        "%.9g" format per chunk of CSV_CHUNK rows gives the same text)."""
         fileobj.write(",".join(TRACE_COLUMNS) + "\n")
         cols = [self.columns[c] for c in TRACE_COLUMNS]
-        for i in range(len(self)):
-            fileobj.write(",".join(f"{col[i]:.9g}" for col in cols) + "\n")
+        row = ",".join(["%.9g"] * len(cols)) + "\n"
+        for i in range(0, len(self), CSV_CHUNK):
+            block = np.column_stack([col[i:i + CSV_CHUNK] for col in cols])
+            fileobj.write(row * len(block) % tuple(block.ravel().tolist()))
 
     def write_csv(self, filename) -> None:
         with open(filename, "w") as fh:
@@ -205,12 +218,14 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
     """Simulate the closed loop and return the full trace.
 
     Solver and path errors abort the run and carry the failing step index.
+    Non-finite PF errors raise ValueError.
     """
     path = sc.path
-    steps = int(round(sc.duration / sc.T_p))
-    if abs(steps * sc.T_p - sc.duration) > 1e-6 * max(1.0, sc.duration):
+    T_p = sc.T_p
+    steps = int(round(sc.duration / T_p))
+    if abs(steps * T_p - sc.duration) > 1e-6 * max(1.0, sc.duration):
         raise ConfigError("duration must be a whole number of plant steps")
-    m = int(round(sc.T_m / sc.T_p))
+    m = int(round(sc.T_m / T_p))
 
     pt0 = sample_path(path, sc.omega0)
     psi0 = pt0.phi_p if sc.psi0 is None else wrap_angle(sc.psi0)
@@ -218,7 +233,7 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
     u_initial = sc.initial_input if sc.initial_input is not None else \
         InputCmd(0.0, pt0.phi_p, sc.constraints.eps)
     require_in_box(u_initial, sc.constraints)
-    u_prev = u_initial
+    cmd = u_initial
 
     solver = None
     if sc.law != "sglos":
@@ -226,88 +241,73 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
         solver = (NMPCSolver(cfg, path) if sc.law == "nmpc"
                   else PNMPCSolver(cfg, path, sc.linearization))
 
-    surge_f = LowLevelFilter(sc.T_p, initial=0.0) if sc.filter_enabled else None
-    head_f = LowLevelFilter(sc.T_p, initial=psi0) if sc.filter_enabled else None
+    filtered = sc.filter_enabled
+    surge_f = LowLevelFilter(T_p, initial=0.0) if filtered else None
+    head_f = LowLevelFilter(T_p, initial=psi0) if filtered else None
 
-    x, y = float(sc.x0), float(sc.y0)
-    omega = float(sc.omega0)
+    x, y, omega = float(sc.x0), float(sc.y0), float(sc.omega0)
     psi_cmd_cont = psi0 if sc.initial_input is None else \
-        unwrap_near(u_prev.psi, psi0)  # continuous branch fed to the filter
+        unwrap_near(cmd.psi, psi0)  # continuous branch fed to the filter
+    u_act, psi_act = 0.0, psi0  # filter outputs; unfiltered, step 0 sets them
     warm = None
-    diag = (math.nan, math.nan, 0, math.nan)  # J_opt, kkt, iterations, time
+    diag = (math.nan, math.nan, 0.0, math.nan)  # J_opt, kkt, iterations, time
 
-    cols = {name: np.empty(steps + 1) for name in TRACE_COLUMNS}
-
-    def guidance(t_now: float, step_idx: int):
-        nonlocal u_prev, warm, diag, psi_cmd_cont
-        state = pose_errors_state(VesselPose(x, y, psi0), omega, path)
-        v_k = disturbance_sample(sc.disturbance, t_now)
+    rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
+    for i in range(steps + 1):
+        t_now = i * T_p
+        # One measurement per instant: the errors, the guidance state and
+        # the row read it, and F advances the target in the next plant step.
         try:
-            if solver is not None:
-                res = solver.solve(state, v_k, u_prev, warm, timer=timer)
-                cmd = res.u_seq[0]
-                warm = res
-                diag = (res.J_opt, res.kkt_residual, res.iterations,
-                        res.solve_time)
-            else:
-                t0 = timer()
-                raw = sglos(state, path, sc.sglos)
-                cmd = clamp_inputs(raw, u_prev, sc.constraints)
-                diag = (math.nan, math.nan, 0, timer() - t0)
-        except PFGuideError as exc:
-            raise type(exc)(
-                f"guidance step failed at t={t_now:g} (plant step "
-                f"{step_idx}): {exc}") from exc
-        psi_cmd_cont = unwrap_near(cmd.psi, psi_cmd_cont)
-        u_prev = cmd
-
-    def record(i: int, t_now: float):
-        u_act = surge_f.output if surge_f is not None else u_prev.u
-        psi_act = head_f.output if head_f is not None else psi_cmd_cont
-        state = pose_errors_state(VesselPose(x, y, wrap_angle(psi_act)),
-                                  omega, path)
-        row = (t_now, x, y, wrap_angle(u_prev.psi), wrap_angle(psi_act),
-               u_prev.u, u_act, u_prev.u_tar,
-               disturbance_sample(sc.disturbance, t_now), omega,
-               z_of_omega(omega), state.x_e, state.y_e,
-               diag[0], diag[1], float(diag[2]), diag[3])
-        for name, value in zip(TRACE_COLUMNS, row):
-            cols[name][i] = value
-
-    guidance(0.0, 0)
-    record(0, 0.0)
-    for i in range(1, steps + 1):
-        t_prev = (i - 1) * sc.T_p
-        u_act = surge_f.output if surge_f is not None else u_prev.u
-        psi_act = head_f.output if head_f is not None else psi_cmd_cont
-        v_now = disturbance_sample(sc.disturbance, t_prev)
-        x += sc.T_p * (u_act * math.cos(psi_act) - v_now * math.sin(psi_act))
-        y += sc.T_p * (u_act * math.sin(psi_act) + v_now * math.cos(psi_act))
-        try:
-            omega += sc.T_p * u_prev.u_tar / sample_path(path, omega).F
+            z = z_of_omega(omega)
+            x_p, y_p = path.eval(omega)
+            phi_p, F = path_frame(path, omega)[:2]
         except PFGuideError as exc:
             raise type(exc)(f"plant step {i} failed: {exc}") from exc
-        if surge_f is not None:
-            surge_f.step(u_prev.u)
-            head_f.step(psi_cmd_cont)
-        t_now = i * sc.T_p
-        if i % m == 0 and i < steps:
-            guidance(t_now, i)
-        record(i, t_now)
+        dx, dy = x - x_p, y - y_p
+        c, s = math.cos(phi_p), math.sin(phi_p)
+        x_e, y_e = c * dx + s * dy, -s * dx + c * dy
+        if not (math.isfinite(x_e) and math.isfinite(y_e)):
+            raise ValueError(f"non-finite PF errors ({x_e!r}, {y_e!r})")
+        v = disturbance_sample(sc.disturbance, t_now)
 
-    meta = {
-        "law": sc.law,
-        "T_m": sc.T_m,
-        "T_p": sc.T_p,
-        "duration": sc.duration,
-        "guidance_stride": m,
-        "constraints": sc.constraints,
-        "initial_input": u_initial,
-        "converge_band": sc.converge_band,
-        "disturbance": sc.disturbance,
-        "filter_enabled": sc.filter_enabled,
-    }
-    return Trace(cols, meta)
+        if i % m == 0 and i < steps:
+            state = GuidanceState(x_e, y_e, z)
+            try:
+                if solver is not None:
+                    warm = solver.solve(state, v, cmd, warm, timer=timer)
+                    cmd = warm.u_seq[0]
+                    diag = (warm.J_opt, warm.kkt_residual,
+                            float(warm.iterations), warm.solve_time)
+                else:
+                    t0 = timer()
+                    cmd = clamp_inputs(sglos(state, path, sc.sglos), cmd,
+                                       sc.constraints)
+                    diag = (math.nan, math.nan, 0.0, timer() - t0)
+            except PFGuideError as exc:
+                raise type(exc)(
+                    f"guidance step failed at t={t_now:g} (plant step "
+                    f"{i}): {exc}") from exc
+            psi_cmd_cont = unwrap_near(cmd.psi, psi_cmd_cont)
+            if not filtered:
+                u_act, psi_act = cmd.u, psi_cmd_cont
+
+        rows[i] = (t_now, x, y, wrap_angle(cmd.psi), wrap_angle(psi_act),
+                   cmd.u, u_act, cmd.u_tar, v, omega, z, x_e, y_e) + diag
+        if i == steps:
+            break
+        cp, sp = math.cos(psi_act), math.sin(psi_act)
+        x += T_p * (u_act * cp - v * sp)
+        y += T_p * (u_act * sp + v * cp)
+        omega += T_p * cmd.u_tar / F
+        if filtered:
+            u_act = surge_f.step(cmd.u)
+            psi_act = head_f.step(psi_cmd_cont)
+
+    meta = dict(law=sc.law, T_m=sc.T_m, T_p=T_p, duration=sc.duration,
+                guidance_stride=m, constraints=sc.constraints,
+                initial_input=u_initial, converge_band=sc.converge_band,
+                disturbance=sc.disturbance, filter_enabled=filtered)
+    return Trace(dict(zip(TRACE_COLUMNS, rows.T)), meta)
 
 
 @dataclass

@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from pfguide import (DisturbanceSpec, EmptyTrace, GuidanceState, InputCmd,
-                     LowLevelFilter, Scenario, Trace,
+from dataclasses import replace
+
+from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
+                     InputCmd, LowLevelFilter, NonRegularPath, PathDef,
+                     PNMPCSolver, Scenario, Trace, case_study_path,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
-                     predict, run_scenario, transient_scenario)
+                     predict, realistic_scenario, run_scenario,
+                     transient_scenario)
+from pfguide import sim
 from pfguide.exceptions import ConfigError
 from pfguide.paths import line_path
-from pfguide.sim import TRACE_COLUMNS
+from pfguide.sim import CSV_CHUNK, TRACE_COLUMNS
 
 
 class TestDisturbance:
@@ -102,6 +107,21 @@ class TestLowLevelFilter:
         f = LowLevelFilter(0.1, initial=0.56)
         for _ in range(20):
             assert f.step(0.56) == pytest.approx(0.56, rel=1e-12)
+
+    def test_float_update_matches_matrix_form(self):
+        """The float update rounds differently from the numpy product of
+        _Ad and _Bd, and the difference does not build up."""
+        f = LowLevelFilter(0.1, initial=1.0)
+        hist = [1.0] * (f._lag + 2)
+        x = np.array([1.0, 0.0])
+        worst = 0.0
+        for cmd in np.random.default_rng(6).uniform(0.5, 1.5, 8000).tolist():
+            hist = hist[1:] + [cmd]
+            u_d = ((1.0 - f._frac) * hist[-1 - f._lag]
+                   + f._frac * hist[-2 - f._lag])
+            x = f._Ad @ x + f._Bd * u_d
+            worst = max(worst, abs(f.step(cmd) - x[0]) / abs(x[0]))
+        assert worst <= 1e-14
 
 
 class TestScenarioValidation:
@@ -198,6 +218,66 @@ class TestRunScenario:
         assert tr["u_act"][0] == 0.0
         assert tr["u_act"][-1] == pytest.approx(tr["u_cmd"][-1], abs=1e-3)
 
+    @staticmethod
+    def broken_line(stall_at=math.inf, nan_at=math.inf):
+        """The x-axis line, with speed factor 0 from omega = stall_at on and
+        a NaN position from omega = nan_at on."""
+        return PathDef(lambda w: (w if w < nan_at else math.nan, 0.0),
+                       lambda w: (1.0 if w < stall_at else 0.0, 0.0),
+                       lambda w: (0.0, 0.0), name="broken")
+
+    def test_path_error_carries_plant_step(self):
+        sc = Scenario(path=line_path(), x0=0.0, y0=1.0, omega0=0.0,
+                      T_p=0.5, duration=60.0, law="sglos")
+        omega = run_scenario(sc)["omega"]
+        first = int(np.argmax(omega >= 3.0))
+        assert first > 0
+        with pytest.raises(NonRegularPath,
+                           match=rf"^plant step {first} failed: ") as info:
+            run_scenario(replace(sc, path=self.broken_line(stall_at=3.0)))
+        assert isinstance(info.value.__cause__, NonRegularPath)
+
+    def test_every_instant_rejects_bad_measurements(self):
+        sc = Scenario(path=self.broken_line(nan_at=3.0), x0=0.0, y0=1.0,
+                      omega0=0.0, T_p=0.5, duration=60.0, law="sglos")
+        with pytest.raises(ValueError, match="non-finite PF errors"):
+            run_scenario(sc)
+        with pytest.raises(DomainError, match="plant step 0 failed"):
+            run_scenario(replace(sc, path=line_path(), omega0=-1.0))
+
+    @pytest.mark.parametrize("law", ["sglos", "pnmpc"])
+    def test_one_path_evaluation_per_plant_instant(self, monkeypatch, law):
+        """Outside the law, a run evaluates the path frame once per plant
+        instant plus the start sample."""
+        base = case_study_path()
+        calls = {"sim": 0, "law": 0}
+        owner = ["sim"]
+
+        def deriv(w):
+            calls[owner[0]] += 1
+            return base.deriv(w)
+
+        def in_law(fn):
+            def wrapped(*args, **kwargs):
+                owner[0] = "law"
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    owner[0] = "sim"
+            return wrapped
+
+        monkeypatch.setattr(sim, "sglos", in_law(sim.sglos))
+        monkeypatch.setattr(PNMPCSolver, "solve", in_law(PNMPCSolver.solve))
+        path = PathDef(base.eval, deriv, base.deriv2, deriv3=base.deriv3)
+        sc = replace(realistic_scenario(law, duration=20.0), path=path)
+        sc = replace(sc, nmpc=sc.guidance_config())
+        calls.update(sim=0, law=0)
+        tr = run_scenario(sc)
+        steps = len(tr) - 1
+        assert steps == 200
+        assert calls["sim"] == steps + 1 + 1
+        assert calls["law"] > 0
+
     def test_step_error_context(self):
         from pfguide.exceptions import PFGuideError
         bad = Scenario(path=line_path(), x0=0.0, y0=0.0, omega0=0.0,
@@ -205,6 +285,43 @@ class TestRunScenario:
                        initial_input=InputCmd(0.9, 0.0, 0.1))
         with pytest.raises(PFGuideError, match="outside the box"):
             run_scenario(bad)
+
+
+def reference_csv(trace: Trace) -> str:
+    """Per-value row loop: the format every chunked write must reproduce."""
+    out = io.StringIO()
+    out.write(",".join(TRACE_COLUMNS) + "\n")
+    cols = [trace.columns[c] for c in TRACE_COLUMNS]
+    for i in range(len(trace)):
+        out.write(",".join(f"{col[i]:.9g}" for col in cols) + "\n")
+    return out.getvalue()
+
+
+def csv_text(trace: Trace) -> str:
+    out = io.StringIO()
+    trace.to_csv(out)
+    return out.getvalue()
+
+
+class TestCsvWriter:
+    def test_sglos_trace_with_nan_columns(self):
+        tr = run_scenario(realistic_scenario("sglos", duration=60.0))
+        assert np.isnan(tr["J_opt"]).all() and np.isnan(tr["kkt_residual"]).all()
+        assert len(tr) > 2 * CSV_CHUNK
+        assert csv_text(tr) == reference_csv(tr)
+
+    @pytest.mark.parametrize("n", [1, CSV_CHUNK, CSV_CHUNK + 1])
+    def test_special_values_and_chunk_edges(self, n):
+        rng = np.random.default_rng(n)
+        block = rng.standard_normal((n, len(TRACE_COLUMNS)))
+        block *= 10.0 ** rng.integers(-300, 300, block.shape)
+        specials = [math.inf, -math.inf, -0.0, 5e-324, math.nan, -5e-324]
+        flat = block.ravel()
+        flat[rng.choice(flat.size, min(len(specials), flat.size),
+                        replace=False)] = specials[:flat.size]
+        tr = Trace(dict(zip(TRACE_COLUMNS, block.T)), {})
+        assert csv_text(tr) == reference_csv(tr)
+        assert csv_text(tr).count("\n") == n + 1
 
 
 class TestMetrics:
