@@ -161,7 +161,7 @@ def scenario_from_config(doc: dict) -> Scenario:
             kwargs = {}
             if "N" in lp:
                 N = lp.pop("N")
-                if not isinstance(N, int) or N < 1:
+                if isinstance(N, bool) or not isinstance(N, int) or N < 1:
                     raise ConfigError("N must be a positive integer")
                 kwargs["N"] = N
             for key, attr in (("Q", "Q"), ("R", "R")):
@@ -181,7 +181,7 @@ def scenario_from_config(doc: dict) -> Scenario:
                     terminal_law=sglos_params, **kwargs)
                 if P is not None:
                     nmpc_cfg = nmpc_cfg.with_terminal(np.asarray(P, dtype=float))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:  # TypeError: non-numeric P
                 raise ConfigError(str(exc)) from exc
         else:
             raise ConfigError(f"law must be one of nmpc|pnmpc|sglos, got {law!r}")

@@ -18,7 +18,8 @@ from typing import Optional, Tuple
 from .angles import wrap_angle
 from .errdyn import GuidanceState, InputCmd
 from .exceptions import InfeasibleStart
-from .paths import PathDef, omega_of_z, sample_path
+from .paths import PathDef, omega_of_z, path_frame
+from .paths import sample_path  # noqa: F401 -- perfbench's tracer binds it
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,10 @@ def sglos(x: GuidanceState, path: PathDef, p: SGLOSParams,
     computed surge command unless a measured value is passed explicitly
     via u_current.
     """
-    pt = sample_path(path, omega_of_z(x.z))
+    phi_p = path_frame(path, omega_of_z(x.z))[0]
     u_cmd = p.k1 * math.sqrt(x.y_e * x.y_e + p.delta * p.delta)
     los_angle = math.atan(x.y_e / p.delta)
-    psi_cmd = wrap_angle(pt.phi_p - los_angle)
+    psi_cmd = wrap_angle(phi_p - los_angle)
     u_third = u_cmd if u_current is None else u_current
     u_tar = p.k2 * x.x_e + u_third * math.cos(-los_angle)
     return InputCmd(u_cmd, psi_cmd, u_tar)

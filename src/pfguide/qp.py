@@ -7,8 +7,10 @@ so H is Cholesky-factored and inverted once per solve, and H^-1 A^T and
 A H^-1 A^T are formed once: each working-set change slices them into a
 small Schur system.  The start is the unconstrained minimizer, returned
 as the optimum when it is feasible; otherwise a feasible warm point, else
-a Phase-1 point.  Ties in the ratio test break toward the lowest
-constraint row, making runs reproducible.
+a Phase-1 point.  After a full, unblocked step the iterate minimizes on its
+working set, so the next iteration only checks the multipliers.  Ties in
+the ratio test break toward the lowest constraint row, making runs
+reproducible.
 """
 
 from __future__ import annotations
@@ -190,10 +192,15 @@ def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
 
 def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     """Primal active-set iteration from a feasible start x0, with Hinv the
-    (regularized) inverse of H.
+    (regularized) inverse of H (Nocedal & Wright, Alg. 16.3).
+
+    A full, unblocked step lands on the working-set minimizer, whose
+    multipliers are that step's Schur mu, so the next iteration only checks
+    them: a fresh solve there returns just a rounding-noise step (1e-11 to
+    4e-9 relative), too large for the tiny-step test below.
 
     objective_trace, when given, collects the objective value after every
-    iteration (debug hook for the monotone-descent invariant).
+    step (debug hook for the monotone-descent invariant).
     """
     n = g.shape[0]
     m = lb.shape[0]
@@ -205,18 +212,14 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     # Warm sets are re-detected from the point itself, which keeps the set
     # consistent after bound changes.
     work = _active_rows(A, lb, ub, x, n)
-    mu = np.zeros(0)
-    mu_work: list = []  # the working set that mu belongs to
-    max_iter = 50 * (m + 1)
-    it = 0
-    stall = 0
-    obj = 0.5 * float(x @ H @ x) + float(g @ x)
-    while it < max_iter:
-        it += 1
+    at_minimizer = False  # the last step was full and unblocked
+    for it in range(1, 50 * (m + 1) + 1):
         grad = H @ x + g
         rows = [rs[0] for rs in work]
-        mu_work = list(work)
-        if len(work) == n:
+        mu_work = list(work)  # the working set that mu belongs to
+        if at_minimizer:  # mu are already the multipliers at x
+            d = np.zeros(n)
+        elif len(work) == n:
             # Full square working set: the equality step is identically
             # zero and the multipliers come from stationarity directly.
             Aw = A[rows]
@@ -244,10 +247,10 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
         # move the objective; treat those like a stationary point too.
         tiny_d = float(np.abs(d).max(initial=0.0)) <= \
             _ZERO_STEP * (1.0 + float(np.abs(x).max(initial=0.0)))
-        if tiny_d or stall >= 2:
+        if tiny_d:
             # Stationary on the working set; check multiplier signs and drop
             # the most negative inequality multiplier (lowest row on ties).
-            stall = 0
+            at_minimizer = False
             mult = _multipliers(work, mu)
             worst = None
             worst_val = -1e-10
@@ -280,15 +283,11 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
 
         alpha, blocker = _ratio_test(A, lb, ub, x, d, rows)
         x = x + alpha * d
-        obj_new = 0.5 * float(x @ H @ x) + float(g @ x)
-        if blocker is None and obj_new >= obj - 1e-9 * (1.0 + abs(obj)):
-            stall += 1  # unblocked full step with no real progress: noise
-        else:
-            stall = 0
-        obj = obj_new
         if objective_trace is not None:
-            objective_trace.append(obj)
-        if blocker is not None and len(work) < n:
+            objective_trace.append(0.5 * float(x @ H @ x) + float(g @ x))
+        if blocker is None:
+            at_minimizer = True
+        elif len(work) < n:
             work.append(blocker)
 
     mult = _multipliers(mu_work, mu)

@@ -61,6 +61,12 @@ class TestScenarioFromConfig:
         assert cfg.N == 4 and cfg.lam == 1.2
         assert np.array_equal(cfg.Q, [1.0, 1.0, 0.0])
 
+    def test_horizon_must_be_an_integer_not_a_boolean(self):
+        for N in (True, False, 0, 2.0, "3"):
+            doc = dict(BASE, law="nmpc", law_params={"N": N})
+            with pytest.raises(ConfigError, match="N must be a positive"):
+                scenario_from_config(doc)
+
     def test_law_params_rejects_unknown(self):
         doc = dict(BASE, law="nmpc", law_params={"horizon": 4})
         with pytest.raises(ConfigError, match="unknown law_params"):
@@ -126,6 +132,14 @@ class TestCLI:
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert cli.main(["simulate", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_non_numeric_terminal_weight_exit_code(self, tmp_path, capsys):
+        for P in ({"a": 1}, [[1.0, 0.0, 0.0], [0.0, {}, 0.0], [0.0, 0.0, 1]]):
+            doc = dict(BASE, law="nmpc", law_params={"terminal_weight": P})
+            cfgfile = self.write_config(tmp_path, doc)
+            assert cli.main(["simulate", "--config", cfgfile,
+                             "--out", str(tmp_path / "x.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_solver_failure_exit_code(self, tmp_path):
         doc = dict(BASE, law="nmpc",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pfguide import Infeasible, QPProblem, QPSolution, qp, solve_qp
+from pfguide import (Infeasible, QPProblem, QPSolution, qp, realistic_scenario,
+                     run_scenario, solve_qp)
 from qp_oracle import qp_oracle, random_feasible_qp
 
 
@@ -136,6 +137,40 @@ class TestSQPStart:
                 assert sol.multipliers == {}
                 assert sol.converged
                 assert np.max(np.abs(sol.x - np.linalg.solve(H, -g))) <= 1e-9
+
+
+class TestTermination:
+    """A full, unblocked step lands on the working-set minimizer, so the
+    next iteration checks the multipliers instead of stepping again."""
+
+    def test_no_second_step_on_an_unchanged_working_set(self, monkeypatch):
+        calls = []  # per _active_set call: start set, steps, result
+        active_set, ratio_test = qp._active_set, qp._ratio_test
+
+        def recording_active_set(H, Hinv, g, A, lb, ub, x0, *args):
+            call = {"start": tuple(qp._active_rows(A, lb, ub, x0, g.shape[0])),
+                    "steps": []}
+            calls.append(call)
+            call["sol"] = active_set(H, Hinv, g, A, lb, ub, x0, *args)
+            return call["sol"]
+
+        def recording_ratio_test(A, lb, ub, x, d, rows):
+            alpha, blocker = ratio_test(A, lb, ub, x, d, rows)
+            calls[-1]["steps"].append((blocker is None, tuple(rows)))
+            return alpha, blocker
+
+        monkeypatch.setattr(qp, "_active_set", recording_active_set)
+        monkeypatch.setattr(qp, "_ratio_test", recording_ratio_test)
+        run_scenario(realistic_scenario("nmpc", duration=60.0))
+        assert len(calls) >= 100  # constrained QPs were exercised
+        repeated = [c for c in calls
+                    if any(a[0] and a == b
+                           for a, b in zip(c["steps"], c["steps"][1:]))]
+        assert repeated == []
+        # Where the start's working set is optimal: one step, one check.
+        settled = [c for c in calls if c["sol"].active_set == c["start"]]
+        assert settled
+        assert all(c["sol"].iterations == 2 for c in settled)
 
 
 class TestMultipliers:

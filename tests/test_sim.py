@@ -278,6 +278,32 @@ class TestRunScenario:
         assert calls["sim"] == steps + 1 + 1
         assert calls["law"] > 0
 
+    def test_sglos_evaluates_no_path_position(self, monkeypatch):
+        """SGLOS reads only the tangent angle, so the law itself never
+        evaluates the path position."""
+        base = case_study_path()
+        law = sim.sglos
+        calls = {"eval": 0, "law": 0}
+
+        def counting_eval(w):
+            calls["eval"] += 1
+            return base.eval(w)
+
+        def counting_sglos(*args, **kwargs):
+            before = calls["eval"]
+            out = law(*args, **kwargs)
+            calls["law"] += calls["eval"] - before
+            return out
+
+        monkeypatch.setattr(sim, "sglos", counting_sglos)
+        path = PathDef(counting_eval, base.deriv, base.deriv2,
+                       deriv3=base.deriv3)
+        tr = run_scenario(replace(realistic_scenario("sglos", duration=20.0),
+                                  path=path))
+        assert len(tr) - 1 == 200
+        assert calls["eval"] > 0
+        assert calls["law"] == 0
+
     def test_step_error_context(self):
         from pfguide.exceptions import PFGuideError
         bad = Scenario(path=line_path(), x0=0.0, y0=0.0, omega0=0.0,
