@@ -45,6 +45,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare(args) -> int:
     laws = [law.strip() for law in args.laws.split(",") if law.strip()]
+    if not laws or len(set(laws)) != len(laws):
+        raise ConfigError(f"--laws needs distinct law names, got {args.laws!r}")
     for law in laws:
         if law not in LAWS:
             raise ConfigError(f"unknown law {law!r}; choose from {LAWS}")

@@ -7,6 +7,7 @@ rejected so typos fail loudly instead of silently running the defaults.
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional
 
 import numpy as np
@@ -26,8 +27,11 @@ def _take(d: dict, key: str, default=None, required: bool = False):
 
 
 def _number(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    """A finite JSON number: json reads NaN and Infinity, RFC 8259 does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be a finite number, "
+                          f"got {value!r}")
     return float(value)
 
 
@@ -175,12 +179,12 @@ def scenario_from_config(doc: dict) -> Scenario:
             P = lp.pop("terminal_weight", None)
             _reject_unknown(lp, "law_params")
             try:
+                if P is not None:
+                    kwargs["P"] = np.asarray(P, dtype=float)
                 nmpc_cfg = NMPCConfig(
                     u_ref=InputCmd(u_r, 0.0, u_r), constraints=constraints,
                     T_m=_number(d.get("T_m", 1.0), "T_m"),
                     terminal_law=sglos_params, **kwargs)
-                if P is not None:
-                    nmpc_cfg = nmpc_cfg.with_terminal(np.asarray(P, dtype=float))
             except (TypeError, ValueError) as exc:  # TypeError: non-numeric P
                 raise ConfigError(str(exc)) from exc
         else:

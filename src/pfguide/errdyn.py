@@ -14,8 +14,8 @@ from typing import List, Sequence, Tuple
 
 from .angles import wrap_angle
 from .exceptions import StateEscape
-from .paths import (Frame, PathDef, omega_of_z, path_frame, sample_path,
-                    z_of_omega)
+from .paths import Frame, PathDef, omega_of_z, path_frame
+from .paths import sample_path  # noqa: F401 -- perfbench's tracer binds it
 
 # z is kept strictly positive so omega = 1/z - 1 stays defined; omega -> inf
 # only asymptotically.
@@ -49,29 +49,6 @@ class InputCmd:
         if not (math.isfinite(self.u) and math.isfinite(self.psi)
                 and math.isfinite(self.u_tar)):
             raise ValueError(f"non-finite input command {self!r}")
-
-
-@dataclass(frozen=True)
-class VesselPose:
-    """Planar vessel position and heading in the earth-fixed frame."""
-
-    x: float    # m
-    y: float    # m
-    psi: float  # rad
-
-
-def compute_errors(pose: VesselPose, omega: float, path: PathDef) -> Tuple[float, float]:
-    """Along- and cross-track errors of the pose w.r.t. the virtual target.
-
-    (x_e, y_e) = R2(phi_p)^T (x - x_p, y - y_p); the rotation is orthonormal
-    so the Euclidean distance to the target is preserved.
-    """
-    pt = sample_path(path, omega)
-    dx = pose.x - pt.x_p
-    dy = pose.y - pt.y_p
-    c = math.cos(pt.phi_p)
-    s = math.sin(pt.phi_p)
-    return (c * dx + s * dy, -s * dx + c * dy)
 
 
 def dynamics_flat(xe: float, ye: float, z: float, u: float, psi: float,
@@ -158,8 +135,3 @@ def rollout(x0: GuidanceState, u_seq, v: float, dt: float, path: PathDef):
     return [x0] + [GuidanceState(X[i], X[i + 1], X[i + 2])
                    for i in range(3, len(X), 3)]
 
-
-def pose_errors_state(pose: VesselPose, omega: float, path: PathDef) -> GuidanceState:
-    """Measure the full guidance state from a world-frame pose and omega."""
-    x_e, y_e = compute_errors(pose, omega, path)
-    return GuidanceState(x_e, y_e, z_of_omega(omega))

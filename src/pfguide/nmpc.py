@@ -32,22 +32,20 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .angles import wrap_angle
 from .errdyn import (GuidanceState, InputCmd, euler_step, flat_inputs,
-                     rollout, rollout_flat)
+                     rollout_flat)
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
-from .los import SGLOSParams, require_in_box, sglos
-from .los import InputConstraints
+from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import PathDef, omega_of_z, sample_path
 from .pnmpc import (SolveResult, cost_weights, curvature_flat,
                     horizon_cost_flat, horizon_weights, linearized_qp,
-                    predicted_states, quadratic_form, reference_stack,
-                    sensitivity_flat, snap_feasible, stack_inputs,
-                    stage_cost_flat, zero_start)
+                    predicted_states, reference_stack, sensitivity_flat,
+                    snap_feasible, stack_inputs, stage_cost_flat, zero_start)
 from .qp import solve_qp
 
 logger = logging.getLogger(__name__)
@@ -120,29 +118,12 @@ class NMPCConfig:
             raise TerminalWeightUnset("terminal weight P has not been set")
         return self.P
 
-    def with_terminal(self, P: np.ndarray) -> "NMPCConfig":
-        return replace(self, P=P)
-
 
 def stage_cost(x: GuidanceState, u: InputCmd, cfg: NMPCConfig) -> float:
     """x'Qx + (u - u_ref)'R(u - u_ref), heading deviation wrapped."""
     ref = cfg.u_ref
     return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar, cfg.Q,
                            cfg.R, (ref.u, ref.psi, ref.u_tar))
-
-
-def terminal_cost(x: GuidanceState, cfg: NMPCConfig) -> float:
-    """x'Px, nonnegative and zero only at the origin."""
-    return quadratic_form(x.x_e, x.y_e, x.z,
-                          cfg.terminal_weight().tolist())
-
-
-def predict(x0: GuidanceState, u_seq: Sequence[InputCmd], v_held: float,
-            cfg: NMPCConfig, path: PathDef) -> List[GuidanceState]:
-    """N+1 predicted states under the held sway value."""
-    if len(u_seq) != cfg.N:
-        raise ValueError(f"expected {cfg.N} inputs, got {len(u_seq)}")
-    return rollout(x0, u_seq, v_held, cfg.T_m, path)
 
 
 def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -227,7 +208,7 @@ def make_config(path: PathDef, u_r: float = 0.15,
     p = sglos_params if sglos_params is not None else SGLOSParams()
     cfg = NMPCConfig(u_ref=InputCmd(u_r, 0.0, u_r), terminal_law=p,
                      **overrides)
-    return cfg.with_terminal(synthesize_terminal_weight(path, cfg, p))
+    return replace(cfg, P=synthesize_terminal_weight(path, cfg, p))
 
 
 def _stationarity_residual(g: np.ndarray, A_rows: np.ndarray,

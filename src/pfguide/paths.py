@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .angles import wrap_angle
 from .exceptions import DomainError, NonRegularPath
@@ -26,15 +26,15 @@ Vec2 = Tuple[float, float]
 class PathDef:
     """Planar path with analytic derivatives in omega.
 
-    deriv3 is optional: the predictive laws use it for the closed-form
-    state Jacobian and fall back to finite differences without it.
+    The predictive laws need deriv3: the z column of their state Jacobian
+    carries the curvature rate.
     """
 
     eval: Callable[[float], Vec2]      # omega -> (x_p, y_p)        [m]
     deriv: Callable[[float], Vec2]     # omega -> (dx_p, dy_p)      [m]
     deriv2: Callable[[float], Vec2]    # omega -> (ddx_p, ddy_p)    [m]
+    deriv3: Callable[[float], Vec2]    # omega -> (d3x_p, d3y_p)    [m]
     name: str = "path"
-    deriv3: Optional[Callable[[float], Vec2]] = None  # (d3x_p, d3y_p) [m]
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,15 @@ def case_study_path() -> PathDef:
     def _deriv3(w: float) -> Vec2:
         return (-10.0 * k * k * k * math.cos(k * w), 0.0)
 
-    return PathDef(_eval, _deriv, _deriv2, name="case_study", deriv3=_deriv3)
+    return PathDef(_eval, _deriv, _deriv2, _deriv3, name="case_study")
 
 
 def line_path(origin: Vec2 = (0.0, 0.0), direction: Vec2 = (1.0, 0.0)) -> PathDef:
     """Straight line P(w) = origin + w * direction."""
     ox, oy = float(origin[0]), float(origin[1])
     dx, dy = float(direction[0]), float(direction[1])
+    if not all(map(math.isfinite, (ox, oy, dx, dy))):
+        raise DomainError("line origin and direction must be finite")
     if math.hypot(dx, dy) <= F_MIN:
         raise DomainError("line direction must be non-zero")
 
@@ -134,8 +136,8 @@ def line_path(origin: Vec2 = (0.0, 0.0), direction: Vec2 = (1.0, 0.0)) -> PathDe
         eval=lambda w: (ox + w * dx, oy + w * dy),
         deriv=lambda w: (dx, dy),
         deriv2=lambda w: (0.0, 0.0),
-        name="line",
         deriv3=lambda w: (0.0, 0.0),
+        name="line",
     )
 
 
@@ -145,6 +147,8 @@ def polynomial_path(x_coeffs: Sequence[float], y_coeffs: Sequence[float]) -> Pat
     cy = [float(c) for c in y_coeffs]
     if not cx or not cy:
         raise DomainError("polynomial path needs at least one coefficient per axis")
+    if not all(map(math.isfinite, cx + cy)):
+        raise DomainError("polynomial coefficients must be finite")
 
     def _poly(c, w):
         acc = 0.0
@@ -174,8 +178,8 @@ def polynomial_path(x_coeffs: Sequence[float], y_coeffs: Sequence[float]) -> Pat
         eval=lambda w: (_poly(cx, w), _poly(cy, w)),
         deriv=lambda w: (_dpoly(cx, w), _dpoly(cy, w)),
         deriv2=lambda w: (_ddpoly(cx, w), _ddpoly(cy, w)),
-        name="polynomial",
         deriv3=lambda w: (_dddpoly(cx, w), _dddpoly(cy, w)),
+        name="polynomial",
     )
 
 
@@ -206,8 +210,8 @@ def path_from_config(name: str, params: dict | None = None) -> PathDef:
 
 def check_path_derivatives(path: PathDef, omegas: Sequence[float],
                            step: float = 1e-5, rel_tol: float = 1e-6) -> None:
-    """Verify deriv/deriv2 (and deriv3 when the path supplies it) against
-    central finite differences of eval/deriv (/deriv2).
+    """Verify deriv, deriv2 and deriv3 against central finite differences
+    of eval, deriv and deriv2.
 
     Raises NonRegularPath on any mismatch beyond rel_tol (with a small
     absolute floor for near-zero components).
@@ -215,9 +219,8 @@ def check_path_derivatives(path: PathDef, omegas: Sequence[float],
     for w in omegas:
         if w < step:
             continue
-        pairs = [(path.deriv(w), path.eval), (path.deriv2(w), path.deriv)]
-        if path.deriv3 is not None:
-            pairs.append((path.deriv3(w), path.deriv2))
+        pairs = [(path.deriv(w), path.eval), (path.deriv2(w), path.deriv),
+                 (path.deriv3(w), path.deriv2)]
         for got, probe in pairs:
             hi = probe(w + step)
             lo = probe(w - step)

@@ -10,9 +10,9 @@ input, a real-time iteration.  It has two sources of S:
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
-* "frozen": the block-Toeplitz matrix with blocks G_i = i * T_m * J, the
-  instant-0 input Jacobian shifted down the horizon (assemble_G), mapped
-  from input increments onto perturbations.
+* "frozen": the paper's block-Toeplitz G (block (i, j) = (i-j+1) T_m J, J
+  the instant-0 input Jacobian) mapped from input increments onto
+  perturbations, which telescopes to S = T_m J on and below the diagonal.
 
 The exact operator is the default: its residual against the nonlinear
 prediction is genuinely second order in the perturbation, which the
@@ -25,13 +25,12 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .angles import unwrap_near, wrap_angle
-from .errdyn import (GuidanceState, InputCmd, dynamics_flat, flat_inputs,
-                     rollout, rollout_flat)
+from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
 from .exceptions import QPFailure
 from .los import InputConstraints, clamp_inputs, require_in_box
 from .paths import Frame, PathDef, omega_of_z, path_frame
@@ -43,7 +42,6 @@ from .qp import QPProblem, QPSolution, solve_qp
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .nmpc import NMPCConfig
 
-_FD_STEP = 1e-6
 _ZZ_STEP = 1e-5  # relative z step of the curvature's z-z difference
 _EYE3 = np.eye(3)
 
@@ -60,16 +58,6 @@ class JacobianBlock:
         if self.m[2, 0] != 0.0 or self.m[2, 1] != 0.0:
             raise ValueError("dz/dt depends only on u_tar; rows must carry "
                              "structural zeros")
-
-
-@dataclass(frozen=True)
-class PredictionMatrix:
-    """Lower-block-Toeplitz forced-response matrix with blocks i*T_m*J."""
-
-    G: np.ndarray  # (3N, 3N)
-    N: int
-    T_m: float
-    base: JacobianBlock
 
 
 @dataclass
@@ -110,8 +98,8 @@ def _z_derivative(fn, z: float, step: float) -> list:
 
 
 def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
-               u_tar: float, v: float, frame: Frame, path: PathDef,
-               step: float = _FD_STEP) -> Tuple[list, list]:
+               u_tar: float, v: float, frame: Frame,
+               path: PathDef) -> Tuple[list, list]:
     """Input and state Jacobian rows (B, A) of the continuous dynamics at
     one frame.
 
@@ -119,9 +107,7 @@ def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
     columns of A are (0, -u_tar kappa, 0) and (u_tar kappa, 0, 0).  The z
     column differentiates phi_p, kappa and F along omega, with
     domega/dz = -1/z^2; the curvature rate needs the path's third
-    derivative.  Paths without deriv3 get the z column from central
-    differences of the dynamics, second-order one-sided where the central
-    stencil would leave (0, 1].
+    derivative.
     """
     phi_p, F, dphi_dw, dx, dy, ddx, ddy = frame
     dpsi = wrap_angle(psi - phi_p)
@@ -131,17 +117,11 @@ def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
     B = [[c, -u * s - v * c, kw * ye - 1.0],
          [s, u * c - v * s, -kw * xe],
          [0.0, 0.0, -z * z / F]]
-    if path.deriv3 is not None:
-        dF, dkw = _frame_rates(frame, path, z)
-        dw_dz = -1.0 / (z * z)
-        col_z = (dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye),
-                 -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe),
-                 -2.0 * z * u_tar / F - u_tar * dF / (F * F))
-    else:
-        col_z = _z_derivative(
-            lambda zz: dynamics_flat(xe, ye, zz, u, psi, u_tar, v,
-                                     path_frame(path, 1.0 / zz - 1.0)),
-            z, step)
+    dF, dkw = _frame_rates(frame, path, z)
+    dw_dz = -1.0 / (z * z)
+    col_z = (dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye),
+             -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe),
+             -2.0 * z * u_tar / F - u_tar * dF / (F * F))
     A = [[0.0, u_tar * kw, col_z[0]],
          [-u_tar * kw, 0.0, col_z[1]],
          [0.0, 0.0, col_z[2]]]
@@ -157,33 +137,13 @@ def jacobian_block(x0: GuidanceState, u0: InputCmd, v0: float,
     return JacobianBlock(np.array(B))
 
 
-def state_jacobian(x0: GuidanceState, u0: InputCmd, v0: float, path: PathDef,
-                   step: float = _FD_STEP) -> np.ndarray:
+def state_jacobian(x0: GuidanceState, u0: InputCmd, v0: float,
+                   path: PathDef) -> np.ndarray:
     """State Jacobian of the continuous dynamics (see _jacobians)."""
     frame = path_frame(path, omega_of_z(x0.z))
     _, A = _jacobians(x0.x_e, x0.y_e, x0.z, u0.u, u0.psi, u0.u_tar, v0,
-                      frame, path, step)
+                      frame, path)
     return np.array(A)
-
-
-def assemble_G(J: JacobianBlock, N: int, T_m: float) -> PredictionMatrix:
-    """Block-Toeplitz forced-response matrix: block (i, j) = (i-j+1)*T_m*J."""
-    if N < 1:
-        raise ValueError(f"horizon must be >= 1, got {N}")
-    if T_m <= 0.0:
-        raise ValueError(f"sampling time must be positive, got {T_m}")
-    G = np.zeros((3 * N, 3 * N))
-    for i in range(N):
-        for j in range(i + 1):
-            G[3 * i:3 * i + 3, 3 * j:3 * j + 3] = (i - j + 1) * T_m * J.m
-    return PredictionMatrix(G, N, T_m, J)
-
-
-def free_response(x_k: GuidanceState, u_prev: InputCmd, v_k: float,
-                  cfg: "NMPCConfig", path: PathDef) -> List[GuidanceState]:
-    """Prediction under zero future increments (u_prev held for N steps)."""
-    require_in_box(u_prev, cfg.constraints)
-    return rollout(x_k, [u_prev] * cfg.N, v_k, cfg.T_m, path)
 
 
 def sensitivity_flat(X: Sequence[float], U: Sequence[float],
@@ -209,12 +169,6 @@ def sensitivity_flat(X: Sequence[float], U: Sequence[float],
     return S
 
 
-def _kappa(path: PathDef, z: float) -> float:
-    """Tangent-angle rate per metre, dphi_dw / F, at omega = 1/z - 1."""
-    frame = path_frame(path, 1.0 / z - 1.0)
-    return frame[2] / frame[1]
-
-
 def _weighted_hessian(xe: float, ye: float, z: float, u: float, psi: float,
                       u_tar: float, v: float, frame: Frame, path: PathDef,
                       p: Sequence[float]) -> list:
@@ -224,7 +178,7 @@ def _weighted_hessian(xe: float, ye: float, z: float, u: float, psi: float,
     f is linear in x_e, y_e, u and u_tar, so the entries are trig terms and
     the path rates of _jacobians.  The z-z entry needs a fourth path
     derivative: it is a central difference of the z column of _jacobians
-    in z.  Paths without deriv3 get dkappa/dz the same way.
+    in z.
     """
     phi_p, F, dphi_dw = frame[:3]
     dpsi = wrap_angle(psi - phi_p)
@@ -233,12 +187,8 @@ def _weighted_hessian(xe: float, ye: float, z: float, u: float, psi: float,
     kw = dphi_dw / F
     dw_dz = -1.0 / (z * z)
     step = _ZZ_STEP * z
-    if path.deriv3 is not None:
-        dF, dkw = _frame_rates(frame, path, z)
-        kw_z = dkw * dw_dz
-    else:
-        dF = (frame[3] * frame[5] + frame[4] * frame[6]) / F
-        kw_z = _z_derivative(lambda zz: (_kappa(path, zz),), z, step)[0]
+    dF, dkw = _frame_rates(frame, path, z)
+    kw_z = dkw * dw_dz
     col_zz = _z_derivative(
         lambda zz: [row[2] for row in _jacobians(
             xe, ye, zz, u, psi, u_tar, v, path_frame(path, 1.0 / zz - 1.0),
@@ -336,12 +286,6 @@ def sensitivity_along(states: Sequence[GuidanceState],
 def _increment_lower(N: int) -> np.ndarray:
     """Cumulative-sum map from increments to absolute inputs (3N x 3N)."""
     return np.kron(np.tril(np.ones((N, N))), np.eye(3))
-
-
-@lru_cache(maxsize=8)
-def _increment_difference(N: int) -> np.ndarray:
-    """Inverse of _increment_lower: I on the block diagonal, -I below it."""
-    return np.kron(np.eye(N) - np.eye(N, k=-1), np.eye(3))
 
 
 @lru_cache(maxsize=8)
@@ -551,8 +495,8 @@ class PNMPCSolver:
         if self.linearization == "exact":
             S = sensitivity_flat(X, hold, frames, v_k, cfg.T_m, self.path)
         else:
-            S = assemble_G(jacobian_block(x_k, u_prev, v_k, self.path),
-                           cfg.N, cfg.T_m).G @ _increment_difference(cfg.N)
+            J = jacobian_block(x_k, u_prev, v_k, self.path).m
+            S = np.kron(np.tril(np.ones((cfg.N, cfg.N))), cfg.T_m * J)
         U = np.array(hold)
         qsol = solve_qp(linearized_qp(S, X, U, u_prev,
                                       reference_stack(cfg, u_prev.psi),

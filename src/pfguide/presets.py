@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errdyn import InputCmd
-from .nmpc import NMPCConfig, synthesize_terminal_weight
+from .nmpc import make_config
 from .paths import case_study_path, line_path
 from .sim import DisturbanceSpec, Scenario
 
@@ -51,9 +51,7 @@ def equilibrium_scenario(law: str = "nmpc", duration: float = 400.0,
     """On-path start on a straight line with the matched command held."""
     path = line_path()
     u_r = 0.15
-    cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]),
-                     u_ref=InputCmd(u_r, 0.0, u_r))
-    cfg = cfg.with_terminal(synthesize_terminal_weight(path, cfg))
+    cfg = make_config(path, u_r=u_r, Q=np.array([1.0, 1.0, 0.0]))
     return Scenario(
         path=path, x0=float(omega0), y0=0.0, psi0=0.0, omega0=float(omega0),
         u_r=u_r, T_m=1.0, T_p=1.0, duration=duration, law=law, nmpc=cfg,

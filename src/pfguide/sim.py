@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -174,8 +174,8 @@ class Scenario:
                               sglos_params=self.sglos,
                               constraints=self.constraints, T_m=self.T_m)
         if cfg.P is None:
-            cfg = cfg.with_terminal(
-                synthesize_terminal_weight(self.path, cfg, self.sglos))
+            cfg = replace(cfg, P=synthesize_terminal_weight(self.path, cfg,
+                                                            self.sglos))
         return cfg
 
 

@@ -1,10 +1,17 @@
 import json
+import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pfguide import cli, load_scenario, run_scenario, scenario_from_config
+from pfguide import (cli, load_scenario, realistic_scenario, run_scenario,
+                     scenario_from_config, transient_scenario)
 from pfguide.exceptions import ConfigError
+from pfguide.sim import TRACE_COLUMNS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "path": {"name": "case_study"},
@@ -67,6 +74,29 @@ class TestScenarioFromConfig:
             with pytest.raises(ConfigError, match="N must be a positive"):
                 scenario_from_config(doc)
 
+    @pytest.mark.parametrize("doc", [
+        dict(BASE, law="nmpc", law_params={"lambda": math.nan}),
+        dict(BASE, law="nmpc", law_params={"Q": [1.0, math.inf, 0.0]}),
+        dict(BASE, constraints={"du_max": math.nan}),
+        dict(BASE, converge_band=math.nan),
+        dict(BASE, duration=math.nan),
+        dict(BASE, duration=math.inf),
+        dict(BASE, T_p=-math.inf),
+        dict(BASE, initial={"x": math.inf, "y": 0.0, "omega": 0.0}),
+        dict(BASE, disturbance={"kind": "sinusoid", "amplitude": math.nan,
+                                "period": 60.0}),
+        dict(BASE, path={"name": "line",
+                         "params": {"direction": [math.nan, 0.0]}}),
+        dict(BASE, path={"name": "polynomial",
+                         "params": {"x_coeffs": [0.0, math.inf],
+                                    "y_coeffs": [0.0, 1.0]}}),
+    ], ids=["lambda", "Q", "du_max", "converge_band", "duration_nan",
+            "duration_inf", "T_p", "initial_x", "amplitude", "line",
+            "polynomial"])
+    def test_non_finite_numbers_rejected(self, doc):
+        with pytest.raises(ConfigError, match="finite"):
+            scenario_from_config(doc)
+
     def test_law_params_rejects_unknown(self):
         doc = dict(BASE, law="nmpc", law_params={"horizon": 4})
         with pytest.raises(ConfigError, match="unknown law_params"):
@@ -126,6 +156,15 @@ class TestCLI:
         assert set(report) == {"pnmpc", "sglos"}
         assert report["pnmpc"]["violations"] == 0
 
+    @pytest.mark.parametrize("laws", ["", " , ", "sglos,sglos",
+                                      "pnmpc, sglos,pnmpc"])
+    def test_compare_needs_distinct_laws(self, tmp_path, laws):
+        cfgfile = self.write_config(tmp_path, dict(BASE, duration=5.0))
+        outdir = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", cfgfile, "--laws", laws,
+                         "--out", str(outdir)]) == 2
+        assert not outdir.exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfgfile = self.write_config(tmp_path, dict(BASE, bogus=1))
         assert cli.main(["simulate", "--config", cfgfile,
@@ -141,6 +180,14 @@ class TestCLI:
                              "--out", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_finite_number_exit_code(self, tmp_path, capsys):
+        # json.dumps writes NaN, which Python's json reads back
+        cfgfile = self.write_config(tmp_path, dict(BASE, duration=math.nan))
+        assert cli.main(["simulate", "--config", cfgfile,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_solver_failure_exit_code(self, tmp_path):
         doc = dict(BASE, law="nmpc",
                    initial_input={"u": 0.9, "psi": 0.0, "u_tar": 0.1})
@@ -152,3 +199,20 @@ class TestCLI:
         assert cli.main(["check-derivatives", "--samples", "50"]) == 0
         out = capsys.readouterr().out
         assert "all derivative checks passed" in out
+
+
+@pytest.mark.parametrize("name, preset", [("transient.json", transient_scenario),
+                                          ("realistic.json", realistic_scenario)])
+def test_shipped_config_reproduces_preset(name, preset):
+    """configs/ holds the presets: a 30 s zero-clock NMPC trace from the
+    file is bit-identical to the preset's."""
+    sc = load_scenario(CONFIGS / name)
+    assert (sc.law, sc.duration) == ("nmpc", 400.0)
+
+    def zero():
+        return 0.0
+
+    got = run_scenario(replace(sc, duration=30.0), timer=zero)
+    ref = run_scenario(preset("nmpc", duration=30.0), timer=zero)
+    for col in TRACE_COLUMNS:
+        assert got[col].tobytes() == ref[col].tobytes(), col

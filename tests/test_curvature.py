@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import pfguide.nmpc as nmpc_mod
 from pfguide import (GuidanceState, InputCmd, NMPCConfig, NMPCSolver,
-                     PathDef, case_study_path, line_path, polynomial_path,
+                     case_study_path, line_path, polynomial_path,
                      realistic_scenario, run_scenario, transient_scenario)
 from pfguide.errdyn import rollout_flat
 from pfguide.los import InputConstraints
@@ -20,16 +20,10 @@ from pfguide.nmpc import KKT_TOL, MAX_MAJOR_ITER, _stationarity_residual
 from pfguide.pnmpc import (_sqp_rows, curvature_flat, horizon_weights,
                            linearized_qp, reference_stack, sensitivity_flat)
 
-CASE = case_study_path()
 PATHS = {"line": line_path(origin=(1.0, -2.0), direction=(0.6, 0.8)),
          "cubic": polynomial_path([0.0, 1.0, 0.01, 1e-4],
                                   [0.0, 0.5, -0.002, -1e-5]),
-         "case_study": CASE,
-         "no_deriv3": PathDef(CASE.eval, CASE.deriv, CASE.deriv2,
-                              name="no_deriv3")}
-# The z-z entry is a difference of an analytic column with deriv3 and a
-# difference of a differenced column without it.
-TOL = {"line": 1e-6, "cubic": 1e-6, "case_study": 1e-6, "no_deriv3": 1e-4}
+         "case_study": case_study_path()}
 CFG = NMPCConfig(P=np.array([[2.0, 0.3, 0.0], [0.3, 1.5, 0.1],
                              [0.0, 0.1, 0.5]]))
 WEIGHTS = horizon_weights(CFG)
@@ -74,7 +68,7 @@ def test_curvature_matches_gradient_differences(name, xe, ye, z, v, seq):
         fd[:, col] = (linearize(x0, U + d, v, path, u_prev)[0].g
                       - linearize(x0, U - d, v, path, u_prev)[0].g) / (2.0 * h)
     scale = max(float(np.abs(fd).max()), 1e-3)
-    assert float(np.abs(H - fd).max()) <= TOL[name] * scale
+    assert float(np.abs(H - fd).max()) <= 1e-6 * scale
 
 
 class TestStallTrigger:

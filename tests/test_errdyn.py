@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pfguide import (GuidanceState, InputCmd, StateEscape, VesselPose, Z_MIN,
-                     compute_errors, dynamics, euler_step, rollout,
-                     sample_path, z_of_omega)
+from pfguide import (GuidanceState, InputCmd, Scenario, StateEscape, Z_MIN,
+                     dynamics, euler_step, rollout, run_scenario, sample_path,
+                     transient_scenario, z_of_omega)
 from pfguide.paths import line_path
 
 coords = st.floats(min_value=-50.0, max_value=50.0,
@@ -26,16 +27,25 @@ class TestTypes:
             InputCmd(math.inf, 0.0, 0.1)
 
 
+def one_step(path, x, y, omega):
+    """Trace of a one-step SGLOS run from the pose (x, y) with the target
+    at omega: rows 0 and 1 are the plant loop's measurements."""
+    return run_scenario(Scenario(path=path, x0=x, y0=y, omega0=omega,
+                                 duration=1.0, law="sglos"))
+
+
 class TestComputeErrors:
+    """The plant loop measures (x_e, y_e) = R2(phi_p)' (x - x_p, y - y_p)."""
+
     def test_on_path_zero(self, demo_path):
         pt = sample_path(demo_path, 7.3)
-        ex, ey = compute_errors(VesselPose(pt.x_p, pt.y_p, 1.0), 7.3, demo_path)
-        assert ex == 0.0 and ey == 0.0
+        tr = one_step(demo_path, pt.x_p, pt.y_p, 7.3)
+        assert tr["x_e"][0] == 0.0 and tr["y_e"][0] == 0.0
 
     def test_line_identity_rotation(self, xaxis_path):
-        ex, ey = compute_errors(VesselPose(3.0, 2.0, 0.5), 1.0, xaxis_path)
-        assert ex == pytest.approx(2.0, abs=1e-15)
-        assert ey == pytest.approx(2.0, abs=1e-15)
+        tr = one_step(xaxis_path, 3.0, 2.0, 1.0)
+        assert tr["x_e"][0] == pytest.approx(2.0, abs=1e-15)
+        assert tr["y_e"][0] == pytest.approx(2.0, abs=1e-15)
 
     def test_demo_path_scalar_oracle(self, demo_path):
         # independent scalar evaluation of the rotation at omega = 2.5
@@ -48,19 +58,31 @@ class TestComputeErrors:
         c, s = math.cos(phi), math.sin(phi)
         ex_ref = c * (10.0 - xp) + s * (10.0 - yp)
         ey_ref = -s * (10.0 - xp) + c * (10.0 - yp)
-        ex, ey = compute_errors(VesselPose(10.0, 10.0, 0.0), w, demo_path)
-        assert ex == pytest.approx(ex_ref, rel=1e-12)
-        assert ey == pytest.approx(ey_ref, rel=1e-12)
-        assert (ex, ey) == pytest.approx((1.378, 5.853), abs=1e-3)
+        tr = run_scenario(transient_scenario("sglos", duration=20.0))
+        assert tr["x_e"][0] == pytest.approx(ex_ref, rel=1e-12)
+        assert tr["y_e"][0] == pytest.approx(ey_ref, rel=1e-12)
+        assert (tr["x_e"][0], tr["y_e"][0]) == pytest.approx((1.378, 5.853),
+                                                             abs=1e-3)
+        # every row: the pose rotated into the frame at the row's omega
+        for x, y, om, ex, ey in zip(tr["x"], tr["y"], tr["omega"],
+                                    tr["x_e"], tr["y_e"]):
+            pt = sample_path(demo_path, om)
+            c, s = math.cos(pt.phi_p), math.sin(pt.phi_p)
+            assert ex == pytest.approx(c * (x - pt.x_p) + s * (y - pt.y_p),
+                                       rel=1e-12, abs=1e-12)
+            assert ey == pytest.approx(-s * (x - pt.x_p) + c * (y - pt.y_p),
+                                       rel=1e-12, abs=1e-12)
 
     @given(coords, coords, st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=60, deadline=None)
     def test_rotation_preserves_distance(self, x, y, w):
         path = line_path(origin=(2.0, -1.0), direction=(0.6, 0.8))
-        pt = sample_path(path, w)
-        ex, ey = compute_errors(VesselPose(x, y, 0.0), w, path)
-        assert math.hypot(ex, ey) == pytest.approx(
-            math.hypot(x - pt.x_p, y - pt.y_p), rel=1e-12, abs=1e-12)
+        tr = one_step(path, x, y, w)
+        for px, py, om, ex, ey in zip(tr["x"], tr["y"], tr["omega"],
+                                      tr["x_e"], tr["y_e"]):
+            x_p, y_p = path.eval(om)
+            assert math.hypot(ex, ey) == pytest.approx(
+                math.hypot(px - x_p, py - y_p), rel=1e-12, abs=1e-12)
 
 
 class TestDynamics:
@@ -147,35 +169,27 @@ class TestMonotoneProgress:
 
 
 class TestWorldFrameAgreement:
-    def test_pose_propagation_matches_error_frame(self, demo_path):
-        """World-frame kinematics + re-measured errors track euler_step to
-        O(dt^2) per step at matched piecewise-constant inputs."""
-        from pfguide import compute_errors
-        w = 2.5
-        pt = sample_path(demo_path, w)
-        pose_x, pose_y = 10.0, 10.0
-        ex, ey = compute_errors(VesselPose(pose_x, pose_y, 0.0), w, demo_path)
-        u = InputCmd(0.2, pt.phi_p - 0.4, 0.18)
-        v = 0.05
+    def test_pose_propagation_matches_error_frame(self):
+        """The plant loop's world-frame kinematics, re-measured in the path
+        frame, track euler_step from each measured state to O(dt^2) per
+        step at the held inputs."""
 
-        def defects(dt, steps):
-            nonlocal w
-            px, py, om = pose_x, pose_y, w
-            x = GuidanceState(ex, ey, z_of_omega(om))
+        def defect(dt):
+            sc = transient_scenario("sglos", duration=4.0)
+            sc = replace(sc, T_m=dt, T_p=dt)
+            tr = run_scenario(sc)
             worst = 0.0
-            for _ in range(steps):
-                x = euler_step(x, u, v, dt, demo_path)
-                px += dt * (u.u * math.cos(u.psi) - v * math.sin(u.psi))
-                py += dt * (u.u * math.sin(u.psi) + v * math.cos(u.psi))
-                om += dt * u.u_tar / sample_path(demo_path, om).F
-                mx, my = compute_errors(VesselPose(px, py, u.psi), om, demo_path)
-                worst = max(worst, math.hypot(mx - x.x_e, my - x.y_e))
+            for k in range(len(tr) - 1):
+                x = GuidanceState(tr["x_e"][k], tr["y_e"][k], tr["z"][k])
+                u = InputCmd(tr["u_act"][k], tr["psi_act"][k], tr["u_tar"][k])
+                nxt = euler_step(x, u, tr["v"][k], dt, sc.path)
+                worst = max(worst, math.hypot(nxt.x_e - tr["x_e"][k + 1],
+                                              nxt.y_e - tr["y_e"][k + 1]))
             return worst
 
-        d1 = defects(1.0, 4)
-        d2 = defects(0.5, 8)
+        d1, d2 = defect(1.0), defect(0.5)
         assert d1 < 5e-3
-        assert d1 / d2 > 1.5  # shrinks roughly with dt
+        assert d1 / d2 > 3.0  # the one-step defect shrinks with dt^2
 
 
 def test_rollout(demo_path):

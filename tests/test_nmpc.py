@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ import pytest
 from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
                      NMPCSolver, TerminalWeightUnset,
                      UnstableTerminalLoop, discrete_lyapunov, euler_step,
-                     predict, sample_path, sglos, stage_cost,
-                     synthesize_terminal_weight, terminal_cost, z_of_omega)
+                     sample_path, sglos, stage_cost,
+                     synthesize_terminal_weight, z_of_omega)
 from pfguide.errdyn import rollout
 from pfguide.los import clamp_inputs
-from pfguide.pnmpc import horizon_cost
+from pfguide.pnmpc import horizon_cost, quadratic_form
 
 
 class TestConfig:
@@ -64,20 +65,23 @@ class TestStageCost:
 
 
 class TestTerminalCost:
+    """x'Px, as quadratic_form evaluates it on the terminal weight's rows."""
+
     def test_zero_at_origin(self, demo_config):
-        assert terminal_cost(GuidanceState(0.0, 0.0, 1e-12), demo_config) \
+        P = demo_config.terminal_weight().tolist()
+        assert quadratic_form(0.0, 0.0, 1e-12, P) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_weight(self):
-        cfg = NMPCConfig(P=np.eye(3))
-        assert terminal_cost(GuidanceState(1.0, 2.0, 0.9), cfg) \
+        P = NMPCConfig(P=np.eye(3)).terminal_weight().tolist()
+        assert quadratic_form(1.0, 2.0, 0.9, P) \
             == pytest.approx(1.0 + 4.0 + 0.81, rel=1e-14)
 
     def test_even_symmetry(self, demo_config):
-        a = terminal_cost(GuidanceState(1.0, -2.0, 0.3), demo_config)
-        b = terminal_cost(GuidanceState(-1.0, 2.0, 0.3), demo_config)
-        # z cannot be negated (domain), so compare the quadratic form directly
         P = demo_config.terminal_weight()
+        a = quadratic_form(1.0, -2.0, 0.3, P.tolist())
+        b = quadratic_form(-1.0, 2.0, 0.3, P.tolist())
+        # z cannot be negated (domain), so compare the quadratic form directly
         v = np.array([1.0, -2.0, 0.3])
         assert a == pytest.approx(float(v @ P @ v), rel=1e-14)
         assert b == pytest.approx(float((-v + 2 * np.array([0, 0, 0.3])) @ P
@@ -86,7 +90,7 @@ class TestTerminalCost:
 
     def test_unset_raises(self):
         with pytest.raises(TerminalWeightUnset):
-            terminal_cost(GuidanceState(0, 0, 0.5), NMPCConfig())
+            quadratic_form(0.0, 0.0, 0.5, NMPCConfig().terminal_weight())
 
 
 class TestLyapunov:
@@ -125,6 +129,7 @@ class TestSynthesis:
         """
         cfg = demo_config
         P = cfg.terminal_weight()
+        rows = P.tolist()
         gamma = 0.003
         rng = np.random.default_rng(3)
         count = 0
@@ -142,8 +147,8 @@ class TestSynthesis:
             x = GuidanceState(*xv)
             kf = sglos(x, demo_path, cfg.terminal_law)
             xp = euler_step(x, kf, 0.0, cfg.T_m, demo_path)
-            gap = (terminal_cost(xp, cfg) - terminal_cost(x, cfg)
-                   + stage_cost(x, kf, cfg))
+            gap = (quadratic_form(xp.x_e, xp.y_e, xp.z, rows)
+                   - quadratic_form(*xv, rows) + stage_cost(x, kf, cfg))
             worst = max(worst, gap)
         assert worst <= 1e-4
 
@@ -161,24 +166,21 @@ class TestSynthesis:
 
 
 class TestPredict:
+    """The horizon prediction under the held sway is errdyn.rollout."""
+
     def test_equilibrium_errors_stay_zero(self, xaxis_path, demo_config):
         x = GuidanceState(0.0, 0.0, 0.9)
         u = InputCmd(0.15, 0.0, 0.15)
-        states = predict(x, [u] * demo_config.N, 0.0, demo_config, xaxis_path)
+        states = rollout(x, [u] * demo_config.N, 0.0, demo_config.T_m,
+                         xaxis_path)
         assert all(s.x_e == 0.0 and s.y_e == 0.0 for s in states)
 
     def test_single_step_recursion(self, demo_path, demo_config):
-        from dataclasses import replace
-        cfg = replace(demo_config, N=1)
         x = GuidanceState(1.0, 1.0, 0.5)
         u = InputCmd(0.1, 0.2, 0.1)
-        states = predict(x, [u], 0.0, cfg, demo_path)
-        assert states == [x, euler_step(x, u, 0.0, cfg.T_m, demo_path)]
-
-    def test_wrong_length_rejected(self, demo_path, demo_config):
-        with pytest.raises(ValueError):
-            predict(GuidanceState(0, 0, 0.5), [demo_config.u_ref],
-                    0.0, demo_config, demo_path)
+        states = rollout(x, [u], 0.0, demo_config.T_m, demo_path)
+        assert states == [x, euler_step(x, u, 0.0, demo_config.T_m,
+                                        demo_path)]
 
     def test_against_fine_integration(self, demo_path, demo_config):
         """Coarse prediction approaches a fine-step oracle at first order."""
@@ -196,7 +198,7 @@ class TestPredict:
             return out
 
         ref = fine(1e-3)
-        coarse = predict(x0, useq, 0.0, demo_config, demo_path)
+        coarse = rollout(x0, useq, 0.0, demo_config.T_m, demo_path)
         half = []
         x = x0
         for u in useq:
@@ -224,7 +226,7 @@ class TestSolve:
 
     def test_line_equilibrium_is_stationary(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
-        cfg = cfg.with_terminal(synthesize_terminal_weight(xaxis_path, cfg))
+        cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))
         up = InputCmd(0.15, 0.0, 0.15)
         x = GuidanceState(0.0, 0.0, 0.05)
         res = NMPCSolver(cfg, xaxis_path).solve(x, 0.0, up)
@@ -254,7 +256,7 @@ class TestSolve:
         cfg = NMPCConfig(N=1, Q=np.array([1.0, 1.0, 0.0]),
                          R=np.array([5.0, 5.0, 5.0]),
                          u_ref=InputCmd(10.0, -1.0, 10.0))
-        cfg = cfg.with_terminal(np.eye(3) * 1e-9 + np.diag([1e-6, 1e-6, 0]))
+        cfg = replace(cfg, P=np.eye(3) * 1e-9 + np.diag([1e-6, 1e-6, 0]))
         c = cfg.constraints
         up = InputCmd(0.1, 0.0, 0.3)
         x = GuidanceState(0.0, 0.0, 0.5)

@@ -133,6 +133,17 @@ class TestPathFromConfig:
         with pytest.raises(DomainError):
             path_from_config("polynomial", {"x_coeffs": [1]})
 
+    @pytest.mark.parametrize("name, params", [
+        ("line", {"direction": [math.nan, 0.0]}),
+        ("line", {"direction": [math.inf, 0.0]}),
+        ("line", {"origin": [0.0, -math.inf]}),
+        ("polynomial", {"x_coeffs": [0.0, 1.0], "y_coeffs": [math.nan]}),
+        ("polynomial", {"x_coeffs": [0.0, math.inf], "y_coeffs": [0.0]}),
+    ])
+    def test_rejects_non_finite_parameters(self, name, params):
+        with pytest.raises(DomainError, match="must be finite"):
+            path_from_config(name, params)
+
     def test_polynomial_derivatives_consistent(self):
         poly = polynomial_path([1.0, 0.5, -0.02, 0.001], [0.0, 2.0, 0.03])
         check_path_derivatives(poly, np.linspace(0.5, 20.0, 40))
@@ -148,6 +159,10 @@ class TestPathFromConfig:
 
 
 class TestCheckPathDerivatives:
+    def test_deriv3_required(self, demo_path):
+        with pytest.raises(TypeError):
+            PathDef(demo_path.eval, demo_path.deriv, demo_path.deriv2)
+
     def test_deriv3_checked_when_supplied(self, demo_path):
         check_path_derivatives(demo_path, np.linspace(0.0, 120.0, 100))
         wrong = PathDef(demo_path.eval, demo_path.deriv, demo_path.deriv2,
@@ -155,8 +170,3 @@ class TestCheckPathDerivatives:
                         deriv3=lambda w: (0.0, 0.0))
         with pytest.raises(NonRegularPath, match="bad_deriv3"):
             check_path_derivatives(wrong, np.linspace(0.0, 120.0, 100))
-
-    def test_deriv3_optional(self, demo_path):
-        bare = PathDef(demo_path.eval, demo_path.deriv, demo_path.deriv2)
-        assert bare.deriv3 is None
-        check_path_derivatives(bare, np.linspace(0.0, 120.0, 100))

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pfguide import (GuidanceState, InputCmd, JacobianBlock, NMPCConfig,
-                     NMPCSolver, PNMPCSolver, QPProblem, assemble_G, dynamics,
-                     free_response, horizon_cost, jacobian_block, predict,
-                     sample_path, solve_qp, wrap_angle, z_of_omega)
+                     NMPCSolver, PNMPCSolver, QPProblem, dynamics,
+                     horizon_cost, jacobian_block, sample_path, solve_qp,
+                     wrap_angle, z_of_omega)
+from pfguide import pnmpc
 from pfguide.errdyn import rollout
 from pfguide.los import clamp_inputs
 from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
@@ -57,65 +59,114 @@ class TestJacobianBlock:
                               <= 1e-6 * np.maximum(np.abs(J[:, col]), 1e-3))
 
 
+def paper_G(Jm, N, T_m):
+    """The paper's forced-response matrix in the input increments: block
+    (i, j) = (i-j+1) T_m J on and below the block diagonal."""
+    G = np.zeros((3 * N, 3 * N))
+    for i in range(N):
+        for j in range(i + 1):
+            G[3 * i:3 * i + 3, 3 * j:3 * j + 3] = (i - j + 1) * T_m * Jm
+    return G
+
+
+def increment_difference(N):
+    """Per-step perturbations to increments: I on the block diagonal, -I
+    below it (the inverse of _increment_lower)."""
+    return np.kron(np.eye(N) - np.eye(N, k=-1), np.eye(3))
+
+
+def frozen_operator(monkeypatch, cfg, path, x, up, v, Jm=None):
+    """The S the frozen solver hands to linearized_qp; Jm, when given,
+    replaces the instant-0 input Jacobian."""
+    captured = []
+    real = pnmpc.linearized_qp
+
+    def capture(S, *args):
+        captured.append(S)
+        return real(S, *args)
+
+    monkeypatch.setattr(pnmpc, "linearized_qp", capture)
+    if Jm is not None:
+        monkeypatch.setattr(pnmpc, "jacobian_block",
+                            lambda *args: JacobianBlock(Jm))
+    PNMPCSolver(cfg, path, "frozen").solve(x, v, up)
+    assert len(captured) == 1
+    return captured[0]
+
+
 class TestAssembleG:
-    def test_identity_block_layout(self):
-        J = JacobianBlock(np.eye(3))
-        G = assemble_G(J, 2, 1.0)
+    """The frozen operator S = kron(tril(ones), T_m J) is the paper's G
+    mapped from input increments onto per-step perturbations."""
+
+    x = GuidanceState(0.5, -1.0, 0.3)
+    up = InputCmd(0.1, 0.5, 0.1)
+
+    def test_identity_block_layout(self, monkeypatch, demo_path, demo_config):
+        cfg = replace(demo_config, N=2, T_m=1.0)
+        S = frozen_operator(monkeypatch, cfg, demo_path, self.x, self.up, 0.0,
+                            np.eye(3))
         expect = np.block([[np.eye(3), np.zeros((3, 3))],
-                           [2 * np.eye(3), np.eye(3)]])
-        assert np.array_equal(G.G, expect)
+                           [np.eye(3), np.eye(3)]])
+        assert np.array_equal(S, expect)
+        assert np.array_equal(paper_G(np.eye(3), 2, 1.0)
+                              @ increment_difference(2), expect)
 
-    def test_single_step(self):
-        J = JacobianBlock(np.diag([2.0, 3.0, 4.0]))
-        G = assemble_G(J, 1, 0.5)
-        assert np.array_equal(G.G, 0.5 * J.m)
+    def test_single_step(self, monkeypatch, demo_path, demo_config):
+        Jm = np.diag([2.0, 3.0, 4.0])
+        cfg = replace(demo_config, N=1, T_m=0.5)
+        S = frozen_operator(monkeypatch, cfg, demo_path, self.x, self.up, 0.0,
+                            Jm)
+        assert np.array_equal(S, 0.5 * Jm)
+        assert np.array_equal(S, paper_G(Jm, 1, 0.5))
 
-    def test_block_toeplitz_structure(self):
+    def test_block_toeplitz_structure(self, monkeypatch, demo_path,
+                                      demo_config):
         rng = np.random.default_rng(4)
         Jm = rng.normal(size=(3, 3))
         Jm[2, :2] = 0.0
-        G = assemble_G(JacobianBlock(Jm), 4, 0.7).G
+        cfg = replace(demo_config, N=4, T_m=0.7)
+        S = frozen_operator(monkeypatch, cfg, demo_path, self.x, self.up, 0.0,
+                            Jm)
         for i in range(4):
             for j in range(4):
-                blk = G[3 * i:3 * i + 3, 3 * j:3 * j + 3]
+                blk = S[3 * i:3 * i + 3, 3 * j:3 * j + 3]
                 if j > i:
                     assert np.array_equal(blk, np.zeros((3, 3)))
                 else:
-                    assert np.array_equal(blk, (i - j + 1) * 0.7 * Jm)
+                    assert np.array_equal(blk, 0.7 * Jm)
 
-    def test_matrix_vector_matches_loop_oracle(self):
+    def test_matrix_vector_matches_loop_oracle(self, monkeypatch, demo_path,
+                                               demo_config):
+        """Along real Jacobians, S equals the paper's G times the
+        increment-difference map to rounding, for horizons 1..6."""
         rng = np.random.default_rng(8)
-        Jm = rng.normal(size=(3, 3))
-        Jm[2, :2] = 0.0
-        N, Tm = 3, 1.0
-        G = assemble_G(JacobianBlock(Jm), N, Tm).G
-        du = rng.normal(size=3 * N)
-        # explicit loop: increment at step l contributes (i-l+1) Tm J du_l
-        out = np.zeros(3 * N)
-        for i in range(N):
-            for l in range(i + 1):
-                out[3 * i:3 * i + 3] += (i - l + 1) * Tm * Jm @ du[3 * l:3 * l + 3]
-        assert np.allclose(G @ du, out, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            assemble_G(JacobianBlock(np.eye(3)), 0, 1.0)
-        with pytest.raises(ValueError):
-            assemble_G(JacobianBlock(np.eye(3)), 2, 0.0)
+        worst = 0.0
+        for _ in range(60):
+            N = int(rng.integers(1, 7))
+            T_m = float(rng.choice([0.1, 0.3, 0.5, 1.0]))
+            cfg = replace(demo_config, N=N, T_m=T_m)
+            x = GuidanceState(rng.uniform(-10, 10), rng.uniform(-10, 10),
+                              rng.uniform(0.05, 1.0))
+            up = InputCmd(rng.uniform(0.0, 0.225),
+                          rng.uniform(-math.pi, math.pi),
+                          rng.uniform(0.01, 0.75))
+            v = rng.uniform(-0.15, 0.15)
+            S = frozen_operator(monkeypatch, cfg, demo_path, x, up, v)
+            ref = paper_G(jacobian_block(x, up, v, demo_path).m, N, T_m) \
+                @ increment_difference(N)
+            worst = max(worst, float(np.abs(S - ref).max())
+                        / float(np.abs(ref).max()))
+        assert worst <= 4e-15
 
 
 class TestFreeResponse:
-    def test_equals_constant_prediction(self, demo_path, demo_config):
-        x = GuidanceState(1.0, 2.0, 0.3)
-        up = InputCmd(0.1, 0.2, 0.1)
-        a = free_response(x, up, 0.05, demo_config, demo_path)
-        b = predict(x, [up] * demo_config.N, 0.05, demo_config, demo_path)
-        assert a == b
+    """The prediction under the held previous input is rollout of
+    [u_prev] * N."""
 
     def test_on_path_errors_stay_zero(self, xaxis_path, demo_config):
         x = GuidanceState(0.0, 0.0, 0.5)
-        states = free_response(x, InputCmd(0.15, 0.0, 0.15), 0.0,
-                               demo_config, xaxis_path)
+        states = rollout(x, [InputCmd(0.15, 0.0, 0.15)] * demo_config.N, 0.0,
+                         demo_config.T_m, xaxis_path)
         assert all(s.x_e == 0.0 and s.y_e == 0.0 for s in states)
 
     def test_matches_hand_rolled_recursion(self, demo_path, demo_config):
@@ -138,7 +189,8 @@ class TestFreeResponse:
         ref = [(x.x_e, x.y_e, x.z)]
         for _ in range(3):
             ref.append(step(*ref[-1]))
-        got = free_response(x, up, 0.0, demo_config, demo_path)
+        got = rollout(x, [up] * demo_config.N, 0.0, demo_config.T_m,
+                      demo_path)
         for r, s in zip(ref, got):
             assert s.x_e == pytest.approx(r[0], rel=1e-12)
             assert s.y_e == pytest.approx(r[1], rel=1e-12)
@@ -167,7 +219,7 @@ class TestSensitivity:
         assert np.allclose(S @ d, fd, atol=1e-7)
 
     def test_first_order_residual_locked(self, demo_path, demo_config):
-        """||predict(u+du) - (y_free + G du)|| <= c ||du||^2 with c locked."""
+        """||rollout(u+du) - (y_free + G du)|| <= c ||du||^2 with c locked."""
         cfg = demo_config
         L = _increment_lower(cfg.N)
         rng = np.random.default_rng(7)
@@ -195,7 +247,7 @@ class TestPNMPCSolve:
     def test_equilibrium_returns_hold(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
         from pfguide import synthesize_terminal_weight
-        cfg = cfg.with_terminal(synthesize_terminal_weight(xaxis_path, cfg))
+        cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))
         up = InputCmd(0.15, 0.0, 0.15)
         res = PNMPCSolver(cfg, xaxis_path).solve(
             GuidanceState(0.0, 0.0, 0.05), 0.0, up)
@@ -211,7 +263,7 @@ class TestPNMPCSolve:
         up = InputCmd(0.10, 0.0, 0.20)
         cfg = NMPCConfig(N=1, R=np.array([10.0, 1e9, 1e9]),
                          u_ref=InputCmd(0.15, up.psi, up.u_tar))
-        cfg = cfg.with_terminal(synthesize_terminal_weight(xaxis_path, cfg))
+        cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))
         c = cfg.constraints
         x = GuidanceState(-0.8, 0.0, 0.3)
 
@@ -281,7 +333,7 @@ def _increment_qp_commands(x, up, v, cfg, path, linearization):
     if linearization == "exact":
         G = sensitivity_along(states, hold, v, cfg.T_m, path) @ L
     else:
-        G = assemble_G(jacobian_block(x, up, v, path), N, cfg.T_m).G
+        G = paper_G(jacobian_block(x, up, v, path).m, N, cfg.T_m)
     W, r = horizon_weights(cfg)
     U0 = stack_inputs(hold)
     dev = U0 - reference_stack(cfg, up.psi)

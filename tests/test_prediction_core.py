@@ -1,5 +1,5 @@
 """The float prediction core: analytic state Jacobian, one path frame per
-predicted step, the finite-difference fallback and the guarded SQP step."""
+predicted step and the guarded SQP step."""
 
 import dataclasses
 import logging
@@ -10,21 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pfguide.nmpc as nmpc_mod
-from pfguide import (GuidanceState, InputCmd, NMPCSolver, PathDef, QPSolution,
+from pfguide import (GuidanceState, InputCmd, NMPCSolver, QPSolution,
                      case_study_path, euler_step, horizon_cost, line_path,
-                     polynomial_path, rollout, run_scenario, stage_cost,
-                     state_jacobian, terminal_cost, transient_scenario)
+                     polynomial_path, rollout, stage_cost, state_jacobian)
 from pfguide.errdyn import dynamics_flat, rollout_flat
 from pfguide.paths import path_frame
-from pfguide.pnmpc import sensitivity_along
+from pfguide.pnmpc import quadratic_form
 
 CUBIC = polynomial_path([0.0, 1.0, 0.01, 1e-4], [0.0, 0.5, -0.002, -1e-5])
 PATHS = {"line": line_path(origin=(1.0, -2.0), direction=(0.6, 0.8)),
          "cubic": CUBIC,
          "case_study": case_study_path()}
 
-# z anywhere in [0.01, 1], with extra weight within 1e-6 of 1 where the
-# finite-difference code switched to its one-sided stencil.
+# z anywhere in [0.01, 1], with extra weight within 1e-6 of 1, where the
+# oracle's z stencil crosses z = 1.
 zs = st.one_of(st.floats(min_value=0.01, max_value=1.0),
                st.floats(min_value=1.0 - 1e-6, max_value=1.0))
 errors = st.floats(min_value=-10.0, max_value=10.0)
@@ -96,46 +95,11 @@ def test_horizon_cost_matches_stage_and_terminal_costs(demo_path, demo_config):
     seq = [InputCmd(0.1, 0.3, 0.2), InputCmd(0.15, 0.5, 0.25),
            InputCmd(0.2, 0.2, 0.3)]
     states = rollout(x, seq, 0.02, cfg.T_m, demo_path)
+    xN = states[-1]
     ref = (sum(stage_cost(s, u, cfg) for s, u in zip(states, seq))
-           + cfg.lam * terminal_cost(states[-1], cfg))
+           + cfg.lam * quadratic_form(xN.x_e, xN.y_e, xN.z,
+                                      cfg.terminal_weight().tolist()))
     assert horizon_cost(x, states, seq, cfg) == pytest.approx(ref, rel=1e-12)
-
-
-def _counting(path):
-    """The same path without deriv3, counting its first-derivative calls."""
-    calls = []
-
-    def deriv(w):
-        calls.append(w)
-        return path.deriv(w)
-
-    return PathDef(path.eval, deriv, path.deriv2, name="no_deriv3"), calls
-
-
-def test_fallback_without_deriv3_matches_analytic(demo_path):
-    bare, calls = _counting(demo_path)
-    assert bare.deriv3 is None
-    x = GuidanceState(1.0, -2.0, 0.4)
-    u = InputCmd(0.1, 0.3, 0.2)
-    del calls[:]
-    J_fd = state_jacobian(x, u, 0.05, bare)
-    assert len(calls) == 3  # the frame at z and the central z stencil
-    J = state_jacobian(x, u, 0.05, demo_path)
-    assert np.all(np.abs(J - J_fd) <= 1e-5 * np.maximum(np.abs(J), 1e-3))
-    states = rollout(x, [u] * 3, 0.05, 1.0, demo_path)
-    S = sensitivity_along(states, [u] * 3, 0.05, 1.0, demo_path)
-    S_fd = sensitivity_along(states, [u] * 3, 0.05, 1.0, bare)
-    assert np.allclose(S, S_fd, rtol=1e-6, atol=1e-9)
-
-
-def test_fallback_transient_nmpc_trace_matches(demo_path):
-    sc = transient_scenario("nmpc")
-    bare, calls = _counting(demo_path)
-    analytic = run_scenario(sc)
-    fallback = run_scenario(dataclasses.replace(sc, path=bare))
-    assert len(calls) > 0
-    for col in ("x_e", "y_e"):
-        assert np.max(np.abs(analytic[col] - fallback[col])) <= 1e-6
 
 
 class TestGuardedSQPStep:

@@ -10,7 +10,7 @@ from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
                      InputCmd, LowLevelFilter, NonRegularPath, PathDef,
                      PNMPCSolver, Scenario, Trace, case_study_path,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
-                     predict, realistic_scenario, run_scenario,
+                     realistic_scenario, rollout, run_scenario,
                      transient_scenario)
 from pfguide import sim
 from pfguide.exceptions import ConfigError
@@ -203,7 +203,7 @@ class TestRunScenario:
         for k in range(0, len(tr) - 1):
             x = GuidanceState(tr["x_e"][k], tr["y_e"][k], tr["z"][k])
             u = InputCmd(tr["u_cmd"][k], tr["psi_cmd"][k], tr["u_tar"][k])
-            pred = predict(x, [u] * cfg.N, tr["v"][k], cfg, sc.path)[1]
+            pred = rollout(x, [u] * cfg.N, tr["v"][k], cfg.T_m, sc.path)[1]
             worst = max(worst,
                         math.hypot(pred.x_e - tr["x_e"][k + 1],
                                    pred.y_e - tr["y_e"][k + 1]))
@@ -224,7 +224,8 @@ class TestRunScenario:
         a NaN position from omega = nan_at on."""
         return PathDef(lambda w: (w if w < nan_at else math.nan, 0.0),
                        lambda w: (1.0 if w < stall_at else 0.0, 0.0),
-                       lambda w: (0.0, 0.0), name="broken")
+                       lambda w: (0.0, 0.0), lambda w: (0.0, 0.0),
+                       name="broken")
 
     def test_path_error_carries_plant_step(self):
         sc = Scenario(path=line_path(), x0=0.0, y0=1.0, omega0=0.0,
@@ -268,7 +269,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "sglos", in_law(sim.sglos))
         monkeypatch.setattr(PNMPCSolver, "solve", in_law(PNMPCSolver.solve))
-        path = PathDef(base.eval, deriv, base.deriv2, deriv3=base.deriv3)
+        path = PathDef(base.eval, deriv, base.deriv2, base.deriv3)
         sc = replace(realistic_scenario(law, duration=20.0), path=path)
         sc = replace(sc, nmpc=sc.guidance_config())
         calls.update(sim=0, law=0)
@@ -296,8 +297,7 @@ class TestRunScenario:
             return out
 
         monkeypatch.setattr(sim, "sglos", counting_sglos)
-        path = PathDef(counting_eval, base.deriv, base.deriv2,
-                       deriv3=base.deriv3)
+        path = PathDef(counting_eval, base.deriv, base.deriv2, base.deriv3)
         tr = run_scenario(replace(realistic_scenario("sglos", duration=20.0),
                                   path=path))
         assert len(tr) - 1 == 200
