@@ -29,6 +29,8 @@ class SGLOSParams:
     delta: float = 0.5  # m, lookahead distance
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.k1, self.k2, self.delta))):
+            raise ValueError(f"SGLOS gains must be finite, got {self!r}")
         if self.k1 <= 0.0 or self.k2 <= 0.0 or self.delta <= 0.0:
             raise ValueError(f"SGLOS gains must be positive, got {self!r}")
 
@@ -44,6 +46,9 @@ class InputConstraints:
     dpsi_max: float = math.pi / 4.0  # rad per guidance step
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.eps, self.u_max, self.u_tar_max,
+                                       self.du_max, self.dpsi_max))):
+            raise ValueError(f"bounds must be finite, got {self!r}")
         if not (0.0 < self.eps < self.u_tar_max):
             raise ValueError(f"need 0 < eps < u_tar_max, got {self!r}")
         if self.u_max <= 0.0 or self.du_max <= 0.0 or self.dpsi_max <= 0.0:

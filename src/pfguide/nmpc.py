@@ -13,7 +13,11 @@ SGLOS law as terminal controller.
 The solver is an SQP: each major iteration linearizes the prediction with
 the exact sensitivities and solves the strictly convex QP that
 pnmpc.linearized_qp builds for the step, then backtracks on the true
-nonlinear cost.  The QP's Hessian starts as Gauss-Newton,
+nonlinear cost.  Each QP is handed the working set the previous major
+iteration's QP ended on, so that a QP whose optimal set has not changed
+is settled by one KKT solve (qp.solve_qp); the first QP of a solve starts
+from an empty set.  After a failed line search the same linearization is
+re-solved with more damping.  The QP's Hessian starts as Gauss-Newton,
 2(S'WS + diag r).  Far from the path the residuals are large and that
 Hessian only contracts the stationarity residual linearly, so from the
 first major iteration that leaves more than STALL_RATIO of the previous
@@ -46,7 +50,7 @@ from .pnmpc import (SolveResult, cost_weights, curvature_flat,
                     horizon_cost_flat, horizon_weights, linearized_qp,
                     predicted_states, reference_stack, sensitivity_flat,
                     snap_feasible, stack_inputs, stage_cost_flat, zero_start)
-from .qp import solve_qp
+from .qp import QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -95,6 +99,10 @@ class NMPCConfig:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         if self.N < 1:
             raise ValueError(f"horizon must be >= 1, got {self.N}")
+        if not (math.isfinite(self.lam) and math.isfinite(self.T_m)
+                and np.all(np.isfinite(self.Q))
+                and np.all(np.isfinite(self.R))):
+            raise ValueError("lam, T_m, Q and R must be finite")
         if self.Q.shape != (3,) or self.R.shape != (3,):
             raise ValueError("Q and R must be length-3 diagonals")
         if np.any(self.Q < 0.0) or np.any(self.R < 0.0):
@@ -293,24 +301,32 @@ class NMPCSolver:
         iters = 0
         mu = 0.0  # Levenberg damping; grows when full steps overshoot
         exact = False  # Gauss-Newton Hessian until its contraction stalls
+        qp_warm = self._zero_warm
+        relinearize = True  # False: re-solve the same iterate, more damped
         for it in range(1, self.max_iterations + 1):
-            u_flat = U.tolist()
-            S = sensitivity_flat(X, u_flat, frames, v_k, cfg.T_m, self.path)
-            qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
-                               cfg.constraints)
-            prev_kkt = kkt
-            kkt = _stationarity_residual(qp.g, qp.A, qp.lb, qp.ub)
-            if kkt <= self.kkt_tol:
-                break
+            prev_kkt = kkt  # kkt stays as is at a repeated iterate
+            if relinearize:
+                u_flat = U.tolist()
+                S = sensitivity_flat(X, u_flat, frames, v_k, cfg.T_m,
+                                     self.path)
+                qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
+                                   cfg.constraints)
+                kkt = _stationarity_residual(qp.g, qp.A, qp.lb, qp.ub)
+                if kkt <= self.kkt_tol:
+                    break
+                scale = float(np.trace(qp.H)) / qp.H.shape[0]
+                H_gn = qp.H
+                H_exact = None  # undamped exact Hessian, once needed here
             exact = exact or kkt > STALL_RATIO * prev_kkt
-            scale = float(np.trace(qp.H)) / qp.H.shape[0]
-            if exact:
-                qp.H = _convexified(
-                    qp.H + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
+            if exact and H_exact is None:
+                H_exact = _convexified(
+                    H_gn + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
                                           self.path, self._qp_weights[0]),
-                    qp.H)
-            qp.H = qp.H + mu * scale * self._eye
-            qsol = solve_qp(qp, warm=self._zero_warm)
+                    H_gn)
+            qp.H = (H_exact if exact else H_gn) + mu * scale * self._eye
+            qsol = solve_qp(qp, warm=qp_warm)
+            qp_warm = QPSolution(self._zero_warm.x, qsol.active_set,
+                                 math.inf, 0)
             iters = it
             delta = qsol.x
             if qsol.converged and \
@@ -337,6 +353,7 @@ class NMPCSolver:
                     accepted = True
                     break
                 alpha *= 0.5
+            relinearize = accepted
             if not accepted:
                 if mu >= 1e8:
                     break

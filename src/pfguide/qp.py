@@ -5,12 +5,15 @@ Solves   min  1/2 x^T H x + g^T x   s.t.  lb <= A x <= ub
 with a primal active-set method.  Problem sizes here are tiny (n <= ~30),
 so H is Cholesky-factored and inverted once per solve, and H^-1 A^T and
 A H^-1 A^T are formed once: each working-set change slices them into a
-small Schur system.  The start is the unconstrained minimizer, returned
-as the optimum when it is feasible; otherwise a feasible warm point, else
-a Phase-1 point.  After a full, unblocked step the iterate minimizes on its
-working set, so the next iteration only checks the multipliers.  Ties in
-the ratio test break toward the lowest constraint row, making runs
-reproducible.
+small Schur system.  A warm working set (warm.active_set, typically the
+set the previous QP of an SQP ended on) is checked first with one KKT
+solve of its equality QP, and that point is returned when it satisfies the
+KKT conditions.  Otherwise the start is the unconstrained minimizer,
+returned as the optimum when it is feasible; then a feasible warm point,
+else a Phase-1 point.  After a full, unblocked step the iterate minimizes
+on its working set, so the next iteration only checks the multipliers.
+Ties in the ratio test break toward the lowest constraint row, making
+runs reproducible.
 """
 
 from __future__ import annotations
@@ -130,10 +133,12 @@ def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
     return max(r, float(np.max(np.abs(grad))) / scale)
 
 
-def _polish(H, g, A, lb, ub, x, work) -> np.ndarray:
-    """Re-solve the KKT system at the final active set with one round of
-    iterative refinement; adopt the result only if it stays feasible."""
-    n = x.shape[0]
+def _equality_qp(H, g, A, lb, ub, work):
+    """Minimizer of the QP with the rows of work held at their bounds, and
+    its multipliers mu (grad + Aw^T mu = 0, as in the Schur solves), from
+    one KKT solve with one round of iterative refinement; None when the
+    system is singular."""
+    n = g.shape[0]
     k = len(work)
     KKT = np.zeros((n + k, n + k))
     KKT[:n, :n] = H
@@ -149,11 +154,37 @@ def _polish(H, g, A, lb, ub, x, work) -> np.ndarray:
         sol = np.linalg.solve(KKT, rhs)
         sol += np.linalg.solve(KKT, rhs - KKT @ sol)
     except LinAlgError:
-        return x
-    x_new = sol[:n]
-    if _violation(A, lb, ub, x_new) <= FEAS_TOL:
-        return x_new
-    return x
+        return None
+    return sol[:n], sol[n:]
+
+
+def _warm_set_optimum(H, g, A, lb, ub, work) -> Optional[QPSolution]:
+    """The equality-QP point of the working set work, with one iteration,
+    when it satisfies the KKT conditions (primal feasible, inequality
+    multipliers >= -1e-10, KKT residual <= KKT_TOL), which makes it the
+    optimum; else None.  A set this QP cannot work on misses at once: more
+    than n rows, a repeated or out-of-range row, or a side the row lacks
+    (0 only on an equality row, +-1 only on a finite inequality bound)."""
+    m = lb.shape[0]
+    if len(work) > g.shape[0] or len({row for row, _ in work}) < len(work):
+        return None
+    for row, side in work:
+        if not 0 <= row < m or (side == 0) != (lb[row] == ub[row]) \
+                or not np.isfinite(ub[row] if side >= 0 else lb[row]):
+            return None
+    sol = _equality_qp(H, g, A, lb, ub, work)
+    if sol is None:
+        return None
+    x, mu = sol
+    violation = _violation(A, lb, ub, x)
+    mult = _multipliers(work, mu)
+    if not violation <= FEAS_TOL or any(
+            side != 0 and not lam >= -1e-10
+            for (_, side), lam in mult.items()):
+        return None
+    kkt = _kkt_residual(H, g, A, lb, ub, x, mult, violation)
+    return QPSolution(x, tuple(work), kkt, 1, mult) if kkt <= KKT_TOL \
+        else None
 
 
 def _active_rows(A, lb, ub, x, n) -> list:
@@ -266,7 +297,12 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
                 stat = grad + mu @ A[rows]
                 scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
                 if float(np.max(np.abs(stat), initial=0.0)) <= 1e-6 * scale:
-                    x = _polish(H, g, A, lb, ub, x, work)
+                    # Polish: re-solve the working set's KKT system and
+                    # adopt the result only if it stays feasible.
+                    sol = _equality_qp(H, g, A, lb, ub, work)
+                    if sol is not None and \
+                            _violation(A, lb, ub, sol[0]) <= FEAS_TOL:
+                        x = sol[0]
                     return QPSolution(x, tuple(work),
                                       _kkt_residual(H, g, A, lb, ub, x, mult),
                                       it, mult)
@@ -338,17 +374,25 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
              objective_trace: Optional[list] = None) -> QPSolution:
     """Minimize over the polytope; deterministic for fixed inputs.
 
-    H is factored and inverted once per solve.  The unconstrained minimizer
-    (with one refinement step) is returned at once, with zero iterations,
-    when it is feasible: it is then the optimum.  Otherwise the active-set
-    iteration starts from warm.x if that is feasible, else from a Phase-1
-    point.  Returns the optimum with KKT residual <= 1e-8, or the best
-    feasible iterate with a larger reported residual when the iteration cap
-    is hit.  Raises Infeasible when no point satisfies the constraints.
-    objective_trace, when given, records the per-iteration objective.
+    A non-empty warm.active_set is tried first: the equality QP on that
+    working set is solved once, and its point is returned with one
+    iteration when it satisfies the KKT conditions (then it is the
+    optimum).  Otherwise H is factored and inverted once.  The
+    unconstrained minimizer (with one refinement step) is returned at once,
+    with zero iterations, when it is feasible: it is then the optimum.
+    Otherwise the active-set iteration starts from warm.x if that is
+    feasible, else from a Phase-1 point.  Returns the optimum with KKT
+    residual <= 1e-8, or the best feasible iterate with a larger reported
+    residual when the iteration cap is hit.  Raises Infeasible when no
+    point satisfies the constraints.  objective_trace, when given, records
+    the per-iteration objective.
     """
     H, g, A, lb, ub = prob.H, prob.g, prob.A, prob.lb, prob.ub
     n = g.shape[0]
+    if warm is not None and warm.active_set:
+        sol = _warm_set_optimum(H, g, A, lb, ub, warm.active_set)
+        if sol is not None:
+            return sol
     Hinv = _inverse(H)
     x = -(Hinv @ g)
     x += Hinv @ (-g - H @ x)

@@ -55,6 +55,10 @@ class DisturbanceSpec:
     switch_time: float = 0.0  # s (chirp mirror point)
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.amplitude, self.period,
+                                       self.phase, self.f0, self.f1,
+                                       self.switch_time))):
+            raise ConfigError(f"disturbance numbers must be finite: {self!r}")
         if self.kind == "none":
             return
         if self.amplitude < 0.0:
@@ -156,6 +160,12 @@ class Scenario:
     initial_input: Optional[InputCmd] = None
 
     def __post_init__(self):
+        bad = [name for name in ("x0", "y0", "omega0", "psi0", "u_r", "T_m",
+                                 "T_p", "duration", "converge_band")
+               if getattr(self, name) is not None
+               and not math.isfinite(getattr(self, name))]
+        if bad:
+            raise ConfigError(f"scenario numbers must be finite: {bad}")
         if self.duration <= 0.0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
         if self.T_p <= 0.0 or self.T_m <= 0.0:

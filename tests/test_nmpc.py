@@ -8,8 +8,10 @@ import pytest
 from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
                      NMPCSolver, TerminalWeightUnset,
                      UnstableTerminalLoop, discrete_lyapunov, euler_step,
-                     sample_path, sglos, stage_cost,
-                     synthesize_terminal_weight, z_of_omega)
+                     realistic_scenario, run_scenario, sample_path, sglos,
+                     stage_cost, synthesize_terminal_weight, z_of_omega)
+from pfguide import nmpc as nmpc_mod
+from pfguide import qp as qp_mod
 from pfguide.errdyn import rollout
 from pfguide.los import clamp_inputs
 from pfguide.pnmpc import horizon_cost, quadratic_form
@@ -301,3 +303,75 @@ class TestSolve:
         for cmd in res.u_seq:
             assert clamp_inputs(cmd, prev, c) == cmd
             prev = cmd
+
+
+class TestSQPWork:
+    def test_failed_line_search_keeps_the_linearization(self, monkeypatch,
+                                                        demo_path,
+                                                        demo_config):
+        """The first line search fails (the patched cost rejects every
+        trial), so the damped QP is re-solved at the same iterate: one
+        linearization per distinct iterate, and the exact curvature still
+        switches on at the repeated iterate."""
+        linearized, curved, problems = [], [], []
+        real_sens = nmpc_mod.sensitivity_flat
+        real_curv = nmpc_mod.curvature_flat
+        real_cost = nmpc_mod.horizon_cost_flat
+        real_solve = nmpc_mod.solve_qp
+
+        def sens(X, u_flat, *args):
+            linearized.append(tuple(u_flat))
+            return real_sens(X, u_flat, *args)
+
+        def curv(S, X, u_flat, *args):
+            curved.append(tuple(u_flat))
+            return real_curv(S, X, u_flat, *args)
+
+        def solve(prob, warm=None):
+            problems.append((prob.H.copy(), prob.g.copy()))
+            return real_solve(prob, warm=warm)
+
+        def cost(X, u_flat, weights):
+            # Line-search trials of the first QP step all fail.
+            return math.inf if len(problems) == 1 else \
+                real_cost(X, u_flat, weights)
+
+        for name, fake in (("sensitivity_flat", sens),
+                           ("curvature_flat", curv),
+                           ("horizon_cost_flat", cost), ("solve_qp", solve)):
+            monkeypatch.setattr(nmpc_mod, name, fake)
+        res = NMPCSolver(demo_config, demo_path).solve(
+            GuidanceState(1.38, 5.85, 1.0 / 3.5), 0.0,
+            InputCmd(0.0, 0.56, 0.01))
+        assert res.kkt_residual <= nmpc_mod.KKT_TOL
+        assert len(linearized) == len(set(linearized))
+        # The repeat re-solves the first linearization with more damping.
+        assert np.array_equal(problems[0][1], problems[1][1])
+        assert not np.array_equal(problems[0][0], problems[1][0])
+        assert curved[0] == linearized[0]
+
+    def test_constrained_qps_answered_from_the_warm_set(self, monkeypatch):
+        """Within a solve each QP gets the working set the previous QP
+        ended on; most constrained QPs are settled by that set alone."""
+        results = []
+        passes = []
+        real_solve, real_active_set = nmpc_mod.solve_qp, qp_mod._active_set
+
+        def solve(prob, warm=None):
+            before = len(passes)
+            sol = real_solve(prob, warm=warm)
+            results.append((sol, len(passes) > before))
+            return sol
+
+        def active_set(*args):
+            passes.append(None)
+            return real_active_set(*args)
+
+        monkeypatch.setattr(nmpc_mod, "solve_qp", solve)
+        monkeypatch.setattr(qp_mod, "_active_set", active_set)
+        run_scenario(realistic_scenario("nmpc", duration=60.0))
+        constrained = [(sol, ran) for sol, ran in results if sol.active_set]
+        from_warm = [sol for sol, ran in constrained if not ran]
+        assert len(constrained) >= 100
+        assert all(sol.iterations == 1 and sol.converged for sol in from_warm)
+        assert len(from_warm) >= 0.7 * len(constrained)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pfguide import (Infeasible, QPProblem, QPSolution, qp, realistic_scenario,
-                     run_scenario, solve_qp)
+from pfguide import (Infeasible, QPProblem, QPSolution, nmpc, qp,
+                     realistic_scenario, run_scenario, solve_qp)
 from qp_oracle import qp_oracle, random_feasible_qp
 
 
@@ -144,6 +144,23 @@ class TestTermination:
     next iteration checks the multipliers instead of stepping again."""
 
     def test_no_second_step_on_an_unchanged_working_set(self, monkeypatch):
+        # NMPC hands each QP the previous QP's working set, which answers
+        # most of them without an active-set pass; so the run's QPs are
+        # captured and each is replayed from the zero start, as the
+        # active-set pass meets it when the warm set misses.
+        problems = []
+        real_solve = nmpc.solve_qp
+
+        def capturing_solve(prob, warm=None):
+            problems.append(QPProblem(prob.H.copy(), prob.g.copy(),
+                                      prob.A.copy(), prob.lb.copy(),
+                                      prob.ub.copy()))
+            return real_solve(prob, warm=warm)
+
+        monkeypatch.setattr(nmpc, "solve_qp", capturing_solve)
+        run_scenario(realistic_scenario("nmpc", duration=60.0))
+        monkeypatch.undo()
+
         calls = []  # per _active_set call: start set, steps, result
         active_set, ratio_test = qp._active_set, qp._ratio_test
 
@@ -161,7 +178,9 @@ class TestTermination:
 
         monkeypatch.setattr(qp, "_active_set", recording_active_set)
         monkeypatch.setattr(qp, "_ratio_test", recording_ratio_test)
-        run_scenario(realistic_scenario("nmpc", duration=60.0))
+        for prob in problems:
+            solve_qp(prob, warm=QPSolution(np.zeros(prob.g.shape[0]), (),
+                                           np.inf, 0))
         assert len(calls) >= 100  # constrained QPs were exercised
         repeated = [c for c in calls
                     if any(a[0] and a == b
@@ -171,6 +190,109 @@ class TestTermination:
         settled = [c for c in calls if c["sol"].active_set == c["start"]]
         assert settled
         assert all(c["sol"].iterations == 2 for c in settled)
+
+
+class TestWarmWorkingSet:
+    """A warm active set is checked with one KKT solve of its equality QP;
+    any set that is not the optimal one falls back to the full solve."""
+
+    @staticmethod
+    def _constrained_problems(count):
+        rng = np.random.default_rng(4242)
+        found = []
+        while len(found) < count:
+            H, g, A, lb, ub = random_feasible_qp(rng)
+            cold = solve_qp(QPProblem(H, g, A, lb, ub))
+            if cold.active_set:
+                found.append(((H, g, A, lb, ub), cold.active_set,
+                              qp_oracle(H, g, A, lb, ub)))
+        return found
+
+    @staticmethod
+    def _warm_sets(active, A, lb, ub):
+        """Named working sets around the optimal one; a case that the
+        problem cannot form is left out."""
+        m, n = A.shape
+        out = {"optimal": active}
+        if len(active) > 1:
+            out["subset"] = active[:-1]
+        used = {row for row, _ in active}
+        extra = [(i, 1 if np.isfinite(ub[i]) else -1) for i in range(m)
+                 if i not in used and lb[i] != ub[i]]
+        if extra:
+            out["superset"] = active + (extra[0],)
+        flips = [k for k, (row, side) in enumerate(active)
+                 if side != 0 and np.isfinite(lb[row]) and np.isfinite(ub[row])]
+        if flips:
+            k = flips[0]
+            row, side = active[k]
+            out["wrong_side"] = active[:k] + ((row, -side),) + active[k + 1:]
+        out["duplicated_row"] = active + (active[0],)
+        if m > n:
+            out["more_than_n"] = tuple(
+                (i, 1 if np.isfinite(ub[i]) else -1) for i in range(n + 1))
+        return out
+
+    def test_every_warm_set_matches_the_oracle(self):
+        seen = set()
+        for (H, g, A, lb, ub), active, (J_ref, x_ref) in \
+                self._constrained_problems(40):
+            n = g.shape[0]
+            for name, work in self._warm_sets(active, A, lb, ub).items():
+                seen.add(name)
+                sol = solve_qp(QPProblem(H, g, A, lb, ub),
+                               warm=QPSolution(np.zeros(n), work, np.inf, 0))
+                J = 0.5 * sol.x @ H @ sol.x + g @ sol.x
+                assert sol.converged, name
+                assert np.max(np.abs(sol.x - x_ref)) <= 1e-7, name
+                assert abs(J - J_ref) <= 1e-8, name
+                if name == "optimal":
+                    assert sol.iterations == 1
+                    assert sol.active_set == active
+                    assert np.max(np.abs(sol.x - x_ref)) <= 1e-9
+        assert seen == {"optimal", "subset", "superset", "wrong_side",
+                        "duplicated_row", "more_than_n"}
+
+    @pytest.mark.parametrize("g, ub, x_opt, active", [
+        # x = 0 on row 0 has multiplier -1e-9: within the KKT residual's
+        # 1e-8, but below the active-set exit's -1e-10.
+        (1e-9, [0.0, np.inf], -1e-9, ()),
+        # x = 0 on row 0 violates row 1 by 5e-9: within the KKT residual's
+        # 1e-8, but above FEAS_TOL.
+        (-1.0, [0.0, -5e-9], -5e-9, ((1, +1),)),
+    ], ids=["multiplier_sign", "feasibility"])
+    def test_near_kkt_sets_fall_back(self, g, ub, x_opt, active):
+        sol = solve_qp(QPProblem(np.eye(1), [g], np.ones((2, 1)),
+                                 np.full(2, -np.inf), ub),
+                       warm=QPSolution(np.zeros(1), ((0, +1),), np.inf, 0))
+        assert sol.active_set == active
+        assert sol.x[0] == pytest.approx(x_opt, abs=1e-15)
+
+    @pytest.mark.parametrize("work", [((0, +1), (0, +1)),
+                                      ((0, +1), (1, +1), (2, +1)),
+                                      ((7, +1),), ((0, 0),), ((1, -1),)],
+                             ids=["repeated", "more_than_n", "out_of_range",
+                                  "side_0_on_inequality", "infinite_bound"])
+    def test_impossible_sets_miss_before_any_solve(self, work, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("no KKT solve for an impossible set")
+
+        monkeypatch.setattr(qp, "_equality_qp", no_solve)
+        A = np.eye(2)
+        lb, ub = np.array([-1.0, -np.inf]), np.array([0.5, 0.5])
+        assert qp._warm_set_optimum(np.eye(2), -np.ones(2), A, lb, ub,
+                                    work) is None
+
+    def test_empty_warm_set_takes_the_usual_path(self, monkeypatch):
+        def no_check(*args):
+            raise AssertionError("an empty warm set must not be checked")
+
+        monkeypatch.setattr(qp, "_warm_set_optimum", no_check)
+        sol = solve_qp(QPProblem(np.eye(2), -np.ones(2), np.eye(2),
+                                 np.full(2, -np.inf), np.full(2, 0.5)),
+                       warm=QPSolution(np.zeros(2), (), np.inf, 0))
+        assert sol.active_set == ((0, 1), (1, 1))
+        assert sol.converged
 
 
 class TestMultipliers:

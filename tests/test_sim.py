@@ -7,8 +7,9 @@ import pytest
 from dataclasses import replace
 
 from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
-                     InputCmd, LowLevelFilter, NonRegularPath, PathDef,
-                     PNMPCSolver, Scenario, Trace, case_study_path,
+                     InputCmd, InputConstraints, LowLevelFilter, NMPCConfig,
+                     NonRegularPath, PathDef, PNMPCSolver, Scenario,
+                     SGLOSParams, Trace, case_study_path,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
                      realistic_scenario, rollout, run_scenario,
                      transient_scenario)
@@ -134,6 +135,39 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Scenario(path=line_path(), x0=0, y0=0, omega0=0.0, law="pid",
                      duration=10.0)
+
+
+NAN, INF = math.nan, math.inf
+
+
+def _scenario(**kw):
+    return Scenario(**{"path": line_path(), "x0": 0.0, "y0": 0.0,
+                       "omega0": 0.0, **kw})
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: InputConstraints(du_max=NAN), ValueError),
+    (lambda: InputConstraints(u_max=INF), ValueError),
+    (lambda: InputConstraints(eps=-INF), ValueError),
+    (lambda: SGLOSParams(k1=NAN), ValueError),
+    (lambda: SGLOSParams(delta=INF), ValueError),
+    (lambda: DisturbanceSpec(kind="sinusoid", amplitude=NAN, period=60.0),
+     ConfigError),
+    (lambda: DisturbanceSpec(kind="chirp_mirror", amplitude=0.1, f0=0.01,
+                             f1=0.02, switch_time=INF), ConfigError),
+    (lambda: NMPCConfig(lam=NAN), ValueError),
+    (lambda: NMPCConfig(T_m=INF), ValueError),
+    (lambda: NMPCConfig(Q=np.array([1.0, 1.0, NAN])), ValueError),
+    (lambda: _scenario(converge_band=NAN), ConfigError),
+    (lambda: _scenario(x0=NAN), ConfigError),
+    (lambda: _scenario(psi0=INF), ConfigError),
+    (lambda: transient_scenario(duration=NAN), ConfigError),
+], ids=["du_max-nan", "u_max-inf", "eps-minus-inf", "k1-nan", "delta-inf",
+        "amplitude-nan", "switch_time-inf", "lam-nan", "T_m-inf", "Q-nan",
+        "converge_band-nan", "x0-nan", "psi0-inf", "duration-nan"])
+def test_library_types_reject_non_finite_numbers(build, error):
+    with pytest.raises(error, match="finite"):
+        build()
 
 
 class TestRunScenario:
