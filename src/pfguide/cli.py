@@ -161,6 +161,8 @@ def _check_curvature(path, samples: int, seed: int) -> float:
 
 
 def _cmd_check_derivatives(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     failures = 0
     omegas = np.linspace(0.0, 120.0, 100)
     for path in (case_study_path(), line_path(),

@@ -257,6 +257,12 @@ class NMPCSolver:
     def __init__(self, cfg: NMPCConfig, path: PathDef,
                  kkt_tol: float = KKT_TOL, max_iterations: int = MAX_MAJOR_ITER):
         cfg.terminal_weight()  # fail fast when unset
+        if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
+            raise ValueError(f"kkt_tol must be finite and > 0, got {kkt_tol}")
+        if isinstance(max_iterations, bool) \
+                or not isinstance(max_iterations, int) or max_iterations < 1:
+            raise ValueError(
+                f"max_iterations must be an int >= 1, got {max_iterations!r}")
         self.cfg = cfg
         self.path = path
         self.kkt_tol = kkt_tol

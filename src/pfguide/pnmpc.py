@@ -337,8 +337,11 @@ def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
     W, r_vec = weights
     X0 = np.array(X[3:])
     WS = W @ S
-    H = 2.0 * (S.T @ WS + np.diag(r_vec))
-    H = 0.5 * (H + H.T)
+    # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal bit
+    # for bit to 0.5(H0 + H0') with H0 = 2(M + diag r): scaling by 2 is exact.
+    H = S.T @ WS
+    H += H.T
+    H.flat[::H.shape[0] + 1] += 2.0 * r_vec
     g = 2.0 * (WS.T @ X0 + r_vec * (U - Uref))
     A, lo, hi = _sqp_rows(U.shape[0] // 3, c)
     cur = A @ U

@@ -14,10 +14,18 @@ else a Phase-1 point.  After a full, unblocked step the iterate minimizes
 on its working set, so the next iteration only checks the multipliers.
 Ties in the ratio test break toward the lowest constraint row, making
 runs reproducible.
+
+The per-row scans (the working-set detection, the ratio test, the
+tiny-step test, the multiplier check and the KKT residual) take one
+tolist() of the numpy product they need and loop over plain floats: with
+at most a dozen rows, numpy temporaries cost more than the arithmetic.
+Each step is the same IEEE operation on the same operands as an array
+form, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -44,8 +52,8 @@ class QPProblem:
     H: np.ndarray   # (n, n) symmetric positive definite (after regularization)
     g: np.ndarray   # (n,)
     A: np.ndarray   # (m, n)
-    lb: np.ndarray  # (m,) entries may be -inf
-    ub: np.ndarray  # (m,) entries may be +inf
+    lb: np.ndarray  # (m,) entries may be -inf, never NaN or +inf
+    ub: np.ndarray  # (m,) entries may be +inf, never NaN or -inf
 
     def __post_init__(self):
         self.H = np.asarray(self.H, dtype=float)
@@ -61,8 +69,11 @@ class QPProblem:
             raise ValueError(f"A must be ({m},{n}), got {self.A.shape}")
         if self.ub.shape != (m,):
             raise ValueError("lb and ub must have matching shapes")
-        if np.any(self.lb > self.ub):
-            raise ValueError("lb must not exceed ub")
+        if not (self.lb <= self.ub).all():  # a NaN bound fails it too
+            raise ValueError("lb must not exceed ub, and no bound may be NaN")
+        if self.lb.max(initial=-np.inf) == np.inf \
+                or self.ub.min(initial=np.inf) == -np.inf:
+            raise ValueError("lb must be below +inf and ub above -inf")
 
 
 @dataclass
@@ -103,12 +114,17 @@ def _violation(A, lb, ub, x) -> float:
     return float(max((r - ub).max(initial=0.0), (lb - r).max(initial=0.0)))
 
 
+def _grad_scale(g) -> float:
+    """Scale of the stationarity and complementarity tests: max(1, |g|_inf)."""
+    return max(1.0, max(map(abs, g.tolist()), default=0.0))
+
+
 def _multipliers(work, mu) -> dict:
     """Multipliers by (row, side) from the Schur solution of
     grad + Aw^T mu = 0: an upper bound keeps mu and a lower bound flips its
     sign, so both read >= 0 at an optimum; equality rows keep mu."""
-    return {(row, side): float(mu_k) if side >= 0 else -float(mu_k)
-            for (row, side), mu_k in zip(work, mu)}
+    return {(row, side): mu_k if side >= 0 else -mu_k
+            for (row, side), mu_k in zip(work, mu.tolist())}
 
 
 def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
@@ -116,21 +132,21 @@ def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
     gradient magnitude so badly scaled Hessians stay certifiable.
     violation, when given, is the caller's _violation at x."""
     grad = H @ x + g
-    scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
+    scale = _grad_scale(g)
     r = _violation(A, lb, ub, x) if violation is None else violation
     if mult:
-        rows = np.array([row for row, _ in mult])
-        sides = np.array([side for _, side in mult])
-        lam = np.array(list(mult.values()))
+        rows = [row for row, _ in mult]
         # Stationarity: grad + sum(lam_ub * a) - sum(lam_lb * a) = 0, lam >= 0.
         Aw = A[rows]
-        grad = grad + np.where(sides >= 0, lam, -lam) @ Aw
-        res = Aw @ x
-        slack = np.where(sides >= 0, ub[rows] - res, res - lb[rows])
-        ineq = sides != 0  # equality multipliers are sign-free
-        r = max(r, float(np.max(-lam[ineq], initial=0.0)) / scale,  # sign
-                float(np.max(np.abs(lam * slack)[ineq], initial=0.0)) / scale)
-    return max(r, float(np.max(np.abs(grad))) / scale)
+        grad = grad + np.array([lam if side >= 0 else -lam
+                                for (_, side), lam in mult.items()]) @ Aw
+        worst = 0.0  # sign and complementarity of the inequality rows
+        for ((row, side), lam), res in zip(mult.items(), (Aw @ x).tolist()):
+            if side:  # equality multipliers are sign-free
+                slack = ub.item(row) - res if side > 0 else res - lb.item(row)
+                worst = max(worst, -lam, abs(lam * slack))
+        r = max(r, worst / scale)
+    return max(r, max(map(abs, grad.tolist())) / scale)
 
 
 def _equality_qp(H, g, A, lb, ub, work):
@@ -190,12 +206,20 @@ def _warm_set_optimum(H, g, A, lb, ub, work) -> Optional[QPSolution]:
 def _active_rows(A, lb, ub, x, n) -> list:
     """Working set of the rows active at x, at most n of them, in row
     order: equality rows, then rows at their upper, else lower bound."""
-    r = A @ x
-    eq = lb == ub
-    at_ub = ~eq & (r >= ub - FEAS_TOL) & np.isfinite(ub)
-    at_lb = ~eq & (r <= lb + FEAS_TOL) & np.isfinite(lb)
-    return [(int(i), 0 if eq[i] else (1 if at_ub[i] else -1))
-            for i in np.flatnonzero(eq | at_ub | at_lb)[:n]]
+    work = []
+    for i, (res, lo, hi) in enumerate(zip((A @ x).tolist(), lb.tolist(),
+                                          ub.tolist())):
+        if lo == hi:
+            work.append((i, 0))
+        elif res >= hi - FEAS_TOL and math.isfinite(hi):
+            work.append((i, 1))
+        elif res <= lo + FEAS_TOL and math.isfinite(lo):
+            work.append((i, -1))
+        else:
+            continue
+        if len(work) == n:
+            break
+    return work
 
 
 def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
@@ -207,17 +231,18 @@ def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
     infinite bound or a row d leaves parallel.  Rows that can block are
     scanned in ascending order, so ties break toward the lowest row.
     """
-    Ad = A @ d
-    step = np.divide(np.where(Ad > 0.0, ub, lb) - A @ x, Ad,
-                     out=np.full(Ad.shape[0], np.inf),
-                     where=np.abs(Ad) > _DIR_TOL)
-    step[rows] = np.inf
     alpha = 1.0
     blocker = None
-    for i in np.flatnonzero(step < alpha - 1e-15):
-        if step[i] < alpha - 1e-15:
-            alpha = max(float(step[i]), 0.0)
-            blocker = (int(i), 1 if Ad[i] > 0.0 else -1)
+    for i, (ad, res) in enumerate(zip((A @ d).tolist(), (A @ x).tolist())):
+        if ad > _DIR_TOL:
+            step, side = (ub.item(i) - res) / ad, 1
+        elif ad < -_DIR_TOL:
+            step, side = (lb.item(i) - res) / ad, -1
+        else:
+            continue
+        if step < alpha - 1e-15 and i not in rows:
+            alpha = max(step, 0.0)
+            blocker = (i, side)
     return alpha, blocker
 
 
@@ -243,6 +268,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     # Warm sets are re-detected from the point itself, which keeps the set
     # consistent after bound changes.
     work = _active_rows(A, lb, ub, x, n)
+    scale = _grad_scale(g)
     at_minimizer = False  # the last step was full and unblocked
     for it in range(1, 50 * (m + 1) + 1):
         grad = H @ x + g
@@ -276,9 +302,8 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
 
         # A dependent or noisy working set yields phantom steps that do not
         # move the objective; treat those like a stationary point too.
-        tiny_d = float(np.abs(d).max(initial=0.0)) <= \
-            _ZERO_STEP * (1.0 + float(np.abs(x).max(initial=0.0)))
-        if tiny_d:
+        tiny = _ZERO_STEP * (1.0 + max(map(abs, x.tolist()), default=0.0))
+        if all(abs(d_i) <= tiny for d_i in d.tolist()):
             # Stationary on the working set; check multiplier signs and drop
             # the most negative inequality multiplier (lowest row on ties).
             at_minimizer = False
@@ -294,18 +319,18 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             if worst is None:
                 # Guard against sign-valid garbage multipliers from a
                 # dependent working set: require genuine stationarity.
-                stat = grad + mu @ A[rows]
-                scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
-                if float(np.max(np.abs(stat), initial=0.0)) <= 1e-6 * scale:
+                stat = (grad + mu @ A[rows]).tolist()
+                if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
                     # Polish: re-solve the working set's KKT system and
                     # adopt the result only if it stays feasible.
                     sol = _equality_qp(H, g, A, lb, ub, work)
-                    if sol is not None and \
-                            _violation(A, lb, ub, sol[0]) <= FEAS_TOL:
-                        x = sol[0]
-                    return QPSolution(x, tuple(work),
-                                      _kkt_residual(H, g, A, lb, ub, x, mult),
-                                      it, mult)
+                    violation = None  # at x, when the polish sets it
+                    if sol is not None:
+                        v = _violation(A, lb, ub, sol[0])
+                        if v <= FEAS_TOL:
+                            x, violation = sol[0], v
+                    kkt = _kkt_residual(H, g, A, lb, ub, x, mult, violation)
+                    return QPSolution(x, tuple(work), kkt, it, mult)
                 # Dependent set: discard the lowest-index inequality row.
                 for k, (_, side) in enumerate(work):
                     if side != 0:

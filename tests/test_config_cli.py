@@ -200,6 +200,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "all derivative checks passed" in out
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_check_derivatives_needs_a_sample(self, samples, capsys):
+        assert cli.main(["check-derivatives", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert "passed" not in captured.out
+
 
 @pytest.mark.parametrize("name, preset", [("transient.json", transient_scenario),
                                           ("realistic.json", realistic_scenario)])

@@ -226,6 +226,24 @@ class TestSolve:
         with pytest.raises(TerminalWeightUnset):
             NMPCSolver(NMPCConfig(), demo_path)
 
+    @pytest.mark.parametrize("kkt_tol", [math.nan, math.inf, 0.0, -1e-6])
+    def test_kkt_tol_must_be_finite_and_positive(self, demo_path,
+                                                 demo_config, kkt_tol):
+        with pytest.raises(ValueError, match="kkt_tol"):
+            NMPCSolver(demo_config, demo_path, kkt_tol=kkt_tol)
+
+    @pytest.mark.parametrize("max_iterations", [0, -2, True, 3.0, "5"])
+    def test_max_iterations_must_be_a_positive_int(self, demo_path,
+                                                   demo_config,
+                                                   max_iterations):
+        with pytest.raises(ValueError, match="max_iterations"):
+            NMPCSolver(demo_config, demo_path, max_iterations=max_iterations)
+
+    def test_valid_solver_arguments_kept(self, demo_path, demo_config):
+        solver = NMPCSolver(demo_config, demo_path, kkt_tol=1e-4,
+                            max_iterations=1)
+        assert (solver.kkt_tol, solver.max_iterations) == (1e-4, 1)
+
     def test_line_equilibrium_is_stationary(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
         cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))

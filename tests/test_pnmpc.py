@@ -243,6 +243,29 @@ class TestSensitivity:
         assert worst <= 4.0  # measured ~1.8 on this distribution
 
 
+class TestLinearizedQP:
+    def test_hessian_exactly_symmetric_and_bitwise_unchanged(self,
+                                                             demo_config):
+        # H is built as M + M' + diag(2r), M = S'WS; it must equal the
+        # symmetrized 2(S'WS + diag r) bit for bit.
+        cfg = demo_config
+        N = cfg.N
+        rng = np.random.default_rng(41)
+        up = InputCmd(0.1, 0.2, 0.3)
+        for _ in range(50):
+            S = rng.normal(size=(3 * N, 3 * N)) * rng.choice([1e-3, 1.0, 40.0])
+            B = rng.normal(size=(3 * N, 3 * N))
+            W = B.T @ B
+            r = rng.random(3 * N) * rng.choice([1e-4, 1.0, 1e3])
+            X = rng.normal(size=3 * (N + 1)).tolist()
+            U = stack_inputs([up] * N)
+            H = pnmpc.linearized_qp(S, X, U, up, U, (W, r),
+                                    cfg.constraints).H
+            H0 = 2.0 * (S.T @ (W @ S) + np.diag(r))
+            assert np.array_equal(H, H.T)
+            assert H.tobytes() == (0.5 * (H0 + H0.T)).tobytes()
+
+
 class TestPNMPCSolve:
     def test_equilibrium_returns_hold(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))

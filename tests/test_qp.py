@@ -42,6 +42,15 @@ class TestShapes:
             QPProblem(np.eye(2), np.zeros(2), np.eye(2),
                       np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("lb, ub", [
+        ([np.nan], [1.0]),
+        ([-1.0], [np.nan]),
+        ([np.inf], [np.inf]),
+        ([-np.inf], [-np.inf])])
+    def test_nan_and_unreachable_bounds_rejected(self, lb, ub):
+        with pytest.raises(ValueError):
+            QPProblem(np.eye(1), np.zeros(1), np.eye(1), lb, ub)
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             QPProblem(np.eye(3), np.zeros(2), np.zeros((0, 2)),
@@ -67,6 +76,18 @@ class TestBasics:
         sol = solve_qp(QPProblem(np.eye(2), np.zeros(2), A,
                                  np.array([1.0]), np.array([1.0])))
         assert sol.x == pytest.approx([0.5, 0.5], abs=1e-10)
+
+    def test_dependent_working_set_is_not_taken_for_stationary(self):
+        # Both rows bound x0 <= 0.5 and are active at the start: the square
+        # working set is singular and its least-squares multipliers are
+        # sign-valid but not stationary, so a row must be dropped.
+        prob = QPProblem(np.eye(2), np.array([-1.0, -1.0]),
+                         np.array([[1.0, 0.0], [2.0, 0.0]]),
+                         np.full(2, -np.inf), np.array([0.5, 1.0]))
+        sol = solve_qp(prob, warm=QPSolution(np.array([0.5, 0.0]), (),
+                                             np.inf, 0))
+        assert sol.converged
+        assert sol.x == pytest.approx([0.5, 1.0], abs=1e-12)
 
     def test_infeasible_detected(self):
         A = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -343,6 +364,25 @@ def ratio_test_loop(A, lb, ub, x, d, rows):
     return alpha, blocker
 
 
+def kkt_residual_arrays(H, g, A, lb, ub, x, mult, violation=None):
+    """Array-form reference for qp._kkt_residual."""
+    grad = H @ x + g
+    scale = max(1.0, float(np.max(np.abs(g), initial=0.0)))
+    r = qp._violation(A, lb, ub, x) if violation is None else violation
+    if mult:
+        rows = np.array([row for row, _ in mult])
+        sides = np.array([side for _, side in mult])
+        lam = np.array(list(mult.values()))
+        Aw = A[rows]
+        grad = grad + np.where(sides >= 0, lam, -lam) @ Aw
+        res = Aw @ x
+        slack = np.where(sides >= 0, ub[rows] - res, res - lb[rows])
+        ineq = sides != 0
+        r = max(r, float(np.max(-lam[ineq], initial=0.0)) / scale,
+                float(np.max(np.abs(lam * slack)[ineq], initial=0.0)) / scale)
+    return max(r, float(np.max(np.abs(grad))) / scale)
+
+
 class TestRowScansMatchLoops:
     """The array forms of the working-set detection and the ratio test keep
     the row-by-row semantics exactly, lowest-row tie rule included."""
@@ -388,6 +428,57 @@ class TestRowScansMatchLoops:
             assert got == ratio_test_loop(A, lb, ub, x, d, rows)
             blocked += got[1] is not None
         assert 100 < blocked < 400
+
+
+class TestKKTResidualMatchesArrays:
+    """The float form of the KKT residual returns exactly what the array
+    form returns, for every side, an empty set and a passed violation."""
+
+    @staticmethod
+    def _problem(rng):
+        """Rows at, near or away from their bounds at x, multipliers of
+        either sign, and g near stationarity or not, so that violation,
+        sign, complementarity and stationarity each decide the residual."""
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(0, 12))
+        A = rng.normal(size=(m, n))
+        x = rng.normal(size=n)
+        r = A @ x
+        off = rng.choice([0.0, 1e-9, -1e-9, 0.3, 1.0, 4.0], size=(2, m))
+        lb, ub = r - off[0], r + off[1]
+        lb[rng.random(m) < 0.2] = -np.inf
+        ub[rng.random(m) < 0.2] = np.inf
+        eq = rng.random(m) < 0.15
+        lb[eq] = ub[eq] = r[eq]
+        ub = np.maximum(lb, ub)
+        mult = {}
+        for row in rng.permutation(m)[:int(rng.integers(0, m + 1))].tolist():
+            sides = [0] if lb[row] == ub[row] else \
+                [s for s, b in ((1, ub[row]), (-1, lb[row])) if np.isfinite(b)]
+            if sides:
+                side = sides[int(rng.integers(len(sides)))]
+                mult[(row, side)] = float(rng.normal())
+        M = rng.normal(size=(n, n))
+        H = M.T @ M + np.eye(n)
+        push = np.zeros(n)
+        for (row, side), lam in mult.items():
+            push += (lam if side >= 0 else -lam) * A[row]
+        g = -(H @ x) - push + rng.normal(size=n) * rng.choice([0.0, 1e-7, 1.0])
+        return H, g, A, lb, ub, x, mult
+
+    def test_random_multiplier_sets(self):
+        rng = np.random.default_rng(33)
+        sides_seen = set()
+        for _ in range(600):
+            H, g, A, lb, ub, x, mult = self._problem(rng)
+            sides_seen.update(side for _, side in mult)
+            for violation in (None, 0.0, float(rng.random())):
+                for mset in (mult, {}):
+                    got = qp._kkt_residual(H, g, A, lb, ub, x, mset, violation)
+                    assert type(got) is float
+                    assert got == kkt_residual_arrays(H, g, A, lb, ub, x,
+                                                      mset, violation)
+        assert sides_seen == {-1, 0, 1}
 
 
 class TestInvariantsAndWarmStart:
