@@ -78,26 +78,35 @@ def _clip(value: float, lo: float, hi: float) -> float:
     return lo if value < lo else hi if value > hi else value
 
 
-def _rate_project(u: float, psi: float, prev: InputCmd,
+def _rate_project(u: float, psi: float, prev_u: float, prev_psi: float,
                   c: InputConstraints) -> Tuple[float, float]:
-    """Project (u, psi) into the rate set around prev.
+    """Project (u, psi) into the rate set around (prev_u, prev_psi).
 
     psi must already be wrapped.  Values inside the set pass through
     bit-exactly; clipped values are rebuilt from the same endpoint
     expressions the membership test uses, so projection and test agree
     with no tolerance.
     """
-    du = u - prev.u
+    du = u - prev_u
     if du > c.du_max:
-        u = prev.u + c.du_max
+        u = prev_u + c.du_max
     elif du < -c.du_max:
-        u = prev.u - c.du_max
-    dpsi = wrap_angle(psi - prev.psi)
+        u = prev_u - c.du_max
+    dpsi = wrap_angle(psi - prev_psi)
     if dpsi > c.dpsi_max:
-        psi = wrap_angle(prev.psi + c.dpsi_max)
+        psi = wrap_angle(prev_psi + c.dpsi_max)
     elif dpsi < -c.dpsi_max:
-        psi = wrap_angle(prev.psi - c.dpsi_max)
+        psi = wrap_angle(prev_psi - c.dpsi_max)
     return u, psi
+
+
+def clamp_flat(u: float, psi: float, u_tar: float, prev_u: float,
+               prev_psi: float, c: InputConstraints
+               ) -> Tuple[float, float, float]:
+    """clamp_inputs on plain floats: the projected (u, psi, u_tar) of a raw
+    command, given the previous command's surge and heading."""
+    u, psi = _rate_project(u, wrap_angle(psi), prev_u, prev_psi, c)
+    return _clip(u, 0.0, c.u_max), psi, _clip(u_tar, c.eps, c.u_tar_max)
 
 
 def clamp_inputs(raw: InputCmd, prev: InputCmd, c: InputConstraints) -> InputCmd:
@@ -110,10 +119,8 @@ def clamp_inputs(raw: InputCmd, prev: InputCmd, c: InputConstraints) -> InputCmd
     turn.  The projection is a bitwise fixed point: clamping an already
     clamped command returns it unchanged.
     """
-    u, psi = _rate_project(raw.u, wrap_angle(raw.psi), prev, c)
-    u = _clip(u, 0.0, c.u_max)
-    u_tar = _clip(raw.u_tar, c.eps, c.u_tar_max)
-    return InputCmd(u, psi, u_tar)
+    return InputCmd(*clamp_flat(raw.u, raw.psi, raw.u_tar, prev.u,
+                                prev.psi, c))
 
 
 def in_box(cmd: InputCmd, c: InputConstraints) -> bool:
@@ -125,7 +132,8 @@ def in_box(cmd: InputCmd, c: InputConstraints) -> bool:
 
 def in_rate(cmd: InputCmd, prev: InputCmd, c: InputConstraints) -> bool:
     """Membership of the rate set: cmd is a fixed point of the projection."""
-    u, psi = _rate_project(cmd.u, wrap_angle(cmd.psi), prev, c)
+    u, psi = _rate_project(cmd.u, wrap_angle(cmd.psi), prev.u,
+                           prev.psi, c)
     return u == cmd.u and psi == cmd.psi
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .angles import unwrap_near, wrap_angle
 from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
 from .exceptions import QPFailure
-from .los import InputConstraints, clamp_inputs, require_in_box
+from .los import InputConstraints, clamp_flat, require_in_box
 from .paths import Frame, PathDef, omega_of_z, path_frame
 # Unused here since the prediction core samples through path_frame; the
 # binding stays because perfbench's tracer tests expect pnmpc.sample_path.
@@ -155,17 +155,28 @@ def sensitivity_flat(X: Sequence[float], U: Sequence[float],
     step, as rollout_flat returns them.  Maps per-step absolute input
     perturbations (stacked, 3N) to the stacked predicted-state
     perturbations (states 1..N).
+
+    Block (i, i) is T_m B_i and block row i below the diagonal is
+    (I + T_m A_i) times block row i-1.  All B blocks and all A blocks
+    become one array each, and the diagonal blocks are written through one
+    strided view; only the block-row recursion loops, with the operands
+    and layouts of a per-block build, so the bits are the same.
     """
     N = len(frames)
+    jac = [_jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1], U[r + 2], v,
+                      frame, path)
+           for r, frame in zip(range(0, 3 * N, 3), frames)]
     S = np.zeros((3 * N, 3 * N))
-    for i in range(N):
+    row, col = S.strides
+    diagonal = np.ndarray((N, 3, 3), buffer=S,
+                          strides=(3 * (row + col), row, col))
+    diagonal[...] = T_m * np.array(
+        [b for B, _ in jac for B_row in B for b in B_row]).reshape(N, 3, 3)
+    Ad = _EYE3 + T_m * np.array(  # Ad[0] goes unused
+        [a for _, A in jac for A_row in A for a in A_row]).reshape(N, 3, 3)
+    for i in range(1, N):
         r = 3 * i
-        B, A = _jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1],
-                          U[r + 2], v, frames[i], path)
-        if i > 0:
-            Ad = _EYE3 + T_m * np.array(A)
-            S[r:r + 3, :r] = Ad @ S[r - 3:r, :r]
-        S[r:r + 3, r:r + 3] = T_m * np.array(B)
+        S[r:r + 3, :r] = Ad[i] @ S[r - 3:r, :r]
     return S
 
 
@@ -400,15 +411,16 @@ def snap_feasible(U: np.ndarray, u_prev: InputCmd,
 
     The QP enforces the constraints to solver tolerance; this final pass
     replays the same projection the membership checks use so the returned
-    commands satisfy them bit-exactly.
+    commands satisfy them bit-exactly.  Each step goes through
+    los.clamp_flat on plain floats, the projection clamp_inputs applies,
+    with the previous step's projected surge and heading.
     """
     cmds = []
-    prev = u_prev
-    for j in range(U.shape[0] // 3):
-        raw = InputCmd(float(U[3 * j]), wrap_angle(float(U[3 * j + 1])),
-                       float(U[3 * j + 2]))
-        prev = clamp_inputs(raw, prev, c)
-        cmds.append(prev)
+    u, psi = u_prev.u, u_prev.psi
+    Ul = U.tolist()
+    for j in range(0, len(Ul) - 2, 3):
+        u, psi, u_tar = clamp_flat(Ul[j], Ul[j + 1], Ul[j + 2], u, psi, c)
+        cmds.append(InputCmd(u, psi, u_tar))
     return tuple(cmds)
 
 

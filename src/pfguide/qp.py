@@ -15,12 +15,21 @@ on its working set, so the next iteration only checks the multipliers.
 Ties in the ratio test break toward the lowest constraint row, making
 runs reproducible.
 
-The per-row scans (the working-set detection, the ratio test, the
-tiny-step test, the multiplier check and the KKT residual) take one
-tolist() of the numpy product they need and loop over plain floats: with
-at most a dozen rows, numpy temporaries cost more than the arithmetic.
-Each step is the same IEEE operation on the same operands as an array
-form, so the results are bit-identical to it.
+The per-row scans (the problem's bound checks, the working-set
+detection, the ratio test, the tiny-step test, the multiplier check, the
+violation and the KKT residual) take one tolist() of the numpy product
+they need and loop over plain floats: with at most a dozen rows, numpy
+temporaries cost more than the arithmetic.  Each step is the same IEEE
+operation on the same operands as an array form, so the results are
+bit-identical to it; the maxima keep the first of equal values, as
+Python's max does, but return NaN as soon as one value is NaN, so a NaN
+point never reads as feasible or converged.
+
+Rows and columns are sliced with ndarray.take, which costs a fraction of
+np.ix_ and list indexing, and every slice keeps the memory layout the
+indexing form gives (HiAt[:, rows] is F-contiguous, so it is taken as
+HiAt.T.take(rows, 0).T): the bits of a BLAS product depend on the layout
+of its operands, since it selects the kernel and its summation order.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from typing import Optional, Tuple
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .exceptions import Infeasible
+from .exceptions import Infeasible, QPFailure
 
 # Regularization floor for H and the primal feasibility tolerance.
 REG_EPS = 1e-10
@@ -69,11 +78,14 @@ class QPProblem:
             raise ValueError(f"A must be ({m},{n}), got {self.A.shape}")
         if self.ub.shape != (m,):
             raise ValueError("lb and ub must have matching shapes")
-        if not (self.lb <= self.ub).all():  # a NaN bound fails it too
-            raise ValueError("lb must not exceed ub, and no bound may be NaN")
-        if self.lb.max(initial=-np.inf) == np.inf \
-                or self.ub.min(initial=np.inf) == -np.inf:
-            raise ValueError("lb must be below +inf and ub above -inf")
+        if not all(map(math.isfinite, self.g.tolist())) \
+                or not np.isfinite(self.H).all():
+            raise ValueError("H and g must be finite")
+        for lo, hi in zip(self.lb.tolist(), self.ub.tolist()):
+            # A NaN bound fails lo <= hi too.
+            if not lo <= hi or lo == math.inf or hi == -math.inf:
+                raise ValueError("need lb <= ub with lb below +inf, ub "
+                                 "above -inf and no bound NaN")
 
 
 @dataclass
@@ -90,7 +102,8 @@ class QPSolution:
 
 
 def _chol_factor(H: np.ndarray) -> np.ndarray:
-    """Cholesky of H, adding REG_EPS*I whenever a pivot falls below REG_EPS."""
+    """Cholesky of H, adding REG_EPS*I whenever a pivot falls below REG_EPS;
+    QPFailure when H is not positive definite even after the last bump."""
     Hr = 0.5 * (H + H.T)
     for bump in (0.0, REG_EPS, 1e4 * REG_EPS, 1e8 * REG_EPS):
         try:
@@ -100,7 +113,7 @@ def _chol_factor(H: np.ndarray) -> np.ndarray:
                 return L
         except LinAlgError:
             continue
-    raise LinAlgError("Hessian not positive definite after regularization")
+    raise QPFailure("Hessian not positive definite after regularization")
 
 
 def _inverse(H: np.ndarray) -> np.ndarray:
@@ -109,14 +122,39 @@ def _inverse(H: np.ndarray) -> np.ndarray:
     return Li.T @ Li
 
 
+def _largest(values, start: float = 0.0) -> float:
+    """max(start, *values) as Python's max takes it (the first of equal
+    values wins, so a +0.0 start beats a -0.0), except that a NaN start or
+    value is returned as the result."""
+    for v in values:
+        if v > start:
+            start = v
+        elif v != v:
+            return v
+    return start
+
+
 def _violation(A, lb, ub, x) -> float:
-    r = A @ x
-    return float(max((r - ub).max(initial=0.0), (lb - r).max(initial=0.0)))
+    """Largest bound violation of A x, 0.0 on a feasible point and NaN when
+    a residual is NaN (_largest, unrolled over both sides of each row)."""
+    worst = 0.0
+    for res, lo, hi in zip((A @ x).tolist(), lb.tolist(), ub.tolist()):
+        v = res - hi
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
+        v = lo - res
+        if v > worst:
+            worst = v
+        elif v != v:
+            return v
+    return worst
 
 
 def _grad_scale(g) -> float:
     """Scale of the stationarity and complementarity tests: max(1, |g|_inf)."""
-    return max(1.0, max(map(abs, g.tolist()), default=0.0))
+    return _largest(map(abs, g.tolist()), 1.0)
 
 
 def _multipliers(work, mu) -> dict:
@@ -137,16 +175,16 @@ def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
     if mult:
         rows = [row for row, _ in mult]
         # Stationarity: grad + sum(lam_ub * a) - sum(lam_lb * a) = 0, lam >= 0.
-        Aw = A[rows]
+        Aw = A.take(rows, 0)
         grad = grad + np.array([lam if side >= 0 else -lam
                                 for (_, side), lam in mult.items()]) @ Aw
-        worst = 0.0  # sign and complementarity of the inequality rows
+        terms = []  # sign and complementarity of the inequality rows
         for ((row, side), lam), res in zip(mult.items(), (Aw @ x).tolist()):
             if side:  # equality multipliers are sign-free
                 slack = ub.item(row) - res if side > 0 else res - lb.item(row)
-                worst = max(worst, -lam, abs(lam * slack))
-        r = max(r, worst / scale)
-    return max(r, max(map(abs, grad.tolist())) / scale)
+                terms += (-lam, abs(lam * slack))
+        r = _largest((_largest(terms) / scale,), r)  # max(r, ...) or NaN
+    return _largest((_largest(map(abs, grad.tolist())) / scale,), r)
 
 
 def _equality_qp(H, g, A, lb, ub, work):
@@ -161,11 +199,11 @@ def _equality_qp(H, g, A, lb, ub, work):
     rhs = np.empty(n + k)
     rhs[:n] = -g
     if k:
-        rows = [rs[0] for rs in work]
-        Aw = A[rows]
+        Aw = A.take([row for row, _ in work], 0)
         KKT[:n, n:] = Aw.T
         KKT[n:, :n] = Aw
-        rhs[n:] = [ub[r] if s >= 0 else lb[r] for r, s in work]
+        lo, hi = lb.tolist(), ub.tolist()
+        rhs[n:] = [hi[row] if side >= 0 else lo[row] for row, side in work]
     try:
         sol = np.linalg.solve(KKT, rhs)
         sol += np.linalg.solve(KKT, rhs - KKT @ sol)
@@ -184,9 +222,10 @@ def _warm_set_optimum(H, g, A, lb, ub, work) -> Optional[QPSolution]:
     m = lb.shape[0]
     if len(work) > g.shape[0] or len({row for row, _ in work}) < len(work):
         return None
+    lo, hi = lb.tolist(), ub.tolist()
     for row, side in work:
-        if not 0 <= row < m or (side == 0) != (lb[row] == ub[row]) \
-                or not np.isfinite(ub[row] if side >= 0 else lb[row]):
+        if not 0 <= row < m or (side == 0) != (lo[row] == hi[row]) \
+                or not math.isfinite(hi[row] if side >= 0 else lo[row]):
             return None
     sol = _equality_qp(H, g, A, lb, ub, work)
     if sol is None:
@@ -279,7 +318,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
         elif len(work) == n:
             # Full square working set: the equality step is identically
             # zero and the multipliers come from stationarity directly.
-            Aw = A[rows]
+            Aw = A.take(rows, 0)
             try:
                 mu = -np.linalg.solve(Aw.T, grad)
             except LinAlgError:
@@ -287,9 +326,9 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             d = np.zeros(n)
         elif work:
             Hin_g = Hinv @ grad
-            Hin_At = HiAt[:, rows]
-            S = AHiAt[np.ix_(rows, rows)]
-            rhs = -(A[rows] @ Hin_g)
+            Hin_At = HiAt.T.take(rows, 0).T  # F-contiguous, as HiAt[:, rows]
+            S = AHiAt.take(rows, 0).take(rows, 1)
+            rhs = -(A.take(rows, 0) @ Hin_g)
             try:
                 mu = np.linalg.solve(S, rhs)
                 mu += np.linalg.solve(S, rhs - S @ mu)
@@ -319,7 +358,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             if worst is None:
                 # Guard against sign-valid garbage multipliers from a
                 # dependent working set: require genuine stationarity.
-                stat = (grad + mu @ A[rows]).tolist()
+                stat = (grad + mu @ A.take(rows, 0)).tolist()
                 if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
                     # Polish: re-solve the working set's KKT system and
                     # adopt the result only if it stays feasible.

@@ -1,15 +1,17 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pfguide import (GuidanceState, InputCmd, JacobianBlock, NMPCConfig,
-                     NMPCSolver, PNMPCSolver, QPProblem, dynamics,
-                     horizon_cost, jacobian_block, sample_path, solve_qp,
+from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
+                     NMPCConfig, NMPCSolver, PNMPCSolver, QPProblem,
+                     case_study_path, dynamics, horizon_cost, jacobian_block,
+                     line_path, polynomial_path, sample_path, solve_qp,
                      wrap_angle, z_of_omega)
 from pfguide import pnmpc
-from pfguide.errdyn import rollout
+from pfguide.errdyn import rollout, rollout_flat
 from pfguide.los import clamp_inputs
 from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
                            sensitivity_along, snap_feasible, stack_inputs,
@@ -241,6 +243,106 @@ class TestSensitivity:
             lin = stack_states(states[1:]) + G @ du
             worst = max(worst, float(np.linalg.norm(pred - lin)) / 1e-8)
         assert worst <= 4.0  # measured ~1.8 on this distribution
+
+
+def sensitivity_per_block(X, U, frames, v, T_m, path):
+    """Block-by-block reference for pnmpc.sensitivity_flat."""
+    N = len(frames)
+    S = np.zeros((3 * N, 3 * N))
+    for i in range(N):
+        r = 3 * i
+        B, A = pnmpc._jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1],
+                                U[r + 2], v, frames[i], path)
+        if i > 0:
+            Ad = np.eye(3) + T_m * np.array(A)
+            S[r:r + 3, :r] = Ad @ S[r - 3:r, :r]
+        S[r:r + 3, r:r + 3] = T_m * np.array(B)
+    return S
+
+
+def snap_feasible_cmds(U, u_prev, c):
+    """Command-by-command reference for pnmpc.snap_feasible: the rate
+    projection, then the box clips, as InputCmds."""
+    def clip(value, lo, hi):
+        return lo if value < lo else hi if value > hi else value
+
+    cmds = []
+    prev = u_prev
+    for j in range(U.shape[0] // 3):
+        u, psi = float(U[3 * j]), wrap_angle(wrap_angle(float(U[3 * j + 1])))
+        du = u - prev.u
+        if du > c.du_max:
+            u = prev.u + c.du_max
+        elif du < -c.du_max:
+            u = prev.u - c.du_max
+        dpsi = wrap_angle(psi - prev.psi)
+        if dpsi > c.dpsi_max:
+            psi = wrap_angle(prev.psi + c.dpsi_max)
+        elif dpsi < -c.dpsi_max:
+            psi = wrap_angle(prev.psi - c.dpsi_max)
+        prev = InputCmd(clip(u, 0.0, c.u_max), psi,
+                        clip(float(U[3 * j + 2]), c.eps, c.u_tar_max))
+        cmds.append(prev)
+    return tuple(cmds)
+
+
+def _cmd_bits(cmds):
+    return [struct.pack("3d", c.u, c.psi, c.u_tar) for c in cmds]
+
+
+class TestPredictionKernelsMatchOldForms:
+    """The batched sensitivity build and the float projection give the
+    outputs of the per-block and per-command forms they replaced, bit for
+    bit."""
+
+    PATHS = {"case_study": case_study_path(),
+             "line": line_path(origin=(1.0, -2.0), direction=(-0.6, 0.8)),
+             "polynomial": polynomial_path([0.0, 1.0, 0.01, 1e-4],
+                                           [0.0, 0.5, -0.002, -1e-5])}
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_sensitivity_flat(self, name, N):
+        path = self.PATHS[name]
+        rng = np.random.default_rng(N)
+        for _ in range(60):
+            x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
+                  rng.uniform(0.05, 1.0))
+            U = [c for _ in range(N)
+                 for c in (rng.uniform(0.0, 0.225),
+                           rng.uniform(-4.0, 4.0),
+                           rng.uniform(0.01, 0.75))]
+            v = rng.uniform(-0.15, 0.15)
+            T_m = rng.choice([0.5, 1.0])
+            X, frames = rollout_flat(x0, U, v, T_m, path)
+            got = pnmpc.sensitivity_flat(X, U, frames, v, T_m, path)
+            ref = sensitivity_per_block(X, U, frames, v, T_m, path)
+            assert got.tobytes() == ref.tobytes()
+            assert got.strides == ref.strides
+
+    def test_snap_feasible(self):
+        c = InputConstraints()
+        rng = np.random.default_rng(21)
+        near_pi = [math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12,
+                   math.pi + 0.3, -math.pi - 0.3, 3.0, -3.0, 7.5, -9.0]
+        crossings = 0
+        for _ in range(400):
+            N = int(rng.integers(1, 6))
+            U = np.column_stack([
+                rng.uniform(-0.1, 0.35, N),
+                rng.choice(near_pi, N) + rng.normal(size=N)
+                * rng.choice([0.0, 1e-3, 0.5]),
+                rng.uniform(-0.2, 1.0, N)]).ravel()
+            prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
+                            wrap_angle(float(rng.choice(near_pi))),
+                            float(rng.uniform(c.eps, c.u_tar_max)))
+            got = pnmpc.snap_feasible(U, prev, c)
+            ref = snap_feasible_cmds(U, prev, c)
+            assert _cmd_bits(got) == _cmd_bits(ref)
+            heads = [prev.psi] + [cmd.psi for cmd in got]
+            crossings += any(abs(a - b) > math.pi
+                             for a, b in zip(heads, heads[1:]))
+        assert crossings >= 40
 
 
 class TestLinearizedQP:

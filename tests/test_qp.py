@@ -1,8 +1,15 @@
+import json
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.linalg import LinAlgError
 
-from pfguide import (Infeasible, QPProblem, QPSolution, nmpc, qp,
-                     realistic_scenario, run_scenario, solve_qp)
+from pfguide import (Infeasible, QPFailure, QPProblem, QPSolution, cli, nmpc,
+                     pnmpc, qp, realistic_scenario, run_scenario, solve_qp,
+                     transient_scenario)
 from qp_oracle import qp_oracle, random_feasible_qp
 
 
@@ -55,6 +62,17 @@ class TestShapes:
         with pytest.raises(ValueError):
             QPProblem(np.eye(3), np.zeros(2), np.zeros((0, 2)),
                       np.zeros(0), np.zeros(0))
+
+    @pytest.mark.parametrize("H, g", [
+        (np.eye(2), [np.nan, 1.0]),
+        (np.eye(2), [np.inf, 1.0]),
+        (np.eye(2), [0.0, -np.inf]),
+        ([[1.0, np.nan], [np.nan, 1.0]], np.zeros(2)),
+        ([[np.inf, 0.0], [0.0, 1.0]], np.zeros(2))])
+    def test_non_finite_hessian_or_gradient_rejected(self, H, g):
+        # A NaN g used to come back as x = NaN, KKT residual 0.0, converged.
+        with pytest.raises(ValueError, match="finite"):
+            QPProblem(H, g, np.zeros((0, 2)), [], [])
 
 
 class TestBasics:
@@ -479,6 +497,318 @@ class TestKKTResidualMatchesArrays:
                     assert got == kkt_residual_arrays(H, g, A, lb, ub, x,
                                                       mset, violation)
         assert sides_seen == {-1, 0, 1}
+
+
+def problem_rejected_arrays(lb, ub):
+    """Array-form reference for QPProblem's bound checks: True when the
+    bounds are rejected."""
+    lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+    return bool(not (lb <= ub).all()
+                or lb.max(initial=-np.inf) == np.inf
+                or ub.min(initial=np.inf) == -np.inf)
+
+
+def violation_arrays(A, lb, ub, x):
+    """Array-form reference for qp._violation."""
+    r = A @ x
+    return float(max((r - ub).max(initial=0.0), (lb - r).max(initial=0.0)))
+
+
+def equality_qp_fancy(H, g, A, lb, ub, work):
+    """List-indexing reference for qp._equality_qp."""
+    n = g.shape[0]
+    k = len(work)
+    KKT = np.zeros((n + k, n + k))
+    KKT[:n, :n] = H
+    rhs = np.empty(n + k)
+    rhs[:n] = -g
+    if k:
+        rows = [rs[0] for rs in work]
+        Aw = A[rows]
+        KKT[:n, n:] = Aw.T
+        KKT[n:, :n] = Aw
+        rhs[n:] = [ub[r] if s >= 0 else lb[r] for r, s in work]
+    try:
+        sol = np.linalg.solve(KKT, rhs)
+        sol += np.linalg.solve(KKT, rhs - KKT @ sol)
+    except LinAlgError:
+        return None
+    return sol[:n], sol[n:]
+
+
+def active_set_fancy(H, Hinv, g, A, lb, ub, x0):
+    """np.ix_ and list-indexing reference for qp._active_set: the Schur
+    block, the H^-1 A^T columns and the A rows are sliced the old way;
+    the row scans are the module's own."""
+    n = g.shape[0]
+    m = lb.shape[0]
+    x = np.array(x0, dtype=float)
+    HiAt = Hinv @ A.T
+    AHiAt = A @ HiAt
+    work = qp._active_rows(A, lb, ub, x, n)
+    scale = qp._grad_scale(g)
+    at_minimizer = False
+    for it in range(1, 50 * (m + 1) + 1):
+        grad = H @ x + g
+        rows = [rs[0] for rs in work]
+        mu_work = list(work)
+        if at_minimizer:
+            d = np.zeros(n)
+        elif len(work) == n:
+            Aw = A[rows]
+            try:
+                mu = -np.linalg.solve(Aw.T, grad)
+            except LinAlgError:
+                mu, *_ = np.linalg.lstsq(Aw.T, -grad, rcond=None)
+            d = np.zeros(n)
+        elif work:
+            Hin_g = Hinv @ grad
+            Hin_At = HiAt[:, rows]
+            S = AHiAt[np.ix_(rows, rows)]
+            rhs = -(A[rows] @ Hin_g)
+            try:
+                mu = np.linalg.solve(S, rhs)
+                mu += np.linalg.solve(S, rhs - S @ mu)
+            except LinAlgError:
+                mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
+            d = -Hin_g - Hin_At @ mu
+        else:
+            mu = np.zeros(0)
+            d = -(Hinv @ grad)
+        tiny = qp._ZERO_STEP * (1.0 + max(map(abs, x.tolist()), default=0.0))
+        if all(abs(d_i) <= tiny for d_i in d.tolist()):
+            at_minimizer = False
+            mult = qp._multipliers(work, mu)
+            worst = None
+            worst_val = -1e-10
+            for k, ((row, side), lam) in enumerate(mult.items()):
+                if side != 0 and (lam < worst_val
+                                  or (worst is not None and lam == worst_val
+                                      and row < work[worst][0])):
+                    worst_val = lam
+                    worst = k
+            if worst is None:
+                stat = (grad + mu @ A[rows]).tolist()
+                if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
+                    sol = equality_qp_fancy(H, g, A, lb, ub, work)
+                    violation = None
+                    if sol is not None:
+                        v = qp._violation(A, lb, ub, sol[0])
+                        if v <= qp.FEAS_TOL:
+                            x, violation = sol[0], v
+                    kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult, violation)
+                    return QPSolution(x, tuple(work), kkt, it, mult)
+                for k, (_, side) in enumerate(work):
+                    if side != 0:
+                        del work[k]
+                        break
+                else:
+                    break
+                continue
+            del work[worst]
+            continue
+        alpha, blocker = qp._ratio_test(A, lb, ub, x, d, rows)
+        x = x + alpha * d
+        if blocker is None:
+            at_minimizer = True
+        elif len(work) < n:
+            work.append(blocker)
+    mult = qp._multipliers(mu_work, mu)
+    return QPSolution(x, tuple(work),
+                      qp._kkt_residual(H, g, A, lb, ub, x, mult), it, mult)
+
+
+def _bits(value):
+    return struct.pack("d", value)
+
+
+class TestKernelsMatchOldForms:
+    """The take slices and float scans give the outputs of the indexing
+    and array forms they replaced, bit for bit."""
+
+    @staticmethod
+    def _vertex_qp(rng):
+        """A QP whose start x0 has up to n rows active (some exactly at
+        their bounds, some equality rows), so square working sets occur,
+        with the unconstrained minimizer pushed outside the polytope."""
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(n, n + 8))
+        M = rng.normal(size=(n, n))
+        H = M.T @ M + (0.2 + rng.random()) * np.eye(n)
+        A = rng.normal(size=(m, n))
+        x0 = rng.normal(size=n)
+        r = A @ x0
+        lb = r - np.abs(rng.normal(size=m)) - 0.05
+        ub = r + np.abs(rng.normal(size=m)) + 0.05
+        for i in range(m):
+            u01 = rng.random()
+            if u01 < 0.3:
+                ub[i] = r[i]
+            elif u01 < 0.5:
+                lb[i] = r[i]
+            elif u01 < 0.55:
+                lb[i] = ub[i] = r[i]
+            elif u01 < 0.65:
+                lb[i] = -np.inf
+            elif u01 < 0.75:
+                ub[i] = np.inf
+        g = -H @ (x0 + 3.0 * rng.normal(size=n))
+        return H, g, A, lb, ub, x0
+
+    def test_active_set_slices(self):
+        rng = np.random.default_rng(111)
+        square = iterations = 0
+        for k in range(600):
+            if k % 2:
+                H, g, A, lb, ub, x0 = self._vertex_qp(rng)
+            else:
+                H, g, A, lb, ub = random_feasible_qp(rng)
+                x0 = qp._phase1(A, lb, ub, np.zeros(g.shape[0]))
+            Hinv = qp._inverse(H)
+            got = qp._active_set(H, Hinv, g, A, lb, ub, x0)
+            ref = active_set_fancy(H, Hinv, g, A, lb, ub, x0)
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert got.active_set == ref.active_set
+            assert got.iterations == ref.iterations
+            assert _bits(got.kkt_residual) == _bits(ref.kkt_residual)
+            assert list(got.multipliers) == list(ref.multipliers)
+            assert [_bits(v) for v in got.multipliers.values()] == \
+                [_bits(v) for v in ref.multipliers.values()]
+            square += len(qp._active_rows(A, lb, ub, x0, g.shape[0])) \
+                == g.shape[0]
+            iterations += got.iterations
+        assert square >= 50
+        assert iterations >= 1500
+
+    def test_equality_qp(self):
+        rng = np.random.default_rng(112)
+        for _ in range(300):
+            H, g, A, lb, ub, x0 = self._vertex_qp(rng)
+            work = qp._active_rows(A, lb, ub, x0, g.shape[0])
+            got = qp._equality_qp(H, g, A, lb, ub, work)
+            ref = equality_qp_fancy(H, g, A, lb, ub, work)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+
+    def test_violation(self):
+        rng = np.random.default_rng(113)
+        zeros = 0
+        for _ in range(600):
+            A, lb, ub, x = TestRowScansMatchLoops._rows(rng)
+            # Zero points and zero bounds of either sign make zero
+            # candidates, so that ties decide the result's sign.
+            if rng.random() < 0.3:
+                x[:] = rng.choice([0.0, -0.0])
+                lb[rng.random(lb.shape[0]) < 0.5] = rng.choice([0.0, -0.0])
+                ub[rng.random(ub.shape[0]) < 0.5] = rng.choice([0.0, -0.0])
+                ub = np.maximum(lb, ub)
+            for scale in (1.0, 1e-12):
+                got = qp._violation(A, lb, ub, x * scale)
+                ref = violation_arrays(A, lb, ub, x * scale)
+                assert type(got) is float
+                assert _bits(got) == _bits(ref)
+                zeros += got == 0.0
+        assert zeros > 300
+
+    def test_violation_propagates_nan(self):
+        A = np.array([[1.0], [1.0]])
+        lb, ub = np.array([-1.0, -np.inf]), np.array([1.0, 2.0])
+        assert math.isnan(qp._violation(A, lb, ub, np.array([np.nan])))
+        # inf - inf in an infinite bound's residual is NaN as well.
+        assert math.isnan(qp._violation(A, lb, ub, np.array([-np.inf])))
+        assert qp._violation(A, lb, ub, np.array([3.0])) == 2.0
+
+    def test_problem_rejections(self):
+        rng = np.random.default_rng(114)
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]
+        rejected = 0
+        for _ in range(2000):
+            m = int(rng.integers(0, 4))
+            lb, ub = rng.choice(values, size=(2, m))
+            try:
+                QPProblem(np.eye(1), np.zeros(1), np.ones((m, 1)), lb, ub)
+            except ValueError:
+                got = True
+            else:
+                got = False
+            assert got == problem_rejected_arrays(lb, ub)
+            rejected += got
+        assert 500 < rejected < 1900
+
+
+class TestNonFiniteAndIndefinite:
+    """A QP never reports success on bad data."""
+
+    def test_kkt_residual_propagates_nan(self):
+        H, g, A = np.eye(2), np.array([1.0, 1.0]), np.zeros((0, 2))
+        empty = np.zeros(0)
+        for x in ([np.nan, 0.0], [0.0, np.nan]):
+            assert math.isnan(qp._kkt_residual(H, g, A, empty, empty,
+                                               np.array(x), {}))
+        A1 = np.array([[1.0, 0.0]])
+        r = qp._kkt_residual(H, g, A1, np.array([-1.0]), np.array([1.0]),
+                             np.zeros(2), {(0, 1): np.nan})
+        assert math.isnan(r)
+
+    def test_indefinite_hessian_raises_qp_failure(self):
+        with pytest.raises(QPFailure, match="positive definite"):
+            solve_qp(QPProblem(np.diag([1.0, -1.0]), np.ones(2),
+                               np.eye(2), -np.ones(2), np.ones(2)))
+
+    def test_indefinite_hessian_fails_the_step_and_the_cli(self, monkeypatch,
+                                                           tmp_path):
+        real = pnmpc.linearized_qp
+
+        def negated(*args):
+            prob = real(*args)
+            prob.H = -prob.H
+            return prob
+
+        monkeypatch.setattr(pnmpc, "linearized_qp", negated)
+        with pytest.raises(QPFailure, match=r"guidance step failed at t=0 "
+                                            r"\(plant step 0\)"):
+            run_scenario(transient_scenario("pnmpc", duration=5.0))
+        doc = {"path": {"name": "case_study"},
+               "initial": {"x": 10.0, "y": 10.0, "psi": None, "omega": 2.5},
+               "u_r": 0.15, "T_m": 1.0, "T_p": 1.0, "duration": 5.0,
+               "law": "pnmpc", "filter_enabled": False}
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(config),
+                         "--out", str(tmp_path / "trace.csv")]) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_no_converged_solution_with_non_finite_x(self, data):
+        n = data.draw(st.integers(1, 3), label="n")
+        m = data.draw(st.integers(0, 3), label="m")
+        finite = st.floats(-1e3, 1e3)
+        special = st.sampled_from([math.nan, math.inf, -math.inf])
+        entry = st.one_of(finite, finite, finite, special)
+
+        def array(shape, elements):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(elements, min_size=size,
+                                               max_size=size)),
+                            dtype=float).reshape(shape)
+
+        M = array((n, n), finite)
+        H = M.T @ M + np.eye(n) if data.draw(st.booleans()) else M
+        H = H + array((n, n), st.one_of(st.just(0.0), st.just(0.0), special))
+        try:
+            prob = QPProblem(H, array((n,), entry), array((m, n), finite),
+                             array((m,), entry), array((m,), entry))
+        except ValueError:
+            return
+        warm = data.draw(st.sampled_from(
+            [None, QPSolution(np.zeros(n), (), math.inf, 0),
+             QPSolution(np.zeros(n), tuple((i, 1) for i in range(min(m, n))),
+                        math.inf, 0)]))
+        try:
+            sol = solve_qp(prob, warm=warm)
+        except (Infeasible, QPFailure):
+            return
+        assert not sol.converged or np.isfinite(sol.x).all()
 
 
 class TestInvariantsAndWarmStart:
