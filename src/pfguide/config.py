@@ -2,13 +2,13 @@
 
 The document mirrors the Scenario type field for field; unknown keys are
 rejected so typos fail loudly instead of silently running the defaults.
+Every section is a JSON object; null stands for a section left out.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -18,6 +18,16 @@ from .los import InputConstraints, SGLOSParams
 from .nmpc import NMPCConfig
 from .paths import path_from_config
 from .sim import DisturbanceSpec, Scenario
+
+# Disturbance kind -> (required, optional) number keys.
+_DISTURBANCE_KEYS = {
+    "none": ((), ()),
+    "sinusoid": (("amplitude", "period"), ("phase",)),
+    "chirp_mirror": (("amplitude", "f0", "f1", "switch_time"), ()),
+}
+_CONSTRAINT_KEYS = ("eps", "u_max", "u_tar_max", "du_max", "dpsi_max")
+_SGLOS_KEYS = ("k1", "k2", "delta")
+_INPUT_KEYS = ("u", "psi", "u_tar")
 
 
 def _take(d: dict, key: str, default=None, required: bool = False):
@@ -35,184 +45,135 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _reject_unknown(d: dict, where: str) -> None:
-    if d:
-        raise ConfigError(f"unknown {where} keys: {sorted(d)}")
+def _reject_unknown(keys, where: str) -> None:
+    if keys:
+        raise ConfigError(f"unknown {where} keys: {sorted(keys)}")
 
 
-def _parse_disturbance(d: Optional[dict]) -> DisturbanceSpec:
-    if d is None:
+def _section(value, where: str) -> dict:
+    """A copy of a JSON object section.  An array of [key, value] pairs is
+    refused, although dict() would read it."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where!r} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _numbers(section: dict, where: str, required=(), optional=()) -> dict:
+    """The section's values as finite floats; unknown keys are rejected."""
+    _reject_unknown(set(section) - set(required) - set(optional), where)
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"missing required config key {where}.{key}")
+    return {key: _number(value, f"{where}.{key}")
+            for key, value in section.items()}
+
+
+def _disturbance(value) -> DisturbanceSpec:
+    if value is None:
         return DisturbanceSpec()
-    d = dict(d)
+    d = _section(value, "disturbance")
     kind = _take(d, "kind", required=True)
-    if kind == "none":
-        _reject_unknown(d, "disturbance")
-        return DisturbanceSpec()
-    if kind == "sinusoid":
-        spec = DisturbanceSpec(
-            kind="sinusoid",
-            amplitude=_number(_take(d, "amplitude", required=True), "amplitude"),
-            period=_number(_take(d, "period", required=True), "period"),
-            phase=_number(_take(d, "phase", 0.0), "phase"))
-        _reject_unknown(d, "disturbance")
-        return spec
-    if kind == "chirp_mirror":
-        spec = DisturbanceSpec(
-            kind="chirp_mirror",
-            amplitude=_number(_take(d, "amplitude", required=True), "amplitude"),
-            f0=_number(_take(d, "f0", required=True), "f0"),
-            f1=_number(_take(d, "f1", required=True), "f1"),
-            switch_time=_number(_take(d, "switch_time", required=True),
-                                "switch_time"))
-        _reject_unknown(d, "disturbance")
-        return spec
-    raise ConfigError(f"unknown disturbance kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _DISTURBANCE_KEYS:
+        raise ConfigError(f"unknown disturbance kind {kind!r}")
+    return DisturbanceSpec(kind=kind,
+                           **_numbers(d, "disturbance", *_DISTURBANCE_KEYS[kind]))
 
 
-def _parse_constraints(d: Optional[dict]) -> InputConstraints:
-    if d is None:
-        return InputConstraints()
-    d = dict(d)
+def _nmpc_kwargs(lp: dict) -> dict:
+    """Horizon, weights and terminal weight of the predictive laws."""
     kwargs = {}
-    for key in ("eps", "u_max", "u_tar_max", "du_max", "dpsi_max"):
-        if key in d:
-            kwargs[key] = _number(d.pop(key), key)
-    _reject_unknown(d, "constraints")
-    try:
-        return InputConstraints(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_sglos(d: Optional[dict]) -> SGLOSParams:
-    if d is None:
-        return SGLOSParams()
-    d = dict(d)
-    kwargs = {}
-    for key in ("k1", "k2", "delta"):
-        if key in d:
-            kwargs[key] = _number(d.pop(key), key)
-    _reject_unknown(d, "sglos parameters")
-    try:
-        return SGLOSParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _parse_input(d: Optional[dict], key: str) -> Optional[InputCmd]:
-    if d is None:
-        return None
-    d = dict(d)
-    cmd = InputCmd(_number(_take(d, "u", required=True), "u"),
-                   _number(_take(d, "psi", required=True), "psi"),
-                   _number(_take(d, "u_tar", required=True), "u_tar"))
-    _reject_unknown(d, key)
-    return cmd
+    if "N" in lp:
+        N = lp.pop("N")
+        if isinstance(N, bool) or not isinstance(N, int) or N < 1:
+            raise ConfigError("N must be a positive integer")
+        kwargs["N"] = N
+    for key in ("Q", "R"):
+        if key in lp:
+            vec = lp.pop(key)
+            if not (isinstance(vec, list) and len(vec) == 3):
+                raise ConfigError(f"{key} must be a list of 3 numbers")
+            kwargs[key] = np.array([_number(v, key) for v in vec])
+    if "lambda" in lp:
+        kwargs["lam"] = _number(lp.pop("lambda"), "lambda")
+    if "terminal_weight" in lp:
+        kwargs["P"] = lp.pop("terminal_weight")
+    _reject_unknown(lp, "law_params")
+    return kwargs
 
 
 def scenario_from_config(doc: dict) -> Scenario:
     """Validate a parsed JSON document and build the Scenario."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    d = dict(doc)
+    d = _section(doc, "config document")
 
-    path_doc = _take(d, "path", required=True)
-    if not isinstance(path_doc, dict):
-        raise ConfigError("'path' must be an object with a 'name'")
-    path_doc = dict(path_doc)
+    path_doc = _section(_take(d, "path", required=True), "path")
     name = _take(path_doc, "name", required=True)
-    params = _take(path_doc, "params", None)
+    params = _section(_take(path_doc, "params"), "path.params")
     _reject_unknown(path_doc, "path")
     try:
         path = path_from_config(name, params)
     except Exception as exc:
         raise ConfigError(f"bad path config: {exc}") from exc
 
-    init = _take(d, "initial", required=True)
-    if not isinstance(init, dict):
-        raise ConfigError("'initial' must be an object")
-    init = dict(init)
-    x0 = _number(_take(init, "x", required=True), "initial.x")
-    y0 = _number(_take(init, "y", required=True), "initial.y")
-    psi0 = _take(init, "psi", None)
-    psi0 = None if psi0 is None else _number(psi0, "initial.psi")
-    omega0 = _number(_take(init, "omega", required=True), "initial.omega")
-    _reject_unknown(init, "initial")
-    if omega0 < 0.0:
+    init = _section(_take(d, "initial", required=True), "initial")
+    psi0 = _take(init, "psi")
+    init = _numbers(init, "initial", required=("x", "y", "omega"))
+    if init["omega"] < 0.0:
         raise ConfigError("initial omega must be >= 0")
 
     law = _take(d, "law", required=True)
-    law_params = _take(d, "law_params", None)
-    constraints = _parse_constraints(_take(d, "constraints", None))
-    u_r = _number(_take(d, "u_r", 0.15), "u_r")
-
-    sglos_params = SGLOSParams()
-    nmpc_cfg: Optional[NMPCConfig] = None
+    law_params = _take(d, "law_params")
+    lp = _section(law_params, "law_params")
     linearization = "exact"
-    if law_params is not None:
-        if not isinstance(law_params, dict):
-            raise ConfigError("'law_params' must be an object")
-        lp = dict(law_params)
-        if law == "sglos":
-            sglos_params = _parse_sglos(lp)
-        elif law in ("nmpc", "pnmpc"):
-            sglos_params = _parse_sglos(lp.pop("sglos", None))
-            if law == "pnmpc":
-                linearization = lp.pop("linearization", "exact")
-                if linearization not in ("exact", "frozen"):
-                    raise ConfigError(
-                        f"linearization must be exact|frozen, got {linearization!r}")
-            kwargs = {}
-            if "N" in lp:
-                N = lp.pop("N")
-                if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-                    raise ConfigError("N must be a positive integer")
-                kwargs["N"] = N
-            for key, attr in (("Q", "Q"), ("R", "R")):
-                if key in lp:
-                    vec = lp.pop(key)
-                    if not (isinstance(vec, list) and len(vec) == 3):
-                        raise ConfigError(f"{key} must be a list of 3 numbers")
-                    kwargs[attr] = np.array([_number(v, key) for v in vec])
-            if "lambda" in lp:
-                kwargs["lam"] = _number(lp.pop("lambda"), "lambda")
-            P = lp.pop("terminal_weight", None)
-            _reject_unknown(lp, "law_params")
-            try:
-                if P is not None:
-                    kwargs["P"] = np.asarray(P, dtype=float)
-                nmpc_cfg = NMPCConfig(
-                    u_ref=InputCmd(u_r, 0.0, u_r), constraints=constraints,
-                    T_m=_number(d.get("T_m", 1.0), "T_m"),
-                    terminal_law=sglos_params, **kwargs)
-            except (TypeError, ValueError) as exc:  # TypeError: non-numeric P
-                raise ConfigError(str(exc)) from exc
-        else:
-            raise ConfigError(f"law must be one of nmpc|pnmpc|sglos, got {law!r}")
+    if law == "sglos":
+        sglos_keys = _numbers(lp, "law_params", optional=_SGLOS_KEYS)
+    else:
+        sglos_keys = _numbers(_section(lp.pop("sglos", None), "law_params.sglos"),
+                              "law_params.sglos", optional=_SGLOS_KEYS)
+        if law == "pnmpc":
+            linearization = lp.pop("linearization", "exact")
+        nmpc_kwargs = _nmpc_kwargs(lp)
+    constraint_keys = _numbers(_section(_take(d, "constraints"), "constraints"),
+                               "constraints", optional=_CONSTRAINT_KEYS)
+    u_r = _number(_take(d, "u_r", 0.15), "u_r")
+    T_m = _number(_take(d, "T_m", 1.0), "T_m")
 
-    disturbance = _parse_disturbance(_take(d, "disturbance", None))
-    initial_input = _parse_input(_take(d, "initial_input", None), "initial_input")
+    initial_input = _take(d, "initial_input")
+    if initial_input is not None:
+        initial_input = InputCmd(**_numbers(
+            _section(initial_input, "initial_input"), "initial_input",
+            required=_INPUT_KEYS))
 
     filter_enabled = _take(d, "filter_enabled", False)
     if not isinstance(filter_enabled, bool):
         raise ConfigError("'filter_enabled' must be true or false")
 
-    kwargs = dict(
-        path=path, x0=x0, y0=y0, psi0=psi0, omega0=omega0, u_r=u_r,
-        T_m=_number(_take(d, "T_m", 1.0), "T_m"),
-        T_p=_number(_take(d, "T_p", 1.0), "T_p"),
-        duration=_number(_take(d, "duration", required=True), "duration"),
-        law=law, sglos=sglos_params, constraints=constraints, nmpc=nmpc_cfg,
-        linearization=linearization, disturbance=disturbance,
-        filter_enabled=filter_enabled,
-        converge_band=_number(_take(d, "converge_band", 0.1), "converge_band"),
-        initial_input=initial_input,
-    )
-    _reject_unknown(d, "config")
     try:
-        return Scenario(**kwargs)
-    except ValueError as exc:
+        constraints = InputConstraints(**constraint_keys)
+        sglos_params = SGLOSParams(**sglos_keys)
+        nmpc_cfg = None
+        if law_params is not None and law != "sglos":
+            nmpc_cfg = NMPCConfig(
+                u_ref=InputCmd(u_r, 0.0, u_r), constraints=constraints,
+                T_m=T_m, terminal_law=sglos_params, **nmpc_kwargs)
+        kwargs = dict(
+            path=path, x0=init["x"], y0=init["y"],
+            psi0=None if psi0 is None else _number(psi0, "initial.psi"),
+            omega0=init["omega"], u_r=u_r, T_m=T_m,
+            T_p=_number(_take(d, "T_p", 1.0), "T_p"),
+            duration=_number(_take(d, "duration", required=True), "duration"),
+            law=law, sglos=sglos_params, constraints=constraints,
+            nmpc=nmpc_cfg, linearization=linearization,
+            disturbance=_disturbance(_take(d, "disturbance")),
+            filter_enabled=filter_enabled,
+            converge_band=_number(_take(d, "converge_band", 0.1),
+                                  "converge_band"),
+            initial_input=initial_input)
+    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric P
         raise ConfigError(str(exc)) from exc
+    _reject_unknown(d, "config")
+    return Scenario(**kwargs)
 
 
 def load_scenario(filename) -> Scenario:

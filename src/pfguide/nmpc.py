@@ -152,14 +152,12 @@ def _input_vec(u: InputCmd) -> np.ndarray:
     return np.array([u.u, u.psi, u.u_tar])
 
 
-def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig,
-                               sglos_params: Optional[SGLOSParams] = None
-                               ) -> np.ndarray:
+def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig) -> np.ndarray:
     """Terminal weight from the discrete Lyapunov equation.
 
     Linearizes the discrete model numerically at the far-along equilibrium
     x = (0, 0, 1e-2) with input (0.1 u_r, phi_p, 0.1 u_r), linearizes the
-    terminal controller to a gain K, and solves
+    terminal controller cfg.terminal_law to a gain K, and solves
 
         (A + B K)' P (A + B K) - P = -(Q + K' R K).
 
@@ -167,7 +165,7 @@ def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig,
     The returned P is symmetric with eigenvalues floored at 1e-12 so the
     terminal cost stays positive definite even when the z mode decouples.
     """
-    p = sglos_params if sglos_params is not None else cfg.terminal_law
+    p = cfg.terminal_law
     h = _SYN_STEP
     z_bar = _SYN_Z
     phi_bar = sample_path(path, omega_of_z(z_bar)).phi_p
@@ -209,14 +207,11 @@ def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig,
     return P
 
 
-def make_config(path: PathDef, u_r: float = 0.15,
-                sglos_params: Optional[SGLOSParams] = None,
-                **overrides) -> NMPCConfig:
-    """Config with the default tuning and a synthesized terminal weight."""
-    p = sglos_params if sglos_params is not None else SGLOSParams()
-    cfg = NMPCConfig(u_ref=InputCmd(u_r, 0.0, u_r), terminal_law=p,
-                     **overrides)
-    return replace(cfg, P=synthesize_terminal_weight(path, cfg, p))
+def make_config(path: PathDef, u_r: float = 0.15, **overrides) -> NMPCConfig:
+    """Config with the default tuning, reference u_r and the given field
+    overrides, and a terminal weight synthesized for its terminal law."""
+    cfg = NMPCConfig(u_ref=InputCmd(u_r, 0.0, u_r), **overrides)
+    return replace(cfg, P=synthesize_terminal_weight(path, cfg))
 
 
 def _stationarity_residual(g: np.ndarray, A_rows: np.ndarray,

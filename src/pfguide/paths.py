@@ -18,6 +18,9 @@ from .exceptions import DomainError, NonRegularPath
 # Paths with a speed factor below this at a queried omega are rejected as
 # non-regular (the Frenet frame is undefined there).
 F_MIN = 1e-9
+# check_path_derivatives: central-difference step and relative tolerance.
+FD_STEP = 1e-5
+FD_REL_TOL = 1e-6
 
 Vec2 = Tuple[float, float]
 
@@ -156,29 +159,19 @@ def polynomial_path(x_coeffs: Sequence[float], y_coeffs: Sequence[float]) -> Pat
             acc = acc * w + a
         return acc
 
-    def _dpoly(c, w):
-        acc = 0.0
-        for i in range(len(c) - 1, 0, -1):
-            acc = acc * w + i * c[i]
-        return acc
+    def _derivative(c, order):
+        # The integer factor i (i - 1) ... is exact, so each coefficient
+        # is rounded once.
+        return [math.prod(range(i - order + 1, i + 1)) * c[i]
+                for i in range(order, len(c))]
 
-    def _ddpoly(c, w):
-        acc = 0.0
-        for i in range(len(c) - 1, 1, -1):
-            acc = acc * w + i * (i - 1) * c[i]
-        return acc
-
-    def _dddpoly(c, w):
-        acc = 0.0
-        for i in range(len(c) - 1, 2, -1):
-            acc = acc * w + i * (i - 1) * (i - 2) * c[i]
-        return acc
-
+    dx = [_derivative(cx, k) for k in (1, 2, 3)]
+    dy = [_derivative(cy, k) for k in (1, 2, 3)]
     return PathDef(
         eval=lambda w: (_poly(cx, w), _poly(cy, w)),
-        deriv=lambda w: (_dpoly(cx, w), _dpoly(cy, w)),
-        deriv2=lambda w: (_ddpoly(cx, w), _ddpoly(cy, w)),
-        deriv3=lambda w: (_dddpoly(cx, w), _dddpoly(cy, w)),
+        deriv=lambda w: (_poly(dx[0], w), _poly(dy[0], w)),
+        deriv2=lambda w: (_poly(dx[1], w), _poly(dy[1], w)),
+        deriv3=lambda w: (_poly(dx[2], w), _poly(dy[2], w)),
         name="polynomial",
     )
 
@@ -208,25 +201,24 @@ def path_from_config(name: str, params: dict | None = None) -> PathDef:
     raise DomainError(f"unknown path name {name!r}")
 
 
-def check_path_derivatives(path: PathDef, omegas: Sequence[float],
-                           step: float = 1e-5, rel_tol: float = 1e-6) -> None:
+def check_path_derivatives(path: PathDef, omegas: Sequence[float]) -> None:
     """Verify deriv, deriv2 and deriv3 against central finite differences
-    of eval, deriv and deriv2.
+    of eval, deriv and deriv2 with step FD_STEP.
 
-    Raises NonRegularPath on any mismatch beyond rel_tol (with a small
+    Raises NonRegularPath on any mismatch beyond FD_REL_TOL (with a small
     absolute floor for near-zero components).
     """
     for w in omegas:
-        if w < step:
+        if w < FD_STEP:
             continue
         pairs = [(path.deriv(w), path.eval), (path.deriv2(w), path.deriv),
                  (path.deriv3(w), path.deriv2)]
         for got, probe in pairs:
-            hi = probe(w + step)
-            lo = probe(w - step)
+            hi = probe(w + FD_STEP)
+            lo = probe(w - FD_STEP)
             for g, h, l in zip(got, hi, lo):
-                fd = (h - l) / (2.0 * step)
-                if abs(fd - g) > rel_tol * max(abs(g), 1e-3):
+                fd = (h - l) / (2.0 * FD_STEP)
+                if abs(fd - g) > FD_REL_TOL * max(abs(g), 1e-3):
                     raise NonRegularPath(
                         f"path {path.name!r} derivative mismatch at omega={w}: "
                         f"analytic {g!r} vs finite difference {fd!r}")

@@ -79,8 +79,9 @@ class QPProblem:
         if self.ub.shape != (m,):
             raise ValueError("lb and ub must have matching shapes")
         if not all(map(math.isfinite, self.g.tolist())) \
-                or not np.isfinite(self.H).all():
-            raise ValueError("H and g must be finite")
+                or not np.isfinite(self.H).all() \
+                or not np.isfinite(self.A).all():
+            raise ValueError("H, g and A must be finite")
         for lo, hi in zip(self.lb.tolist(), self.ub.tolist()):
             # A NaN bound fails lo <= hi too.
             if not lo <= hi or lo == math.inf or hi == -math.inf:

@@ -100,23 +100,21 @@ class LowLevelFilter:
     preserves the stated delay rather than rounding it to the grid.
     """
 
-    def __init__(self, T_p: float, pole: float = FILTER_POLE,
-                 delay: float = FILTER_DELAY, initial: float = 0.0):
+    def __init__(self, T_p: float, initial: float = 0.0):
         if T_p <= 0.0:
             raise ConfigError(f"plant step must be positive, got {T_p}")
-        a = float(pole)
+        a = FILTER_POLE
         T = float(T_p)
         self.T_p = T
         E = math.exp(-a * T)
-        # exp(At) = exp(-a t) (I + N t) with the nilpotent N = A + a I.
-        self._Ad = np.array([[E * (1.0 + a * T), E * T],
-                             [-E * a * a * T, E * (1.0 - a * T)]])
         c1 = (1.0 - E) / a
         c2 = (1.0 - E * (1.0 + a * T)) / (a * a)
-        self._Bd = np.array([c2 * a * a, c1 * a * a - c2 * a * a * a])
-        # The update runs on float copies of the same entries.
-        self._coef = self._Ad.ravel().tolist() + self._Bd.tolist()
-        k = delay / T
+        # Row-major entries of exp(AT) = exp(-aT) (I + NT), with the
+        # nilpotent N = A + aI, then the input column of the exact
+        # zero-order-hold discretization.
+        self._coef = (E * (1.0 + a * T), E * T, -E * a * a * T,
+                      E * (1.0 - a * T), c2 * a * a, c1 * a * a - c2 * a * a * a)
+        k = FILTER_DELAY / T
         self._lag = int(math.floor(k))
         self._frac = k - self._lag
         self._hist: List[float] = [float(initial)] * (self._lag + 2)
@@ -176,16 +174,30 @@ class Scenario:
                 f"T_m={self.T_m} must be an integer multiple of T_p={self.T_p}")
         if self.law not in LAWS:
             raise ConfigError(f"law must be one of {LAWS}, got {self.law!r}")
+        if self.linearization not in ("exact", "frozen"):
+            raise ConfigError("linearization must be exact|frozen, got "
+                              f"{self.linearization!r}")
+        cfg = self.nmpc
+        if cfg is not None:
+            # The solver reads these from the config; the plant loop, the
+            # violation count and the SGLOS law read them from the scenario.
+            differ = [name for name, ours, theirs in (
+                ("T_m", self.T_m, cfg.T_m),
+                ("constraints", self.constraints, cfg.constraints),
+                ("terminal_law", self.sglos, cfg.terminal_law))
+                if ours != theirs]
+            if differ:
+                raise ConfigError(
+                    f"the nmpc config disagrees with the scenario on {differ}")
 
     def guidance_config(self) -> NMPCConfig:
+        """The predictive laws' config, with P synthesized when unset."""
         cfg = self.nmpc
         if cfg is None:
-            cfg = make_config(self.path, u_r=self.u_r,
-                              sglos_params=self.sglos,
-                              constraints=self.constraints, T_m=self.T_m)
+            return make_config(self.path, u_r=self.u_r, terminal_law=self.sglos,
+                               constraints=self.constraints, T_m=self.T_m)
         if cfg.P is None:
-            cfg = replace(cfg, P=synthesize_terminal_weight(self.path, cfg,
-                                                            self.sglos))
+            cfg = replace(cfg, P=synthesize_terminal_weight(self.path, cfg))
         return cfg
 
 
@@ -347,12 +359,13 @@ class Report:
         fileobj.write("\n")
 
 
-def compute_metrics(trace: Trace, converge_band: Optional[float] = None) -> Report:
-    """IAE/RMS errors, convergence time, violation count, timing stats."""
+def compute_metrics(trace: Trace) -> Report:
+    """IAE/RMS errors, convergence time (band from the trace's meta),
+    violation count, timing stats."""
     if len(trace) == 0:
         raise EmptyTrace("cannot compute metrics of an empty trace")
     T_p = trace.meta["T_p"]
-    band = trace.meta["converge_band"] if converge_band is None else converge_band
+    band = trace.meta["converge_band"]
     t = trace["t"]
     x_e = trace["x_e"]
     y_e = trace["y_e"]

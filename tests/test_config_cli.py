@@ -119,6 +119,23 @@ class TestScenarioFromConfig:
         assert sc.initial_input.u == 0.1
 
 
+MALFORMED = {
+    "disturbance-string": dict(BASE, disturbance="sinusoid"),
+    "disturbance-list": dict(BASE, disturbance=["sinusoid"]),
+    "constraints-string": dict(BASE, constraints="tight"),
+    "constraints-list": dict(BASE, constraints=[0.01, 0.2]),
+    "constraints-pairs": dict(BASE, constraints=[["u_max", 0.3]]),
+    "initial_input-string": dict(BASE, initial_input="hold"),
+    "initial_input-list": dict(BASE, initial_input=[0.1, 0.0, 0.1]),
+    "initial_input-pairs": dict(BASE, initial_input=[
+        ["u", 0.1], ["psi", 0.0], ["u_tar", 0.1]]),
+    "sglos-string": dict(BASE, law="nmpc", law_params={"sglos": "default"}),
+    "sglos-list": dict(BASE, law="nmpc", law_params={"sglos": [0.3, 0.8]}),
+    "disturbance-kind-list": dict(BASE, disturbance={
+        "kind": ["sinusoid"], "amplitude": 0.1, "period": 60.0}),
+}
+
+
 class TestCLI:
     def write_config(self, tmp_path, doc):
         f = tmp_path / "scenario.json"
@@ -187,6 +204,19 @@ class TestCLI:
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_section_exit_code(self, tmp_path, capsys, doc):
+        """Each section must be a JSON object: strings, lists and arrays of
+        [key, value] pairs are configuration errors, not crashes."""
+        with pytest.raises(ConfigError):
+            scenario_from_config(doc)
+        out = tmp_path / "x.csv"
+        cfgfile = self.write_config(tmp_path, doc)
+        assert cli.main(["simulate", "--config", cfgfile,
+                         "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solver_failure_exit_code(self, tmp_path):
         doc = dict(BASE, law="nmpc",

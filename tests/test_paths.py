@@ -148,6 +148,45 @@ class TestPathFromConfig:
         poly = polynomial_path([1.0, 0.5, -0.02, 0.001], [0.0, 2.0, 0.03])
         check_path_derivatives(poly, np.linspace(0.5, 20.0, 40))
 
+    def test_polynomial_matches_reference_loops_bit_for_bit(self):
+        """Each derivative is Horner's rule over its own coefficient list;
+        the reference is the former loops, with the factors inline."""
+
+        def poly(c, w):
+            acc = 0.0
+            for a in reversed(c):
+                acc = acc * w + a
+            return acc
+
+        def dpoly(c, w):
+            acc = 0.0
+            for i in range(len(c) - 1, 0, -1):
+                acc = acc * w + i * c[i]
+            return acc
+
+        def ddpoly(c, w):
+            acc = 0.0
+            for i in range(len(c) - 1, 1, -1):
+                acc = acc * w + i * (i - 1) * c[i]
+            return acc
+
+        def dddpoly(c, w):
+            acc = 0.0
+            for i in range(len(c) - 1, 2, -1):
+                acc = acc * w + i * (i - 1) * (i - 2) * c[i]
+            return acc
+
+        rng = np.random.default_rng(12)
+        for trial in range(200):
+            cx = rng.normal(0.0, 10.0, 1 + trial % 8).tolist()
+            cy = rng.normal(0.0, 10.0, 1 + (trial // 8) % 8).tolist()
+            path = polynomial_path(cx, cy)
+            funcs = (path.eval, path.deriv, path.deriv2, path.deriv3)
+            for w in rng.uniform(-50.0, 50.0, 10).tolist():
+                for fn, ref in zip(funcs, (poly, dpoly, ddpoly, dddpoly)):
+                    got = [v.hex() for v in fn(w)]
+                    assert got == [ref(cx, w).hex(), ref(cy, w).hex()]
+
     def test_third_derivatives_closed_form(self, demo_path):
         k = 2.0 * math.pi / 40.0
         for w in (0.0, 3.3, 47.0):

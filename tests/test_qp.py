@@ -74,6 +74,13 @@ class TestShapes:
         with pytest.raises(ValueError, match="finite"):
             QPProblem(H, g, np.zeros((0, 2)), [], [])
 
+    @pytest.mark.parametrize("A", [[[np.nan, 0.0]], [[0.0, np.inf]],
+                                   [[-np.inf, 1.0]]])
+    def test_non_finite_constraint_matrix_rejected(self, A):
+        # A NaN row used to come back as x = NaN with a NaN residual.
+        with pytest.raises(ValueError, match="finite"):
+            QPProblem(np.eye(2), [1.0, 1.0], A, [-1.0], [1.0])
+
 
 class TestBasics:
     def test_unconstrained_stationarity(self):

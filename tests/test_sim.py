@@ -11,8 +11,8 @@ from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
                      NonRegularPath, PathDef, PNMPCSolver, Scenario,
                      SGLOSParams, Trace, case_study_path,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
-                     realistic_scenario, rollout, run_scenario,
-                     transient_scenario)
+                     make_config, realistic_scenario, rollout, run_scenario,
+                     synthesize_terminal_weight, transient_scenario)
 from pfguide import sim
 from pfguide.exceptions import ConfigError
 from pfguide.paths import line_path
@@ -99,9 +99,14 @@ class TestLowLevelFilter:
                 assert out == pytest.approx(0.7, abs=1e-5)
         assert out == pytest.approx(0.7, abs=1e-6)  # t = 2.5 s
 
+    @staticmethod
+    def matrices(f):
+        """The discrete state matrix and input column behind f's update."""
+        return np.reshape(f._coef[:4], (2, 2)), np.array(f._coef[4:])
+
     def test_discrete_dc_gain_exact(self):
-        f = LowLevelFilter(0.05)
-        gain = np.linalg.solve(np.eye(2) - f._Ad, f._Bd)[0]
+        Ad, Bd = self.matrices(LowLevelFilter(0.05))
+        gain = np.linalg.solve(np.eye(2) - Ad, Bd)[0]
         assert gain == pytest.approx(1.0, rel=1e-12)
 
     def test_nonzero_initial_state_is_steady(self):
@@ -111,8 +116,9 @@ class TestLowLevelFilter:
 
     def test_float_update_matches_matrix_form(self):
         """The float update rounds differently from the numpy product of
-        _Ad and _Bd, and the difference does not build up."""
+        the same matrices, and the difference does not build up."""
         f = LowLevelFilter(0.1, initial=1.0)
+        Ad, Bd = self.matrices(f)
         hist = [1.0] * (f._lag + 2)
         x = np.array([1.0, 0.0])
         worst = 0.0
@@ -120,7 +126,7 @@ class TestLowLevelFilter:
             hist = hist[1:] + [cmd]
             u_d = ((1.0 - f._frac) * hist[-1 - f._lag]
                    + f._frac * hist[-2 - f._lag])
-            x = f._Ad @ x + f._Bd * u_d
+            x = Ad @ x + Bd * u_d
             worst = max(worst, abs(f.step(cmd) - x[0]) / abs(x[0]))
         assert worst <= 1e-14
 
@@ -135,6 +141,37 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Scenario(path=line_path(), x0=0, y0=0, omega0=0.0, law="pid",
                      duration=10.0)
+
+
+class TestScenarioAgreesWithConfig:
+    """The solver reads T_m, the constraints and the terminal law from the
+    nmpc config, the plant loop and the SGLOS law from the scenario."""
+
+    GAINS = SGLOSParams(k1=0.4, k2=0.6, delta=0.8)
+
+    @pytest.mark.parametrize("field, value", [
+        ("T_m", 2.0),
+        ("constraints", InputConstraints(du_max=0.02)),
+        ("sglos", SGLOSParams(k1=0.4)),
+    ])
+    def test_mismatch_rejected(self, field, value):
+        sc = transient_scenario("nmpc", duration=20.0)
+        cfg = make_config(sc.path)
+        with pytest.raises(ConfigError, match="disagrees"):
+            replace(sc, nmpc=cfg, **{field: value})
+
+    def test_unknown_linearization_rejected(self):
+        with pytest.raises(ConfigError, match="linearization"):
+            replace(transient_scenario("pnmpc"), linearization="exactly")
+
+    def test_terminal_weight_from_the_config_terminal_law(self):
+        sc = replace(transient_scenario("nmpc"), sglos=self.GAINS)
+        cfg = NMPCConfig(terminal_law=self.GAINS)
+        got = replace(sc, nmpc=cfg).guidance_config().P
+        assert got.tobytes() == synthesize_terminal_weight(sc.path, cfg).tobytes()
+        assert not np.allclose(
+            got, synthesize_terminal_weight(sc.path, NMPCConfig()))
+        assert got.tobytes() == sc.guidance_config().P.tobytes()
 
 
 NAN, INF = math.nan, math.inf
