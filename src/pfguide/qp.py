@@ -30,6 +30,19 @@ np.ix_ and list indexing, and every slice keeps the memory layout the
 indexing form gives (HiAt[:, rows] is F-contiguous, so it is taken as
 HiAt.T.take(rows, 0).T): the bits of a BLAS product depend on the layout
 of its operands, since it selects the kernel and its summation order.
+
+The Cholesky factor and inverse of H (_chol_factor, _inverse), both
+solves of _equality_qp and the full-square and Schur solves of
+_active_set call the LAPACK gufuncs behind np.linalg.cholesky, inv and
+solve (numpy.linalg._umath_linalg) directly.  On these small float
+systems the public wrappers cost several times the factorization
+(argument checks, type promotion and an np.errstate per call), and the
+gufuncs return the same bits.  solve_qp enters the wrappers' error state
+once (_lapack_scope): LAPACK's failure flag raises LinAlgError, so every
+except-LinAlgError branch is taken exactly as before.  The private
+helpers assume that scope; outside it a singular system returns NaN with
+a RuntimeWarning instead of raising.  The rare lstsq fallbacks stay on
+the public API.
 """
 
 from __future__ import annotations
@@ -39,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from numpy.linalg import LinAlgError
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .exceptions import Infeasible, QPFailure
 
@@ -102,6 +115,34 @@ class QPSolution:
         return self.kkt_residual <= KKT_TOL
 
 
+def _lapack_failed(err, flag):
+    raise LinAlgError("singular or not positive definite matrix")
+
+
+def _lapack_scope() -> np.errstate:
+    """The floating-point error state np.linalg enters around each gufunc:
+    LAPACK's failure flag (invalid) raises LinAlgError, and overflow,
+    division and underflow pass silently.  solve_qp enters it once."""
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky(a) for a float matrix, inside _lapack_scope."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """np.linalg.inv(a) for a float matrix, inside _lapack_scope."""
+    return _umath_linalg.inv(a, signature="d->d")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float matrix and vector, inside
+    _lapack_scope."""
+    return _umath_linalg.solve1(a, b, signature="dd->d")
+
+
 def _chol_factor(H: np.ndarray) -> np.ndarray:
     """Cholesky of H, adding REG_EPS*I whenever a pivot falls below REG_EPS;
     QPFailure when H is not positive definite even after the last bump."""
@@ -109,7 +150,7 @@ def _chol_factor(H: np.ndarray) -> np.ndarray:
     for bump in (0.0, REG_EPS, 1e4 * REG_EPS, 1e8 * REG_EPS):
         try:
             Hb = Hr + bump * np.eye(Hr.shape[0]) if bump else Hr
-            L = np.linalg.cholesky(Hb)
+            L = _cholesky(Hb)
             if L.diagonal().min() ** 2 >= REG_EPS * 0.5 or bump:
                 return L
         except LinAlgError:
@@ -119,7 +160,7 @@ def _chol_factor(H: np.ndarray) -> np.ndarray:
 
 def _inverse(H: np.ndarray) -> np.ndarray:
     """(Regularized) H^-1 = L^-T L^-1 from one Cholesky factor."""
-    Li = np.linalg.inv(_chol_factor(H))
+    Li = _inv(_chol_factor(H))
     return Li.T @ Li
 
 
@@ -206,8 +247,8 @@ def _equality_qp(H, g, A, lb, ub, work):
         lo, hi = lb.tolist(), ub.tolist()
         rhs[n:] = [hi[row] if side >= 0 else lo[row] for row, side in work]
     try:
-        sol = np.linalg.solve(KKT, rhs)
-        sol += np.linalg.solve(KKT, rhs - KKT @ sol)
+        sol = _solve(KKT, rhs)
+        sol += _solve(KKT, rhs - KKT @ sol)
     except LinAlgError:
         return None
     return sol[:n], sol[n:]
@@ -321,7 +362,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             # zero and the multipliers come from stationarity directly.
             Aw = A.take(rows, 0)
             try:
-                mu = -np.linalg.solve(Aw.T, grad)
+                mu = -_solve(Aw.T, grad)
             except LinAlgError:
                 mu, *_ = np.linalg.lstsq(Aw.T, -grad, rcond=None)
             d = np.zeros(n)
@@ -331,8 +372,8 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             S = AHiAt.take(rows, 0).take(rows, 1)
             rhs = -(A.take(rows, 0) @ Hin_g)
             try:
-                mu = np.linalg.solve(S, rhs)
-                mu += np.linalg.solve(S, rhs - S @ mu)
+                mu = _solve(S, rhs)
+                mu += _solve(S, rhs - S @ mu)
             except LinAlgError:
                 mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
             d = -Hin_g - Hin_At @ mu
@@ -454,20 +495,21 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
     """
     H, g, A, lb, ub = prob.H, prob.g, prob.A, prob.lb, prob.ub
     n = g.shape[0]
-    if warm is not None and warm.active_set:
-        sol = _warm_set_optimum(H, g, A, lb, ub, warm.active_set)
-        if sol is not None:
-            return sol
-    Hinv = _inverse(H)
-    x = -(Hinv @ g)
-    x += Hinv @ (-g - H @ x)
-    violation = _violation(A, lb, ub, x)
-    if violation <= FEAS_TOL:
-        return QPSolution(
-            x, (), _kkt_residual(H, g, A, lb, ub, x, {}, violation), 0)
-    if (warm is not None and warm.x.shape == (n,)
-            and _violation(A, lb, ub, warm.x) <= FEAS_TOL):
-        x = np.array(warm.x, dtype=float)
-    else:
-        x = _phase1(A, lb, ub, x)
-    return _active_set(H, Hinv, g, A, lb, ub, x, objective_trace)
+    with _lapack_scope():
+        if warm is not None and warm.active_set:
+            sol = _warm_set_optimum(H, g, A, lb, ub, warm.active_set)
+            if sol is not None:
+                return sol
+        Hinv = _inverse(H)
+        x = -(Hinv @ g)
+        x += Hinv @ (-g - H @ x)
+        violation = _violation(A, lb, ub, x)
+        if violation <= FEAS_TOL:
+            return QPSolution(
+                x, (), _kkt_residual(H, g, A, lb, ub, x, {}, violation), 0)
+        if (warm is not None and warm.x.shape == (n,)
+                and _violation(A, lb, ub, warm.x) <= FEAS_TOL):
+            x = np.array(warm.x, dtype=float)
+        else:
+            x = _phase1(A, lb, ub, x)
+        return _active_set(H, Hinv, g, A, lb, ub, x, objective_trace)

@@ -181,8 +181,10 @@ class Scenario:
         if cfg is not None:
             # The solver reads these from the config; the plant loop, the
             # violation count and the SGLOS law read them from the scenario.
+            # The config holds u_r as its reference input u_ref.
             differ = [name for name, ours, theirs in (
                 ("T_m", self.T_m, cfg.T_m),
+                ("u_ref", InputCmd(self.u_r, 0.0, self.u_r), cfg.u_ref),
                 ("constraints", self.constraints, cfg.constraints),
                 ("terminal_law", self.sglos, cfg.terminal_law))
                 if ours != theirs]

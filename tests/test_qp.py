@@ -858,3 +858,102 @@ class TestInvariantsAndWarmStart:
                                  -np.ones(2), np.ones(2)))
         assert sol.x[0] == pytest.approx(1.0, abs=1e-6)
         assert sol.x[1] == pytest.approx(1.0, abs=1e-5)  # pushed to its bound
+
+
+def _outcome(kernel, *args):
+    """The result bytes of kernel(*args), or LinAlgError when it raises."""
+    try:
+        return kernel(*args).tobytes()
+    except LinAlgError:
+        return LinAlgError
+
+
+class TestLapackKernels:
+    """qp calls the gufuncs behind np.linalg.cholesky, inv and solve under
+    one error scope per solve: inside that scope each must give the public
+    call's bytes, and raise LinAlgError on exactly the inputs it raises on."""
+
+    def test_same_bits_and_same_failures(self):
+        rng = np.random.default_rng(131)
+        raised = {"cholesky": 0, "inv": 0, "solve": 0}
+        for n in range(1, 31):
+            M = rng.normal(size=(n, n))
+            spd = M.T @ M + 0.1 * np.eye(n)
+            indefinite = spd.copy()
+            indefinite[-1, -1] = -1.0
+            singular = M.copy()
+            singular[-1] = singular[0]
+            rows = rng.choice(n + 2, size=n, replace=False)
+            Aw = rng.normal(size=(n + 2, n)).take(rows, 0)
+            b = rng.normal(size=n)
+            # Each matrix also as its transpose: F-contiguous, as the
+            # full-square working set's Aw.T.
+            for a in (spd, M, Aw, indefinite, singular, np.zeros((n, n))):
+                for a in (a, a.T):
+                    for name, kernel, public, args in (
+                            ("cholesky", qp._cholesky, np.linalg.cholesky,
+                             (a,)),
+                            ("inv", qp._inv, np.linalg.inv, (a,)),
+                            ("solve", qp._solve, np.linalg.solve, (a, b))):
+                        with qp._lapack_scope():
+                            got = _outcome(kernel, *args)
+                        assert got == _outcome(public, *args), (name, n)
+                        raised[name] += got is LinAlgError
+        assert all(count >= 60 for count in raised.values()), raised
+
+
+class TestSingularSystems:
+    """The LinAlgError branches of the QP: a singular KKT system makes a
+    warm set miss, and a singular Schur block falls back to least squares.
+    Rows 0 and 1 bound x0 <= 0.5 twice: distinct rows, parallel normals."""
+
+    A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    UB = np.array([0.5, 1.0])
+
+    def _problem(self, n):
+        A = self.A[:, :n]
+        return np.eye(n), -np.ones(n), A, np.full(2, -np.inf), self.UB
+
+    def _assert_matches_oracle(self, sol, H, g, A, lb, ub):
+        J_ref, x_ref = qp_oracle(H, g, A, lb, ub)
+        J = 0.5 * sol.x @ H @ sol.x + g @ sol.x
+        assert sol.converged
+        assert np.max(np.abs(sol.x - x_ref)) <= 1e-9
+        assert abs(J - J_ref) <= 1e-12
+
+    def test_parallel_warm_rows_miss(self, monkeypatch):
+        kkt_solutions = []
+        equality_qp = qp._equality_qp
+
+        def recording_equality_qp(*args):
+            kkt_solutions.append(equality_qp(*args))
+            return kkt_solutions[-1]
+
+        monkeypatch.setattr(qp, "_equality_qp", recording_equality_qp)
+        H, g, A, lb, ub = self._problem(2)
+        sol = solve_qp(QPProblem(H, g, A, lb, ub),
+                       warm=QPSolution(np.zeros(2), ((0, 1), (1, 1)),
+                                       np.inf, 0))
+        assert kkt_solutions[0] is None  # the warm set's singular KKT
+        assert sol.iterations > 1  # the usual path took over
+        self._assert_matches_oracle(sol, H, g, A, lb, ub)
+
+    def test_singular_schur_block_falls_back_to_least_squares(self,
+                                                              monkeypatch):
+        schur_sizes = []
+        lstsq = np.linalg.lstsq
+
+        def recording_lstsq(a, b, rcond=None):
+            schur_sizes.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        H, g, A, lb, ub = self._problem(3)
+        # Both rows are active at the warm point, with one free direction
+        # left: the working set is not square, and its Schur block
+        # A_w H^-1 A_w^T = [[1, 2], [2, 4]] is singular.
+        sol = solve_qp(QPProblem(H, g, A, lb, ub),
+                       warm=QPSolution(np.array([0.5, 0.0, 0.0]), (),
+                                       np.inf, 0))
+        assert schur_sizes[0] == (2, 2)
+        self._assert_matches_oracle(sol, H, g, A, lb, ub)

@@ -144,8 +144,9 @@ class TestScenarioValidation:
 
 
 class TestScenarioAgreesWithConfig:
-    """The solver reads T_m, the constraints and the terminal law from the
-    nmpc config, the plant loop and the SGLOS law from the scenario."""
+    """The solver reads T_m, u_r (as u_ref), the constraints and the
+    terminal law from the nmpc config, the plant loop and the SGLOS law
+    from the scenario."""
 
     GAINS = SGLOSParams(k1=0.4, k2=0.6, delta=0.8)
 
@@ -153,6 +154,7 @@ class TestScenarioAgreesWithConfig:
         ("T_m", 2.0),
         ("constraints", InputConstraints(du_max=0.02)),
         ("sglos", SGLOSParams(k1=0.4)),
+        ("u_r", 0.3),
     ])
     def test_mismatch_rejected(self, field, value):
         sc = transient_scenario("nmpc", duration=20.0)
