@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,14 +62,26 @@ class JacobianBlock:
 
 @dataclass
 class SolveResult:
-    """Receding-horizon solve output shared by the predictive laws."""
+    """Receding-horizon solve output shared by the predictive laws.
 
-    u_seq: Tuple[InputCmd, ...]        # N feasible commands
-    x_pred: Tuple[GuidanceState, ...]  # N+1 states, first is the measurement
-    J_opt: float                       # nonlinear cost of u_seq
+    The predicted states are kept as the rollout's flat list; x_pred builds
+    them as GuidanceStates on first read, which the closed loop never does
+    for the fast law.
+    """
+
+    u_seq: Tuple[InputCmd, ...]  # N feasible commands
+    x_flat: Sequence[float]      # states 0..N as (x_e, y_e, z), 0 measured
+    J_opt: float                 # nonlinear cost of u_seq
     iterations: int
     kkt_residual: float
-    solve_time: float                  # s
+    solve_time: float            # s
+
+    @cached_property
+    def x_pred(self) -> Tuple[GuidanceState, ...]:
+        """The N+1 predicted states, the first being the measurement."""
+        X = self.x_flat
+        return tuple(GuidanceState(X[i], X[i + 1], X[i + 2])
+                     for i in range(0, len(X), 3))
 
 
 def _frame_rates(frame: Frame, path: PathDef, z: float) -> Tuple[float, float]:
@@ -176,7 +188,7 @@ def sensitivity_flat(X: Sequence[float], U: Sequence[float],
         [a for _, A in jac for A_row in A for a in A_row]).reshape(N, 3, 3)
     for i in range(1, N):
         r = 3 * i
-        S[r:r + 3, :r] = Ad[i] @ S[r - 3:r, :r]
+        S[r:r + 3, :r] = Ad[i].dot(S[r - 3:r, :r])
     return S
 
 
@@ -347,15 +359,15 @@ def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
     """
     W, r_vec = weights
     X0 = np.array(X[3:])
-    WS = W @ S
+    WS = W.dot(S)
     # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal bit
     # for bit to 0.5(H0 + H0') with H0 = 2(M + diag r): scaling by 2 is exact.
-    H = S.T @ WS
-    H += H.T
-    H.flat[::H.shape[0] + 1] += 2.0 * r_vec
-    g = 2.0 * (WS.T @ X0 + r_vec * (U - Uref))
+    M = S.T.dot(WS)
+    H = M + M.T
+    H.ravel()[::H.shape[0] + 1] += 2.0 * r_vec  # a view of the diagonal
+    g = 2.0 * (WS.T.dot(X0) + r_vec * (U - Uref))
     A, lo, hi = _sqp_rows(U.shape[0] // 3, c)
-    cur = A @ U
+    cur = A.dot(U)
     cur[0] -= u_prev.u
     cur[1] -= u_prev.psi
     return QPProblem(H, g, A, lo - cur, hi - cur)
@@ -368,13 +380,6 @@ def zero_start(N: int) -> QPSolution:
 
 def stack_inputs(u_seq: Sequence[InputCmd]) -> np.ndarray:
     return np.array(flat_inputs(u_seq), dtype=float)
-
-
-def predicted_states(x_k: GuidanceState, X: Sequence[float]
-                     ) -> Tuple[GuidanceState, ...]:
-    """The states 0..N stacked in X (X[:3] being x_k) as GuidanceStates."""
-    return (x_k,) + tuple(GuidanceState(X[i], X[i + 1], X[i + 2])
-                          for i in range(3, len(X), 3))
 
 
 def stack_states(states: Sequence[GuidanceState]) -> np.ndarray:
@@ -523,6 +528,6 @@ class PNMPCSolver:
         u_seq = snap_feasible(U + qsol.x, u_prev, cfg.constraints)
         u_flat = flat_inputs(u_seq)
         X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
-        return SolveResult(u_seq, predicted_states(x_k, X),
-                           horizon_cost_flat(X, u_flat, self._weights),
-                           qsol.iterations, qsol.kkt_residual, timer() - t0)
+        cost = horizon_cost_flat(X, u_flat, self._weights)
+        return SolveResult(u_seq, X, cost, qsol.iterations,
+                           qsol.kkt_residual, timer() - t0)

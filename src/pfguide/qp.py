@@ -30,6 +30,9 @@ np.ix_ and list indexing, and every slice keeps the memory layout the
 indexing form gives (HiAt[:, rows] is F-contiguous, so it is taken as
 HiAt.T.take(rows, 0).T): the bits of a BLAS product depend on the layout
 of its operands, since it selects the kernel and its summation order.
+Products are taken with ndarray.dot, which calls the same BLAS routine
+as the @ operator on these operands and returns the same bits, for about
+half of matmul's per-call cost on arrays this small.
 
 The Cholesky factor and inverse of H (_chol_factor, _inverse), both
 solves of _equality_qp and the full-square and Schur solves of
@@ -92,8 +95,8 @@ class QPProblem:
         if self.ub.shape != (m,):
             raise ValueError("lb and ub must have matching shapes")
         if not all(map(math.isfinite, self.g.tolist())) \
-                or not np.isfinite(self.H).all() \
-                or not np.isfinite(self.A).all():
+                or np.count_nonzero(np.isfinite(self.H)) < self.H.size \
+                or np.count_nonzero(np.isfinite(self.A)) < self.A.size:
             raise ValueError("H, g and A must be finite")
         for lo, hi in zip(self.lb.tolist(), self.ub.tolist()):
             # A NaN bound fails lo <= hi too.
@@ -146,12 +149,14 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _chol_factor(H: np.ndarray) -> np.ndarray:
     """Cholesky of H, adding REG_EPS*I whenever a pivot falls below REG_EPS;
     QPFailure when H is not positive definite even after the last bump."""
-    Hr = 0.5 * (H + H.T)
+    Hr = H + H.T
+    Hr *= 0.5
     for bump in (0.0, REG_EPS, 1e4 * REG_EPS, 1e8 * REG_EPS):
         try:
             Hb = Hr + bump * np.eye(Hr.shape[0]) if bump else Hr
             L = _cholesky(Hb)
-            if L.diagonal().min() ** 2 >= REG_EPS * 0.5 or bump:
+            # A factor that LAPACK returns has a finite, positive diagonal.
+            if bump or min(L.diagonal().tolist()) ** 2 >= REG_EPS * 0.5:
                 return L
         except LinAlgError:
             continue
@@ -161,7 +166,7 @@ def _chol_factor(H: np.ndarray) -> np.ndarray:
 def _inverse(H: np.ndarray) -> np.ndarray:
     """(Regularized) H^-1 = L^-T L^-1 from one Cholesky factor."""
     Li = _inv(_chol_factor(H))
-    return Li.T @ Li
+    return Li.T.dot(Li)
 
 
 def _largest(values, start: float = 0.0) -> float:
@@ -180,7 +185,7 @@ def _violation(A, lb, ub, x) -> float:
     """Largest bound violation of A x, 0.0 on a feasible point and NaN when
     a residual is NaN (_largest, unrolled over both sides of each row)."""
     worst = 0.0
-    for res, lo, hi in zip((A @ x).tolist(), lb.tolist(), ub.tolist()):
+    for res, lo, hi in zip(A.dot(x).tolist(), lb.tolist(), ub.tolist()):
         v = res - hi
         if v > worst:
             worst = v
@@ -211,7 +216,7 @@ def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
     """KKT residual; stationarity and complementarity are scaled by the
     gradient magnitude so badly scaled Hessians stay certifiable.
     violation, when given, is the caller's _violation at x."""
-    grad = H @ x + g
+    grad = H.dot(x) + g
     scale = _grad_scale(g)
     r = _violation(A, lb, ub, x) if violation is None else violation
     if mult:
@@ -219,9 +224,9 @@ def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
         # Stationarity: grad + sum(lam_ub * a) - sum(lam_lb * a) = 0, lam >= 0.
         Aw = A.take(rows, 0)
         grad = grad + np.array([lam if side >= 0 else -lam
-                                for (_, side), lam in mult.items()]) @ Aw
+                                for (_, side), lam in mult.items()]).dot(Aw)
         terms = []  # sign and complementarity of the inequality rows
-        for ((row, side), lam), res in zip(mult.items(), (Aw @ x).tolist()):
+        for ((row, side), lam), res in zip(mult.items(), Aw.dot(x).tolist()):
             if side:  # equality multipliers are sign-free
                 slack = ub.item(row) - res if side > 0 else res - lb.item(row)
                 terms += (-lam, abs(lam * slack))
@@ -248,7 +253,7 @@ def _equality_qp(H, g, A, lb, ub, work):
         rhs[n:] = [hi[row] if side >= 0 else lo[row] for row, side in work]
     try:
         sol = _solve(KKT, rhs)
-        sol += _solve(KKT, rhs - KKT @ sol)
+        sol += _solve(KKT, rhs - KKT.dot(sol))
     except LinAlgError:
         return None
     return sol[:n], sol[n:]
@@ -288,7 +293,7 @@ def _active_rows(A, lb, ub, x, n) -> list:
     """Working set of the rows active at x, at most n of them, in row
     order: equality rows, then rows at their upper, else lower bound."""
     work = []
-    for i, (res, lo, hi) in enumerate(zip((A @ x).tolist(), lb.tolist(),
+    for i, (res, lo, hi) in enumerate(zip(A.dot(x).tolist(), lb.tolist(),
                                           ub.tolist())):
         if lo == hi:
             work.append((i, 0))
@@ -314,7 +319,7 @@ def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
     """
     alpha = 1.0
     blocker = None
-    for i, (ad, res) in enumerate(zip((A @ d).tolist(), (A @ x).tolist())):
+    for i, (ad, res) in enumerate(zip(A.dot(d).tolist(), A.dot(x).tolist())):
         if ad > _DIR_TOL:
             step, side = (ub.item(i) - res) / ad, 1
         elif ad < -_DIR_TOL:
@@ -343,8 +348,8 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     m = lb.shape[0]
     x = np.array(x0, dtype=float)
     # Every Schur system is a slice of these two products.
-    HiAt = Hinv @ A.T
-    AHiAt = A @ HiAt
+    HiAt = Hinv.dot(A.T)
+    AHiAt = A.dot(HiAt)
 
     # Warm sets are re-detected from the point itself, which keeps the set
     # consistent after bound changes.
@@ -352,7 +357,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     scale = _grad_scale(g)
     at_minimizer = False  # the last step was full and unblocked
     for it in range(1, 50 * (m + 1) + 1):
-        grad = H @ x + g
+        grad = H.dot(x) + g
         rows = [rs[0] for rs in work]
         mu_work = list(work)  # the working set that mu belongs to
         if at_minimizer:  # mu are already the multipliers at x
@@ -367,19 +372,19 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
                 mu, *_ = np.linalg.lstsq(Aw.T, -grad, rcond=None)
             d = np.zeros(n)
         elif work:
-            Hin_g = Hinv @ grad
+            Hin_g = Hinv.dot(grad)
             Hin_At = HiAt.T.take(rows, 0).T  # F-contiguous, as HiAt[:, rows]
             S = AHiAt.take(rows, 0).take(rows, 1)
-            rhs = -(A.take(rows, 0) @ Hin_g)
+            rhs = -A.take(rows, 0).dot(Hin_g)
             try:
                 mu = _solve(S, rhs)
-                mu += _solve(S, rhs - S @ mu)
+                mu += _solve(S, rhs - S.dot(mu))
             except LinAlgError:
                 mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-            d = -Hin_g - Hin_At @ mu
+            d = -Hin_g - Hin_At.dot(mu)
         else:
             mu = np.zeros(0)
-            d = -(Hinv @ grad)
+            d = -Hinv.dot(grad)
 
         # A dependent or noisy working set yields phantom steps that do not
         # move the objective; treat those like a stationary point too.
@@ -400,7 +405,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
             if worst is None:
                 # Guard against sign-valid garbage multipliers from a
                 # dependent working set: require genuine stationarity.
-                stat = (grad + mu @ A.take(rows, 0)).tolist()
+                stat = (grad + mu.dot(A.take(rows, 0))).tolist()
                 if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
                     # Polish: re-solve the working set's KKT system and
                     # adopt the result only if it stays feasible.
@@ -501,8 +506,9 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
             if sol is not None:
                 return sol
         Hinv = _inverse(H)
-        x = -(Hinv @ g)
-        x += Hinv @ (-g - H @ x)
+        ng = -g  # Hinv.dot(-g) is -Hinv.dot(g) bit for bit
+        x = Hinv.dot(ng)
+        x += Hinv.dot(ng - H.dot(x))
         violation = _violation(A, lb, ub, x)
         if violation <= FEAS_TOL:
             return QPSolution(

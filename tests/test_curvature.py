@@ -1,10 +1,12 @@
 """The exact second-order SQP term and the solver that switches to it:
 curvature against differences of the exact gradient, the stall trigger,
-the iteration-cap warning, zero cap exits on the presets, and the
-array forms of the QP bounds and the stationarity residual."""
+the convexified Hessian, the iteration-cap warning, converged solves on
+the presets, from wide starts and over horizons, and the array forms of
+the QP bounds and the stationarity residual."""
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 import pfguide.nmpc as nmpc_mod
 from pfguide import (GuidanceState, InputCmd, NMPCConfig, NMPCSolver,
-                     case_study_path, line_path, polynomial_path,
-                     realistic_scenario, run_scenario, transient_scenario)
+                     case_study_path, compute_metrics, line_path,
+                     make_config, polynomial_path, realistic_scenario,
+                     run_scenario, transient_scenario)
 from pfguide.errdyn import rollout_flat
 from pfguide.los import InputConstraints
-from pfguide.nmpc import KKT_TOL, MAX_MAJOR_ITER, _stationarity_residual
+from pfguide.nmpc import (KKT_TOL, MAX_MAJOR_ITER, _PENALTY,
+                         _active_at_zero, _convexified,
+                         _stationarity_residual)
 from pfguide.pnmpc import (_sqp_rows, curvature_flat, horizon_weights,
                            linearized_qp, reference_stack, sensitivity_flat)
 
@@ -133,6 +138,78 @@ def test_no_iteration_cap_exits_on_presets(preset):
     assert float(trace["kkt_residual"].max()) <= KKT_TOL
 
 
+def test_no_cap_exits_from_wide_starts(wide_start_scenarios):
+    # Clipping the full-space eigenvalues once left three solves of each
+    # run at the cap, with KKT residuals of 1-6e-6.
+    for sc in wide_start_scenarios:
+        trace = run_scenario(sc)
+        assert float(trace["kkt_residual"].max()) <= KKT_TOL
+        assert int(trace["iterations"].max()) <= 10
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 6, 10])
+def test_every_horizon_converges_closed_loop(N):
+    sc = realistic_scenario("nmpc", duration=200.0)
+    trace = run_scenario(replace(sc, nmpc=make_config(sc.path, N=N)))
+    assert float(trace["kkt_residual"].max()) <= KKT_TOL
+    assert compute_metrics(trace).violations == 0
+
+
+class TestConvexified:
+    """Penalizing the active rows before the clip keeps the curvature on
+    their null space, where the full-space clip bends it, as long as the
+    penalized sum leaves nothing to clip; the Schur-complement bound of
+    _convexified's docstring is the condition checked."""
+
+    def test_positive_definite_and_reduced_curvature_kept(self):
+        rng = np.random.default_rng(14)
+        rows_all, _, _ = _sqp_rows(3, InputConstraints())
+        n = rows_all.shape[1]
+        kept = 0
+        for _ in range(300):
+            m = int(rng.integers(1, 6))
+            A = rows_all[np.sort(rng.choice(rows_all.shape[0], m,
+                                            replace=False))]
+            if np.linalg.matrix_rank(A) < m:
+                continue
+            basis, _ = np.linalg.qr(A.T, mode="complete")
+            Y, Z = basis[:, :m], basis[:, m:]
+            B = rng.normal(size=(n, n))
+            H = 0.5 * (B + B.T) \
+                + Z @ np.diag(rng.uniform(2.0, 5.0, n - m)) @ Z.T
+            H *= 10.0 ** rng.uniform(-1.0, 3.0)
+            G = rng.normal(size=(n, n))
+            H_gn = (G @ G.T / n + 0.5 * np.eye(n)) * 0.05 * np.abs(H).max()
+            if np.linalg.eigvalsh(H)[0] >= 0.0:
+                continue
+            H_cvx = _convexified(H, H_gn, A)
+            assert np.linalg.eigvalsh(H_cvx)[0] > 0.0
+            # The clip leaves the reduced curvature alone where it lies
+            # above the floor by more than the coupling to the penalized
+            # directions can take back: c^2 < a b (Schur complement).
+            floor = np.linalg.eigvalsh(H_gn)[0]
+            reduced = Z.T @ H @ Z
+            a = np.linalg.eigvalsh(reduced)[0] - floor
+            penalized = H + _PENALTY * np.abs(H).max() * (A.T @ A)
+            b = np.linalg.eigvalsh(Y.T @ penalized @ Y)[0] - floor
+            c = np.linalg.norm(Z.T @ H @ Y, 2)
+            if not (a > 0.0 and b > 0.0 and c * c < a * b):
+                continue
+            kept += 1
+            assert np.abs(Z.T @ H_cvx @ Z - reduced).max() <= \
+                1e-9 * np.abs(reduced).max()
+        assert kept >= 100
+
+    def test_no_active_rows_clips_the_full_space(self):
+        rng = np.random.default_rng(15)
+        B = rng.normal(size=(6, 6))
+        H = 0.5 * (B + B.T)
+        H_gn = np.diag([0.5, 1.0, 2.0, 3.0, 4.0, 5.0])
+        w = np.linalg.eigvalsh(_convexified(H, H_gn, np.zeros((0, 6))))
+        expected = np.maximum(np.linalg.eigvalsh(H), 0.5)
+        assert np.allclose(w, expected, rtol=0.0, atol=1e-12)
+
+
 def _bounds_loop(U, u_prev, c):
     """Per-row bounds of the perturbation, as the QP builder once filled
     them: rate rows (u, psi) then box rows (u, u_tar) per step."""
@@ -198,5 +275,5 @@ class TestArrayFormsMatchLoops:
             pick = rng.choice([0.0, 1e-9, -1e-9, 2e-9, 0.3, -0.3], (2, m))
             lb = -np.abs(pick[0]) * rng.choice([1.0, -1.0], m)
             ub = lb + np.abs(pick[1])
-            assert _stationarity_residual(g, A, lb, ub) == \
+            assert _stationarity_residual(g, A, _active_at_zero(lb, ub)) == \
                 _stationarity_loop(g, A, lb, ub)

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.linalg import LinAlgError
 
 from pfguide import (Infeasible, QPFailure, QPProblem, QPSolution, cli, nmpc,
-                     pnmpc, qp, realistic_scenario, run_scenario, solve_qp,
-                     transient_scenario)
+                     pnmpc, qp, run_scenario, solve_qp, transient_scenario)
 from qp_oracle import qp_oracle, random_feasible_qp
 
 
@@ -189,9 +188,10 @@ class TestTermination:
     """A full, unblocked step lands on the working-set minimizer, so the
     next iteration checks the multipliers instead of stepping again."""
 
-    def test_no_second_step_on_an_unchanged_working_set(self, monkeypatch):
+    def test_no_second_step_on_an_unchanged_working_set(
+            self, monkeypatch, constrained_qp_runs):
         # NMPC hands each QP the previous QP's working set, which answers
-        # most of them without an active-set pass; so the run's QPs are
+        # some of them without an active-set pass; so the runs' QPs are
         # captured and each is replayed from the zero start, as the
         # active-set pass meets it when the warm set misses.
         problems = []
@@ -204,7 +204,8 @@ class TestTermination:
             return real_solve(prob, warm=warm)
 
         monkeypatch.setattr(nmpc, "solve_qp", capturing_solve)
-        run_scenario(realistic_scenario("nmpc", duration=60.0))
+        for sc in constrained_qp_runs:
+            run_scenario(sc)
         monkeypatch.undo()
 
         calls = []  # per _active_set call: start set, steps, result
