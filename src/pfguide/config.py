@@ -85,10 +85,7 @@ def _nmpc_kwargs(lp: dict) -> dict:
     """Horizon, weights and terminal weight of the predictive laws."""
     kwargs = {}
     if "N" in lp:
-        N = lp.pop("N")
-        if isinstance(N, bool) or not isinstance(N, int) or N < 1:
-            raise ConfigError("N must be a positive integer")
-        kwargs["N"] = N
+        kwargs["N"] = lp.pop("N")  # NMPCConfig checks it
     for key in ("Q", "R"):
         if key in lp:
             vec = lp.pop(key)

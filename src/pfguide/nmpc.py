@@ -10,33 +10,29 @@ at its last measured value.  The terminal weight P comes from a discrete
 Lyapunov equation around a far-along-the-path equilibrium, closed with the
 SGLOS law as terminal controller.
 
-The solver is an SQP: each major iteration linearizes the prediction with
-the exact sensitivities and solves the strictly convex QP that
-pnmpc.linearized_qp builds for the step, then backtracks on the true
-nonlinear cost.  Each QP is handed the working set the previous major
-iteration's QP ended on, so that a QP whose optimal set has not changed
-is settled by one KKT solve (qp.solve_qp); the first QP of a solve starts
-from an empty set.  After a failed line search the same linearization is
-re-solved with more damping.  The QP's Hessian starts as Gauss-Newton,
-2(S'WS + diag r).  Far from the path the residuals are large and that
-Hessian only contracts the stationarity residual linearly, so from the
-first major iteration that leaves more than STALL_RATIO of the previous
-residual to the end of the solve, the exact second-order term of the
-rollout (pnmpc.curvature_flat) is added.  That sum can be indefinite, so
-the rows active at the zero step are first penalized with ten times its
-largest entry, and the eigenvalues of the result are then clipped from
-below at the smallest eigenvalue of the Gauss-Newton Hessian.  The
-penalty adds nothing along the active constraints, and the clip keeps
-the curvature there too as long as the penalized sum has no eigenvalue
-below that floor.  The penalty ensures that unless the sum couples the
-active rows' null space strongly to their complement (see
-_convexified).  The line search is Armijo's, except that near
-convergence, where the predicted decrease falls below the rounding of J,
-a trial is also taken when its cost rises by no more than that rounding,
-10 eps |J|.  The constant hold of the previous input is always feasible,
-so a feasible incumbent exists from the start and only improves, up to
-that rounding.  The fast law in the pnmpc module is the first full step
-of this SQP from that hold.
+The solver is an SQP.  Each major iteration linearizes the prediction
+with the exact sensitivities, solves the strictly convex QP that
+pnmpc.linearized_qp builds for the step and backtracks on the true
+nonlinear cost (Armijo).  A QP step that is not a certified descent
+direction, or a line search with no acceptable trial down to alpha =
+1e-7, keeps the incumbent, logs a warning and ends the solve at the
+stationarity residual it has.  Each QP is handed the working set the
+previous QP of the solve ended on (the first starts from an empty set),
+so a QP whose optimal set has not changed is settled by one KKT solve
+(qp.solve_qp).  The QP's Hessian starts as Gauss-Newton, 2(S'WS + diag
+r).  Far from the path the residuals are large and that Hessian only
+contracts the stationarity residual linearly, so from the first major
+iteration that leaves more than STALL_RATIO of the previous residual to
+the end of the solve, the exact second-order term of the rollout
+(pnmpc.curvature_flat) is added.  _convexified makes that sum positive
+definite; it keeps the curvature along the constraints active at the
+zero step unless the sum couples them strongly to the other directions.
+Near convergence, where the predicted decrease falls below the rounding
+of J, the line search also takes a trial whose cost rises by no more
+than that rounding, 10 eps |J|.  The constant hold of the previous input
+is always feasible, so a feasible incumbent exists from the start and
+only improves, up to that rounding.  The fast law in the pnmpc module is
+the first full step of this SQP from that hold.
 """
 
 from __future__ import annotations
@@ -112,8 +108,10 @@ class NMPCConfig:
     def __post_init__(self):
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
-        if self.N < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.N}")
+        if isinstance(self.N, bool) or not isinstance(self.N, int) \
+                or self.N < 1:
+            raise ValueError(
+                f"horizon N must be a positive integer, got {self.N!r}")
         if not (math.isfinite(self.lam) and math.isfinite(self.T_m)
                 and np.all(np.isfinite(self.Q))
                 and np.all(np.isfinite(self.R))):
@@ -293,29 +291,22 @@ def _convexified(H: np.ndarray, H_gn: np.ndarray,
 
 
 class NMPCSolver:
-    """SQP nonlinear solver; owns warm-start and scratch data.
+    """SQP nonlinear solver.
 
-    Not safe for concurrent use from several threads; distinct instances
-    may run in parallel.
+    Holds only per-configuration constants, so a solve depends on its
+    arguments alone.
     """
 
-    def __init__(self, cfg: NMPCConfig, path: PathDef,
-                 kkt_tol: float = KKT_TOL, max_iterations: int = MAX_MAJOR_ITER):
+    kkt_tol = KKT_TOL
+    max_iterations = MAX_MAJOR_ITER
+
+    def __init__(self, cfg: NMPCConfig, path: PathDef):
         cfg.terminal_weight()  # fail fast when unset
-        if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
-            raise ValueError(f"kkt_tol must be finite and > 0, got {kkt_tol}")
-        if isinstance(max_iterations, bool) \
-                or not isinstance(max_iterations, int) or max_iterations < 1:
-            raise ValueError(
-                f"max_iterations must be an int >= 1, got {max_iterations!r}")
         self.cfg = cfg
         self.path = path
-        self.kkt_tol = kkt_tol
-        self.max_iterations = max_iterations
         self._qp_weights = horizon_weights(cfg)
         self._zero_warm = zero_start(cfg.N)
         self._weights = cost_weights(cfg)
-        self._eye = np.eye(3 * cfg.N)
 
     def _candidates(self, x0, v_k, u_prev, warm):
         """Best of the held previous input and, given a warm start, its
@@ -351,32 +342,24 @@ class NMPCSolver:
 
         kkt = math.inf
         iters = 0
-        mu = 0.0  # Levenberg damping; grows when full steps overshoot
         exact = False  # Gauss-Newton Hessian until its contraction stalls
         qp_warm = self._zero_warm
-        relinearize = True  # False: re-solve the same iterate, more damped
         for it in range(1, self.max_iterations + 1):
-            prev_kkt = kkt  # kkt stays as is at a repeated iterate
-            if relinearize:
-                u_flat = U.tolist()
-                S = sensitivity_flat(X, u_flat, frames, v_k, cfg.T_m,
-                                     self.path)
-                qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
-                                   cfg.constraints)
-                active = _active_at_zero(qp.lb, qp.ub)
-                kkt = _stationarity_residual(qp.g, qp.A, active)
-                if kkt <= self.kkt_tol:
-                    break
-                scale = float(np.trace(qp.H)) / qp.H.shape[0]
-                H_gn = qp.H
-                H_exact = None  # undamped exact Hessian, once needed here
+            prev_kkt = kkt
+            u_flat = U.tolist()
+            S = sensitivity_flat(X, u_flat, frames, v_k, cfg.T_m, self.path)
+            qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
+                               cfg.constraints)
+            active = _active_at_zero(qp.lb, qp.ub)
+            kkt = _stationarity_residual(qp.g, qp.A, active)
+            if kkt <= self.kkt_tol:
+                break
             exact = exact or kkt > STALL_RATIO * prev_kkt
-            if exact and H_exact is None:
-                H_exact = _convexified(
-                    H_gn + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
+            if exact:
+                qp.H = _convexified(
+                    qp.H + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
                                           self.path, self._qp_weights[0]),
-                    H_gn, qp.A.take(active[0], axis=0))
-            qp.H = (H_exact if exact else H_gn) + mu * scale * self._eye
+                    qp.H, qp.A.take(active[0], axis=0))
             qsol = solve_qp(qp, warm=qp_warm)
             qp_warm = QPSolution(self._zero_warm.x, qsol.active_set,
                                  math.inf, 0)
@@ -395,7 +378,6 @@ class NMPCSolver:
                     it, qsol.converged, qsol.kkt_residual, gd)
                 break
             alpha = 1.0
-            accepted = False
             rounding = _ROUNDING * abs(J)
             while alpha >= 1e-7:
                 U_try = U + alpha * delta
@@ -405,19 +387,14 @@ class NMPCSolver:
                 J_try = horizon_cost_flat(X_try, u_try, self._weights)
                 if J_try <= J + 1e-4 * alpha * gd or (
                         J_try - J <= rounding and -alpha * gd <= rounding):
-                    accepted = True
                     break
                 alpha *= 0.5
-            relinearize = accepted
-            if not accepted:
-                if mu >= 1e8:
-                    break
-                mu = max(4.0 * mu, 1e-3)
-                continue
-            if alpha >= 1.0:
-                mu = 0.0 if mu < 1e-6 else 0.25 * mu
-            elif alpha < 0.25:
-                mu = max(4.0 * mu, 1e-3)
+            else:
+                logger.warning(
+                    "SQP iteration %d: line search failed (no decrease "
+                    "down to alpha 1e-7, KKT residual %.3e, g.d = %.3e); "
+                    "keeping the incumbent", it, kkt, gd)
+                break
             U, X, frames, J = U_try, X_try, frames_try, J_try
         else:
             logger.warning(

@@ -4,9 +4,9 @@ Both predictive laws step on the same QP (linearized_qp): the Euler
 prediction is linearized around an input sequence U, X(U + delta) ~
 X(U) + S . delta, and the horizon cost becomes one strictly convex QP in
 the per-step input perturbation delta, started from delta = 0.  The
-nonlinear law iterates it with damping and a line search; the fast law
-(PNMPCSolver) is the first full step of that SQP from the held previous
-input, a real-time iteration.  It has two sources of S:
+nonlinear law iterates it with a line search; the fast law (PNMPCSolver)
+is the first full step of that SQP from the held previous input, a
+real-time iteration.  It has two sources of S (LINEARIZATIONS):
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
@@ -42,6 +42,7 @@ from .qp import QPProblem, QPSolution, solve_qp
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .nmpc import NMPCConfig
 
+LINEARIZATIONS = ("exact", "frozen")
 _ZZ_STEP = 1e-5  # relative z step of the curvature's z-z difference
 _EYE3 = np.eye(3)
 
@@ -490,7 +491,7 @@ class PNMPCSolver:
 
     def __init__(self, cfg: "NMPCConfig", path: PathDef,
                  linearization: str = "exact"):
-        if linearization not in ("exact", "frozen"):
+        if linearization not in LINEARIZATIONS:
             raise ValueError(f"unknown linearization {linearization!r}")
         cfg.terminal_weight()  # fail fast when unset
         self.cfg = cfg

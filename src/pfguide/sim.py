@@ -33,7 +33,7 @@ from .exceptions import ConfigError, EmptyTrace, PFGuideError
 from .los import InputConstraints, SGLOSParams, clamp_inputs, require_in_box, sglos
 from .nmpc import NMPCConfig, NMPCSolver, make_config, synthesize_terminal_weight
 from .paths import PathDef, path_frame, sample_path, z_of_omega
-from .pnmpc import PNMPCSolver
+from .pnmpc import LINEARIZATIONS, PNMPCSolver
 
 LAWS = ("nmpc", "pnmpc", "sglos")
 
@@ -174,9 +174,9 @@ class Scenario:
                 f"T_m={self.T_m} must be an integer multiple of T_p={self.T_p}")
         if self.law not in LAWS:
             raise ConfigError(f"law must be one of {LAWS}, got {self.law!r}")
-        if self.linearization not in ("exact", "frozen"):
-            raise ConfigError("linearization must be exact|frozen, got "
-                              f"{self.linearization!r}")
+        if self.linearization not in LINEARIZATIONS:
+            raise ConfigError(f"linearization must be one of "
+                              f"{LINEARIZATIONS}, got {self.linearization!r}")
         cfg = self.nmpc
         if cfg is not None:
             # The solver reads these from the config; the plant loop, the

@@ -115,8 +115,9 @@ class TestStallTrigger:
         assert res.iterations < MAX_MAJOR_ITER
 
 
-def test_cap_exit_logs_warning(caplog, demo_path, demo_config):
-    solver = NMPCSolver(demo_config, demo_path, max_iterations=1)
+def test_cap_exit_logs_warning(monkeypatch, caplog, demo_path, demo_config):
+    monkeypatch.setattr(NMPCSolver, "max_iterations", 1)
+    solver = NMPCSolver(demo_config, demo_path)
     with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
         res = solver.solve(GuidanceState(1.38, 5.85, 1.0 / 3.5), 0.0,
                            InputCmd(0.0, 0.56, 0.01))

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 from dataclasses import replace
 
@@ -8,11 +9,11 @@ import pytest
 from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
                      NMPCSolver, TerminalWeightUnset,
                      UnstableTerminalLoop, discrete_lyapunov, euler_step,
-                     run_scenario, sample_path, sglos, stage_cost,
-                     synthesize_terminal_weight, z_of_omega)
+                     realistic_scenario, run_scenario, sample_path, sglos,
+                     stage_cost, synthesize_terminal_weight, z_of_omega)
 from pfguide import nmpc as nmpc_mod
 from pfguide import qp as qp_mod
-from pfguide.errdyn import rollout
+from pfguide.errdyn import flat_inputs, rollout
 from pfguide.los import clamp_inputs
 from pfguide.pnmpc import horizon_cost, quadratic_form
 
@@ -31,6 +32,11 @@ class TestConfig:
             NMPCConfig(P=np.diag([1.0, 1.0, 0.0]))  # must be PD
         with pytest.raises(ValueError):
             NMPCConfig(P=np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
+
+    @pytest.mark.parametrize("N", [2.0, True])
+    def test_horizon_must_be_an_int_not_a_boolean(self, N):
+        with pytest.raises(ValueError, match="horizon"):
+            NMPCConfig(N=N, P=np.eye(3))
 
     def test_zero_z_weight_allowed(self):
         NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
@@ -226,23 +232,11 @@ class TestSolve:
         with pytest.raises(TerminalWeightUnset):
             NMPCSolver(NMPCConfig(), demo_path)
 
-    @pytest.mark.parametrize("kkt_tol", [math.nan, math.inf, 0.0, -1e-6])
-    def test_kkt_tol_must_be_finite_and_positive(self, demo_path,
-                                                 demo_config, kkt_tol):
-        with pytest.raises(ValueError, match="kkt_tol"):
-            NMPCSolver(demo_config, demo_path, kkt_tol=kkt_tol)
-
-    @pytest.mark.parametrize("max_iterations", [0, -2, True, 3.0, "5"])
-    def test_max_iterations_must_be_a_positive_int(self, demo_path,
-                                                   demo_config,
-                                                   max_iterations):
-        with pytest.raises(ValueError, match="max_iterations"):
-            NMPCSolver(demo_config, demo_path, max_iterations=max_iterations)
-
-    def test_valid_solver_arguments_kept(self, demo_path, demo_config):
-        solver = NMPCSolver(demo_config, demo_path, kkt_tol=1e-4,
-                            max_iterations=1)
-        assert (solver.kkt_tol, solver.max_iterations) == (1e-4, 1)
+    def test_tolerances_are_the_module_constants(self, demo_path,
+                                                 demo_config):
+        solver = NMPCSolver(demo_config, demo_path)
+        assert (solver.kkt_tol, solver.max_iterations) \
+            == (nmpc_mod.KKT_TOL, nmpc_mod.MAX_MAJOR_ITER)
 
     def test_line_equilibrium_is_stationary(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
@@ -324,29 +318,23 @@ class TestSolve:
 
 
 class TestSQPWork:
-    def test_failed_line_search_keeps_the_linearization(self, monkeypatch,
-                                                        demo_path,
-                                                        demo_config):
+    def test_failed_line_search_keeps_the_incumbent(self, monkeypatch,
+                                                    caplog, demo_path,
+                                                    demo_config):
         """The first line search fails (the patched cost rejects every
-        trial), so the damped QP is re-solved at the same iterate: one
-        linearization per distinct iterate, and the exact curvature still
-        switches on at the repeated iterate."""
-        linearized, curved, problems = [], [], []
-        real_sens = nmpc_mod.sensitivity_flat
-        real_curv = nmpc_mod.curvature_flat
+        trial), so the solve ends after one iteration on the best
+        candidate, reports the KKT residual it has and says why."""
+        x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
+            InputCmd(0.0, 0.56, 0.01)
+        solver = NMPCSolver(demo_config, demo_path)
+        best_U, _, _, best_J = solver._candidates(
+            (x.x_e, x.y_e, x.z), 0.0, u_prev, None)
+        problems = []
         real_cost = nmpc_mod.horizon_cost_flat
         real_solve = nmpc_mod.solve_qp
 
-        def sens(X, u_flat, *args):
-            linearized.append(tuple(u_flat))
-            return real_sens(X, u_flat, *args)
-
-        def curv(S, X, u_flat, *args):
-            curved.append(tuple(u_flat))
-            return real_curv(S, X, u_flat, *args)
-
         def solve(prob, warm=None):
-            problems.append((prob.H.copy(), prob.g.copy()))
+            problems.append(prob)
             return real_solve(prob, warm=warm)
 
         def cost(X, u_flat, weights):
@@ -354,19 +342,46 @@ class TestSQPWork:
             return math.inf if len(problems) == 1 else \
                 real_cost(X, u_flat, weights)
 
-        for name, fake in (("sensitivity_flat", sens),
-                           ("curvature_flat", curv),
-                           ("horizon_cost_flat", cost), ("solve_qp", solve)):
+        monkeypatch.setattr(nmpc_mod, "horizon_cost_flat", cost)
+        monkeypatch.setattr(nmpc_mod, "solve_qp", solve)
+        with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
+            res = solver.solve(x, 0.0, u_prev)
+        assert res.iterations == 1 and len(problems) == 1
+        assert flat_inputs(res.u_seq) == best_U.tolist()
+        assert res.J_opt == best_J
+        assert res.kkt_residual > nmpc_mod.KKT_TOL
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "pfguide.nmpc" and r.levelno == logging.WARNING]
+        assert len(msgs) == 1 and "line search failed" in msgs[0]
+
+    def test_qp_hessian_is_the_linearization_or_its_convexification(
+            self, monkeypatch):
+        """Every QP carries, bit for bit, the Hessian its linearization
+        built or _convexified's output for it: no damping term is added."""
+        built, carried = [], []
+        real_qp, real_conv = nmpc_mod.linearized_qp, nmpc_mod._convexified
+        real_solve = nmpc_mod.solve_qp
+
+        def lin(*args):
+            qp = real_qp(*args)
+            built[:] = [qp.H.tobytes()]
+            return qp
+
+        def conv(*args):
+            H = real_conv(*args)
+            built.append(H.tobytes())
+            return H
+
+        def solve(prob, warm=None):
+            carried.append(prob.H.tobytes() in built)
+            return real_solve(prob, warm=warm)
+
+        for name, fake in (("linearized_qp", lin), ("_convexified", conv),
+                           ("solve_qp", solve)):
             monkeypatch.setattr(nmpc_mod, name, fake)
-        res = NMPCSolver(demo_config, demo_path).solve(
-            GuidanceState(1.38, 5.85, 1.0 / 3.5), 0.0,
-            InputCmd(0.0, 0.56, 0.01))
-        assert res.kkt_residual <= nmpc_mod.KKT_TOL
-        assert len(linearized) == len(set(linearized))
-        # The repeat re-solves the first linearization with more damping.
-        assert np.array_equal(problems[0][1], problems[1][1])
-        assert not np.array_equal(problems[0][0], problems[1][0])
-        assert curved[0] == linearized[0]
+        run_scenario(realistic_scenario("nmpc", duration=20.0))
+        assert len(carried) >= 50
+        assert all(carried)
 
     def test_constrained_qps_answered_from_the_warm_set(self, monkeypatch,
                                                         constrained_qp_runs):
