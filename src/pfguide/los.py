@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .angles import wrap_angle
 from .errdyn import GuidanceState, InputCmd
@@ -55,20 +55,17 @@ class InputConstraints:
             raise ValueError(f"bounds must be positive, got {self!r}")
 
 
-def sglos(x: GuidanceState, path: PathDef, p: SGLOSParams,
-          u_current: Optional[float] = None) -> InputCmd:
+def sglos(x: GuidanceState, path: PathDef, p: SGLOSParams) -> InputCmd:
     """Raw (unsaturated) SGLOS command at the given state.
 
     The surge entering the u_tar component is the law's own freshly
-    computed surge command unless a measured value is passed explicitly
-    via u_current.
+    computed surge command.
     """
     phi_p = path_frame(path, omega_of_z(x.z))[0]
     u_cmd = p.k1 * math.sqrt(x.y_e * x.y_e + p.delta * p.delta)
     los_angle = math.atan(x.y_e / p.delta)
     psi_cmd = wrap_angle(phi_p - los_angle)
-    u_third = u_cmd if u_current is None else u_current
-    u_tar = p.k2 * x.x_e + u_third * math.cos(-los_angle)
+    u_tar = p.k2 * x.x_e + u_cmd * math.cos(-los_angle)
     return InputCmd(u_cmd, psi_cmd, u_tar)
 
 

@@ -7,13 +7,15 @@ so H is Cholesky-factored and inverted once per solve, and H^-1 A^T and
 A H^-1 A^T are formed once: each working-set change slices them into a
 small Schur system.  A warm working set (warm.active_set, typically the
 set the previous QP of an SQP ended on) is checked first with one KKT
-solve of its equality QP, and that point is returned when it satisfies the
-KKT conditions.  Otherwise the start is the unconstrained minimizer,
-returned as the optimum when it is feasible; then a feasible warm point,
-else a Phase-1 point.  After a full, unblocked step the iterate minimizes
-on its working set, so the next iteration only checks the multipliers.
-Ties in the ratio test break toward the lowest constraint row, making
-runs reproducible.
+solve of its equality QP.  Otherwise the start is the unconstrained
+minimizer, returned as the optimum when it is feasible; then a feasible
+warm point, else a Phase-1 point.  After a full, unblocked step the
+iterate minimizes on its working set, so the next iteration only checks
+the multipliers.  Ties in the ratio test break toward the lowest
+constraint row, making runs reproducible.
+
+One rule (_certified) certifies both the warm set's answer and the one
+the active-set iteration stops on; converged reads its last test.
 
 The per-row scans (the problem's bound checks, the working-set
 detection, the ratio test, the tiny-step test, the multiplier check, the
@@ -259,21 +261,26 @@ def _equality_qp(H, g, A, lb, ub, work):
     return sol[:n], sol[n:]
 
 
-def _warm_set_optimum(H, g, A, lb, ub, work) -> Optional[QPSolution]:
-    """The equality-QP point of the working set work, with one iteration,
-    when it satisfies the KKT conditions (primal feasible, inequality
-    multipliers >= -1e-10, KKT residual <= KKT_TOL), which makes it the
-    optimum; else None.  A set this QP cannot work on misses at once: more
-    than n rows, a repeated or out-of-range row, or a side the row lacks
-    (0 only on an equality row, +-1 only on a finite inequality bound)."""
+def _usable_warm_set(g, lb, ub, work) -> bool:
+    """Whether this QP can work on a working set handed in from outside:
+    at most n rows, none repeated or out of range, and each on a side its
+    row has (0 only on an equality row, +-1 only on a finite inequality
+    bound)."""
     m = lb.shape[0]
     if len(work) > g.shape[0] or len({row for row, _ in work}) < len(work):
-        return None
+        return False
     lo, hi = lb.tolist(), ub.tolist()
-    for row, side in work:
-        if not 0 <= row < m or (side == 0) != (lo[row] == hi[row]) \
-                or not math.isfinite(hi[row] if side >= 0 else lo[row]):
-            return None
+    return all(0 <= row < m and (side == 0) == (lo[row] == hi[row])
+               and math.isfinite(hi[row] if side >= 0 else lo[row])
+               for row, side in work)
+
+
+def _certified(H, g, A, lb, ub, work, iterations) -> Optional[QPSolution]:
+    """The equality-QP point of the working set work with its own
+    multipliers, when it satisfies the KKT conditions (primal feasible,
+    inequality multipliers >= -1e-10, KKT residual <= KKT_TOL), which makes
+    it the optimum; else None.  The one certificate of an optimum, for a
+    warm set and for the active-set iteration's stationary exit alike."""
     sol = _equality_qp(H, g, A, lb, ub, work)
     if sol is None:
         return None
@@ -285,8 +292,8 @@ def _warm_set_optimum(H, g, A, lb, ub, work) -> Optional[QPSolution]:
             for (_, side), lam in mult.items()):
         return None
     kkt = _kkt_residual(H, g, A, lb, ub, x, mult, violation)
-    return QPSolution(x, tuple(work), kkt, 1, mult) if kkt <= KKT_TOL \
-        else None
+    return QPSolution(x, tuple(work), kkt, iterations, mult) \
+        if kkt <= KKT_TOL else None
 
 
 def _active_rows(A, lb, ub, x, n) -> list:
@@ -332,7 +339,7 @@ def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
     return alpha, blocker
 
 
-def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
+def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
     """Primal active-set iteration from a feasible start x0, with Hinv the
     (regularized) inverse of H (Nocedal & Wright, Alg. 16.3).
 
@@ -341,8 +348,8 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
     them: a fresh solve there returns just a rounding-noise step (1e-11 to
     4e-9 relative), too large for the tiny-step test below.
 
-    objective_trace, when given, collects the objective value after every
-    step (debug hook for the monotone-descent invariant).
+    The stationary exit returns _certified on the final working set, else
+    the iterate with its Schur multipliers (computed through Hinv).
     """
     n = g.shape[0]
     m = lb.shape[0]
@@ -407,16 +414,9 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
                 # dependent working set: require genuine stationarity.
                 stat = (grad + mu.dot(A.take(rows, 0))).tolist()
                 if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
-                    # Polish: re-solve the working set's KKT system and
-                    # adopt the result only if it stays feasible.
-                    sol = _equality_qp(H, g, A, lb, ub, work)
-                    violation = None  # at x, when the polish sets it
-                    if sol is not None:
-                        v = _violation(A, lb, ub, sol[0])
-                        if v <= FEAS_TOL:
-                            x, violation = sol[0], v
-                    kkt = _kkt_residual(H, g, A, lb, ub, x, mult, violation)
-                    return QPSolution(x, tuple(work), kkt, it, mult)
+                    return _certified(H, g, A, lb, ub, work, it) \
+                        or QPSolution(x, tuple(work), _kkt_residual(
+                            H, g, A, lb, ub, x, mult), it, mult)
                 # Dependent set: discard the lowest-index inequality row.
                 for k, (_, side) in enumerate(work):
                     if side != 0:
@@ -430,8 +430,6 @@ def _active_set(H, Hinv, g, A, lb, ub, x0, objective_trace=None) -> QPSolution:
 
         alpha, blocker = _ratio_test(A, lb, ub, x, d, rows)
         x = x + alpha * d
-        if objective_trace is not None:
-            objective_trace.append(0.5 * float(x @ H @ x) + float(g @ x))
         if blocker is None:
             at_minimizer = True
         elif len(work) < n:
@@ -481,28 +479,27 @@ def _phase1(A, lb, ub, x0) -> np.ndarray:
     return sol.x[:n]
 
 
-def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
-             objective_trace: Optional[list] = None) -> QPSolution:
+def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None) -> QPSolution:
     """Minimize over the polytope; deterministic for fixed inputs.
 
-    A non-empty warm.active_set is tried first: the equality QP on that
-    working set is solved once, and its point is returned with one
-    iteration when it satisfies the KKT conditions (then it is the
-    optimum).  Otherwise H is factored and inverted once.  The
-    unconstrained minimizer (with one refinement step) is returned at once,
-    with zero iterations, when it is feasible: it is then the optimum.
-    Otherwise the active-set iteration starts from warm.x if that is
-    feasible, else from a Phase-1 point.  Returns the optimum with KKT
-    residual <= 1e-8, or the best feasible iterate with a larger reported
-    residual when the iteration cap is hit.  Raises Infeasible when no
-    point satisfies the constraints.  objective_trace, when given, records
-    the per-iteration objective.
+    A non-empty warm.active_set that this QP can work on is tried first:
+    the equality QP on that working set is solved once, and its point is
+    returned with one iteration when _certified accepts it.
+    Otherwise H is factored and inverted once.  The unconstrained minimizer
+    (with one refinement step) is returned at once, with zero iterations,
+    when it is feasible: it is then the optimum.  Otherwise the active-set
+    iteration starts from warm.x if that is feasible, else from a Phase-1
+    point, and its answer passes the same certificate.  converged means
+    that the certificate passed (KKT residual <= KKT_TOL); else the result
+    is the best feasible iterate with its larger residual.  Raises
+    Infeasible when no point satisfies the constraints.
     """
     H, g, A, lb, ub = prob.H, prob.g, prob.A, prob.lb, prob.ub
     n = g.shape[0]
     with _lapack_scope():
-        if warm is not None and warm.active_set:
-            sol = _warm_set_optimum(H, g, A, lb, ub, warm.active_set)
+        if warm is not None and warm.active_set \
+                and _usable_warm_set(g, lb, ub, warm.active_set):
+            sol = _certified(H, g, A, lb, ub, warm.active_set, 1)
             if sol is not None:
                 return sol
         Hinv = _inverse(H)
@@ -518,4 +515,4 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None,
             x = np.array(warm.x, dtype=float)
         else:
             x = _phase1(A, lb, ub, x)
-        return _active_set(H, Hinv, g, A, lb, ub, x, objective_trace)
+        return _active_set(H, Hinv, g, A, lb, ub, x)

@@ -35,12 +35,6 @@ class TestSGLOS:
         cmd = sglos(x, xaxis_path, P)
         assert cmd.psi == pytest.approx(-math.pi / 4.0, rel=1e-12)  # atan(1)
 
-    def test_target_speed_with_measured_surge(self, xaxis_path):
-        # u_current * cos(psi - phi_p) = 0.1 with y_e = 0 makes cos = 1
-        x = GuidanceState(1.0, 0.0, 0.5)
-        cmd = sglos(x, xaxis_path, P, u_current=0.1)
-        assert cmd.u_tar == pytest.approx(0.8 * 1.0 + 0.1, rel=1e-12)
-
     def test_own_command_feeds_target_speed(self, xaxis_path):
         # with the commanded-surge convention the third component collapses
         # to k2*x_e + k1*delta for any cross-track error

@@ -383,6 +383,20 @@ class TestSQPWork:
         assert len(carried) >= 50
         assert all(carried)
 
+    def test_ill_conditioned_qp_step_is_taken(self, caplog):
+        """The benchmark's seed-4245 start of scenario 3: the second QP of
+        the first solve has a penalized exact Hessian with cond(H) 1.4e8,
+        and its optimum must be certified so that the SQP takes the
+        descent step (g.d = -46.9) instead of stopping at KKT 161.7."""
+        sc = replace(realistic_scenario("nmpc", duration=1.0),
+                     x0=9.590192949836688, y0=11.957564349296453,
+                     omega0=2.0427784612741156)
+        with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
+            trace = run_scenario(sc, timer=lambda: 0.0)
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "pfguide.nmpc"] == []
+        assert trace["kkt_residual"][0] <= nmpc_mod.KKT_TOL
+
     def test_constrained_qps_answered_from_the_warm_set(self, monkeypatch,
                                                         constrained_qp_runs):
         """Within a solve each QP gets the working set the previous QP

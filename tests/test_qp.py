@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.linalg import LinAlgError
 
-from pfguide import (Infeasible, QPFailure, QPProblem, QPSolution, cli, nmpc,
-                     pnmpc, qp, run_scenario, solve_qp, transient_scenario)
+from pfguide import (InputConstraints, Infeasible, QPFailure, QPProblem,
+                     QPSolution, cli, nmpc, pnmpc, qp, run_scenario, solve_qp,
+                     transient_scenario)
 from qp_oracle import qp_oracle, random_feasible_qp
 
 
@@ -321,25 +322,97 @@ class TestWarmWorkingSet:
                              ids=["repeated", "more_than_n", "out_of_range",
                                   "side_0_on_inequality", "infinite_bound"])
     def test_impossible_sets_miss_before_any_solve(self, work, monkeypatch):
-        def no_solve(*args):
-            raise AssertionError("no KKT solve for an impossible set")
+        solved = []  # the working sets of every KKT solve
+        equality_qp = qp._equality_qp
 
-        monkeypatch.setattr(qp, "_equality_qp", no_solve)
-        A = np.eye(2)
+        def recording(H, g, A, lb, ub, work_):
+            solved.append(tuple(work_))
+            return equality_qp(H, g, A, lb, ub, work_)
+
+        monkeypatch.setattr(qp, "_equality_qp", recording)
         lb, ub = np.array([-1.0, -np.inf]), np.array([0.5, 0.5])
-        assert qp._warm_set_optimum(np.eye(2), -np.ones(2), A, lb, ub,
-                                    work) is None
+        assert not qp._usable_warm_set(-np.ones(2), lb, ub, work)
+        sol = solve_qp(QPProblem(np.eye(2), -np.ones(2), np.eye(2), lb, ub),
+                       warm=QPSolution(np.zeros(2), work, np.inf, 0))
+        assert work not in solved
+        assert sol.active_set == ((0, 1), (1, 1))
+        assert sol.converged
 
     def test_empty_warm_set_takes_the_usual_path(self, monkeypatch):
         def no_check(*args):
             raise AssertionError("an empty warm set must not be checked")
 
-        monkeypatch.setattr(qp, "_warm_set_optimum", no_check)
+        monkeypatch.setattr(qp, "_usable_warm_set", no_check)
         sol = solve_qp(QPProblem(np.eye(2), -np.ones(2), np.eye(2),
                                  np.full(2, -np.inf), np.full(2, 0.5)),
                        warm=QPSolution(np.zeros(2), (), np.inf, 0))
         assert sol.active_set == ((0, 1), (1, 1))
         assert sol.converged
+
+
+class TestCertificate:
+    """The active-set exit certifies its answer by the warm set's rule: the
+    working set's equality-QP point with that point's own multipliers."""
+
+    # The second QP of the first NMPC solve from the benchmark's seed-4245
+    # start (x0, y0, omega0) = (9.590, 11.958, 2.043) on the realistic
+    # preset: a penalized exact Hessian, |H|max 2.8e3 and cond(H) 1.4e8.
+    H_4245 = [
+        [2799.0195695814355, 273.64173419301267, -5.344912288336008,
+         14.185039582361469, 0.02285606844831783, -4.273979522534313,
+         12.185244142668484, 0.01752275063012653, -2.564267205774719],
+        [273.64173419301267, 26.75350082103828, -0.00493438888788734,
+         0.02426615036675244, -0.12285363199922732, -0.003941287228313032,
+         0.01976270220491206, -0.09959471466325907, -0.002359310646652005],
+        [-5.344912288336022, -0.004934388887892839, 2769.0825241444745,
+         -4.3992068948822265, -0.0033915953958831412, 4.794275170919155,
+         -2.7026678765041137, -0.001718428470592612, 2.827301253609057],
+        [14.18503958236178, 0.024266150366778583, -4.399206894882256,
+         2796.9650039237617, 258.0086413872962, -3.534608172179804,
+         12.184869892507932, 0.01648287910986086, -2.564391156426594],
+        [0.022856068448317553, -0.12285363199922698, -0.003391595395883825,
+         258.00864138729617, 23.801405643552897, -0.0027215508307449564,
+         0.017509662013460756, -0.0941792850548588, -0.001981253089465354],
+        [-4.273979522534323, -0.003941287228314518, 4.794275170919155,
+         -3.534608172179745, -0.0027215508307457544, 2766.9511701641745,
+         -2.692601048197017, -0.0017248940263529867, 2.8306366517683386],
+        [12.185244142668452, 0.019762702204912132, -2.702667876504099,
+         12.184869892507843, 0.01750966201342993, -2.6926010481970057,
+         2794.9213372774684, 243.10628482214796, -1.7367740670906453],
+        [0.017522750630130767, -0.0995947146632584, -0.001718428470590653,
+         0.016482879109859367, -0.0941792850548611, -0.0017248940263529238,
+         243.10628482214798, 21.146574508218922, -0.0011121136276036614],
+        [-2.5642672057747404, -0.002359310646653043, 2.82730125360929,
+         -2.5643911564265647, -0.0019812530894641562, 2.8306366517682284,
+         -1.736774067090653, -0.0011121136276055258, 2764.800860412193],
+    ]
+    g_4245 = [
+        -161.7103729405992, -1.2343618832392744e-29, -15.182764986691573,
+        -158.22102056268358, 0.0, -9.6791975190321, -153.46402197859928,
+        9.66140802305176e-29, -5.649005290764581
+    ]
+    lb_4245 = [
+        -0.05, -0.22778168831977708, 4.468157470978387e-32, -0.74, -0.05,
+        -0.7853981633974483, 0.0, -0.74, -0.05, -0.7853981633974483,
+        -3.944304526105059e-31, -0.74
+    ]
+    ub_4245 = [
+        0.05, 1.3430146384751196, 0.225, 0.0, 0.05, 0.7853981633974483, 0.225,
+        0.0, 0.05, 0.7853981633974483, 0.225, 0.0
+    ]
+
+    def test_ill_conditioned_optimum_is_certified(self):
+        """Its Schur multipliers, computed through H^-1, read KKT 1.5e-8 at
+        the optimum; the equality QP's own multipliers read 5e-16."""
+        A = pnmpc._sqp_rows(3, InputConstraints())[0]
+        warm = ((2, -1), (6, -1), (10, -1), (3, 1), (7, 1), (11, 1))
+        sol = solve_qp(QPProblem(self.H_4245, self.g_4245, A, self.lb_4245,
+                                 self.ub_4245),
+                       warm=QPSolution(np.zeros(9), warm, np.inf, 0))
+        assert sol.converged
+        assert sol.kkt_residual <= 1e-12
+        assert sol.active_set == ((3, 1), (7, 1), (11, 1), (1, -1), (0, 1),
+                                  (8, 1), (5, -1), (4, 1))
 
 
 class TestMultipliers:
@@ -544,6 +617,25 @@ def equality_qp_fancy(H, g, A, lb, ub, work):
     return sol[:n], sol[n:]
 
 
+def certified_fancy(H, g, A, lb, ub, work, iterations):
+    """Reference for qp._certified on equality_qp_fancy: the
+    working set's equality-QP point with its own multipliers when it is
+    feasible, their inequality signs are valid and the KKT residual is
+    within KKT_TOL; else None."""
+    sol = equality_qp_fancy(H, g, A, lb, ub, work)
+    if sol is None:
+        return None
+    x = sol[0]
+    violation = qp._violation(A, lb, ub, x)
+    mult = qp._multipliers(work, sol[1])
+    signs = [lam for (_, side), lam in mult.items() if side]
+    if violation > qp.FEAS_TOL or min(signs, default=0.0) < -1e-10:
+        return None
+    kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult, violation)
+    return QPSolution(x, tuple(work), kkt, iterations, mult) \
+        if kkt <= qp.KKT_TOL else None
+
+
 def active_set_fancy(H, Hinv, g, A, lb, ub, x0):
     """np.ix_ and list-indexing reference for qp._active_set: the Schur
     block, the H^-1 A^T columns and the A rows are sliced the old way;
@@ -598,13 +690,10 @@ def active_set_fancy(H, Hinv, g, A, lb, ub, x0):
             if worst is None:
                 stat = (grad + mu @ A[rows]).tolist()
                 if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
-                    sol = equality_qp_fancy(H, g, A, lb, ub, work)
-                    violation = None
+                    sol = certified_fancy(H, g, A, lb, ub, work, it)
                     if sol is not None:
-                        v = qp._violation(A, lb, ub, sol[0])
-                        if v <= qp.FEAS_TOL:
-                            x, violation = sol[0], v
-                    kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult, violation)
+                        return sol
+                    kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult)
                     return QPSolution(x, tuple(work), kkt, it, mult)
                 for k, (_, side) in enumerate(work):
                     if side != 0:
@@ -833,14 +922,28 @@ class TestInvariantsAndWarmStart:
                     slack = (ub[row] - r[row]) if side > 0 else (r[row] - lb[row])
                     assert abs(lam * slack) <= 1e-6 * max(1.0, np.abs(g).max())
 
-    def test_monotone_objective_trace(self):
+    def test_monotone_objective_trace(self, monkeypatch):
+        ratio_test = qp._ratio_test
+        trace = []  # the objective after every step of the active-set pass
+
+        def recording(A, lb, ub, x, d, rows):
+            alpha, blocker = ratio_test(A, lb, ub, x, d, rows)
+            if x.shape == g.shape:  # Phase-1 steps carry the extra t entry
+                y = x + alpha * d
+                trace.append(0.5 * float(y @ H @ y) + float(g @ y))
+            return alpha, blocker
+
+        monkeypatch.setattr(qp, "_ratio_test", recording)
         rng = np.random.default_rng(7)
+        steps = 0
         for _ in range(25):
             H, g, A, lb, ub = random_feasible_qp(rng)
-            trace = []
-            solve_qp(QPProblem(H, g, A, lb, ub), objective_trace=trace)
+            trace.clear()
+            solve_qp(QPProblem(H, g, A, lb, ub))
+            steps += len(trace)
             for a, b in zip(trace, trace[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(a))
+        assert steps >= 25
 
     def test_warm_start_from_solution_is_immediate(self):
         rng = np.random.default_rng(11)
