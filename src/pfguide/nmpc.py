@@ -8,7 +8,9 @@ over input sequences subject to the box set U and the rate set U_g, with
 the prediction chained through the forward-Euler model and the sway held
 at its last measured value.  The terminal weight P comes from a discrete
 Lyapunov equation around a far-along-the-path equilibrium, closed with the
-SGLOS law as terminal controller.
+SGLOS law as terminal controller: the model is linearized with the
+analytic Jacobians of the pnmpc module and the SGLOS gain is taken in
+closed form.
 
 The solver is an SQP.  Each major iteration linearizes the prediction
 with the exact sensitivities, solves the strictly convex QP that
@@ -45,16 +47,15 @@ from typing import Optional
 
 import numpy as np
 
-from .angles import wrap_angle
-from .errdyn import (GuidanceState, InputCmd, euler_step, flat_inputs,
-                     rollout_flat)
+from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
-from .paths import PathDef, omega_of_z, sample_path
+from .paths import PathDef, omega_of_z, path_frame
 from .pnmpc import (SolveResult, cost_weights, curvature_flat,
-                    horizon_cost_flat, horizon_weights, linearized_qp,
-                    reference_stack, sensitivity_flat, snap_feasible,
-                    stack_inputs, stage_cost_flat, zero_start)
+                    horizon_cost_flat, horizon_weights, jacobian_block,
+                    linearized_qp, reference_stack, sensitivity_flat,
+                    snap_feasible, stack_inputs, stage_cost_flat,
+                    state_jacobian, zero_start)
 from .qp import QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
@@ -74,8 +75,7 @@ _PENALTY = 10.0
 # decrease both lie within this share of |J|: the rounding of J.
 _ROUNDING = 10.0 * float(np.finfo(float).eps)
 
-_SYN_Z = 1e-2    # linearization point z for the terminal synthesis
-_SYN_STEP = 1e-6  # central-difference step for the numeric linearization
+_SYN_Z = 1e-2  # linearization point z for the terminal synthesis
 
 
 def _default_Q() -> np.ndarray:
@@ -157,56 +157,35 @@ def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-def _state_vec(x: GuidanceState) -> np.ndarray:
-    return np.array([x.x_e, x.y_e, x.z])
-
-
-def _input_vec(u: InputCmd) -> np.ndarray:
-    return np.array([u.u, u.psi, u.u_tar])
-
-
 def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig) -> np.ndarray:
     """Terminal weight from the discrete Lyapunov equation.
 
-    Linearizes the discrete model numerically at the far-along equilibrium
-    x = (0, 0, 1e-2) with input (0.1 u_r, phi_p, 0.1 u_r), linearizes the
-    terminal controller cfg.terminal_law to a gain K, and solves
+    Linearizes the discrete model at the far-along equilibrium x = (0, 0,
+    1e-2) with input (0.1 u_r, phi_p, 0.1 u_r) through the analytic
+    Jacobians, A = I + T_m state_jacobian and B = T_m jacobian_block,
+    takes the gain K of the terminal controller cfg.terminal_law in closed
+    form and solves
 
         (A + B K)' P (A + B K) - P = -(Q + K' R K).
+
+    At y_e = 0 the SGLOS surge k1 sqrt(y_e^2 + delta^2) is flat, the
+    heading phi_p - atan(y_e / delta) moves by -1/delta in y_e and by
+    -(dphi_p/domega) / z^2 in z, and the target speed is k2 x_e + k1 delta.
 
     Raises UnstableTerminalLoop when the closed loop is not a contraction.
     The returned P is symmetric with eigenvalues floored at 1e-12 so the
     terminal cost stays positive definite even when the z mode decouples.
     """
     p = cfg.terminal_law
-    h = _SYN_STEP
     z_bar = _SYN_Z
-    phi_bar = sample_path(path, omega_of_z(z_bar)).phi_p
+    phi_bar, _, dphi_dw = path_frame(path, omega_of_z(z_bar))[:3]
+    x_bar = GuidanceState(0.0, 0.0, z_bar)
     u_bar = InputCmd(0.1 * cfg.u_ref.u, phi_bar, 0.1 * cfg.u_ref.u)
-    x_bar = np.array([0.0, 0.0, z_bar])
-
-    def f(xv, uv):
-        nxt = euler_step(GuidanceState(*xv), InputCmd(*uv), 0.0, cfg.T_m, path)
-        return _state_vec(nxt)
-
-    def kf(xv):
-        return _input_vec(sglos(GuidanceState(*xv), path, p))
-
-    A = np.empty((3, 3))
-    B = np.empty((3, 3))
-    K = np.empty((3, 3))
-    ub_vec = _input_vec(u_bar)
-    for i in range(3):
-        dx = np.zeros(3)
-        dx[i] = h
-        A[:, i] = (f(x_bar + dx, ub_vec) - f(x_bar - dx, ub_vec)) / (2.0 * h)
-        B[:, i] = (f(x_bar, ub_vec + dx) - f(x_bar, ub_vec - dx)) / (2.0 * h)
-        hi = kf(x_bar + dx)
-        lo = kf(x_bar - dx)
-        col = (hi - lo) / (2.0 * h)
-        col[1] = wrap_angle(hi[1] - lo[1]) / (2.0 * h)
-        K[:, i] = col
-
+    A = np.eye(3) + cfg.T_m * state_jacobian(x_bar, u_bar, 0.0, path)
+    B = cfg.T_m * jacobian_block(x_bar, u_bar, 0.0, path).m
+    K = np.array([[0.0, 0.0, 0.0],
+                  [0.0, -1.0 / p.delta, -dphi_dw / (z_bar * z_bar)],
+                  [p.k2, 0.0, 0.0]])
     A_K = A + B @ K
     rho = float(np.max(np.abs(np.linalg.eigvals(A_K))))
     if rho >= 1.0:

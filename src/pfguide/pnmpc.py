@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,12 +63,7 @@ class JacobianBlock:
 
 @dataclass
 class SolveResult:
-    """Receding-horizon solve output shared by the predictive laws.
-
-    The predicted states are kept as the rollout's flat list; x_pred builds
-    them as GuidanceStates on first read, which the closed loop never does
-    for the fast law.
-    """
+    """Receding-horizon solve output shared by the predictive laws."""
 
     u_seq: Tuple[InputCmd, ...]  # N feasible commands
     x_flat: Sequence[float]      # states 0..N as (x_e, y_e, z), 0 measured
@@ -76,13 +71,6 @@ class SolveResult:
     iterations: int
     kkt_residual: float
     solve_time: float            # s
-
-    @cached_property
-    def x_pred(self) -> Tuple[GuidanceState, ...]:
-        """The N+1 predicted states, the first being the measurement."""
-        X = self.x_flat
-        return tuple(GuidanceState(X[i], X[i + 1], X[i + 2])
-                     for i in range(0, len(X), 3))
 
 
 def _frame_rates(frame: Frame, path: PathDef, z: float) -> Tuple[float, float]:
@@ -97,16 +85,13 @@ def _frame_rates(frame: Frame, path: PathDef, z: float) -> Tuple[float, float]:
 
 def _z_derivative(fn, z: float, step: float) -> list:
     """Derivative in z of the vector function fn: central differences,
-    second-order one-sided where the central stencil would leave (0, 1]."""
-    if z + step <= 1.0 and z - step > 0.0:
+    second-order backward where the central stencil would pass z = 1.
+    The step stays below z (_ZZ_STEP z), so z - step never leaves (0, 1]."""
+    if z + step <= 1.0:
         hi, lo = fn(z + step), fn(z - step)
         return [(h - l) / (2.0 * step) for h, l in zip(hi, lo)]
-    if z + step > 1.0:
-        f0, f1, f2 = fn(z), fn(z - step), fn(z - 2.0 * step)
-        return [(3.0 * a - 4.0 * b + c) / (2.0 * step)
-                for a, b, c in zip(f0, f1, f2)]
-    f0, f1, f2 = fn(z), fn(z + step), fn(z + 2.0 * step)
-    return [(-3.0 * a + 4.0 * b - c) / (2.0 * step)
+    f0, f1, f2 = fn(z), fn(z - step), fn(z - 2.0 * step)
+    return [(3.0 * a - 4.0 * b + c) / (2.0 * step)
             for a, b, c in zip(f0, f1, f2)]
 
 

@@ -19,7 +19,6 @@ timing column, and the clock itself is injectable.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -355,10 +354,6 @@ class Report:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-    def to_json(self, fileobj) -> None:
-        json.dump(self.to_dict(), fileobj, indent=2)
-        fileobj.write("\n")
 
 
 def compute_metrics(trace: Trace) -> Report:

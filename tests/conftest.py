@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import pytest
@@ -43,12 +42,3 @@ def constrained_qp_runs(wide_start_scenarios):
     realistic preset (later QPs are all unconstrained) and the wide
     starts."""
     return [realistic_scenario("nmpc", duration=60.0)] + wide_start_scenarios
-
-
-def wrap_ref(a: float) -> float:
-    """Independent wrap oracle used by several test modules."""
-    while a > math.pi:
-        a -= 2.0 * math.pi
-    while a <= -math.pi:
-        a += 2.0 * math.pi
-    return a

@@ -3,10 +3,18 @@ import math
 from hypothesis import given, strategies as st
 
 from pfguide.angles import unwrap_near, wrap_angle
-from conftest import wrap_ref
 
 finite_angles = st.floats(min_value=-50.0, max_value=50.0,
                           allow_nan=False, allow_infinity=False)
+
+
+def wrap_ref(a: float) -> float:
+    """Independent wrap oracle: steps of 2 pi into (-pi, pi]."""
+    while a > math.pi:
+        a -= 2.0 * math.pi
+    while a <= -math.pi:
+        a += 2.0 * math.pi
+    return a
 
 
 def test_wrap_extremes():

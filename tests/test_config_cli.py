@@ -52,6 +52,21 @@ class TestScenarioFromConfig:
         del doc["duration"]
         with pytest.raises(ConfigError, match="duration"):
             scenario_from_config(doc)
+        doc = dict(BASE, initial={"x": 10.0, "y": 10.0})
+        with pytest.raises(ConfigError, match="initial.omega"):
+            scenario_from_config(doc)
+
+    @pytest.mark.parametrize("doc, match", [
+        (dict(BASE, initial={"x": 10.0, "y": 10.0, "omega": -0.5}),
+         "initial omega must be >= 0"),
+        (dict(BASE, law="nmpc", law_params={"Q": [1.0, 1.0]}),
+         "Q must be a list of 3"),
+        (dict(BASE, law="nmpc", law_params={"R": 10.0}),
+         "R must be a list of 3"),
+    ], ids=["omega-negative", "Q-length-2", "R-scalar"])
+    def test_out_of_range_values_rejected(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_config(doc)
 
     def test_type_checks(self):
         with pytest.raises(ConfigError):
@@ -187,6 +202,12 @@ class TestCLI:
         assert cli.main(["simulate", "--config", cfgfile,
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert cli.main(["simulate", "--config", str(tmp_path / "none.json"),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"path": ')
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario(bad)
+        assert cli.main(["simulate", "--config", str(bad),
                          "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_non_numeric_terminal_weight_exit_code(self, tmp_path, capsys):

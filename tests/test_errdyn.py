@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pfguide import (GuidanceState, InputCmd, Scenario, StateEscape, Z_MIN,
                      dynamics, euler_step, rollout, run_scenario, sample_path,
                      transient_scenario, z_of_omega)
+from pfguide.errdyn import rollout_flat
 from pfguide.paths import line_path
 
 coords = st.floats(min_value=-50.0, max_value=50.0,
@@ -22,9 +23,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             GuidanceState(math.nan, 0.0, 0.5)
 
-    def test_input_invariants(self):
+    def test_input_invariants(self, xaxis_path):
         with pytest.raises(ValueError):
             InputCmd(math.inf, 0.0, 0.1)
+        with pytest.raises(ValueError, match="non-finite input command"):
+            rollout_flat((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, 0.1, math.nan, 0.1],
+                         0.0, 1.0, xaxis_path)
 
 
 def one_step(path, x, y, omega):

@@ -8,14 +8,47 @@ import pytest
 
 from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
                      NMPCSolver, TerminalWeightUnset,
-                     UnstableTerminalLoop, discrete_lyapunov, euler_step,
-                     realistic_scenario, run_scenario, sample_path, sglos,
-                     stage_cost, synthesize_terminal_weight, z_of_omega)
+                     UnstableTerminalLoop, case_study_path,
+                     discrete_lyapunov, euler_step, line_path,
+                     polynomial_path, realistic_scenario, run_scenario,
+                     sample_path, sglos, stage_cost,
+                     synthesize_terminal_weight, wrap_angle, z_of_omega)
 from pfguide import nmpc as nmpc_mod
 from pfguide import qp as qp_mod
 from pfguide.errdyn import flat_inputs, rollout
 from pfguide.los import clamp_inputs
 from pfguide.pnmpc import horizon_cost, quadratic_form
+from pfguide.qp import QPSolution
+
+
+def numeric_terminal_weight(path, cfg, h):
+    """The terminal weight with A, B and the SGLOS gain K taken by central
+    differences of euler_step and sglos at step h, at the synthesis point
+    x = (0, 0, 1e-2), u = (0.1 u_r, phi_p, 0.1 u_r)."""
+    z_bar = nmpc_mod._SYN_Z
+    x_bar = np.array([0.0, 0.0, z_bar])
+    u_bar = np.array([0.1 * cfg.u_ref.u,
+                      sample_path(path, 1.0 / z_bar - 1.0).phi_p,
+                      0.1 * cfg.u_ref.u])
+
+    def f(xv, uv):
+        nxt = euler_step(GuidanceState(*xv), InputCmd(*uv), 0.0, cfg.T_m,
+                         path)
+        return np.array([nxt.x_e, nxt.y_e, nxt.z])
+
+    def kf(xv):
+        cmd = sglos(GuidanceState(*xv), path, cfg.terminal_law)
+        return np.array([cmd.u, cmd.psi, cmd.u_tar])
+
+    A, B, K = np.empty((3, 3)), np.empty((3, 3)), np.empty((3, 3))
+    for i, d in enumerate(h * np.eye(3)):
+        A[:, i] = (f(x_bar + d, u_bar) - f(x_bar - d, u_bar)) / (2.0 * h)
+        B[:, i] = (f(x_bar, u_bar + d) - f(x_bar, u_bar - d)) / (2.0 * h)
+        hi, lo = kf(x_bar + d), kf(x_bar - d)
+        K[:, i] = (hi - lo) / (2.0 * h)
+        K[1, i] = wrap_angle(hi[1] - lo[1]) / (2.0 * h)
+    return discrete_lyapunov(A + B @ K,
+                             np.diag(cfg.Q) + K.T @ np.diag(cfg.R) @ K)
 
 
 class TestConfig:
@@ -165,6 +198,19 @@ class TestSynthesis:
         cfg = NMPCConfig(T_m=200.0)
         with pytest.raises(UnstableTerminalLoop):
             synthesize_terminal_weight(demo_path, cfg)
+
+    @pytest.mark.parametrize("path", [
+        case_study_path(),
+        polynomial_path([0.0, 1.0, 0.01, 1e-4], [0.0, 0.5, -0.002, -1e-5]),
+        line_path()], ids=["case_study", "cubic", "line"])
+    def test_matches_central_differences(self, path):
+        """The analytic A, B and closed-form K agree with central
+        differences of the model and of SGLOS, whose truncation error in
+        P falls as h^2 (3e-5 relative at h = 1e-6 on case_study)."""
+        cfg = NMPCConfig(u_ref=InputCmd(0.15, 0.0, 0.15))
+        P = synthesize_terminal_weight(path, cfg)
+        ref = numeric_terminal_weight(path, cfg, 1e-7)
+        assert np.max(np.abs(P - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     def test_line_path_z_mode_floored(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
@@ -353,6 +399,30 @@ class TestSQPWork:
         msgs = [r.getMessage() for r in caplog.records
                 if r.name == "pfguide.nmpc" and r.levelno == logging.WARNING]
         assert len(msgs) == 1 and "line search failed" in msgs[0]
+
+    def test_zero_qp_step_ends_the_solve(self, monkeypatch, caplog,
+                                         demo_path, demo_config):
+        """A converged QP whose step is zero ends the solve after one
+        iteration on the best candidate, with no warning."""
+        x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
+            InputCmd(0.0, 0.56, 0.01)
+        solver = NMPCSolver(demo_config, demo_path)
+        best_U, _, _, best_J = solver._candidates(
+            (x.x_e, x.y_e, x.z), 0.0, u_prev, None)
+        problems = []
+
+        def solve(prob, warm=None):
+            problems.append(prob)
+            return QPSolution(np.zeros(prob.H.shape[0]), (), 0.0, 1)
+
+        monkeypatch.setattr(nmpc_mod, "solve_qp", solve)
+        with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
+            res = solver.solve(x, 0.0, u_prev)
+        assert res.iterations == 1 and len(problems) == 1
+        assert flat_inputs(res.u_seq) == best_U.tolist()
+        assert res.J_opt == best_J
+        assert res.kkt_residual > nmpc_mod.KKT_TOL
+        assert [r for r in caplog.records if r.name == "pfguide.nmpc"] == []
 
     def test_qp_hessian_is_the_linearization_or_its_convexification(
             self, monkeypatch):

@@ -132,6 +132,9 @@ class TestPathFromConfig:
             path_from_config("case_study", {"scale": 2})
         with pytest.raises(DomainError):
             path_from_config("polynomial", {"x_coeffs": [1]})
+        with pytest.raises(DomainError, match="unknown polynomial path"):
+            path_from_config("polynomial", {"x_coeffs": [0.0, 1.0],
+                                            "y_coeffs": [0.0], "order": 1})
 
     @pytest.mark.parametrize("name, params", [
         ("line", {"direction": [math.nan, 0.0]}),
@@ -142,6 +145,15 @@ class TestPathFromConfig:
     ])
     def test_rejects_non_finite_parameters(self, name, params):
         with pytest.raises(DomainError, match="must be finite"):
+            path_from_config(name, params)
+
+    @pytest.mark.parametrize("name, params, match", [
+        ("line", {"direction": [0.0, 0.0]}, "direction must be non-zero"),
+        ("polynomial", {"x_coeffs": [], "y_coeffs": [0.0]},
+         "at least one coefficient"),
+    ], ids=["line-zero-direction", "polynomial-empty"])
+    def test_rejects_degenerate_parameters(self, name, params, match):
+        with pytest.raises(DomainError, match=match):
             path_from_config(name, params)
 
     def test_polynomial_derivatives_consistent(self):

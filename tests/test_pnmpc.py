@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
-                     NMPCConfig, NMPCSolver, PNMPCSolver, QPProblem,
-                     case_study_path, dynamics, horizon_cost, jacobian_block,
-                     line_path, polynomial_path, sample_path, solve_qp,
-                     wrap_angle, z_of_omega)
+                     NMPCConfig, NMPCSolver, PNMPCSolver, QPFailure,
+                     QPProblem, QPSolution, case_study_path, dynamics,
+                     horizon_cost, jacobian_block, line_path,
+                     polynomial_path, run_scenario, sample_path, solve_qp,
+                     transient_scenario, wrap_angle, z_of_omega)
 from pfguide import pnmpc
 from pfguide.errdyn import rollout, rollout_flat
 from pfguide.los import clamp_inputs
@@ -440,12 +441,26 @@ class TestPNMPCSolve:
         with pytest.raises(ValueError):
             PNMPCSolver(demo_config, demo_path, "other")
 
+    def test_unconverged_qp_fails_the_step(self, monkeypatch, demo_path,
+                                           demo_config):
+        def stalled(prob, warm=None):
+            return QPSolution(np.zeros(prob.H.shape[0]), (), 3.5e-3, 7)
+
+        monkeypatch.setattr(pnmpc, "solve_qp", stalled)
+        with pytest.raises(QPFailure, match=r"KKT residual 3\.500e-03"):
+            PNMPCSolver(demo_config, demo_path).solve(
+                GuidanceState(1.0, 1.0, 0.4), 0.0, InputCmd(0.1, 0.3, 0.2))
+        with pytest.raises(QPFailure, match=r"guidance step failed at t=0 "
+                                            r"\(plant step 0\): QP stalled"):
+            run_scenario(transient_scenario("pnmpc", duration=5.0))
+
     def test_predictions_consistent_with_model(self, demo_path, demo_config):
         x = GuidanceState(1.0, 1.0, 0.4)
         up = InputCmd(0.1, 0.3, 0.2)
         res = PNMPCSolver(demo_config, demo_path).solve(x, 0.05, up)
         ref = rollout(x, res.u_seq, 0.05, demo_config.T_m, demo_path)
-        assert tuple(ref) == res.x_pred
+        assert [c for s in ref for c in (s.x_e, s.y_e, s.z)] \
+            == list(res.x_flat)
 
 
 def _increment_qp_commands(x, up, v, cfg, path, linearization):

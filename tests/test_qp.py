@@ -62,6 +62,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             QPProblem(np.eye(3), np.zeros(2), np.zeros((0, 2)),
                       np.zeros(0), np.zeros(0))
+        with pytest.raises(ValueError, match=r"A must be \(1,2\)"):
+            QPProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(1),
+                      np.ones(1))
+        with pytest.raises(ValueError, match="matching shapes"):
+            QPProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2),
+                      np.ones(3))
 
     @pytest.mark.parametrize("H, g", [
         (np.eye(2), [np.nan, 1.0]),

@@ -142,6 +142,12 @@ class TestScenarioValidation:
             Scenario(path=line_path(), x0=0, y0=0, omega0=0.0, law="pid",
                      duration=10.0)
 
+    def test_duration_must_be_whole_plant_steps(self):
+        sc = Scenario(path=line_path(), x0=0, y0=0, omega0=0.0, law="sglos",
+                      duration=10.5)
+        with pytest.raises(ConfigError, match="whole number of plant steps"):
+            run_scenario(sc)
+
 
 class TestScenarioAgreesWithConfig:
     """The solver reads T_m, u_r (as u_ref), the constraints and the
@@ -206,6 +212,33 @@ def _scenario(**kw):
         "converge_band-nan", "x0-nan", "psi0-inf", "duration-nan"])
 def test_library_types_reject_non_finite_numbers(build, error):
     with pytest.raises(error, match="finite"):
+        build()
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: DisturbanceSpec(kind="sinusoid", amplitude=-0.1, period=60.0),
+     ConfigError, "amplitude must be >= 0"),
+    (lambda: DisturbanceSpec(kind="chirp_mirror", amplitude=0.1, f0=0.0,
+                             f1=0.02, switch_time=200.0),
+     ConfigError, "positive f0, f1"),
+    (lambda: DisturbanceSpec(kind="chirp_mirror", amplitude=0.1, f0=0.01,
+                             f1=0.02, switch_time=-1.0),
+     ConfigError, "positive f0, f1"),
+    (lambda: LowLevelFilter(0.0), ConfigError, "plant step must be positive"),
+    (lambda: NMPCConfig(Q=np.array([1.0, 1.0])), ValueError,
+     "length-3 diagonals"),
+    (lambda: NMPCConfig(R=np.ones(4)), ValueError, "length-3 diagonals"),
+    (lambda: NMPCConfig(T_m=0.0), ValueError,
+     "guidance period must be positive"),
+    (lambda: _scenario(duration=0.0), ConfigError,
+     "duration must be positive"),
+    (lambda: _scenario(T_m=-1.0), ConfigError, "T_m and T_p must be positive"),
+    (lambda: _scenario(T_p=0.0), ConfigError, "T_m and T_p must be positive"),
+], ids=["amplitude-negative", "f0-zero", "switch_time-negative",
+        "filter-T_p-zero", "Q-length-2", "R-length-4", "nmpc-T_m-zero",
+        "duration-zero", "T_m-negative", "T_p-zero"])
+def test_library_types_reject_out_of_range_numbers(build, error, match):
+    with pytest.raises(error, match=match):
         build()
 
 
@@ -476,7 +509,7 @@ class TestMetrics:
         rep = compute_metrics(self.make_trace(np.zeros(11)))
         f = tmp_path / "report.json"
         with open(f, "w") as fh:
-            rep.to_json(fh)
+            json.dump(rep.to_dict(), fh)
         loaded = json.loads(f.read_text())
         assert loaded["violations"] == 0
         assert loaded["time_to_converge"] == 0.0
