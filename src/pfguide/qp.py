@@ -9,10 +9,13 @@ small Schur system.  A warm working set (warm.active_set, typically the
 set the previous QP of an SQP ended on) is checked first with one KKT
 solve of its equality QP.  Otherwise the start is the unconstrained
 minimizer, returned as the optimum when it is feasible; then a feasible
-warm point, else a Phase-1 point.  After a full, unblocked step the
-iterate minimizes on its working set, so the next iteration only checks
-the multipliers.  Ties in the ratio test break toward the lowest
-constraint row, making runs reproducible.
+warm point, else a Phase-1 point.  The working set stays linearly
+independent, so it holds at most n rows: it starts as the independent
+rows active at the start point, and the ratio test adds only a row that
+blocks a step the working set leaves unchanged (a.d != 0, A_w d = 0).
+After a full, unblocked step the iterate minimizes on its working set,
+so the next iteration only checks the multipliers.  Ties in the ratio
+test break toward the lowest constraint row, making runs reproducible.
 
 One rule (_certified) certifies both the warm set's answer and the one
 the active-set iteration stops on; converged reads its last test.
@@ -36,18 +39,15 @@ Products are taken with ndarray.dot, which calls the same BLAS routine
 as the @ operator on these operands and returns the same bits, for about
 half of matmul's per-call cost on arrays this small.
 
-The Cholesky factor and inverse of H (_chol_factor, _inverse), both
-solves of _equality_qp and the full-square and Schur solves of
+The Cholesky factor and inverse of H and the solves of _equality_qp and
 _active_set call the LAPACK gufuncs behind np.linalg.cholesky, inv and
-solve (numpy.linalg._umath_linalg) directly.  On these small float
-systems the public wrappers cost several times the factorization
-(argument checks, type promotion and an np.errstate per call), and the
-gufuncs return the same bits.  solve_qp enters the wrappers' error state
-once (_lapack_scope): LAPACK's failure flag raises LinAlgError, so every
-except-LinAlgError branch is taken exactly as before.  The private
-helpers assume that scope; outside it a singular system returns NaN with
-a RuntimeWarning instead of raising.  The rare lstsq fallbacks stay on
-the public API.
+solve (numpy.linalg._umath_linalg) directly: on these small systems the
+public wrappers (argument checks, type promotion, an np.errstate per
+call) cost several times the factorization, and the gufuncs return the
+same bits.  solve_qp enters the wrappers' error state once
+(_lapack_scope), where LAPACK's failure flag raises LinAlgError; outside
+it a singular system returns NaN with a RuntimeWarning.  The lstsq
+fallbacks for a LinAlgError stay on the public API.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ KKT_TOL = 1e-8
 
 _ZERO_STEP = 1e-11
 _DIR_TOL = 1e-13
+_SIGN_TOL = 1e-10  # an inequality multiplier >= -_SIGN_TOL has a valid sign
+_DEP_TOL = 1e-10  # relative pivot below which _active_rows drops a row
 
 # Active-set entries are (row, side): side +1 at the upper bound, -1 at the
 # lower bound, 0 for an equality row (lb == ub).
@@ -201,11 +203,6 @@ def _violation(A, lb, ub, x) -> float:
     return worst
 
 
-def _grad_scale(g) -> float:
-    """Scale of the stationarity and complementarity tests: max(1, |g|_inf)."""
-    return _largest(map(abs, g.tolist()), 1.0)
-
-
 def _multipliers(work, mu) -> dict:
     """Multipliers by (row, side) from the Schur solution of
     grad + Aw^T mu = 0: an upper bound keeps mu and a lower bound flips its
@@ -215,11 +212,11 @@ def _multipliers(work, mu) -> dict:
 
 
 def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
-    """KKT residual; stationarity and complementarity are scaled by the
-    gradient magnitude so badly scaled Hessians stay certifiable.
+    """KKT residual; stationarity and complementarity are scaled by
+    max(1, |g|_inf) so badly scaled Hessians stay certifiable.
     violation, when given, is the caller's _violation at x."""
     grad = H.dot(x) + g
-    scale = _grad_scale(g)
+    scale = _largest(map(abs, g.tolist()), 1.0)
     r = _violation(A, lb, ub, x) if violation is None else violation
     if mult:
         rows = [row for row, _ in mult]
@@ -278,9 +275,9 @@ def _usable_warm_set(g, lb, ub, work) -> bool:
 def _certified(H, g, A, lb, ub, work, iterations) -> Optional[QPSolution]:
     """The equality-QP point of the working set work with its own
     multipliers, when it satisfies the KKT conditions (primal feasible,
-    inequality multipliers >= -1e-10, KKT residual <= KKT_TOL), which makes
-    it the optimum; else None.  The one certificate of an optimum, for a
-    warm set and for the active-set iteration's stationary exit alike."""
+    inequality multipliers >= -_SIGN_TOL, KKT residual <= KKT_TOL): the
+    optimum.  Else None.  The one certificate of an optimum, for a warm
+    set and for the active-set iteration's stationary exit alike."""
     sol = _equality_qp(H, g, A, lb, ub, work)
     if sol is None:
         return None
@@ -288,7 +285,7 @@ def _certified(H, g, A, lb, ub, work, iterations) -> Optional[QPSolution]:
     violation = _violation(A, lb, ub, x)
     mult = _multipliers(work, mu)
     if not violation <= FEAS_TOL or any(
-            side != 0 and not lam >= -1e-10
+            side != 0 and not lam >= -_SIGN_TOL
             for (_, side), lam in mult.items()):
         return None
     kkt = _kkt_residual(H, g, A, lb, ub, x, mult, violation)
@@ -296,23 +293,36 @@ def _certified(H, g, A, lb, ub, work, iterations) -> Optional[QPSolution]:
         if kkt <= KKT_TOL else None
 
 
-def _active_rows(A, lb, ub, x, n) -> list:
-    """Working set of the rows active at x, at most n of them, in row
-    order: equality rows, then rows at their upper, else lower bound."""
-    work = []
+def _active_rows(A, lb, ub, x) -> list:
+    """Linearly independent working set of the rows active at x, in row
+    order: equality rows, then rows at their upper, else lower bound.
+    Equality rows are decided first, then the others in row order; each is
+    kept when independent of the rows kept before it (_DEP_TOL): its pivot
+    in a greedy elimination of their Gram block is its squared distance
+    from their span."""
+    eq, ineq = [], []
     for i, (res, lo, hi) in enumerate(zip(A.dot(x).tolist(), lb.tolist(),
                                           ub.tolist())):
         if lo == hi:
-            work.append((i, 0))
+            eq.append((i, 0))
         elif res >= hi - FEAS_TOL and math.isfinite(hi):
-            work.append((i, 1))
+            ineq.append((i, 1))
         elif res <= lo + FEAS_TOL and math.isfinite(lo):
-            work.append((i, -1))
-        else:
-            continue
-        if len(work) == n:
-            break
-    return work
+            ineq.append((i, -1))
+    rows = eq + ineq
+    Ac = A.take([row for row, _ in rows], 0)
+    G = Ac.dot(Ac.T).tolist()  # reduced in place by each kept row
+    norms = [Gk[k] for k, Gk in enumerate(G)]
+    work = []
+    for k, Gk in enumerate(G):
+        if Gk[k] > _DEP_TOL * norms[k]:
+            work.append(rows[k])
+            for Gi in G[k + 1:]:
+                f = Gi[k] / Gk[k]
+                if f:  # rows orthogonal to row k skip the update
+                    for j in range(k + 1, len(Gi)):
+                        Gi[j] -= f * Gk[j]
+    return sorted(work)
 
 
 def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
@@ -343,13 +353,16 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
     """Primal active-set iteration from a feasible start x0, with Hinv the
     (regularized) inverse of H (Nocedal & Wright, Alg. 16.3).
 
-    A full, unblocked step lands on the working-set minimizer, whose
-    multipliers are that step's Schur mu, so the next iteration only checks
-    them: a fresh solve there returns just a rounding-noise step (1e-11 to
-    4e-9 relative), too large for the tiny-step test below.
+    The working set starts as _active_rows at x0 and gains only blocking
+    rows, so it stays linearly independent.  A full, unblocked step lands
+    on the working-set minimizer, whose multipliers are that step's Schur
+    mu, so the next iteration only checks them: a fresh solve there
+    returns just a rounding-noise step (1e-11 to 4e-9 relative), too
+    large for the tiny-step test below.
 
-    The stationary exit returns _certified on the final working set, else
-    the iterate with its Schur multipliers (computed through Hinv).
+    The stationary exit (no inequality multiplier below -_SIGN_TOL)
+    returns _certified on the final working set, else the iterate with its
+    Schur multipliers (computed through Hinv).
     """
     n = g.shape[0]
     m = lb.shape[0]
@@ -360,8 +373,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
 
     # Warm sets are re-detected from the point itself, which keeps the set
     # consistent after bound changes.
-    work = _active_rows(A, lb, ub, x, n)
-    scale = _grad_scale(g)
+    work = _active_rows(A, lb, ub, x)
     at_minimizer = False  # the last step was full and unblocked
     for it in range(1, 50 * (m + 1) + 1):
         grad = H.dot(x) + g
@@ -393,8 +405,8 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
             mu = np.zeros(0)
             d = -Hinv.dot(grad)
 
-        # A dependent or noisy working set yields phantom steps that do not
-        # move the objective; treat those like a stationary point too.
+        # A noisy working set yields phantom steps that do not move the
+        # objective; treat those like a stationary point too.
         tiny = _ZERO_STEP * (1.0 + max(map(abs, x.tolist()), default=0.0))
         if all(abs(d_i) <= tiny for d_i in d.tolist()):
             # Stationary on the working set; check multiplier signs and drop
@@ -402,7 +414,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
             at_minimizer = False
             mult = _multipliers(work, mu)
             worst = None
-            worst_val = -1e-10
+            worst_val = -_SIGN_TOL
             for k, ((row, side), lam) in enumerate(mult.items()):
                 if side != 0 and (lam < worst_val
                                   or (worst is not None and lam == worst_val
@@ -410,21 +422,9 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
                     worst_val = lam
                     worst = k
             if worst is None:
-                # Guard against sign-valid garbage multipliers from a
-                # dependent working set: require genuine stationarity.
-                stat = (grad + mu.dot(A.take(rows, 0))).tolist()
-                if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
-                    return _certified(H, g, A, lb, ub, work, it) \
-                        or QPSolution(x, tuple(work), _kkt_residual(
-                            H, g, A, lb, ub, x, mult), it, mult)
-                # Dependent set: discard the lowest-index inequality row.
-                for k, (_, side) in enumerate(work):
-                    if side != 0:
-                        del work[k]
-                        break
-                else:
-                    break
-                continue
+                return _certified(H, g, A, lb, ub, work, it) \
+                    or QPSolution(x, tuple(work), _kkt_residual(
+                        H, g, A, lb, ub, x, mult), it, mult)
             del work[worst]
             continue
 
@@ -432,7 +432,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
         x = x + alpha * d
         if blocker is None:
             at_minimizer = True
-        elif len(work) < n:
+        else:
             work.append(blocker)
 
     mult = _multipliers(mu_work, mu)

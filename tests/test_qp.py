@@ -109,9 +109,10 @@ class TestBasics:
         assert sol.x == pytest.approx([0.5, 0.5], abs=1e-10)
 
     def test_dependent_working_set_is_not_taken_for_stationary(self):
-        # Both rows bound x0 <= 0.5 and are active at the start: the square
-        # working set is singular and its least-squares multipliers are
-        # sign-valid but not stationary, so a row must be dropped.
+        # Both rows bound x0 <= 0.5 and are active at the start.  They are
+        # parallel, so the working set takes only row 0: holding both, it
+        # would be square and singular, with least-squares multipliers that
+        # are sign-valid but not stationary.
         prob = QPProblem(np.eye(2), np.array([-1.0, -1.0]),
                          np.array([[1.0, 0.0], [2.0, 0.0]]),
                          np.full(2, -np.inf), np.array([0.5, 1.0]))
@@ -219,7 +220,7 @@ class TestTermination:
         active_set, ratio_test = qp._active_set, qp._ratio_test
 
         def recording_active_set(H, Hinv, g, A, lb, ub, x0, *args):
-            call = {"start": tuple(qp._active_rows(A, lb, ub, x0, g.shape[0])),
+            call = {"start": tuple(qp._active_rows(A, lb, ub, x0)),
                     "steps": []}
             calls.append(call)
             call["sol"] = active_set(H, Hinv, g, A, lb, ub, x0, *args)
@@ -309,7 +310,7 @@ class TestWarmWorkingSet:
 
     @pytest.mark.parametrize("g, ub, x_opt, active", [
         # x = 0 on row 0 has multiplier -1e-9: within the KKT residual's
-        # 1e-8, but below the active-set exit's -1e-10.
+        # 1e-8, but below the sign test's -qp._SIGN_TOL (-1e-10).
         (1e-9, [0.0, np.inf], -1e-9, ()),
         # x = 0 on row 0 violates row 1 by 5e-9: within the KKT residual's
         # 1e-8, but above FEAS_TOL.
@@ -433,20 +434,25 @@ class TestMultipliers:
         assert qp._multipliers([], np.zeros(0)) == {}
 
 
-def active_rows_loop(A, lb, ub, x, n):
-    """Row-by-row reference for qp._active_rows."""
-    work = []
+def active_rows_loop(A, lb, ub, x):
+    """Rank-based reference for qp._active_rows: the rows active at x,
+    equality rows first, each kept when it raises the rank of the rows
+    kept before it; returned in row order."""
+    eq, ineq = [], []
     r = A @ x
     for i in range(lb.shape[0]):
         if lb[i] == ub[i]:
-            work.append((i, 0))
+            eq.append((i, 0))
         elif r[i] >= ub[i] - qp.FEAS_TOL and np.isfinite(ub[i]):
-            work.append((i, +1))
+            ineq.append((i, +1))
         elif r[i] <= lb[i] + qp.FEAS_TOL and np.isfinite(lb[i]):
-            work.append((i, -1))
-        if len(work) == n:
-            break
-    return work
+            ineq.append((i, -1))
+    work = []
+    for rs in eq + ineq:
+        rows = [row for row, _ in work + [rs]]
+        if np.linalg.matrix_rank(A[rows]) == len(rows):
+            work.append(rs)
+    return sorted(work)
 
 
 def ratio_test_loop(A, lb, ub, x, d, rows):
@@ -512,11 +518,15 @@ class TestRowScansMatchLoops:
 
     def test_active_rows(self):
         rng = np.random.default_rng(31)
+        dropped = 0
         for _ in range(400):
             A, lb, ub, x = self._rows(rng)
-            for n in (1, 2, A.shape[1], 50):
-                assert qp._active_rows(A, lb, ub, x, n) == \
-                    active_rows_loop(A, lb, ub, x, n)
+            work = qp._active_rows(A, lb, ub, x)
+            assert work == active_rows_loop(A, lb, ub, x)
+            r = A @ x
+            active = (r >= ub - qp.FEAS_TOL) | (r <= lb + qp.FEAS_TOL)
+            dropped += len(work) < np.count_nonzero(active)
+        assert dropped >= 100  # dependent rows were met and left out
 
     def test_ratio_test(self):
         rng = np.random.default_rng(32)
@@ -635,7 +645,7 @@ def certified_fancy(H, g, A, lb, ub, work, iterations):
     violation = qp._violation(A, lb, ub, x)
     mult = qp._multipliers(work, sol[1])
     signs = [lam for (_, side), lam in mult.items() if side]
-    if violation > qp.FEAS_TOL or min(signs, default=0.0) < -1e-10:
+    if violation > qp.FEAS_TOL or min(signs, default=0.0) < -qp._SIGN_TOL:
         return None
     kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult, violation)
     return QPSolution(x, tuple(work), kkt, iterations, mult) \
@@ -651,8 +661,7 @@ def active_set_fancy(H, Hinv, g, A, lb, ub, x0):
     x = np.array(x0, dtype=float)
     HiAt = Hinv @ A.T
     AHiAt = A @ HiAt
-    work = qp._active_rows(A, lb, ub, x, n)
-    scale = qp._grad_scale(g)
+    work = qp._active_rows(A, lb, ub, x)
     at_minimizer = False
     for it in range(1, 50 * (m + 1) + 1):
         grad = H @ x + g
@@ -686,7 +695,7 @@ def active_set_fancy(H, Hinv, g, A, lb, ub, x0):
             at_minimizer = False
             mult = qp._multipliers(work, mu)
             worst = None
-            worst_val = -1e-10
+            worst_val = -qp._SIGN_TOL
             for k, ((row, side), lam) in enumerate(mult.items()):
                 if side != 0 and (lam < worst_val
                                   or (worst is not None and lam == worst_val
@@ -694,27 +703,18 @@ def active_set_fancy(H, Hinv, g, A, lb, ub, x0):
                     worst_val = lam
                     worst = k
             if worst is None:
-                stat = (grad + mu @ A[rows]).tolist()
-                if all(abs(s_i) <= 1e-6 * scale for s_i in stat):
-                    sol = certified_fancy(H, g, A, lb, ub, work, it)
-                    if sol is not None:
-                        return sol
-                    kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult)
-                    return QPSolution(x, tuple(work), kkt, it, mult)
-                for k, (_, side) in enumerate(work):
-                    if side != 0:
-                        del work[k]
-                        break
-                else:
-                    break
-                continue
+                sol = certified_fancy(H, g, A, lb, ub, work, it)
+                if sol is not None:
+                    return sol
+                kkt = qp._kkt_residual(H, g, A, lb, ub, x, mult)
+                return QPSolution(x, tuple(work), kkt, it, mult)
             del work[worst]
             continue
         alpha, blocker = qp._ratio_test(A, lb, ub, x, d, rows)
         x = x + alpha * d
         if blocker is None:
             at_minimizer = True
-        elif len(work) < n:
+        else:
             work.append(blocker)
     mult = qp._multipliers(mu_work, mu)
     return QPSolution(x, tuple(work),
@@ -777,8 +777,7 @@ class TestKernelsMatchOldForms:
             assert list(got.multipliers) == list(ref.multipliers)
             assert [_bits(v) for v in got.multipliers.values()] == \
                 [_bits(v) for v in ref.multipliers.values()]
-            square += len(qp._active_rows(A, lb, ub, x0, g.shape[0])) \
-                == g.shape[0]
+            square += len(qp._active_rows(A, lb, ub, x0)) == g.shape[0]
             iterations += got.iterations
         assert square >= 50
         assert iterations >= 1500
@@ -787,7 +786,7 @@ class TestKernelsMatchOldForms:
         rng = np.random.default_rng(112)
         for _ in range(300):
             H, g, A, lb, ub, x0 = self._vertex_qp(rng)
-            work = qp._active_rows(A, lb, ub, x0, g.shape[0])
+            work = qp._active_rows(A, lb, ub, x0)
             got = qp._equality_qp(H, g, A, lb, ub, work)
             ref = equality_qp_fancy(H, g, A, lb, ub, work)
             assert got[0].tobytes() == ref[0].tobytes()
@@ -1014,8 +1013,9 @@ class TestLapackKernels:
 
 class TestSingularSystems:
     """The LinAlgError branches of the QP: a singular KKT system makes a
-    warm set miss, and a singular Schur block falls back to least squares.
-    Rows 0 and 1 bound x0 <= 0.5 twice: distinct rows, parallel normals."""
+    warm set miss, and a Schur solve that raises falls back to least
+    squares.  Rows 0 and 1 bound x0 <= 0.5 twice: distinct rows, parallel
+    normals."""
 
     A = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
     UB = np.array([0.5, 1.0])
@@ -1051,19 +1051,134 @@ class TestSingularSystems:
     def test_singular_schur_block_falls_back_to_least_squares(self,
                                                               monkeypatch):
         schur_sizes = []
-        lstsq = np.linalg.lstsq
+        lstsq, solve = np.linalg.lstsq, qp._solve
 
         def recording_lstsq(a, b, rcond=None):
             schur_sizes.append(a.shape)
             return lstsq(a, b, rcond=rcond)
 
+        def singular_below_n(a, b):
+            if a.shape[0] < 3:
+                raise LinAlgError("Singular matrix")
+            return solve(a, b)
+
         monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
         H, g, A, lb, ub = self._problem(3)
-        # Both rows are active at the warm point, with one free direction
-        # left: the working set is not square, and its Schur block
-        # A_w H^-1 A_w^T = [[1, 2], [2, 4]] is singular.
+        # Both rows are active at the warm point, but the working set takes
+        # only row 0, so its Schur block is nonsingular.  _solve raises on
+        # every Schur block (smaller than n = 3), as LAPACK does on a
+        # singular one; the certificate's KKT solves (n + k rows) pass.
+        monkeypatch.setattr(qp, "_solve", singular_below_n)
         sol = solve_qp(QPProblem(H, g, A, lb, ub),
                        warm=QPSolution(np.array([0.5, 0.0, 0.0]), (),
                                        np.inf, 0))
-        assert schur_sizes[0] == (2, 2)
+        assert schur_sizes == [(1, 1)]
+        assert sol.active_set == ((0, 1),)
         self._assert_matches_oracle(sol, H, g, A, lb, ub)
+
+    def test_singular_square_working_set_falls_back_to_least_squares(
+            self, monkeypatch):
+        sizes = []
+        lstsq, solve = np.linalg.lstsq, qp._solve
+
+        def recording_lstsq(a, b, rcond=None):
+            sizes.append(a.shape)
+            return lstsq(a, b, rcond=rcond)
+
+        def singular_up_to_n(a, b):
+            if a.shape[0] <= 2:
+                raise LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "lstsq", recording_lstsq)
+        monkeypatch.setattr(qp, "_solve", singular_up_to_n)
+        # x <= (0.5, 0.5) with both rows active at the warm point: the
+        # working set is square, and its multipliers come from A_w^T.
+        H, g, A = np.eye(2), -np.ones(2), np.eye(2)
+        lb, ub = np.full(2, -np.inf), np.full(2, 0.5)
+        sol = solve_qp(QPProblem(H, g, A, lb, ub),
+                       warm=QPSolution(np.full(2, 0.5), (), np.inf, 0))
+        assert sizes == [(2, 2)]
+        assert sol.active_set == ((0, 1), (1, 1))
+        assert sol.multipliers == pytest.approx({(0, 1): 0.5, (1, 1): 0.5})
+        self._assert_matches_oracle(sol, H, g, A, lb, ub)
+
+
+class TestSafetyExits:
+    """The exits that the independent working set leaves without a natural
+    trigger: the iteration cap and a stationary point that the certificate
+    refuses.  Each returns the iterate, its working set and the KKT
+    residual of its last Schur multipliers.  From x = 0, x0 <= 0.5 blocks
+    the first step and the second lands on the optimum (0.5, 1)."""
+
+    H, G = np.eye(2), np.array([-1.0, -1.0])
+    A, LB, UB = np.eye(2), np.full(2, -np.inf), np.array([0.5, np.inf])
+
+    def _solve(self):
+        return solve_qp(QPProblem(self.H, self.G, self.A, self.LB, self.UB),
+                        warm=QPSolution(np.zeros(2), (), np.inf, 0))
+
+    def _assert_iterate(self, sol):
+        assert sol.x.tolist() == [0.5, 1.0]
+        assert sol.active_set == ((0, 1),)
+        assert sol.multipliers == {(0, 1): 0.5}
+        assert sol.kkt_residual == qp._kkt_residual(
+            self.H, self.G, self.A, self.LB, self.UB, sol.x, sol.multipliers)
+        assert sol.converged
+
+    def test_iteration_cap(self, monkeypatch):
+        # No step counts as tiny, so the multipliers are never checked.
+        monkeypatch.setattr(qp, "_ZERO_STEP", -1.0)
+        sol = self._solve()
+        assert sol.iterations == 50 * (2 + 1)
+        self._assert_iterate(sol)
+
+    def test_uncertified_stationary_point(self, monkeypatch):
+        calls = []
+
+        def singular_equality_qp(*args):
+            calls.append(args[-1])
+            return None
+
+        monkeypatch.setattr(qp, "_equality_qp", singular_equality_qp)
+        sol = self._solve()
+        assert calls == [[(0, 1)]]  # the certificate ran and refused
+        assert sol.iterations == 3  # blocked step, full step, check
+        self._assert_iterate(sol)
+
+
+class TestDegenerateVertex:
+    """An SQP step QP whose zero start sits on a degenerate vertex: the
+    rate rows of u0 and of u1 - u0 and the box row of u1 (rows 0, 4 and 6
+    of _sqp_rows(2)) are active at delta = 0 with rank 2, beside row 3
+    (u_tar0 at eps).  The working set must take an independent subset."""
+
+    def test_dependent_start_rows_converge(self):
+        c = InputConstraints()
+        A, lo, hi = pnmpc._sqp_rows(2, c)
+        rng = np.random.default_rng(0)
+        draws = []
+        for _ in range(200):
+            u_tar1 = rng.uniform(0.1, 0.5)
+            M = rng.normal(size=(6, 6))
+            H = M @ M.T + 0.2 * np.eye(6)
+            g = rng.normal(size=6)
+            # u_prev = (0, 0.3): u steps up by du_max, then back to 0.
+            U = np.array([c.du_max, 0.3, c.eps, 0.0, 0.3, u_tar1])
+            cur = A @ U
+            cur[1] -= 0.3
+            prob = QPProblem(H, g, A, lo - cur, hi - cur)
+            sol = solve_qp(prob, warm=pnmpc.zero_start(2))
+            assert sol.converged
+            draws.append((prob, sol))
+        prob = draws[0][0]
+        active = [(0, 1), (3, -1), (4, -1), (6, -1)]
+        assert active_rows_loop(A, prob.lb, prob.ub, np.zeros(6)) \
+            == active[:3]
+        assert np.linalg.matrix_rank(A[[row for row, _ in active]]) == 3
+        assert qp._active_rows(A, prob.lb, prob.ub, np.zeros(6)) == active[:3]
+        # The oracle costs about 0.2 s a draw: the two longest solves.
+        draws.sort(key=lambda d: -d[1].iterations)
+        for prob, sol in draws[:2]:
+            J_ref, x_ref = qp_oracle(prob.H, prob.g, A, prob.lb, prob.ub)
+            assert np.max(np.abs(sol.x - x_ref)) <= 1e-9
