@@ -33,9 +33,28 @@ _SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
 _INVARIANT_ERRORS = (NonRegularPath, StateEscape, DomainError)
 
 
+def _run(sc):
+    """run_scenario, with a non-finite value (ValueError) reported as the
+    diverged state it comes from.
+
+    numpy's overflow warnings stay quiet: an overflow yields the
+    non-finite value that the run then reports.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_scenario(sc)
+    except ValueError as exc:
+        raise StateEscape(f"diverged state: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.config)
-    trace = run_scenario(sc)
+    if os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out!r} is a directory")
+    parent = os.path.dirname(args.out) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--out directory {parent!r} does not exist")
+    trace = _run(sc)
     trace.write_csv(args.out)
     report = compute_metrics(trace)
     print(f"wrote {len(trace)} records to {args.out}")
@@ -51,10 +70,14 @@ def _cmd_compare(args) -> int:
         if law not in LAWS:
             raise ConfigError(f"unknown law {law!r}; choose from {LAWS}")
     sc = load_scenario(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make --out directory {args.out!r}: "
+                          f"{exc.strerror}") from exc
     combined = {}
     for law in laws:
-        trace = run_scenario(dataclasses.replace(sc, law=law))
+        trace = _run(dataclasses.replace(sc, law=law))
         out_csv = os.path.join(args.out, f"{law}.csv")
         trace.write_csv(out_csv)
         combined[law] = compute_metrics(trace).to_dict()

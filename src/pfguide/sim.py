@@ -10,8 +10,13 @@ until the next guidance instant.
 
 Each plant instant evaluates the path and the sway once.  The filter
 updates on plain floats, so its last bits no longer depend on the BLAS
-kernel a numpy matrix-vector product uses.  Rows fill one float buffer;
-the CSV is written CSV_CHUNK rows at a time.
+kernel a numpy matrix-vector product uses.  Each value is recorded,
+formatted and checked at the rate it changes.  The plant-rate columns
+fill one float buffer row per plant instant; the guidance-rate columns
+get one record per guidance instant, repeated over the rows that hold
+it when the run ends.  The CSV is written CSV_CHUNK rows at a time with
+each run of repeated values formatted once, and the metrics scan the
+guidance instants' commands on plain floats.
 
 Runs are fully deterministic; the only wall-clock quantity is the solver
 timing column, and the clock itself is injectable.
@@ -29,7 +34,8 @@ import numpy as np
 from .angles import unwrap_near, wrap_angle
 from .errdyn import GuidanceState, InputCmd
 from .exceptions import ConfigError, EmptyTrace, PFGuideError
-from .los import InputConstraints, SGLOSParams, clamp_inputs, require_in_box, sglos
+from .los import (InputConstraints, SGLOSParams, clamp_flat, clamp_inputs,
+                  require_in_box, sglos)
 from .nmpc import NMPCConfig, NMPCSolver, make_config, synthesize_terminal_weight
 from .paths import PathDef, path_frame, sample_path, z_of_omega
 from .pnmpc import LINEARIZATIONS, PNMPCSolver
@@ -206,6 +212,12 @@ TRACE_COLUMNS = ("t", "x", "y", "psi_cmd", "psi_act", "u_cmd", "u_act",
                  "u_tar", "v", "omega", "z", "x_e", "y_e", "J_opt",
                  "kkt_residual", "iterations", "solve_time_s")
 
+# Columns set once per guidance instant and held until the next one, and
+# the columns every plant step sets.
+_GUIDANCE_COLUMNS = ("psi_cmd", "u_cmd", "u_tar", "J_opt", "kkt_residual",
+                     "iterations", "solve_time_s")
+_PLANT_COLUMNS = tuple(c for c in TRACE_COLUMNS if c not in _GUIDANCE_COLUMNS)
+
 CSV_CHUNK = 256  # trace rows formatted per write
 
 
@@ -223,18 +235,49 @@ class Trace:
         return self.columns[name]
 
     def to_csv(self, fileobj) -> None:
-        """Header plus one row per record, each value as f"{v:.9g}" (one
-        "%.9g" format per chunk of CSV_CHUNK rows gives the same text)."""
+        """Header plus one row per record, each value as f"{v:.9g}".
+
+        Rows are written CSV_CHUNK at a time; _write_rows formats a run of
+        repeated values once, which gives the same text.
+        """
         fileobj.write(",".join(TRACE_COLUMNS) + "\n")
         cols = [self.columns[c] for c in TRACE_COLUMNS]
-        row = ",".join(["%.9g"] * len(cols)) + "\n"
         for i in range(0, len(self), CSV_CHUNK):
-            block = np.column_stack([col[i:i + CSV_CHUNK] for col in cols])
-            fileobj.write(row * len(block) % tuple(block.ravel().tolist()))
+            _write_rows(fileobj.write, np.column_stack(
+                [col[i:i + CSV_CHUNK] for col in cols]))
 
     def write_csv(self, filename) -> None:
         with open(filename, "w") as fh:
             self.to_csv(fh)
+
+
+def _write_rows(write, block: np.ndarray) -> None:
+    """Write the rows of a float64 block as CSV, each value as "%.9g".
+
+    A column whose bits equal the previous row's on most rows is held:
+    the rows split into runs over which every held column keeps its bits.
+    Each run formats its held values once into a row template and its
+    other values through one "%.9g" format of the template repeated.
+    Equal bits give equal text (NaN, inf and the sign of zero included),
+    so the text is that of formatting every value.
+    """
+    n, width = block.shape
+    bits = block.view(np.uint64)
+    changed = bits[1:] != bits[:-1]
+    held = 2 * changed.sum(axis=0) < n - 1
+    starts = [0] + (np.flatnonzero(changed[:, held].any(axis=1)) + 1).tolist()
+    # A run costs about as much as formatting ten values.
+    if held.sum() * (n - len(starts)) <= 10 * len(starts):
+        write((",".join(["%.9g"] * width) + "\n") * n
+              % tuple(block.ravel().tolist()))
+        return
+    # Held fields format now; the escaped varying fields format per run.
+    outer = ",".join(["%.9g" if h else "%%.9g" for h in held]) + "\n"
+    heads = block[starts].compress(held, axis=1).tolist()
+    varying = block.compress(~held, axis=1).ravel().tolist()
+    k = len(varying) // n  # varying values per row
+    for h, a, b in zip(heads, starts, starts[1:] + [n]):
+        write((outer % tuple(h)) * (b - a) % tuple(varying[a * k:b * k]))
 
 
 def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
@@ -273,9 +316,9 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
         unwrap_near(cmd.psi, psi0)  # continuous branch fed to the filter
     u_act, psi_act = 0.0, psi0  # filter outputs; unfiltered, step 0 sets them
     warm = None
-    diag = (math.nan, math.nan, 0.0, math.nan)  # J_opt, kkt, iterations, time
+    records = []  # the guidance-rate columns, one per guidance instant
 
-    rows = np.empty((steps + 1, len(TRACE_COLUMNS)))
+    rows = np.empty((steps + 1, len(_PLANT_COLUMNS)))
     for i in range(steps + 1):
         t_now = i * T_p
         # One measurement per instant: the errors, the guidance state and
@@ -310,12 +353,13 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
                 raise type(exc)(
                     f"guidance step failed at t={t_now:g} (plant step "
                     f"{i}): {exc}") from exc
+            records.append((wrap_angle(cmd.psi), cmd.u, cmd.u_tar) + diag)
             psi_cmd_cont = unwrap_near(cmd.psi, psi_cmd_cont)
             if not filtered:
                 u_act, psi_act = cmd.u, psi_cmd_cont
 
-        rows[i] = (t_now, x, y, wrap_angle(cmd.psi), wrap_angle(psi_act),
-                   cmd.u, u_act, cmd.u_tar, v, omega, z, x_e, y_e) + diag
+        rows[i] = (t_now, x, y, wrap_angle(psi_act), u_act, v, omega, z,
+                   x_e, y_e)
         if i == steps:
             break
         cp, sp = math.cos(psi_act), math.sin(psi_act)
@@ -330,7 +374,17 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
                 guidance_stride=m, constraints=sc.constraints,
                 initial_input=u_initial, converge_band=sc.converge_band,
                 disturbance=sc.disturbance, filter_enabled=filtered)
-    return Trace(dict(zip(TRACE_COLUMNS, rows.T)), meta)
+    if not records:  # a zero-step run records the start's command
+        records.append((wrap_angle(cmd.psi), cmd.u, cmd.u_tar,
+                        math.nan, math.nan, 0.0, math.nan))
+    # Instant k's record covers rows k*m .. k*m + m - 1; the last also
+    # covers the final row.
+    counts = np.full(len(records), m)
+    counts[-1] = steps + 1 - m * (len(records) - 1)
+    columns = dict(zip(_PLANT_COLUMNS, rows.T))
+    columns.update(zip(_GUIDANCE_COLUMNS,
+                       np.repeat(np.array(records), counts, axis=0).T))
+    return Trace({name: columns[name] for name in TRACE_COLUMNS}, meta)
 
 
 @dataclass
@@ -382,17 +436,19 @@ def compute_metrics(trace: Trace) -> Report:
     stride = trace.meta["guidance_stride"]
     c = trace.meta["constraints"]
     prev = trace.meta["initial_input"]
+    instants = slice(0, len(trace) - 1, stride)
+    cmd_cols = [trace[name][instants] for name in ("u_cmd", "psi_cmd", "u_tar")]
+    finite = np.isfinite(cmd_cols).all(axis=0)
+    if not finite.all():  # InputCmd rejects the first non-finite command
+        InputCmd(*(float(col[np.argmin(finite)]) for col in cmd_cols))
     violations = 0
-    solve_times = []
-    last = len(trace) - 1
-    for i in range(0, last, stride):
-        cmd = InputCmd(float(trace["u_cmd"][i]), float(trace["psi_cmd"][i]),
-                       float(trace["u_tar"][i]))
-        if clamp_inputs(cmd, prev, c) != cmd:
+    prev_u, prev_psi = prev.u, prev.psi
+    for cmd in zip(*(col.tolist() for col in cmd_cols)):
+        if clamp_flat(*cmd, prev_u, prev_psi, c) != cmd:
             violations += 1
-        prev = cmd
-        solve_times.append(float(trace["solve_time_s"][i]))
-    st = np.asarray(solve_times) if solve_times else np.array([math.nan])
+        prev_u, prev_psi = cmd[:2]
+    solve_times = np.array(trace["solve_time_s"][instants])
+    st = solve_times if len(solve_times) else np.array([math.nan])
     return Report(
         law=trace.meta["law"],
         iae_x_e=iae_x, iae_y_e=iae_y, rms_x_e=rms_x, rms_y_e=rms_y,

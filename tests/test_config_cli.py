@@ -246,6 +246,51 @@ class TestCLI:
         assert cli.main(["simulate", "--config", cfgfile,
                          "--out", str(tmp_path / "x.csv")]) == 3
 
+    @pytest.mark.parametrize("law", ["sglos", "pnmpc"])
+    def test_diverged_state_exit_code(self, tmp_path, capsys, law):
+        """A start far out makes the commands (SGLOS) or the QP data
+        (PNMPC) non-finite: a diverged state, not a crash."""
+        doc = json.loads((CONFIGS / "realistic.json").read_text())
+        doc.update(law=law, duration=2.0)
+        doc["initial"]["x"] = 1.7e308
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config",
+                         self.write_config(tmp_path, doc),
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invariant violation: ")
+        assert not out.exists()
+
+    @staticmethod
+    def no_simulation(monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+        monkeypatch.setattr(cli, "run_scenario", fail)
+
+    def test_simulate_into_missing_directory(self, tmp_path, capsys,
+                                             monkeypatch):
+        self.no_simulation(monkeypatch)
+        cfgfile = self.write_config(tmp_path, BASE)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli.main(["simulate", "--config", cfgfile,
+                             "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_compare_below_a_regular_file(self, tmp_path, capsys,
+                                          monkeypatch):
+        self.no_simulation(monkeypatch)
+        cfgfile = self.write_config(tmp_path, BASE)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for out in (blocker / "cmp", blocker):
+            assert cli.main(["compare", "--config", cfgfile,
+                             "--laws", "sglos", "--out", str(out)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: ")
+        assert blocker.read_text() == ""
+
     def test_check_derivatives(self, capsys):
         assert cli.main(["check-derivatives", "--samples", "50"]) == 0
         out = capsys.readouterr().out

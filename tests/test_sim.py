@@ -14,7 +14,9 @@ from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
                      make_config, realistic_scenario, rollout, run_scenario,
                      synthesize_terminal_weight, transient_scenario)
 from pfguide import sim
+from pfguide.angles import wrap_angle
 from pfguide.exceptions import ConfigError
+from pfguide.los import clamp_inputs
 from pfguide.paths import line_path
 from pfguide.sim import CSV_CHUNK, TRACE_COLUMNS
 
@@ -410,6 +412,49 @@ class TestRunScenario:
         assert calls["eval"] > 0
         assert calls["law"] == 0
 
+    GUIDANCE_COLUMNS = ("psi_cmd", "u_cmd", "u_tar", "J_opt",
+                        "kkt_residual", "iterations", "solve_time_s")
+
+    def test_guidance_columns_equal_per_row_reference(self, monkeypatch):
+        """Each row holds the record of the last guidance instant at or
+        before it, the final row included, when the step count is not a
+        multiple of the guidance stride."""
+        solve = PNMPCSolver.solve
+        records = []
+
+        def recording(self, *args, **kwargs):
+            out = solve(self, *args, **kwargs)
+            u = out.u_seq[0]
+            records.append((wrap_angle(u.psi), u.u, u.u_tar, out.J_opt,
+                            out.kkt_residual, float(out.iterations),
+                            out.solve_time))
+            return out
+
+        monkeypatch.setattr(PNMPCSolver, "solve", recording)
+        sc = realistic_scenario("pnmpc", duration=20.7)
+        tr = run_scenario(sc)
+        m = 10
+        steps = len(tr) - 1
+        assert steps == 207 and steps % m and len(records) == 21
+        for j, name in enumerate(self.GUIDANCE_COLUMNS):
+            ref = np.array([records[min(i // m, len(records) - 1)][j]
+                            for i in range(steps + 1)])
+            assert tr[name].dtype == np.float64
+            assert tr[name].tobytes() == ref.tobytes(), name
+        assert list(tr.columns) == list(TRACE_COLUMNS)
+
+    def test_zero_step_run_records_the_start_command(self):
+        start = InputCmd(0.1, 0.5, 0.2)
+        sc = Scenario(path=line_path(), x0=0.0, y0=1.0, omega0=0.0,
+                      T_p=0.5, duration=1e-7, law="sglos",
+                      initial_input=start)
+        tr = run_scenario(sc)
+        assert len(tr) == 1
+        assert (tr["u_cmd"][0], tr["psi_cmd"][0], tr["u_tar"][0]) == \
+            (start.u, start.psi, start.u_tar)
+        assert np.isnan(tr["J_opt"][0]) and tr["iterations"][0] == 0.0
+        assert compute_metrics(tr).guidance_steps == 0
+
     def test_step_error_context(self):
         from pfguide.exceptions import PFGuideError
         bad = Scenario(path=line_path(), x0=0.0, y0=0.0, omega0=0.0,
@@ -455,6 +500,111 @@ class TestCsvWriter:
         assert csv_text(tr) == reference_csv(tr)
         assert csv_text(tr).count("\n") == n + 1
 
+    @staticmethod
+    def held_trace(n, run_ends, values, seed=0):
+        """n rows of distinct values; the guidance columns hold values[k]
+        over the k-th run of rows, the runs ending at run_ends."""
+        rng = np.random.default_rng(seed)
+        cols = {c: rng.standard_normal(n) * 100.0 for c in TRACE_COLUMNS}
+        bounds = [0] + list(run_ends) + [n]
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            for j, c in enumerate(("psi_cmd", "u_cmd", "u_tar", "J_opt",
+                                   "kkt_residual", "iterations",
+                                   "solve_time_s")):
+                cols[c][a:b] = values[(k + j) % len(values)]
+        return Trace(cols, {})
+
+    def test_runs_cross_chunk_windows(self):
+        n = 3 * CSV_CHUNK + 5
+        ends = range(7, n, 10)  # every run straddling a window edge included
+        values = [0.1 * k + 1e-7 for k in range(50)]
+        tr = self.held_trace(n, ends, values)
+        assert any(e < k * CSV_CHUNK < e + 10 for k in (1, 2, 3)
+                   for e in ends)
+        assert csv_text(tr) == reference_csv(tr)
+
+    def test_signed_zeros_nan_and_inf_runs(self):
+        values = [-0.0, 0.0, -0.0, math.nan, math.nan, math.inf, -math.inf,
+                  0.0, 5e-324, -5e-324]
+        tr = self.held_trace(CSV_CHUNK + 40, range(4, CSV_CHUNK + 40, 4),
+                             values)
+        text = csv_text(tr)
+        assert text == reference_csv(tr)
+        u_cmd = [line.split(",")[TRACE_COLUMNS.index("u_cmd")]
+                 for line in text.splitlines()[1:]]
+        assert {"-0", "0", "nan", "inf", "-inf"} <= set(u_cmd)
+
+    def test_column_constant_over_the_whole_trace(self):
+        tr = self.held_trace(2 * CSV_CHUNK + 3, range(9, 2 * CSV_CHUNK, 9),
+                             [0.25, -1.5, 3e10])
+        tr.columns["v"] = np.zeros(len(tr))
+        tr.columns["J_opt"] = np.full(len(tr), math.nan)
+        assert csv_text(tr) == reference_csv(tr)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, 1.0 / 3.0])
+    def test_every_column_constant(self, value):
+        n = CSV_CHUNK + 7
+        tr = Trace({c: np.full(n, value) for c in TRACE_COLUMNS}, {})
+        assert csv_text(tr) == reference_csv(tr)
+
+    def test_runs_change_at_rows_aligned_to_no_stride(self):
+        rng = np.random.default_rng(4)
+        n = 2 * CSV_CHUNK + 11
+        ends = np.unique(rng.integers(1, n, 90))
+        tr = self.held_trace(n, ends.tolist(), rng.standard_normal(37))
+        assert np.diff(ends).min() == 1 and len(set(np.diff(ends))) > 5
+        assert csv_text(tr) == reference_csv(tr)
+
+    def test_held_columns_changing_at_different_rows(self):
+        """Two held columns out of step give runs of one row; half the
+        columns repeat only on every other row."""
+        n = CSV_CHUNK + 9
+        tr = self.held_trace(n, range(2, n, 2), [1.0, 2.0, 3.0])
+        tr.columns["u_cmd"] = np.repeat(np.arange(n // 2 + 2.0), 2)[1:n + 1]
+        assert csv_text(tr) == reference_csv(tr)
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_CHUNK + 1])
+    def test_trace_lengths(self, n):
+        tr = self.held_trace(n, range(10, n, 10), [0.5, -0.0, math.nan])
+        assert csv_text(tr) == reference_csv(tr)
+        assert csv_text(tr).count("\n") == n + 1
+
+    @pytest.mark.parametrize("law", ["nmpc", "pnmpc", "sglos"])
+    def test_guidance_rate_trace(self, law):
+        tr = run_scenario(realistic_scenario(law, duration=30.3))
+        assert len(tr) == 304
+        assert csv_text(tr) == reference_csv(tr)
+
+
+def reference_scan(trace: Trace) -> dict:
+    """The guidance-instant fields of the Report, from one InputCmd and one
+    clamp_inputs call per instant."""
+    stride = trace.meta["guidance_stride"]
+    c = trace.meta["constraints"]
+    prev = trace.meta["initial_input"]
+    violations = 0
+    solve_times = []
+    for i in range(0, len(trace) - 1, stride):
+        cmd = InputCmd(float(trace["u_cmd"][i]), float(trace["psi_cmd"][i]),
+                       float(trace["u_tar"][i]))
+        if clamp_inputs(cmd, prev, c) != cmd:
+            violations += 1
+        prev = cmd
+        solve_times.append(float(trace["solve_time_s"][i]))
+    st = np.asarray(solve_times) if solve_times else np.array([math.nan])
+    return dict(violations=violations,
+                solve_time_min=float(np.min(st)),
+                solve_time_median=float(np.median(st)),
+                solve_time_mean=float(np.mean(st)),
+                solve_time_max=float(np.max(st)),
+                guidance_steps=len(solve_times))
+
+
+def assert_scan_matches_reference(trace: Trace) -> None:
+    got = compute_metrics(trace).to_dict()
+    ref = reference_scan(trace)
+    assert repr({k: got[k] for k in ref}) == repr(ref)
+
 
 class TestMetrics:
     def make_trace(self, y_e, T_p=0.1, law="sglos"):
@@ -497,6 +647,55 @@ class TestMetrics:
         rep = compute_metrics(tr)
         # step 2 breaks the box; step 3's increment from 0.5 breaks the rate
         assert rep.violations == 2
+
+    @pytest.mark.parametrize("law", ["nmpc", "pnmpc", "sglos"])
+    def test_scan_matches_reference_on_runs(self, law):
+        for sc in (transient_scenario(law, duration=40.0),
+                   realistic_scenario(law, duration=40.5)):
+            tr = run_scenario(sc)
+            assert_scan_matches_reference(tr)
+            # Bounds tighter than the run's: some commands now break them.
+            tr.meta["constraints"] = InputConstraints(
+                u_max=0.15, du_max=0.01, dpsi_max=0.05)
+            assert reference_scan(tr)["violations"] > 0
+            assert_scan_matches_reference(tr)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_scan_matches_reference_across_the_wrap(self, stride):
+        """Box and rate breaks, with headings either side of +-pi."""
+        rng = np.random.default_rng(stride)
+        n = 241
+        tr = self.make_trace(np.zeros(n))
+        tr.meta.update(guidance_stride=stride,
+                       initial_input=InputCmd(0.15, math.pi - 0.01, 0.15))
+        psi = math.pi + rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 1.2, n)
+        psi[::7] = rng.choice([math.pi, -math.pi, 3.0, -3.0], len(psi[::7]))
+        tr.columns["psi_cmd"] = (psi + math.pi) % (2.0 * math.pi) - math.pi
+        tr.columns["u_cmd"] = rng.uniform(-0.05, 0.3, n)
+        tr.columns["u_tar"] = rng.uniform(0.0, 0.8, n)
+        tr.columns["solve_time_s"] = rng.uniform(0.0, 1e-3, n)
+        ref = reference_scan(tr)
+        assert 0 < ref["violations"] < ref["guidance_steps"]
+        assert_scan_matches_reference(tr)
+        # one rate break across the wrap, one clean crossing
+        for psis, count in (((3.0, -2.4), 1), ((3.1, -3.1), 0)):
+            tr = self.make_trace(np.zeros(3))
+            tr.meta["initial_input"] = InputCmd(0.15, psis[0], 0.15)
+            tr.columns["psi_cmd"] = np.array([psis[0], psis[1], 0.0])
+            assert compute_metrics(tr).violations == count
+            assert_scan_matches_reference(tr)
+
+    @pytest.mark.parametrize("name", ["u_cmd", "psi_cmd", "u_tar"])
+    def test_non_finite_command_raises(self, name):
+        tr = self.make_trace(np.zeros(11))
+        tr.columns[name][4] = math.nan
+        with pytest.raises(ValueError, match="non-finite input command"):
+            reference_scan(tr)
+        with pytest.raises(ValueError, match="non-finite input command"):
+            compute_metrics(tr)
+        tr.columns[name][4] = 0.1
+        tr.columns[name][-1] = math.inf  # the final row is no instant
+        assert_scan_matches_reference(tr)
 
     def test_empty_trace(self):
         tr = self.make_trace(np.zeros(1))
