@@ -261,16 +261,11 @@ def _write_rows(write, block: np.ndarray) -> None:
     Equal bits give equal text (NaN, inf and the sign of zero included),
     so the text is that of formatting every value.
     """
-    n, width = block.shape
+    n = len(block)
     bits = block.view(np.uint64)
     changed = bits[1:] != bits[:-1]
     held = 2 * changed.sum(axis=0) < n - 1
     starts = [0] + (np.flatnonzero(changed[:, held].any(axis=1)) + 1).tolist()
-    # A run costs about as much as formatting ten values.
-    if held.sum() * (n - len(starts)) <= 10 * len(starts):
-        write((",".join(["%.9g"] * width) + "\n") * n
-              % tuple(block.ravel().tolist()))
-        return
     # Held fields format now; the escaped varying fields format per run.
     outer = ",".join(["%.9g" if h else "%%.9g" for h in held]) + "\n"
     heads = block[starts].compress(held, axis=1).tolist()
