@@ -18,7 +18,7 @@ from typing import Tuple
 from .angles import wrap_angle
 from .errdyn import GuidanceState, InputCmd
 from .exceptions import InfeasibleStart
-from .paths import PathDef, omega_of_z, path_frame
+from .paths import PathDef, omega_of_z, path_tangent
 from .paths import sample_path  # noqa: F401 -- perfbench's tracer binds it
 
 
@@ -61,7 +61,7 @@ def sglos(x: GuidanceState, path: PathDef, p: SGLOSParams) -> InputCmd:
     The surge entering the u_tar component is the law's own freshly
     computed surge command.
     """
-    phi_p = path_frame(path, omega_of_z(x.z))[0]
+    phi_p = path_tangent(path, omega_of_z(x.z))[0]
     u_cmd = p.k1 * math.sqrt(x.y_e * x.y_e + p.delta * p.delta)
     los_angle = math.atan(x.y_e / p.delta)
     psi_cmd = wrap_angle(phi_p - los_angle)

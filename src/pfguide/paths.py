@@ -58,12 +58,13 @@ class PathPoint:
 Frame = Tuple[float, float, float, float, float, float, float]
 
 
-def path_frame(path: PathDef, omega: float) -> Frame:
-    """Tangent angle, speed factor and tangent rate, plus the first and
-    second derivatives they come from, without evaluating the position.
+def path_tangent(path: PathDef, omega: float) -> Tuple[float, float, float, float]:
+    """Tangent angle and speed factor from the first derivative alone.
 
-    dphi_dw is computed from first and second derivatives,
-    (x' y'' - y' x'') / F^2, rather than by differencing the wrapped angle.
+    Returns (phi_p, F, dx, dy): phi_p = atan2(dy, dx) wrapped to
+    (-pi, pi], F = |(dx, dy)|, and the derivative they come from.  This
+    is what the plant loop and SGLOS read; path_frame adds the second
+    derivative on top of it.
 
     Raises NonRegularPath when F <= F_MIN.
     """
@@ -73,9 +74,21 @@ def path_frame(path: PathDef, omega: float) -> Frame:
         raise NonRegularPath(
             f"path {path.name!r} has speed factor {F:.3e} <= {F_MIN:.0e} "
             f"at omega={omega!r}")
+    return wrap_angle(math.atan2(dy, dx)), F, dx, dy
+
+
+def path_frame(path: PathDef, omega: float) -> Frame:
+    """Tangent angle, speed factor and tangent rate, plus the first and
+    second derivatives they come from, without evaluating the position.
+
+    dphi_dw is computed from first and second derivatives,
+    (x' y'' - y' x'') / F^2, rather than by differencing the wrapped angle.
+
+    Raises NonRegularPath when F <= F_MIN.
+    """
+    phi_p, F, dx, dy = path_tangent(path, omega)
     ddx, ddy = path.deriv2(omega)
-    return (wrap_angle(math.atan2(dy, dx)), F, (dx * ddy - dy * ddx) / (F * F),
-            dx, dy, ddx, ddy)
+    return phi_p, F, (dx * ddy - dy * ddx) / (F * F), dx, dy, ddx, ddy
 
 
 def sample_path(path: PathDef, omega: float) -> PathPoint:

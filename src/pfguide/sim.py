@@ -8,15 +8,18 @@ The guidance law runs every T_m = m * T_p, measuring the PF errors from
 the true pose and the sway at its own instant, and holding its command
 until the next guidance instant.
 
-Each plant instant evaluates the path and the sway once.  The filter
-updates on plain floats, so its last bits no longer depend on the BLAS
-kernel a numpy matrix-vector product uses.  Each value is recorded,
-formatted and checked at the rate it changes.  The plant-rate columns
-fill one float buffer row per plant instant; the guidance-rate columns
-get one record per guidance instant, repeated over the rows that hold
-it when the run ends.  The CSV is written CSV_CHUNK rows at a time with
-each run of repeated values formatted once, and the metrics scan the
-guidance instants' commands on plain floats.
+Each plant instant evaluates the path position and tangent once (the
+tangent angle and speed factor, not the second derivative) and samples
+the sway once.  One filter step advances the surge and heading channels together, on plain
+floats, so its last bits do not depend on the BLAS kernel a numpy
+matrix-vector product uses.  Each value is recorded, formatted and
+checked at the rate it changes.  The plant-rate columns are packed as
+native doubles into one float buffer row per plant instant; the
+guidance-rate columns get one record per guidance instant, repeated
+over the rows that hold it when the run ends.  The CSV is written
+CSV_CHUNK rows at a time with each run of repeated values formatted
+once, and the metrics scan the guidance instants' commands on plain
+floats.
 
 Runs are fully deterministic; the only wall-clock quantity is the solver
 timing column, and the clock itself is injectable.
@@ -25,19 +28,20 @@ timing column, and the clock itself is injectable.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .angles import unwrap_near, wrap_angle
 from .errdyn import GuidanceState, InputCmd
-from .exceptions import ConfigError, EmptyTrace, PFGuideError
-from .los import (InputConstraints, SGLOSParams, clamp_flat, clamp_inputs,
-                  require_in_box, sglos)
+from .exceptions import ConfigError, EmptyTrace, PFGuideError, StateEscape
+from .los import (InputConstraints, SGLOSParams, clamp_flat, require_in_box,
+                  sglos)
 from .nmpc import NMPCConfig, NMPCSolver, make_config, synthesize_terminal_weight
-from .paths import PathDef, path_frame, sample_path, z_of_omega
+from .paths import PathDef, path_tangent, sample_path, z_of_omega
 from .pnmpc import LINEARIZATIONS, PNMPCSolver
 
 LAWS = ("nmpc", "pnmpc", "sglos")
@@ -97,15 +101,18 @@ def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:
 
 
 class LowLevelFilter:
-    """Unit-DC-gain double-pole filter with a fractional input delay.
+    """Unit-DC-gain double-pole filter with a fractional input delay, on
+    the surge and heading channels at once.
 
     The continuous part is discretized exactly for piecewise-constant
     input over one plant step; the delay is realized on the stored input
     history with linear interpolation between plant-grid samples, which
-    preserves the stated delay rather than rounding it to the grid.
+    preserves the stated delay rather than rounding it to the grid.  Both
+    channels share the plant step and so the coefficients: one step
+    applies the same recursion to each channel's own history and state.
     """
 
-    def __init__(self, T_p: float, initial: float = 0.0):
+    def __init__(self, T_p: float, initial: Tuple[float, float] = (0.0, 0.0)):
         if T_p <= 0.0:
             raise ConfigError(f"plant step must be positive, got {T_p}")
         a = FILTER_POLE
@@ -122,20 +129,28 @@ class LowLevelFilter:
         k = FILTER_DELAY / T
         self._lag = int(math.floor(k))
         self._frac = k - self._lag
-        self._hist: List[float] = [float(initial)] * (self._lag + 2)
-        self.output = float(initial)
-        self._rate = 0.0
+        u0, psi0 = float(initial[0]), float(initial[1])
+        # (surge, heading) commands, oldest first.
+        self._hist: List[Tuple[float, float]] = [(u0, psi0)] * (self._lag + 2)
+        self.output = (u0, psi0)
+        self._rate = (0.0, 0.0)
 
-    def step(self, command: float) -> float:
-        """Advance one plant step driven by the delayed command history."""
-        self._hist.append(float(command))
-        del self._hist[0]
-        u_d = ((1.0 - self._frac) * self._hist[-1 - self._lag]
-               + self._frac * self._hist[-2 - self._lag])
+    def step(self, u: float, psi: float) -> Tuple[float, float]:
+        """Advance both channels one plant step, each driven by its delayed
+        command history; returns the new (surge, heading) outputs."""
+        hist = self._hist
+        hist.append((u, psi))
+        del hist[0]
+        (u1, p1), (u2, p2) = hist[-1 - self._lag], hist[-2 - self._lag]
+        w = 1.0 - self._frac
+        f = self._frac
+        ud, pd = w * u1 + f * u2, w * p1 + f * p2
         a00, a01, a10, a11, b0, b1 = self._coef
-        x0, x1 = self.output, self._rate
-        self.output = a00 * x0 + a01 * x1 + b0 * u_d
-        self._rate = a10 * x0 + a11 * x1 + b1 * u_d
+        (xu, xp), (ru, rp) = self.output, self._rate
+        self.output = (a00 * xu + a01 * ru + b0 * ud,
+                       a00 * xp + a01 * rp + b0 * pd)
+        self._rate = (a10 * xu + a11 * ru + b1 * ud,
+                      a10 * xp + a11 * rp + b1 * pd)
         return self.output
 
 
@@ -217,6 +232,8 @@ TRACE_COLUMNS = ("t", "x", "y", "psi_cmd", "psi_act", "u_cmd", "u_act",
 _GUIDANCE_COLUMNS = ("psi_cmd", "u_cmd", "u_tar", "J_opt", "kkt_residual",
                      "iterations", "solve_time_s")
 _PLANT_COLUMNS = tuple(c for c in TRACE_COLUMNS if c not in _GUIDANCE_COLUMNS)
+# One plant-rate row as native doubles, packed straight into the buffer.
+_ROW = struct.Struct(f"{len(_PLANT_COLUMNS)}d")
 
 CSV_CHUNK = 256  # trace rows formatted per write
 
@@ -279,8 +296,16 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
     """Simulate the closed loop and return the full trace.
 
     Solver and path errors abort the run and carry the failing step index.
-    Non-finite PF errors raise ValueError.
+    A diverged state raises StateEscape: non-finite PF errors, or a
+    guidance step that meets a non-finite value (ValueError).  numpy's
+    overflow warnings stay quiet, since an overflow yields the non-finite
+    value that the run then reports.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _closed_loop(sc, timer)
+
+
+def _closed_loop(sc: Scenario, timer) -> Trace:
     path = sc.path
     T_p = sc.T_p
     steps = int(round(sc.duration / T_p))
@@ -303,8 +328,7 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
                   else PNMPCSolver(cfg, path, sc.linearization))
 
     filtered = sc.filter_enabled
-    surge_f = LowLevelFilter(T_p, initial=0.0) if filtered else None
-    head_f = LowLevelFilter(T_p, initial=psi0) if filtered else None
+    actuators = LowLevelFilter(T_p, initial=(0.0, psi0)) if filtered else None
 
     x, y, omega = float(sc.x0), float(sc.y0), float(sc.omega0)
     psi_cmd_cont = psi0 if sc.initial_input is None else \
@@ -312,8 +336,10 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
     u_act, psi_act = 0.0, psi0  # filter outputs; unfiltered, step 0 sets them
     warm = None
     records = []  # the guidance-rate columns, one per guidance instant
+    disturbance = sc.disturbance
 
     rows = np.empty((steps + 1, len(_PLANT_COLUMNS)))
+    pack_row, width = _ROW.pack_into, _ROW.size
     for i in range(steps + 1):
         t_now = i * T_p
         # One measurement per instant: the errors, the guidance state and
@@ -321,15 +347,16 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
         try:
             z = z_of_omega(omega)
             x_p, y_p = path.eval(omega)
-            phi_p, F = path_frame(path, omega)[:2]
+            phi_p, F = path_tangent(path, omega)[:2]
         except PFGuideError as exc:
             raise type(exc)(f"plant step {i} failed: {exc}") from exc
         dx, dy = x - x_p, y - y_p
         c, s = math.cos(phi_p), math.sin(phi_p)
         x_e, y_e = c * dx + s * dy, -s * dx + c * dy
         if not (math.isfinite(x_e) and math.isfinite(y_e)):
-            raise ValueError(f"non-finite PF errors ({x_e!r}, {y_e!r})")
-        v = disturbance_sample(sc.disturbance, t_now)
+            raise StateEscape(f"plant step {i} failed: non-finite PF errors "
+                              f"({x_e!r}, {y_e!r})")
+        v = disturbance_sample(disturbance, t_now)
 
         if i % m == 0 and i < steps:
             state = GuidanceState(x_e, y_e, z)
@@ -341,20 +368,23 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
                             float(warm.iterations), warm.solve_time)
                 else:
                     t0 = timer()
-                    cmd = clamp_inputs(sglos(state, path, sc.sglos), cmd,
-                                       sc.constraints)
+                    raw = sglos(state, path, sc.sglos)
+                    cmd = InputCmd(*clamp_flat(raw.u, raw.psi, raw.u_tar,
+                                               cmd.u, cmd.psi, sc.constraints))
                     diag = (math.nan, math.nan, 0.0, timer() - t0)
-            except PFGuideError as exc:
-                raise type(exc)(
-                    f"guidance step failed at t={t_now:g} (plant step "
-                    f"{i}): {exc}") from exc
+            except (PFGuideError, ValueError) as exc:
+                # A ValueError is a non-finite value met by the step.
+                error = type(exc) if isinstance(exc, PFGuideError) \
+                    else StateEscape
+                raise error(f"guidance step failed at t={t_now:g} (plant "
+                            f"step {i}): {exc}") from exc
             records.append((wrap_angle(cmd.psi), cmd.u, cmd.u_tar) + diag)
             psi_cmd_cont = unwrap_near(cmd.psi, psi_cmd_cont)
             if not filtered:
                 u_act, psi_act = cmd.u, psi_cmd_cont
 
-        rows[i] = (t_now, x, y, wrap_angle(psi_act), u_act, v, omega, z,
-                   x_e, y_e)
+        pack_row(rows, i * width, t_now, x, y, wrap_angle(psi_act), u_act, v,
+                 omega, z, x_e, y_e)
         if i == steps:
             break
         cp, sp = math.cos(psi_act), math.sin(psi_act)
@@ -362,8 +392,7 @@ def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
         y += T_p * (u_act * sp + v * cp)
         omega += T_p * cmd.u_tar / F
         if filtered:
-            u_act = surge_f.step(cmd.u)
-            psi_act = head_f.step(psi_cmd_cont)
+            u_act, psi_act = actuators.step(cmd.u, psi_cmd_cont)
 
     meta = dict(law=sc.law, T_m=sc.T_m, T_p=T_p, duration=sc.duration,
                 guidance_stride=m, constraints=sc.constraints,

@@ -9,15 +9,16 @@ from dataclasses import replace
 from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
                      InputCmd, InputConstraints, LowLevelFilter, NMPCConfig,
                      NonRegularPath, PathDef, PNMPCSolver, Scenario,
-                     SGLOSParams, Trace, case_study_path,
+                     SGLOSParams, StateEscape, Trace, case_study_path,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
                      make_config, realistic_scenario, rollout, run_scenario,
                      synthesize_terminal_weight, transient_scenario)
 from pfguide import sim
-from pfguide.angles import wrap_angle
+from pfguide.angles import unwrap_near, wrap_angle
 from pfguide.exceptions import ConfigError
-from pfguide.los import clamp_inputs
-from pfguide.paths import line_path
+from pfguide.los import clamp_inputs, sglos
+from pfguide.paths import (line_path, polynomial_path, sample_path,
+                           z_of_omega)
 from pfguide.sim import CSV_CHUNK, TRACE_COLUMNS
 
 
@@ -82,9 +83,13 @@ class TestLowLevelFilter:
         assert self.closed_form(2 * self.DELAY) == pytest.approx(0.264, abs=1e-3)
 
     def test_zero_before_delay_and_tracks_closed_form(self):
+        """The heading channel, driven by twice the surge command, reads
+        twice the surge output bit for bit: the recursion is linear and
+        the channels do not mix."""
         f = LowLevelFilter(0.1)
         for i in range(1, 41):
-            out = f.step(1.0)
+            out, psi = f.step(1.0, 2.0)
+            assert psi == 2.0 * out
             t = i * 0.1
             if t < self.DELAY:
                 assert out == 0.0
@@ -94,12 +99,12 @@ class TestLowLevelFilter:
 
     def test_unit_dc_gain(self):
         f = LowLevelFilter(0.1)
-        out = 0.0
+        out = (0.0, 0.0)
         for i in range(1, 26):
-            out = f.step(0.7)
+            out = f.step(0.7, -0.7)
             if abs(i * 0.1 - 2.0) < 1e-9:
-                assert out == pytest.approx(0.7, abs=1e-5)
-        assert out == pytest.approx(0.7, abs=1e-6)  # t = 2.5 s
+                assert out == pytest.approx((0.7, -0.7), abs=1e-5)
+        assert out == pytest.approx((0.7, -0.7), abs=1e-6)  # t = 2.5 s
 
     @staticmethod
     def matrices(f):
@@ -112,25 +117,48 @@ class TestLowLevelFilter:
         assert gain == pytest.approx(1.0, rel=1e-12)
 
     def test_nonzero_initial_state_is_steady(self):
-        f = LowLevelFilter(0.1, initial=0.56)
+        f = LowLevelFilter(0.1, initial=(0.56, -2.5))
         for _ in range(20):
-            assert f.step(0.56) == pytest.approx(0.56, rel=1e-12)
+            assert f.step(0.56, -2.5) == pytest.approx((0.56, -2.5), rel=1e-12)
 
     def test_float_update_matches_matrix_form(self):
         """The float update rounds differently from the numpy product of
         the same matrices, and the difference does not build up."""
-        f = LowLevelFilter(0.1, initial=1.0)
+        f = LowLevelFilter(0.1, initial=(1.0, -1.0))
         Ad, Bd = self.matrices(f)
-        hist = [1.0] * (f._lag + 2)
-        x = np.array([1.0, 0.0])
+        hist = [np.array([1.0, -1.0])] * (f._lag + 2)
+        x = np.array([[1.0, -1.0], [0.0, 0.0]])  # a column per channel
         worst = 0.0
-        for cmd in np.random.default_rng(6).uniform(0.5, 1.5, 8000).tolist():
+        cmds = np.random.default_rng(6).uniform(0.5, 1.5, (8000, 2))
+        cmds[:, 1] *= -1.0
+        for cmd in cmds:
             hist = hist[1:] + [cmd]
             u_d = ((1.0 - f._frac) * hist[-1 - f._lag]
                    + f._frac * hist[-2 - f._lag])
-            x = Ad @ x + Bd * u_d
-            worst = max(worst, abs(f.step(cmd) - x[0]) / abs(x[0]))
+            x = Ad @ x + np.outer(Bd, u_d)
+            out = np.array(f.step(*cmd.tolist()))
+            worst = max(worst, np.max(np.abs(out - x[0]) / np.abs(x[0])))
         assert worst <= 1e-14
+
+
+class ScalarFilter:
+    """One actuator channel: LowLevelFilter's recursion on plain floats,
+    one command at a time."""
+
+    def __init__(self, T_p, initial):
+        f = LowLevelFilter(T_p)
+        self.coef, self.lag, self.frac = f._coef, f._lag, f._frac
+        self.hist = [initial] * (self.lag + 2)
+        self.out, self.rate = initial, 0.0
+
+    def step(self, command):
+        self.hist = self.hist[1:] + [command]
+        u_d = ((1.0 - self.frac) * self.hist[-1 - self.lag]
+               + self.frac * self.hist[-2 - self.lag])
+        a00, a01, a10, a11, b0, b1 = self.coef
+        self.out, self.rate = (a00 * self.out + a01 * self.rate + b0 * u_d,
+                               a10 * self.out + a11 * self.rate + b1 * u_d)
+        return self.out
 
 
 class TestScenarioValidation:
@@ -349,22 +377,38 @@ class TestRunScenario:
     def test_every_instant_rejects_bad_measurements(self):
         sc = Scenario(path=self.broken_line(nan_at=3.0), x0=0.0, y0=1.0,
                       omega0=0.0, T_p=0.5, duration=60.0, law="sglos")
-        with pytest.raises(ValueError, match="non-finite PF errors"):
+        with pytest.raises(StateEscape,
+                           match=r"^plant step \d+ failed: non-finite PF errors"):
             run_scenario(sc)
         with pytest.raises(DomainError, match="plant step 0 failed"):
             run_scenario(replace(sc, path=line_path(), omega0=-1.0))
 
+    @pytest.mark.parametrize("law", sim.LAWS)
+    def test_diverging_start_is_a_state_escape(self, law):
+        """A start far out overflows the commands (SGLOS) or the QP data
+        (NMPC, PNMPC) at the first guidance step.  The run reports the
+        diverged state without a warning (the suite turns warnings into
+        errors) and keeps the step context."""
+        sc = replace(realistic_scenario(law, duration=2.0), x0=1.7e308)
+        with pytest.raises(StateEscape, match=r"\(plant step 0\): ") as info:
+            run_scenario(sc)
+        assert isinstance(info.value.__cause__, ValueError)
+
     @pytest.mark.parametrize("law", ["sglos", "pnmpc"])
     def test_one_path_evaluation_per_plant_instant(self, monkeypatch, law):
-        """Outside the law, a run evaluates the path frame once per plant
-        instant plus the start sample."""
+        """Outside the law, a run evaluates the path tangent once per plant
+        instant plus the start sample, and the second derivative only for
+        the start sample.  SGLOS reads the tangent alone."""
         base = case_study_path()
-        calls = {"sim": 0, "law": 0}
+        calls = {(name, owner): 0 for name in ("deriv", "deriv2")
+                 for owner in ("sim", "law")}
         owner = ["sim"]
 
-        def deriv(w):
-            calls[owner[0]] += 1
-            return base.deriv(w)
+        def counting(name, fn):
+            def wrapped(w):
+                calls[name, owner[0]] += 1
+                return fn(w)
+            return wrapped
 
         def in_law(fn):
             def wrapped(*args, **kwargs):
@@ -377,15 +421,21 @@ class TestRunScenario:
 
         monkeypatch.setattr(sim, "sglos", in_law(sim.sglos))
         monkeypatch.setattr(PNMPCSolver, "solve", in_law(PNMPCSolver.solve))
-        path = PathDef(base.eval, deriv, base.deriv2, base.deriv3)
+        path = PathDef(base.eval, counting("deriv", base.deriv),
+                       counting("deriv2", base.deriv2), base.deriv3)
         sc = replace(realistic_scenario(law, duration=20.0), path=path)
         sc = replace(sc, nmpc=sc.guidance_config())
-        calls.update(sim=0, law=0)
+        calls.update(dict.fromkeys(calls, 0))
         tr = run_scenario(sc)
         steps = len(tr) - 1
         assert steps == 200
-        assert calls["sim"] == steps + 1 + 1
-        assert calls["law"] > 0
+        assert calls["deriv", "sim"] == steps + 1 + 1
+        assert calls["deriv2", "sim"] == 1
+        assert calls["deriv", "law"] > 0
+        if law == "sglos":
+            assert calls["deriv2", "law"] == 0
+        else:
+            assert calls["deriv2", "law"] > 0
 
     def test_sglos_evaluates_no_path_position(self, monkeypatch):
         """SGLOS reads only the tangent angle, so the law itself never
@@ -462,6 +512,114 @@ class TestRunScenario:
                        initial_input=InputCmd(0.9, 0.0, 0.1))
         with pytest.raises(PFGuideError, match="outside the box"):
             run_scenario(bad)
+
+
+def reference_plant_columns(sc: Scenario, law) -> dict:
+    """run_scenario's 10 plant-rate columns from a plain per-instant loop.
+
+    Every plant instant calls sample_path and disturbance_sample, and the
+    actuators are two ScalarFilter channels stepped one at a time.  At
+    each guidance instant law(state, v, prev) returns the command.  The
+    scenario starts aligned (psi0 None) from the default previous input.
+    """
+    T_p = sc.T_p
+    steps = int(round(sc.duration / T_p))
+    m = int(round(sc.T_m / T_p))
+    psi0 = sample_path(sc.path, sc.omega0).phi_p
+    cmd = InputCmd(0.0, psi0, sc.constraints.eps)
+    surge, heading = ScalarFilter(T_p, 0.0), ScalarFilter(T_p, psi0)
+    x, y, omega = sc.x0, sc.y0, sc.omega0
+    u_act, psi_act, psi_cont = 0.0, psi0, psi0
+    rows = []
+    for i in range(steps + 1):
+        t = i * T_p
+        pt = sample_path(sc.path, omega)
+        z = z_of_omega(omega)
+        dx, dy = x - pt.x_p, y - pt.y_p
+        c, s = math.cos(pt.phi_p), math.sin(pt.phi_p)
+        x_e, y_e = c * dx + s * dy, -s * dx + c * dy
+        v = disturbance_sample(sc.disturbance, t)
+        if i % m == 0 and i < steps:
+            cmd = law(GuidanceState(x_e, y_e, z), v, cmd)
+            psi_cont = unwrap_near(cmd.psi, psi_cont)
+            if not sc.filter_enabled:
+                u_act, psi_act = cmd.u, psi_cont
+        rows.append((t, x, y, wrap_angle(psi_act), u_act, v, omega, z,
+                     x_e, y_e))
+        if i == steps:
+            break
+        x += T_p * (u_act * math.cos(psi_act) - v * math.sin(psi_act))
+        y += T_p * (u_act * math.sin(psi_act) + v * math.cos(psi_act))
+        omega += T_p * cmd.u_tar / pt.F
+        if sc.filter_enabled:
+            u_act, psi_act = surge.step(cmd.u), heading.step(psi_cont)
+    return dict(zip(sim._PLANT_COLUMNS, np.array(rows).T))
+
+
+def sglos_law(sc: Scenario):
+    def law(state, v, prev):
+        return clamp_inputs(sglos(state, sc.path, sc.sglos), prev,
+                            sc.constraints)
+    return law
+
+
+def pnmpc_law(sc: Scenario):
+    solver = PNMPCSolver(sc.guidance_config(), sc.path, sc.linearization)
+    warm = [None]
+
+    def law(state, v, prev):
+        warm[0] = solver.solve(state, v, prev, warm[0], timer=lambda: 0.0)
+        return warm[0].u_seq[0]
+    return law
+
+
+SWAYS = {
+    "none": DisturbanceSpec(),
+    "sinusoid": DisturbanceSpec(kind="sinusoid", amplitude=0.1, period=7.0,
+                                phase=0.3),
+    "chirp_mirror": DisturbanceSpec(kind="chirp_mirror", amplitude=0.15,
+                                    f0=0.1, f1=0.3, switch_time=8.0),
+}
+# (path, x0, y0, omega0) per path kind.
+STARTS = {
+    "case_study": (case_study_path(), 10.0, 10.0, 2.5),
+    "line": (line_path((1.0, -2.0), (0.6, 0.8)), -1.0, 1.5, 0.5),
+    "polynomial": (polynomial_path([0.0, 1.0, 0.0, 0.002], [1.0, 0.3, -0.02]),
+                   3.0, -2.0, 1.0),
+}
+
+
+class TestPlantLoopReference:
+    """The plant-rate columns equal a per-instant reference loop bit for
+    bit: the tangent-only measurement, the two-channel filter step and
+    the precomputed sway change no value."""
+
+    @staticmethod
+    def scenario(path, sway, stride, filtered, law="sglos", duration=20.0):
+        p, x0, y0, omega0 = STARTS[path]
+        return Scenario(path=p, x0=x0, y0=y0, omega0=omega0, T_p=0.1,
+                        T_m=0.1 * stride, duration=duration, law=law,
+                        disturbance=SWAYS[sway], filter_enabled=filtered)
+
+    @staticmethod
+    def assert_plant_columns_equal(sc, law):
+        tr = run_scenario(sc)
+        ref = reference_plant_columns(sc, law)
+        for name in sim._PLANT_COLUMNS:
+            assert tr[name].tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    @pytest.mark.parametrize("sway", sorted(SWAYS))
+    @pytest.mark.parametrize("stride", [1, 10])
+    @pytest.mark.parametrize("path", sorted(STARTS))
+    def test_sglos(self, path, stride, sway, filtered):
+        sc = self.scenario(path, sway, stride, filtered)
+        self.assert_plant_columns_equal(sc, sglos_law(sc))
+
+    def test_pnmpc(self):
+        sc = self.scenario("case_study", "chirp_mirror", 10, True,
+                           law="pnmpc", duration=30.0)
+        self.assert_plant_columns_equal(sc, pnmpc_law(sc))
 
 
 def reference_csv(trace: Trace) -> str:
