@@ -2,52 +2,44 @@
 
 Solves   min  1/2 x^T H x + g^T x   s.t.  lb <= A x <= ub
 
-with a primal active-set method.  Problem sizes here are tiny (n <= ~30),
-so H is Cholesky-factored and inverted once per solve, and H^-1 A^T and
-A H^-1 A^T are formed once: each working-set change slices them into a
-small Schur system.  A warm working set (warm.active_set, typically the
-set the previous QP of an SQP ended on) is checked first with one KKT
-solve of its equality QP.  Otherwise the start is the unconstrained
-minimizer, returned as the optimum when it is feasible; then a feasible
-warm point, else a Phase-1 point.  The working set stays linearly
-independent, so it holds at most n rows: it starts as the independent
-rows active at the start point, and the ratio test adds only a row that
-blocks a step the working set leaves unchanged (a.d != 0, A_w d = 0).
-After a full, unblocked step the iterate minimizes on its working set,
-so the next iteration only checks the multipliers.  Ties in the ratio
-test break toward the lowest constraint row, making runs reproducible.
+with a primal active-set method.  Problems here are tiny (n <= ~30), so H
+is factored and inverted once per solve, and H^-1 A^T and A H^-1 A^T are
+formed once: each working-set change slices them into a small Schur
+system.  A warm working set (warm.active_set, typically the set the
+previous QP of an SQP ended on) is checked first with one KKT solve of
+its equality QP.  Otherwise the start is the unconstrained minimizer,
+returned as the optimum when it is feasible; then a feasible warm point,
+else a Phase-1 point.  The working set stays linearly independent to
+_DEP_TOL in floating point too, so it holds at most n rows: it starts as
+the independent rows active at the start, and the ratio test skips a
+blocking row in its span, which blocks on rounding alone.  After a full,
+unblocked step the iterate minimizes on its working set, so the next
+iteration only checks the multipliers.  Ratio-test ties break toward the
+lowest row.
 
 One rule (_certified) certifies both the warm set's answer and the one
-the active-set iteration stops on; converged reads its last test.
+the active-set iteration stops on; converged reads its last test.  A
+singular system makes a warm set miss, and it ends the active-set
+iteration as the iteration cap does, unconverged as a rule.  QPProblem
+refuses an H that is not symmetric to rounding: the solver factors its
+symmetric part, while the certificate's gradient reads H itself.
 
-The per-row scans (the problem's bound checks, the working-set
-detection, the ratio test, the tiny-step test, the multiplier check, the
-violation and the KKT residual) take one tolist() of the numpy product
-they need and loop over plain floats: with at most a dozen rows, numpy
-temporaries cost more than the arithmetic.  Each step is the same IEEE
-operation on the same operands as an array form, so the results are
-bit-identical to it; the maxima keep the first of equal values, as
-Python's max does, but return NaN as soon as one value is NaN, so a NaN
-point never reads as feasible or converged.
+The per-row scans take one tolist() of the numpy product they need and
+loop over plain floats (with at most a dozen rows, numpy temporaries cost
+more than the arithmetic), each step the IEEE operation an array form
+would take, so the results are bit-identical to it.  Their maxima keep
+the first of equal values, as Python's max does, but return NaN as soon
+as one value is NaN, so a NaN point never reads as feasible or converged.
+Slices are taken with ndarray.take and products with ndarray.dot, far
+cheaper than np.ix_ and @ here, each slice in the memory layout of the
+indexing form (HiAt[:, rows] is F-contiguous, so HiAt.T.take(rows, 0).T):
+the layout selects the BLAS kernel, and with it the bits.
 
-Rows and columns are sliced with ndarray.take, which costs a fraction of
-np.ix_ and list indexing, and every slice keeps the memory layout the
-indexing form gives (HiAt[:, rows] is F-contiguous, so it is taken as
-HiAt.T.take(rows, 0).T): the bits of a BLAS product depend on the layout
-of its operands, since it selects the kernel and its summation order.
-Products are taken with ndarray.dot, which calls the same BLAS routine
-as the @ operator on these operands and returns the same bits, for about
-half of matmul's per-call cost on arrays this small.
-
-The Cholesky factor and inverse of H and the solves of _equality_qp and
-_active_set call the LAPACK gufuncs behind np.linalg.cholesky, inv and
-solve (numpy.linalg._umath_linalg) directly: on these small systems the
-public wrappers (argument checks, type promotion, an np.errstate per
-call) cost several times the factorization, and the gufuncs return the
-same bits.  solve_qp enters the wrappers' error state once
-(_lapack_scope), where LAPACK's failure flag raises LinAlgError; outside
-it a singular system returns NaN with a RuntimeWarning.  The lstsq
-fallbacks for a LinAlgError stay on the public API.
+The factorizations and solves call the LAPACK gufuncs behind
+np.linalg.cholesky, inv and solve (numpy.linalg._umath_linalg) directly,
+for the same bits at a fraction of the wrappers' cost.  solve_qp enters
+the wrappers' error state once (_lapack_scope), where LAPACK's failure
+flag raises LinAlgError; outside it a singular system returns NaN.
 """
 
 from __future__ import annotations
@@ -69,7 +61,9 @@ KKT_TOL = 1e-8
 _ZERO_STEP = 1e-11
 _DIR_TOL = 1e-13
 _SIGN_TOL = 1e-10  # an inequality multiplier >= -_SIGN_TOL has a valid sign
-_DEP_TOL = 1e-10  # relative pivot below which _active_rows drops a row
+_DEP_TOL = 1e-10  # relative Gram pivot below which a row is dependent
+_NOISE_GAIN = 1e3  # a blocker this close to rounding gets the Gram test
+_SYM_TOL = 1e-13  # largest max|H - H^T| / max|H| that QPProblem accepts
 
 # Active-set entries are (row, side): side +1 at the upper bound, -1 at the
 # lower bound, 0 for an equality row (lb == ub).
@@ -102,6 +96,10 @@ class QPProblem:
                 or np.count_nonzero(np.isfinite(self.H)) < self.H.size \
                 or np.count_nonzero(np.isfinite(self.A)) < self.A.size:
             raise ValueError("H, g and A must be finite")
+        H = self.H
+        if H.tobytes() != H.T.tobytes() and np.abs(H - H.T).max() \
+                > _SYM_TOL * np.abs(H).max():
+            raise ValueError("H must be symmetric")
         for lo, hi in zip(self.lb.tolist(), self.ub.tolist()):
             # A NaN bound fails lo <= hi too.
             if not lo <= hi or lo == math.inf or hi == -math.inf:
@@ -127,27 +125,18 @@ def _lapack_failed(err, flag):
 
 
 def _lapack_scope() -> np.errstate:
-    """The floating-point error state np.linalg enters around each gufunc:
-    LAPACK's failure flag (invalid) raises LinAlgError, and overflow,
-    division and underflow pass silently.  solve_qp enters it once."""
+    """np.linalg's error state around each gufunc, which solve_qp enters
+    once: LAPACK's failure flag raises LinAlgError, the rest passes."""
     return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 
 
-def _cholesky(a: np.ndarray) -> np.ndarray:
-    """np.linalg.cholesky(a) for a float matrix, inside _lapack_scope."""
-    return _umath_linalg.cholesky_lo(a, signature="d->d")
-
-
-def _inv(a: np.ndarray) -> np.ndarray:
-    """np.linalg.inv(a) for a float matrix, inside _lapack_scope."""
-    return _umath_linalg.inv(a, signature="d->d")
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(a, b) for a float matrix and vector, inside
-    _lapack_scope."""
-    return _umath_linalg.solve1(a, b, signature="dd->d")
+# np.linalg.cholesky, inv and solve for float64 operands, inside
+# _lapack_scope: the gufuncs behind them pick the d loop that np.linalg
+# names by its signature string.
+_cholesky = _umath_linalg.cholesky_lo
+_inv = _umath_linalg.inv
+_solve = _umath_linalg.solve1
 
 
 def _chol_factor(H: np.ndarray) -> np.ndarray:
@@ -212,9 +201,8 @@ def _multipliers(work, mu) -> dict:
 
 
 def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
-    """KKT residual; stationarity and complementarity are scaled by
-    max(1, |g|_inf) so badly scaled Hessians stay certifiable.
-    violation, when given, is the caller's _violation at x."""
+    """KKT residual, stationarity and complementarity scaled by
+    max(1, |g|_inf); violation, when given, is _violation at x."""
     grad = H.dot(x) + g
     scale = _largest(map(abs, g.tolist()), 1.0)
     r = _violation(A, lb, ub, x) if violation is None else violation
@@ -234,10 +222,9 @@ def _kkt_residual(H, g, A, lb, ub, x, mult, violation=None) -> float:
 
 
 def _equality_qp(H, g, A, lb, ub, work):
-    """Minimizer of the QP with the rows of work held at their bounds, and
-    its multipliers mu (grad + Aw^T mu = 0, as in the Schur solves), from
-    one KKT solve with one round of iterative refinement; None when the
-    system is singular."""
+    """Minimizer of the QP with the rows of work at their bounds and its
+    multipliers mu (grad + Aw^T mu = 0, as in the Schur solves), from one
+    refined KKT solve; None when the system is singular."""
     n = g.shape[0]
     k = len(work)
     KKT = np.zeros((n + k, n + k))
@@ -260,9 +247,8 @@ def _equality_qp(H, g, A, lb, ub, work):
 
 def _usable_warm_set(g, lb, ub, work) -> bool:
     """Whether this QP can work on a working set handed in from outside:
-    at most n rows, none repeated or out of range, and each on a side its
-    row has (0 only on an equality row, +-1 only on a finite inequality
-    bound)."""
+    at most n rows, none repeated or out of range, each on a side its row
+    has (0 only on an equality row, +-1 only on a finite bound)."""
     m = lb.shape[0]
     if len(work) > g.shape[0] or len({row for row, _ in work}) < len(work):
         return False
@@ -273,11 +259,9 @@ def _usable_warm_set(g, lb, ub, work) -> bool:
 
 
 def _certified(H, g, A, lb, ub, work, iterations) -> Optional[QPSolution]:
-    """The equality-QP point of the working set work with its own
-    multipliers, when it satisfies the KKT conditions (primal feasible,
-    inequality multipliers >= -_SIGN_TOL, KKT residual <= KKT_TOL): the
-    optimum.  Else None.  The one certificate of an optimum, for a warm
-    set and for the active-set iteration's stationary exit alike."""
+    """The optimum: the equality-QP point of the working set work, with its
+    own multipliers, when it is primal feasible, its inequality multipliers
+    are >= -_SIGN_TOL and its KKT residual <= KKT_TOL.  Else None."""
     sol = _equality_qp(H, g, A, lb, ub, work)
     if sol is None:
         return None
@@ -293,13 +277,29 @@ def _certified(H, g, A, lb, ub, work, iterations) -> Optional[QPSolution]:
         if kkt <= KKT_TOL else None
 
 
+def _independent(A, rows) -> list:
+    """Whether a greedy elimination of the Gram block of A[rows] keeps each
+    row: one whose pivot, its squared distance from the span of the rows
+    kept before it, exceeds _DEP_TOL times its squared norm."""
+    Ac = A.take(rows, 0)
+    G = Ac.dot(Ac.T).tolist()  # reduced in place by each kept row
+    norms = [Gk[k] for k, Gk in enumerate(G)]
+    kept = []
+    for k, Gk in enumerate(G):
+        kept.append(Gk[k] > _DEP_TOL * norms[k])
+        if kept[-1]:
+            for Gi in G[k + 1:]:
+                f = Gi[k] / Gk[k]
+                if f:  # rows orthogonal to row k skip the update
+                    for j in range(k + 1, len(Gi)):
+                        Gi[j] -= f * Gk[j]
+    return kept
+
+
 def _active_rows(A, lb, ub, x) -> list:
-    """Linearly independent working set of the rows active at x, in row
-    order: equality rows, then rows at their upper, else lower bound.
-    Equality rows are decided first, then the others in row order; each is
-    kept when independent of the rows kept before it (_DEP_TOL): its pivot
-    in a greedy elimination of their Gram block is its squared distance
-    from their span."""
+    """Working set, in row order, of the rows active at x (equality rows,
+    then rows at their upper, else lower bound) that _independent keeps,
+    deciding the equality rows first, then the others in row order."""
     eq, ineq = [], []
     for i, (res, lo, hi) in enumerate(zip(A.dot(x).tolist(), lb.tolist(),
                                           ub.tolist())):
@@ -310,33 +310,33 @@ def _active_rows(A, lb, ub, x) -> list:
         elif res <= lo + FEAS_TOL and math.isfinite(lo):
             ineq.append((i, -1))
     rows = eq + ineq
-    Ac = A.take([row for row, _ in rows], 0)
-    G = Ac.dot(Ac.T).tolist()  # reduced in place by each kept row
-    norms = [Gk[k] for k, Gk in enumerate(G)]
-    work = []
-    for k, Gk in enumerate(G):
-        if Gk[k] > _DEP_TOL * norms[k]:
-            work.append(rows[k])
-            for Gi in G[k + 1:]:
-                f = Gi[k] / Gk[k]
-                if f:  # rows orthogonal to row k skip the update
-                    for j in range(k + 1, len(Gi)):
-                        Gi[j] -= f * Gk[j]
-    return sorted(work)
+    kept = _independent(A, [row for row, _ in rows])
+    return sorted([rs for rs, keep in zip(rows, kept) if keep])
 
 
-def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
+def _dependent(A, Ad, sq_norms, rows, i) -> bool:
+    """Whether row i lies in the span of the rows rows (_independent); Ad
+    and sq_norms hold each row's a.d and squared norm.  As A_w d = 0 but
+    for rounding, only a row whose |a.d| / |a| is within _NOISE_GAIN of a
+    working row's is tested."""
+    level = Ad[i] * Ad[i] / sq_norms[i] / _NOISE_GAIN ** 2
+    return any(Ad[j] * Ad[j] / sq_norms[j] >= level for j in rows) \
+        and not _independent(A, rows + [i])[-1]
+
+
+def _ratio_test(A, lb, ub, x, d, rows,
+                sq_norms) -> Tuple[float, Optional[tuple]]:
     """Longest step alpha <= 1 along d that keeps x feasible, and the
-    (row, side) that blocks it (None for the full step); rows in the
-    working set are skipped.
-
-    Each row's step is to the bound it moves toward: infinite for an
-    infinite bound or a row d leaves parallel.  Rows that can block are
-    scanned in ascending order, so ties break toward the lowest row.
-    """
+    (row, side) that blocks it (None for the full step).  Each row's step
+    is to the bound it moves toward, infinite for an infinite bound or a
+    row d leaves parallel; rows are scanned in ascending order, so ties
+    break toward the lowest row.  The working set rows is skipped, and so
+    is a blocker in its span (_dependent, sq_norms the squared row norms),
+    which blocks on rounding alone: the step moves it by about 1e-11."""
     alpha = 1.0
     blocker = None
-    for i, (ad, res) in enumerate(zip(A.dot(d).tolist(), A.dot(x).tolist())):
+    Ad = A.dot(d).tolist()
+    for i, (ad, res) in enumerate(zip(Ad, A.dot(x).tolist())):
         if ad > _DIR_TOL:
             step, side = (ub.item(i) - res) / ad, 1
         elif ad < -_DIR_TOL:
@@ -346,6 +346,8 @@ def _ratio_test(A, lb, ub, x, d, rows) -> Tuple[float, Optional[tuple]]:
         if step < alpha - 1e-15 and i not in rows:
             alpha = max(step, 0.0)
             blocker = (i, side)
+    if blocker and _dependent(A, Ad, sq_norms, rows, blocker[0]):
+        return _ratio_test(A, lb, ub, x, d, rows + [blocker[0]], sq_norms)
     return alpha, blocker
 
 
@@ -354,15 +356,17 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
     (regularized) inverse of H (Nocedal & Wright, Alg. 16.3).
 
     The working set starts as _active_rows at x0 and gains only blocking
-    rows, so it stays linearly independent.  A full, unblocked step lands
-    on the working-set minimizer, whose multipliers are that step's Schur
-    mu, so the next iteration only checks them: a fresh solve there
-    returns just a rounding-noise step (1e-11 to 4e-9 relative), too
-    large for the tiny-step test below.
+    rows that _ratio_test finds independent of it, so it stays independent
+    to _DEP_TOL (Gill, Murray & Wright 1981, 5.2).  A full, unblocked step
+    lands on the working-set minimizer, whose multipliers are that step's
+    Schur mu, so the next iteration only checks them (a fresh solve there
+    returns a rounding-noise step, too large for the tiny-step test).
 
     The stationary exit (no inequality multiplier below -_SIGN_TOL)
     returns _certified on the final working set, else the iterate with its
-    Schur multipliers (computed through Hinv).
+    Schur multipliers.  The iteration cap and a singular solve return the
+    iterate, its working set and the KKT residual of the last multipliers
+    solved for, with the working set they belong to.
     """
     n = g.shape[0]
     m = lb.shape[0]
@@ -370,40 +374,38 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
     # Every Schur system is a slice of these two products.
     HiAt = Hinv.dot(A.T)
     AHiAt = A.dot(HiAt)
+    sq_norms = A.dot(A.T).diagonal().tolist()  # squared row norms
 
     # Warm sets are re-detected from the point itself, which keeps the set
     # consistent after bound changes.
     work = _active_rows(A, lb, ub, x)
+    mu_work, mu = [], np.zeros(0)  # the last multipliers and their set
     at_minimizer = False  # the last step was full and unblocked
     for it in range(1, 50 * (m + 1) + 1):
-        grad = H.dot(x) + g
         rows = [rs[0] for rs in work]
-        mu_work = list(work)  # the working set that mu belongs to
-        if at_minimizer:  # mu are already the multipliers at x
-            d = np.zeros(n)
-        elif len(work) == n:
-            # Full square working set: the equality step is identically
-            # zero and the multipliers come from stationarity directly.
-            Aw = A.take(rows, 0)
-            try:
-                mu = -_solve(Aw.T, grad)
-            except LinAlgError:
-                mu, *_ = np.linalg.lstsq(Aw.T, -grad, rcond=None)
-            d = np.zeros(n)
-        elif work:
-            Hin_g = Hinv.dot(grad)
-            Hin_At = HiAt.T.take(rows, 0).T  # F-contiguous, as HiAt[:, rows]
-            S = AHiAt.take(rows, 0).take(rows, 1)
-            rhs = -A.take(rows, 0).dot(Hin_g)
-            try:
-                mu = _solve(S, rhs)
+        try:
+            if at_minimizer:  # mu are already the multipliers at x
+                d = np.zeros(n)
+            elif len(work) == n:
+                # Full square working set: the equality step is identically
+                # zero and the multipliers come from stationarity directly.
+                mu = -_solve(A.take(rows, 0).T, H.dot(x) + g)
+                d = np.zeros(n)
+            elif work:
+                Hin_g = Hinv.dot(H.dot(x) + g)
+                # F-contiguous, as HiAt[:, rows]
+                Hin_At = HiAt.T.take(rows, 0).T
+                S = AHiAt.take(rows, 0).take(rows, 1)
+                rhs = -A.take(rows, 0).dot(Hin_g)
+                mu = _solve(S, rhs)  # S factors: the refinement cannot raise
                 mu += _solve(S, rhs - S.dot(mu))
-            except LinAlgError:
-                mu, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-            d = -Hin_g - Hin_At.dot(mu)
-        else:
-            mu = np.zeros(0)
-            d = -Hinv.dot(grad)
+                d = -Hin_g - Hin_At.dot(mu)
+            else:
+                mu = np.zeros(0)
+                d = -Hinv.dot(H.dot(x) + g)
+        except LinAlgError:
+            break
+        mu_work = list(work)
 
         # A noisy working set yields phantom steps that do not move the
         # objective; treat those like a stationary point too.
@@ -428,7 +430,7 @@ def _active_set(H, Hinv, g, A, lb, ub, x0) -> QPSolution:
             del work[worst]
             continue
 
-        alpha, blocker = _ratio_test(A, lb, ub, x, d, rows)
+        alpha, blocker = _ratio_test(A, lb, ub, x, d, rows, sq_norms)
         x = x + alpha * d
         if blocker is None:
             at_minimizer = True
@@ -448,31 +450,21 @@ def _phase1(A, lb, ub, x0) -> np.ndarray:
     the auxiliary problem needs no phase 1 of its own.
     """
     n = A.shape[1]
-    rows = []
-    lbs = []
-    ubs = []
-    inf = np.inf
-    for i in range(A.shape[0]):
-        if np.isfinite(ub[i]):
-            rows.append(np.append(A[i], -1.0))
-            lbs.append(-inf)
-            ubs.append(ub[i])
-        if np.isfinite(lb[i]):
-            rows.append(np.append(A[i], 1.0))
-            lbs.append(lb[i])
-            ubs.append(inf)
-    t_row = np.zeros(n + 1)
-    t_row[-1] = 1.0
-    rows.append(t_row)
-    lbs.append(0.0)
-    ubs.append(inf)
-    Aa = np.vstack(rows)
-    Ha = np.diag(np.append(np.full(n, 1e-4), 1.0))
-    ga = np.zeros(n + 1)
-    ga[-1] = 1.0
+    rows, lbs, ubs = [], [], []
+    for a, lo, hi in zip(A.tolist(), lb.tolist(), ub.tolist()):
+        if hi < math.inf:
+            rows.append(a + [-1.0])
+            lbs.append(-math.inf)
+            ubs.append(hi)
+        if lo > -math.inf:
+            rows.append(a + [1.0])
+            lbs.append(lo)
+            ubs.append(math.inf)
+    Ha = np.diag([1e-4] * n + [1.0])
+    ga = [0.0] * n + [1.0]  # also the row of t >= 0
     y0 = np.append(x0, _violation(A, lb, ub, x0) + 1.0)
-    sol = _active_set(Ha, _inverse(Ha), ga, Aa, np.asarray(lbs),
-                      np.asarray(ubs), y0)
+    sol = _active_set(Ha, _inverse(Ha), np.array(ga), np.array(rows + [ga]),
+                      np.array(lbs + [0.0]), np.array(ubs + [math.inf]), y0)
     t = float(sol.x[-1])
     if t > 1e2 * FEAS_TOL:
         raise Infeasible(f"no feasible point (best bound relaxation {t:.3e})")
@@ -483,16 +475,13 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None) -> QPSolution:
     """Minimize over the polytope; deterministic for fixed inputs.
 
     A non-empty warm.active_set that this QP can work on is tried first:
-    the equality QP on that working set is solved once, and its point is
-    returned with one iteration when _certified accepts it.
-    Otherwise H is factored and inverted once.  The unconstrained minimizer
-    (with one refinement step) is returned at once, with zero iterations,
-    when it is feasible: it is then the optimum.  Otherwise the active-set
-    iteration starts from warm.x if that is feasible, else from a Phase-1
-    point, and its answer passes the same certificate.  converged means
-    that the certificate passed (KKT residual <= KKT_TOL); else the result
-    is the best feasible iterate with its larger residual.  Raises
-    Infeasible when no point satisfies the constraints.
+    its equality-QP point is returned with one iteration when _certified
+    accepts it.  Else the unconstrained minimizer (one refinement step) is
+    returned with zero iterations when it is feasible.  Else the
+    active-set iteration starts from warm.x if that is feasible, else from
+    a Phase-1 point.  converged means that the certificate passed (KKT
+    residual <= KKT_TOL); else the result is the last feasible iterate
+    with its larger residual.  Raises Infeasible when no point is feasible.
     """
     H, g, A, lb, ub = prob.H, prob.g, prob.A, prob.lb, prob.ub
     n = g.shape[0]

@@ -434,6 +434,16 @@ class Report:
         return dict(self.__dict__)
 
 
+def _median(values: list) -> float:
+    """np.median's bits from one sort, without its numpy.ma import: NaN if
+    a value is NaN, else the middle value or the mean of the middle two,
+    plus the 0.0 that np.mean's sum starts from (-0.0 reads +0.0)."""
+    if any(v != v for v in values):
+        return math.nan
+    s, h = sorted(values), len(values) // 2
+    return s[h] + 0.0 if len(s) % 2 else (s[h - 1] + s[h] + 0.0) / 2
+
+
 def compute_metrics(trace: Trace) -> Report:
     """IAE/RMS errors, convergence time (band from the trace's meta),
     violation count, timing stats."""
@@ -479,7 +489,7 @@ def compute_metrics(trace: Trace) -> Report:
         time_to_converge=t_conv, converge_band=band,
         violations=violations,
         solve_time_min=float(np.min(st)),
-        solve_time_median=float(np.median(st)),
+        solve_time_median=_median(st.tolist()),
         solve_time_mean=float(np.mean(st)),
         solve_time_max=float(np.max(st)),
         guidance_steps=len(solve_times),
