@@ -3,18 +3,22 @@
 State x = (x_e, y_e, z): along-track error [m], cross-track error [m] and
 the bounded path variable z = 1/(omega+1).  Input u = (u, psi, u_tar):
 surge reference [m/s], heading reference [rad], virtual-target velocity
-[m/s].  The sway velocity v is the only disturbance.
+[m/s].  The sway velocity v is the only disturbance.  Both predictive laws
+predict with rollout_flat: one path frame per predicted step and the
+error dynamics evaluated in place, on plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, hypot, isfinite, pi, sin
 from typing import List, Sequence, Tuple
 
 from .angles import wrap_angle
 from .exceptions import StateEscape
-from .paths import Frame, PathDef, omega_of_z, path_frame
+from .paths import (F_MIN, Frame, PathDef, omega_of_z, path_frame,
+                    path_tangent)
 from .paths import sample_path  # noqa: F401 -- perfbench's tracer binds it
 
 # z is kept strictly positive so omega = 1/z - 1 stays defined; omega -> inf
@@ -83,31 +87,49 @@ def rollout_flat(x0: Sequence[float], U: Sequence[float], v: float, dt: float,
     step.  Returns the stacked states 0..N as one flat list and the frame
     each step was taken from, so the linearization along the same
     trajectory needs no further path evaluation.  Every z is clamped into
-    (Z_MIN, 1].  Raises ValueError on a non-finite input and StateEscape
-    if a step produces a non-finite state.
+    (Z_MIN, 1].  Raises ValueError on a non-finite input or a length of U
+    that is not a multiple of 3, and StateEscape if a step produces a
+    non-finite state.  Each step is path_frame and dynamics_flat written
+    out, with wrap_angle called only outside (-pi, pi], the same bits.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
+    if len(U) % 3:
+        raise ValueError(f"inputs must stack (u, psi, u_tar) per step, got "
+                         f"{len(U)} values")
+    deriv, deriv2 = path.deriv, path.deriv2
     xe, ye, z = x0
     X = [xe, ye, z]
     frames = []
     for j in range(0, len(U), 3):
         u, psi, u_tar = U[j], U[j + 1], U[j + 2]
-        if not (math.isfinite(u) and math.isfinite(psi)
-                and math.isfinite(u_tar)):
+        if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
             raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
-        frame = path_frame(path, 1.0 / z - 1.0)
-        dxe, dye, dz = dynamics_flat(xe, ye, z, u, psi, u_tar, v, frame)
-        nxe = xe + dt * dxe
-        nye = ye + dt * dye
-        nz = z + dt * dz
-        if not (math.isfinite(nxe) and math.isfinite(nye)
-                and math.isfinite(nz)):
+        omega = 1.0 / z - 1.0
+        dx, dy = deriv(omega)
+        F = hypot(dx, dy)
+        if F <= F_MIN:
+            path_tangent(path, omega)  # raises NonRegularPath
+        phi_p = atan2(dy, dx)
+        if not -pi < phi_p <= pi:
+            phi_p = wrap_angle(phi_p)
+        ddx, ddy = deriv2(omega)
+        dphi_dw = (dx * ddy - dy * ddx) / (F * F)
+        frames.append((phi_p, F, dphi_dw, dx, dy, ddx, ddy))
+        dpsi = psi - phi_p
+        if not -pi < dpsi <= pi:
+            dpsi = wrap_angle(dpsi)
+        c = cos(dpsi)
+        s = sin(dpsi)
+        kw = dphi_dw / F
+        nxe = xe + dt * (u * c - v * s + u_tar * (kw * ye - 1.0))
+        nye = ye + dt * (u * s + v * c - u_tar * kw * xe)
+        nz = z + dt * (-z * z * u_tar / F)
+        if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
             raise StateEscape(f"non-finite state after Euler step from "
                               f"{(xe, ye, z)!r}")
         xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
         X += (xe, ye, z)
-        frames.append(frame)
     return X, frames
 
 

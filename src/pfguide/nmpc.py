@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
+from .errdyn import GuidanceState, InputCmd, rollout_flat
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import PathDef, omega_of_z, path_frame
@@ -56,7 +56,7 @@ from .pnmpc import (SolveResult, cost_weights, curvature_flat,
                     linearized_qp, reference_stack, sensitivity_flat,
                     snap_feasible, stack_inputs, stage_cost_flat,
                     state_jacobian, zero_start)
-from .qp import QPSolution, solve_qp
+from .qp import QPProblem, QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -293,13 +293,13 @@ class NMPCSolver:
         cfg = self.cfg
         cands = [stack_inputs([u_prev] * cfg.N)]
         if warm is not None and len(warm.u_seq) == cfg.N:
-            cands.append(stack_inputs(snap_feasible(
-                stack_inputs(warm.u_seq), u_prev, cfg.constraints)))
+            cands.append(np.array(snap_feasible(
+                stack_inputs(warm.u_seq), u_prev, cfg.constraints)[1]))
             tail = sglos(GuidanceState(*warm.x_flat[-3:]), self.path,
                          cfg.terminal_law)
             shifted = tuple(warm.u_seq[1:]) + (tail,)
-            cands.append(stack_inputs(snap_feasible(
-                stack_inputs(shifted), u_prev, cfg.constraints)))
+            cands.append(np.array(snap_feasible(
+                stack_inputs(shifted), u_prev, cfg.constraints)[1]))
         best = None
         for U in cands:
             u_flat = U.tolist()
@@ -334,11 +334,12 @@ class NMPCSolver:
             if kkt <= self.kkt_tol:
                 break
             exact = exact or kkt > STALL_RATIO * prev_kkt
-            if exact:
-                qp.H = _convexified(
+            if exact:  # a new problem, so QPProblem checks the new H
+                qp = QPProblem(_convexified(
                     qp.H + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
                                           self.path, self._qp_weights[0]),
-                    qp.H, qp.A.take(active[0], axis=0))
+                    qp.H, qp.A.take(active[0], axis=0)),
+                    qp.g, qp.A, qp.lb, qp.ub)
             qsol = solve_qp(qp, warm=qp_warm)
             qp_warm = QPSolution(self._zero_warm.x, qsol.active_set,
                                  math.inf, 0)
@@ -381,8 +382,7 @@ class NMPCSolver:
                 "%.3e above the tolerance %.1e", self.max_iterations, kkt,
                 self.kkt_tol)
 
-        u_seq = snap_feasible(U, u_prev, cfg.constraints)
-        u_flat = flat_inputs(u_seq)
+        u_seq, u_flat = snap_feasible(U, u_prev, cfg.constraints)
         if u_flat != U.tolist():  # else X and J belong to u_seq already
             X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
             J = horizon_cost_flat(X, u_flat, self._weights)

@@ -16,7 +16,10 @@ real-time iteration.  It has two sources of S (LINEARIZATIONS):
 
 The exact operator is the default: its residual against the nonlinear
 prediction is genuinely second order in the perturbation, which the
-frozen form is not once state coupling matters.
+frozen form is not once state coupling matters.  The kernels do their
+scalar work on plain floats, each step the IEEE operation of the array
+form; products, factorizations and solves stay in numpy, in the operand
+layouts that fix their bits.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from math import cos, pi, sin
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,25 +109,28 @@ def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
     columns of A are (0, -u_tar kappa, 0) and (u_tar kappa, 0, 0).  The z
     column differentiates phi_p, kappa and F along omega, with
     domega/dz = -1/z^2; the curvature rate needs the path's third
-    derivative.
+    derivative.  The rates of F and kappa are _frame_rates' written out;
+    wrap_angle is called only outside (-pi, pi].
     """
     phi_p, F, dphi_dw, dx, dy, ddx, ddy = frame
-    dpsi = wrap_angle(psi - phi_p)
-    c = math.cos(dpsi)
-    s = math.sin(dpsi)
+    dpsi = psi - phi_p
+    if not -pi < dpsi <= pi:
+        dpsi = wrap_angle(dpsi)
+    c = cos(dpsi)
+    s = sin(dpsi)
     kw = dphi_dw / F
-    B = [[c, -u * s - v * c, kw * ye - 1.0],
-         [s, u * c - v * s, -kw * xe],
-         [0.0, 0.0, -z * z / F]]
-    dF, dkw = _frame_rates(frame, path, z)
+    d3x, d3y = path.deriv3(1.0 / z - 1.0)
+    dF = (dx * ddx + dy * ddy) / F
+    dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * kw * dF / F
     dw_dz = -1.0 / (z * z)
-    col_z = (dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye),
-             -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe),
-             -2.0 * z * u_tar / F - u_tar * dF / (F * F))
-    A = [[0.0, u_tar * kw, col_z[0]],
-         [-u_tar * kw, 0.0, col_z[1]],
-         [0.0, 0.0, col_z[2]]]
-    return B, A
+    return ([[c, -u * s - v * c, kw * ye - 1.0],
+             [s, u * c - v * s, -kw * xe],
+             [0.0, 0.0, -z * z / F]],
+            [[0.0, u_tar * kw,
+              dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye)],
+             [-u_tar * kw, 0.0,
+              -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe)],
+             [0.0, 0.0, -2.0 * z * u_tar / F - u_tar * dF / (F * F)]])
 
 
 def jacobian_block(x0: GuidanceState, u0: InputCmd, v0: float,
@@ -155,26 +162,28 @@ def sensitivity_flat(X: Sequence[float], U: Sequence[float],
     perturbations (states 1..N).
 
     Block (i, i) is T_m B_i and block row i below the diagonal is
-    (I + T_m A_i) times block row i-1.  All B blocks and all A blocks
-    become one array each, and the diagonal blocks are written through one
-    strided view; only the block-row recursion loops, with the operands
-    and layouts of a per-block build, so the bits are the same.
+    (I + T_m A_i) times block row i-1, scaled and summed on floats.  The
+    structural zeros of B_i and A_i are skipped: T_m, the rollout's dt, is
+    finite and positive, so they scale to 0.0.  The products keep the
+    operands and layouts of a per-block build, so the bits are the same.
     """
-    N = len(frames)
-    jac = [_jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1], U[r + 2], v,
-                      frame, path)
-           for r, frame in zip(range(0, 3 * N, 3), frames)]
-    S = np.zeros((3 * N, 3 * N))
-    row, col = S.strides
-    diagonal = np.ndarray((N, 3, 3), buffer=S,
-                          strides=(3 * (row + col), row, col))
-    diagonal[...] = T_m * np.array(
-        [b for B, _ in jac for B_row in B for b in B_row]).reshape(N, 3, 3)
-    Ad = _EYE3 + T_m * np.array(  # Ad[0] goes unused
-        [a for _, A in jac for A_row in A for a in A_row]).reshape(N, 3, 3)
-    for i in range(1, N):
-        r = 3 * i
-        S[r:r + 3, :r] = Ad[i].dot(S[r - 3:r, :r])
+    n = 3 * len(frames)
+    S = np.zeros((n, n))
+    flat = S.ravel()  # a view: entry (i, j) of S is flat[i n + j]
+    for r, frame in zip(range(0, n, 3), frames):
+        B, A = _jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1], U[r + 2],
+                          v, frame, path)
+        (b00, b01, b02), (b10, b11, b12), (_, _, b22) = B
+        k = r * (n + 1)
+        flat[k:k + 3] = (T_m * b00, T_m * b01, T_m * b02)
+        flat[k + n:k + n + 3] = (T_m * b10, T_m * b11, T_m * b12)
+        flat[k + 2 * n + 2] = T_m * b22
+        if r:
+            (_, a01, a02), (a10, _, a12), (_, _, a22) = A
+            Ad = np.array((1.0, 0.0 + T_m * a01, 0.0 + T_m * a02,
+                           0.0 + T_m * a10, 1.0, 0.0 + T_m * a12,
+                           0.0, 0.0, 1.0 + T_m * a22)).reshape(3, 3)
+            S[r:r + 3, :r] = Ad.dot(S[r - 3:r, :r])
     return S
 
 
@@ -396,23 +405,25 @@ def reference_stack(cfg: "NMPCConfig", psi_branch: float) -> np.ndarray:
                      cfg.u_ref.u_tar] * cfg.N)
 
 
-def snap_feasible(U: np.ndarray, u_prev: InputCmd,
-                  c: InputConstraints) -> Tuple[InputCmd, ...]:
+def snap_feasible(U: np.ndarray, u_prev: InputCmd, c: InputConstraints
+                  ) -> Tuple[Tuple[InputCmd, ...], List[float]]:
     """Chain-project a stacked input sequence into U and U_g exactly.
 
     The QP enforces the constraints to solver tolerance; this final pass
     replays the same projection the membership checks use so the returned
     commands satisfy them bit-exactly.  Each step goes through
     los.clamp_flat on plain floats, the projection clamp_inputs applies,
-    with the previous step's projected surge and heading.
+    with the previous step's projected surge and heading.  Returns the
+    commands and their flat_inputs stack.
     """
-    cmds = []
+    cmds, flat = [], []
     u, psi = u_prev.u, u_prev.psi
     Ul = U.tolist()
     for j in range(0, len(Ul) - 2, 3):
         u, psi, u_tar = clamp_flat(Ul[j], Ul[j + 1], Ul[j + 2], u, psi, c)
         cmds.append(InputCmd(u, psi, u_tar))
-    return tuple(cmds)
+        flat += (u, psi, u_tar)
+    return tuple(cmds), flat
 
 
 def cost_weights(cfg: "NMPCConfig") -> tuple:
@@ -495,7 +506,7 @@ class PNMPCSolver:
         t0 = timer()
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
-        hold = flat_inputs([u_prev] * cfg.N)
+        hold = [u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
         X, frames = rollout_flat(x0, hold, v_k, cfg.T_m, self.path)
         if self.linearization == "exact":
@@ -511,8 +522,7 @@ class PNMPCSolver:
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        u_seq = snap_feasible(U + qsol.x, u_prev, cfg.constraints)
-        u_flat = flat_inputs(u_seq)
+        u_seq, u_flat = snap_feasible(U + qsol.x, u_prev, cfg.constraints)
         X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
         cost = horizon_cost_flat(X, u_flat, self._weights)
         return SolveResult(u_seq, X, cost, qsol.iterations,

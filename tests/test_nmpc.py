@@ -467,6 +467,29 @@ class TestSQPWork:
                 if r.name == "pfguide.nmpc"] == []
         assert trace["kkt_residual"][0] <= nmpc_mod.KKT_TOL
 
+    def test_exact_phase_hessian_is_checked(self, monkeypatch):
+        """The exact-phase Hessian is handed to the QP in a new QPProblem,
+        so its checks run on it: a non-symmetric one is refused."""
+        sc = replace(realistic_scenario("nmpc"), x0=9.590192949836688,
+                     y0=11.957564349296453, omega0=2.0427784612741156)
+        pt = sample_path(sc.path, sc.omega0)
+        c, s = math.cos(pt.phi_p), math.sin(pt.phi_p)
+        dx, dy = sc.x0 - pt.x_p, sc.y0 - pt.y_p
+        x = GuidanceState(c * dx + s * dy, -s * dx + c * dy,
+                          z_of_omega(sc.omega0))
+        u_prev = InputCmd(0.0, pt.phi_p, sc.constraints.eps)
+        real, calls = nmpc_mod._convexified, []
+
+        def skewed(*args):
+            H = real(*args)
+            calls.append(H)
+            return H + np.triu(np.full(H.shape, 1e-6 * np.abs(H).max()), 1)
+
+        monkeypatch.setattr(nmpc_mod, "_convexified", skewed)
+        with pytest.raises(ValueError, match="H must be symmetric"):
+            NMPCSolver(sc.guidance_config(), sc.path).solve(x, 0.0, u_prev)
+        assert len(calls) == 1
+
     def test_constrained_qps_answered_from_the_warm_set(self, monkeypatch,
                                                         constrained_qp_runs):
         """Within a solve each QP gets the working set the previous QP

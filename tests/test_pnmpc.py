@@ -12,8 +12,11 @@ from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
                      polynomial_path, run_scenario, sample_path, solve_qp,
                      transient_scenario, wrap_angle, z_of_omega)
 from pfguide import pnmpc
-from pfguide.errdyn import rollout, rollout_flat
+from pfguide.errdyn import (Z_MIN, dynamics_flat, flat_inputs, rollout,
+                            rollout_flat)
+from pfguide.exceptions import NonRegularPath, StateEscape
 from pfguide.los import clamp_inputs
+from pfguide.paths import path_frame
 from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
                            sensitivity_along, snap_feasible, stack_inputs,
                            stack_states)
@@ -291,15 +294,157 @@ def _cmd_bits(cmds):
     return [struct.pack("3d", c.u, c.psi, c.u_tar) for c in cmds]
 
 
+def _float_bits(values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def rollout_per_step(x0, U, v, dt, path):
+    """Step-by-step reference for rollout_flat: path_frame, dynamics_flat,
+    the Euler step and the z clamp, one call each per step."""
+    xe, ye, z = x0
+    X, frames = [xe, ye, z], []
+    for j in range(0, len(U), 3):
+        u, psi, u_tar = U[j:j + 3]
+        if not all(map(math.isfinite, (u, psi, u_tar))):
+            raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
+        frame = path_frame(path, 1.0 / z - 1.0)
+        dxe, dye, dz = dynamics_flat(xe, ye, z, u, psi, u_tar, v, frame)
+        nxe, nye, nz = xe + dt * dxe, ye + dt * dye, z + dt * dz
+        if not all(map(math.isfinite, (nxe, nye, nz))):
+            raise StateEscape(f"non-finite state after Euler step from "
+                              f"{(xe, ye, z)!r}")
+        xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
+        X += (xe, ye, z)
+        frames.append(frame)
+    return X, frames
+
+
+def jacobians_per_call(xe, ye, z, u, psi, u_tar, v, frame, path):
+    """Reference for pnmpc._jacobians: the heading wrap and the path rates
+    through wrap_angle and pnmpc._frame_rates."""
+    phi_p, F, dphi_dw = frame[:3]
+    dpsi = wrap_angle(psi - phi_p)
+    c = math.cos(dpsi)
+    s = math.sin(dpsi)
+    kw = dphi_dw / F
+    B = [[c, -u * s - v * c, kw * ye - 1.0],
+         [s, u * c - v * s, -kw * xe],
+         [0.0, 0.0, -z * z / F]]
+    dF, dkw = pnmpc._frame_rates(frame, path, z)
+    dw_dz = -1.0 / (z * z)
+    col_z = (dw_dz * (dphi_dw * (u * s + v * c) + u_tar * dkw * ye),
+             -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe),
+             -2.0 * z * u_tar / F - u_tar * dF / (F * F))
+    A = [[0.0, u_tar * kw, col_z[0]],
+         [-u_tar * kw, 0.0, col_z[1]],
+         [0.0, 0.0, col_z[2]]]
+    return B, A
+
+
+def _raised(fn, *args):
+    """(exception type, message) that fn raises, None if it returns."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestPredictionKernelsMatchOldForms:
-    """The batched sensitivity build and the float projection give the
-    outputs of the per-block and per-command forms they replaced, bit for
-    bit."""
+    """The float rollout, the Jacobian rows, the sensitivity build and the
+    float projection give the outputs of the per-call, per-block and
+    per-command forms they replaced, bit for bit."""
 
     PATHS = {"case_study": case_study_path(),
              "line": line_path(origin=(1.0, -2.0), direction=(-0.6, 0.8)),
              "polynomial": polynomial_path([0.0, 1.0, 0.01, 1e-4],
                                            [0.0, 0.5, -0.002, -1e-5])}
+
+    @staticmethod
+    def _draw_inputs(rng, N):
+        """Headings well beyond +-pi, and target speeds that are negative
+        (z grows into the clamp at 1) or large (z falls into the clamp
+        at Z_MIN) as well as in range."""
+        U = []
+        for _ in range(N):
+            kind = rng.integers(3)
+            u_tar = (rng.uniform(0.01, 0.75), rng.uniform(-3.0, -0.5),
+                     rng.uniform(5.0, 40.0))[kind]
+            U += (rng.uniform(0.0, 0.225), rng.uniform(-9.0, 9.0), u_tar)
+        return U
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_rollout_flat(self, name):
+        path = self.PATHS[name]
+        rng = np.random.default_rng(len(name))
+        clamped_low = clamped_high = wrapped = 0
+        for _ in range(300):
+            N = int(rng.integers(1, 6))
+            x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
+                  rng.choice([rng.uniform(0.05, 1.0), 1.0, Z_MIN]))
+            U = self._draw_inputs(rng, N)
+            v = rng.uniform(-0.15, 0.15)
+            dt = rng.choice([0.1, 0.5, 1.0])
+            X, frames = rollout_flat(x0, U, v, dt, path)
+            ref_X, ref_frames = rollout_per_step(x0, U, v, dt, path)
+            assert _float_bits(X) == _float_bits(ref_X)
+            assert [_float_bits(f) for f in frames] == \
+                [_float_bits(f) for f in ref_frames]
+            clamped_low += Z_MIN in X[5::3]
+            clamped_high += 1.0 in X[5::3]
+            wrapped += any(abs(U[j] - f[0]) > math.pi
+                           for j, f in zip(range(1, 3 * N, 3), frames))
+        assert min(clamped_low, clamped_high) >= 30
+        assert wrapped >= 200
+
+    def test_rollout_flat_errors(self):
+        path = self.PATHS["case_study"]
+        # dx = 1 - omega: the speed factor vanishes at omega = 1, z = 0.5,
+        # where a step from z = 1 with u_tar = 0.5 lands exactly.
+        cusp = polynomial_path([0.0, 1.0, -0.5], [0.0])
+        phi_p = path_frame(path, 1.0)[0]  # at z = 0.5
+        # A second derivative that overflows past omega = 1.
+        blowup = replace(path, deriv2=lambda w: (math.inf, 0.0) if w > 1.0
+                         else path.deriv2(w))
+        cases = [
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, 0.1, math.nan, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, math.inf, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], cusp),
+            ((0.0, 0.0, 1.0), [0.1, 0.0, 0.5, 0.1, 0.0, 0.1], cusp),
+            ((1.7e308, 0.0, 0.5), [1.7e308, phi_p, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, 0.1, 0.0, 0.1], blowup)]
+        kinds = set()
+        for x0, U, p in cases:
+            got = _raised(rollout_flat, x0, U, 0.0, 1.0, p)
+            assert got is not None and got == _raised(
+                rollout_per_step, x0, U, 0.0, 1.0, p)
+            kinds.add(got[0])
+        assert kinds == {ValueError, NonRegularPath, StateEscape}
+
+    @pytest.mark.parametrize("U", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.1]])
+    def test_rollout_flat_refuses_a_partial_step(self, U):
+        calls = []
+        base = self.PATHS["line"]
+        path = replace(base, deriv=lambda w: calls.append(w) or base.deriv(w))
+        with pytest.raises(ValueError, match="per step"):
+            rollout_flat((0.0, 0.0, 0.5), U, 0.0, 1.0, path)
+        assert calls == []  # raised before the first step
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_jacobians(self, name):
+        path = self.PATHS[name]
+        rng = np.random.default_rng(7 + len(name))
+        for _ in range(500):
+            z = rng.choice([rng.uniform(0.01, 1.0), 1.0])
+            frame = path_frame(path, 1.0 / z - 1.0)
+            args = (rng.uniform(-10, 10), rng.uniform(-10, 10), z,
+                    rng.uniform(0.0, 0.225), rng.uniform(-9.0, 9.0),
+                    rng.uniform(-1.0, 1.0), rng.uniform(-0.15, 0.15))
+            got = pnmpc._jacobians(*args, frame, path)
+            ref = jacobians_per_call(*args, frame, path)
+            for rows, ref_rows in zip(got, ref):
+                assert [_float_bits(r) for r in rows] == \
+                    [_float_bits(r) for r in ref_rows]
 
     @pytest.mark.parametrize("name", sorted(PATHS))
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
@@ -337,9 +482,10 @@ class TestPredictionKernelsMatchOldForms:
             prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
                             wrap_angle(float(rng.choice(near_pi))),
                             float(rng.uniform(c.eps, c.u_tar_max)))
-            got = pnmpc.snap_feasible(U, prev, c)
+            got, flat = pnmpc.snap_feasible(U, prev, c)
             ref = snap_feasible_cmds(U, prev, c)
             assert _cmd_bits(got) == _cmd_bits(ref)
+            assert flat == flat_inputs(got)
             heads = [prev.psi] + [cmd.psi for cmd in got]
             crossings += any(abs(a - b) > math.pi
                              for a, b in zip(heads, heads[1:]))
@@ -493,7 +639,7 @@ def _increment_qp_commands(x, up, v, cfg, path, linearization):
     sol = solve_qp(QPProblem(0.5 * (H + H.T), g, np.array(rows),
                              np.array(lb), np.array(ub)))
     assert sol.converged
-    return snap_feasible(U0 + L @ sol.x, up, c)
+    return snap_feasible(U0 + L @ sol.x, up, c)[0]
 
 
 @pytest.mark.parametrize("linearization", ["exact", "frozen"])
