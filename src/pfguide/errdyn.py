@@ -87,13 +87,14 @@ def rollout_flat(x0: Sequence[float], U: Sequence[float], v: float, dt: float,
     step.  Returns the stacked states 0..N as one flat list and the frame
     each step was taken from, so the linearization along the same
     trajectory needs no further path evaluation.  Every z is clamped into
-    (Z_MIN, 1].  Raises ValueError on a non-finite input or a length of U
-    that is not a multiple of 3, and StateEscape if a step produces a
-    non-finite state.  Each step is path_frame and dynamics_flat written
-    out, with wrap_angle called only outside (-pi, pi], the same bits.
+    (Z_MIN, 1].  Raises ValueError on a dt that is not finite and positive,
+    a non-finite input or a length of U that is not a multiple of 3, and
+    StateEscape if a step produces a non-finite state.  Each step is
+    path_frame and dynamics_flat written out, with wrap_angle called only
+    outside (-pi, pi], the same bits.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if len(U) % 3:
         raise ValueError(f"inputs must stack (u, psi, u_tar) per step, got "
                          f"{len(U)} values")

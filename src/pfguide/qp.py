@@ -140,16 +140,10 @@ _solve = _umath_linalg.solve1
 
 
 def _chol_factor(H: np.ndarray) -> np.ndarray:
-    """Cholesky of H's symmetric part, adding REG_EPS*I whenever a pivot
-    falls below REG_EPS; QPFailure when it is not positive definite even
-    after the last bump.  An exactly symmetric H is its own symmetric part
-    unless some h + h overflows, which a finite sum of squares rules out
-    (an overflow there is quiet inside _lapack_scope)."""
-    Hr = H
-    if H.tobytes() != H.T.tobytes() or not math.isfinite(
-            H.ravel().dot(H.ravel())):
-        Hr = H + H.T
-        Hr *= 0.5
+    """Cholesky of H, adding REG_EPS*I whenever a pivot falls below REG_EPS;
+    QPFailure when H is not positive definite even after the last bump."""
+    Hr = H + H.T
+    Hr *= 0.5
     for bump in (0.0, REG_EPS, 1e4 * REG_EPS, 1e8 * REG_EPS):
         try:
             Hb = Hr + bump * np.eye(Hr.shape[0]) if bump else Hr

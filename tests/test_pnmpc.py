@@ -430,6 +430,12 @@ class TestPredictionKernelsMatchOldForms:
             rollout_flat((0.0, 0.0, 0.5), U, 0.0, 1.0, path)
         assert calls == []  # raised before the first step
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("U", [[], [0.1, 0.0, 0.1]])
+    def test_rollout_flat_refuses_a_bad_step_size(self, dt, U):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            rollout_flat((0.0, 0.0, 0.5), U, 0.0, dt, self.PATHS["line"])
+
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_jacobians(self, name):
         path = self.PATHS[name]

@@ -861,31 +861,6 @@ def _bits(value):
     return struct.pack("d", value)
 
 
-def chol_factor_symmetrized(H):
-    """Reference for qp._chol_factor: the regularization ladder on the
-    symmetric part (H + H') / 2, taken for every H."""
-    Hr = H + H.T
-    Hr *= 0.5
-    for bump in (0.0, qp.REG_EPS, 1e4 * qp.REG_EPS, 1e8 * qp.REG_EPS):
-        try:
-            L = np.linalg.cholesky(Hr + bump * np.eye(Hr.shape[0]) if bump
-                                   else Hr)
-            if bump or min(L.diagonal().tolist()) ** 2 >= qp.REG_EPS * 0.5:
-                return L
-        except LinAlgError:
-            continue
-    raise QPFailure("Hessian not positive definite after regularization")
-
-
-def _factor_outcome(factor, H):
-    """The factor's bytes, or QPFailure when factor raises it."""
-    try:
-        with qp._lapack_scope():
-            return factor(H).tobytes()
-    except QPFailure:
-        return QPFailure
-
-
 class TestKernelsMatchOldForms:
     """The take slices and float scans give the outputs of the indexing
     and array forms they replaced, bit for bit."""
@@ -980,33 +955,6 @@ class TestKernelsMatchOldForms:
         # inf - inf in an infinite bound's residual is NaN as well.
         assert math.isnan(qp._violation(A, lb, ub, np.array([-np.inf])))
         assert qp._violation(A, lb, ub, np.array([3.0])) == 2.0
-
-    def test_chol_factor(self):
-        # An exactly symmetric H is factored as it is: (h + h) 0.5 is h,
-        # unless h + h overflows, as it does from 2^1023.
-        rng = np.random.default_rng(115)
-        huge = 1.5 * 2.0 ** 1023
-        draws = {"symmetric": 0, "rounding": 0, "failed": 0}
-        for k in range(600):
-            n = int(rng.integers(1, 10))
-            M = rng.normal(size=(n, n))
-            H = M.T @ M + rng.choice([0.0, 1e-12, 0.1]) * np.eye(n)
-            if k % 4 == 1:  # asymmetric at rounding level
-                H[0, -1] = H[-1, 0] * (1.0 + 2.0 ** -52)
-            elif k % 4 == 2:  # indefinite
-                H[-1, -1] = -1.0
-            elif k % 4 == 3:  # scaled to the top of the range
-                H *= rng.choice([1e150, 1e300])
-                if rng.random() < 0.5:
-                    H[0, 0] = huge
-            got = _factor_outcome(qp._chol_factor, H)
-            assert got == _factor_outcome(chol_factor_symmetrized, H)
-            draws["symmetric"] += H.tobytes() == H.T.tobytes()
-            draws["rounding"] += H.tobytes() != H.T.tobytes()
-            draws["failed"] += got is QPFailure
-        assert min(draws.values()) >= 100, draws
-        with qp._lapack_scope():  # h + h = inf: symmetrized, not skipped
-            assert qp._chol_factor(np.diag([huge, 1.0]))[0, 0] == np.inf
 
     def test_problem_rejections(self):
         rng = np.random.default_rng(114)
