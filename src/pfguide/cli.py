@@ -33,6 +33,16 @@ _SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
 _INVARIANT_ERRORS = (NonRegularPath, StateEscape, DomainError)
 
 
+def _write(filename: str, write) -> None:
+    """Open filename for writing and pass it to write; a file that cannot
+    be written is a configuration error."""
+    try:
+        with open(filename, "w") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {filename!r}: {exc.strerror}") from exc
+
+
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.config)
     if os.path.isdir(args.out):
@@ -41,7 +51,7 @@ def _cmd_simulate(args) -> int:
     if not os.path.isdir(parent):
         raise ConfigError(f"--out directory {parent!r} does not exist")
     trace = run_scenario(sc)
-    trace.write_csv(args.out)
+    _write(args.out, trace.to_csv)
     report = compute_metrics(trace)
     print(f"wrote {len(trace)} records to {args.out}")
     print(json.dumps(report.to_dict(), indent=2))
@@ -65,13 +75,12 @@ def _cmd_compare(args) -> int:
     for law in laws:
         trace = run_scenario(dataclasses.replace(sc, law=law))
         out_csv = os.path.join(args.out, f"{law}.csv")
-        trace.write_csv(out_csv)
+        _write(out_csv, trace.to_csv)
         combined[law] = compute_metrics(trace).to_dict()
         print(f"{law}: wrote {out_csv}")
     report_path = os.path.join(args.out, "report.json")
-    with open(report_path, "w") as fh:
-        json.dump(combined, fh, indent=2)
-        fh.write("\n")
+    _write(report_path,
+           lambda fh: fh.write(json.dumps(combined, indent=2) + "\n"))
     print(f"wrote {report_path}")
     return 0
 

@@ -152,8 +152,8 @@ def scenario_from_config(doc: dict) -> Scenario:
         nmpc_cfg = None
         if law_params is not None and law != "sglos":
             nmpc_cfg = NMPCConfig(
-                u_ref=InputCmd(u_r, 0.0, u_r), constraints=constraints,
-                T_m=T_m, terminal_law=sglos_params, **nmpc_kwargs)
+                u_r=u_r, constraints=constraints, T_m=T_m,
+                terminal_law=sglos_params, **nmpc_kwargs)
         kwargs = dict(
             path=path, x0=init["x"], y0=init["y"],
             psi0=None if psi0 is None else _number(psi0, "initial.psi"),

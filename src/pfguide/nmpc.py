@@ -91,7 +91,8 @@ class NMPCConfig:
     """Horizon, weights, reference, constraints and guidance period.
 
     Q and R are the diagonals of the stage weights; P is the full terminal
-    weight (symmetric positive definite).  Instances are immutable and
+    weight (symmetric positive definite).  u_r is the reference speed: the
+    cost's input reference is (u_r, 0, u_r).  Instances are immutable and
     freely shareable between solvers.
     """
 
@@ -100,7 +101,7 @@ class NMPCConfig:
     R: np.ndarray = field(default_factory=_default_R)
     P: Optional[np.ndarray] = None
     lam: float = 1.1
-    u_ref: InputCmd = field(default_factory=lambda: InputCmd(0.15, 0.0, 0.15))
+    u_r: float = 0.15
     constraints: InputConstraints = field(default_factory=InputConstraints)
     T_m: float = 1.0
     terminal_law: SGLOSParams = field(default_factory=SGLOSParams)
@@ -112,10 +113,10 @@ class NMPCConfig:
                 or self.N < 1:
             raise ValueError(
                 f"horizon N must be a positive integer, got {self.N!r}")
-        if not (math.isfinite(self.lam) and math.isfinite(self.T_m)
+        if not (all(map(math.isfinite, (self.lam, self.T_m, self.u_r)))
                 and np.all(np.isfinite(self.Q))
                 and np.all(np.isfinite(self.R))):
-            raise ValueError("lam, T_m, Q and R must be finite")
+            raise ValueError("lam, T_m, u_r, Q and R must be finite")
         if self.Q.shape != (3,) or self.R.shape != (3,):
             raise ValueError("Q and R must be length-3 diagonals")
         if np.any(self.Q < 0.0) or np.any(self.R < 0.0):
@@ -141,10 +142,10 @@ class NMPCConfig:
 
 
 def stage_cost(x: GuidanceState, u: InputCmd, cfg: NMPCConfig) -> float:
-    """x'Qx + (u - u_ref)'R(u - u_ref), heading deviation wrapped."""
-    ref = cfg.u_ref
-    return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar, cfg.Q,
-                           cfg.R, (ref.u, ref.psi, ref.u_tar))
+    """x'Qx + (u - ref)'R(u - ref), heading deviation wrapped, with the
+    input reference ref = (u_r, 0, u_r)."""
+    q, r, ref = cost_weights(cfg)[:3]
+    return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar, q, r, ref)
 
 
 def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -180,7 +181,7 @@ def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig) -> np.ndarray:
     z_bar = _SYN_Z
     phi_bar, _, dphi_dw = path_frame(path, omega_of_z(z_bar))[:3]
     x_bar = GuidanceState(0.0, 0.0, z_bar)
-    u_bar = InputCmd(0.1 * cfg.u_ref.u, phi_bar, 0.1 * cfg.u_ref.u)
+    u_bar = InputCmd(0.1 * cfg.u_r, phi_bar, 0.1 * cfg.u_r)
     A = np.eye(3) + cfg.T_m * state_jacobian(x_bar, u_bar, 0.0, path)
     B = cfg.T_m * jacobian_block(x_bar, u_bar, 0.0, path).m
     K = np.array([[0.0, 0.0, 0.0],
@@ -199,10 +200,10 @@ def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig) -> np.ndarray:
     return P
 
 
-def make_config(path: PathDef, u_r: float = 0.15, **overrides) -> NMPCConfig:
-    """Config with the default tuning, reference u_r and the given field
-    overrides, and a terminal weight synthesized for its terminal law."""
-    cfg = NMPCConfig(u_ref=InputCmd(u_r, 0.0, u_r), **overrides)
+def make_config(path: PathDef, **overrides) -> NMPCConfig:
+    """Config with the default tuning and the given field overrides, and a
+    terminal weight synthesized for its terminal law."""
+    cfg = NMPCConfig(**overrides)
     return replace(cfg, P=synthesize_terminal_weight(path, cfg))
 
 
@@ -280,7 +281,6 @@ class NMPCSolver:
     max_iterations = MAX_MAJOR_ITER
 
     def __init__(self, cfg: NMPCConfig, path: PathDef):
-        cfg.terminal_weight()  # fail fast when unset
         self.cfg = cfg
         self.path = path
         self._qp_weights = horizon_weights(cfg)

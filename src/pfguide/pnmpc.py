@@ -401,8 +401,7 @@ def horizon_weights(cfg: "NMPCConfig") -> Tuple[np.ndarray, np.ndarray]:
 def reference_stack(cfg: "NMPCConfig", psi_branch: float) -> np.ndarray:
     """Stacked input reference with the heading reference moved onto the
     2*pi branch nearest psi_branch."""
-    return np.array([cfg.u_ref.u, unwrap_near(cfg.u_ref.psi, psi_branch),
-                     cfg.u_ref.u_tar] * cfg.N)
+    return np.array([cfg.u_r, unwrap_near(0.0, psi_branch), cfg.u_r] * cfg.N)
 
 
 def snap_feasible(U: np.ndarray, u_prev: InputCmd, c: InputConstraints
@@ -431,14 +430,14 @@ def cost_weights(cfg: "NMPCConfig") -> tuple:
     the Q and R diagonals, the input reference, lambda and the terminal
     weight rows."""
     return (tuple(cfg.Q.tolist()), tuple(cfg.R.tolist()),
-            (cfg.u_ref.u, cfg.u_ref.psi, cfg.u_ref.u_tar), cfg.lam,
+            (cfg.u_r, 0.0, cfg.u_r), cfg.lam,
             tuple(tuple(row) for row in cfg.terminal_weight().tolist()))
 
 
 def stage_cost_flat(xe: float, ye: float, z: float, u: float, psi: float,
                     u_tar: float, q: Sequence[float], r: Sequence[float],
                     ref: Sequence[float]) -> float:
-    """x'Qx + (u - u_ref)'R(u - u_ref) on plain floats, heading deviation
+    """x'Qx + (u - ref)'R(u - ref) on plain floats, heading deviation
     wrapped (q, r the diagonals, ref the input reference)."""
     q0, q1, q2 = q
     r0, r1, r2 = r
@@ -489,7 +488,6 @@ class PNMPCSolver:
                  linearization: str = "exact"):
         if linearization not in LINEARIZATIONS:
             raise ValueError(f"unknown linearization {linearization!r}")
-        cfg.terminal_weight()  # fail fast when unset
         self.cfg = cfg
         self.path = path
         self.linearization = linearization

@@ -40,7 +40,7 @@ from .errdyn import GuidanceState, InputCmd
 from .exceptions import ConfigError, EmptyTrace, PFGuideError, StateEscape
 from .los import (InputConstraints, SGLOSParams, clamp_flat, require_in_box,
                   sglos)
-from .nmpc import NMPCConfig, NMPCSolver, make_config, synthesize_terminal_weight
+from .nmpc import NMPCConfig, NMPCSolver, synthesize_terminal_weight
 from .paths import PathDef, path_tangent, sample_path, z_of_omega
 from .pnmpc import LINEARIZATIONS, PNMPCSolver
 
@@ -186,6 +186,9 @@ class Scenario:
             raise ConfigError(f"scenario numbers must be finite: {bad}")
         if self.duration <= 0.0:
             raise ConfigError(f"duration must be positive, got {self.duration}")
+        if self.converge_band <= 0.0:
+            raise ConfigError(
+                f"converge_band must be positive, got {self.converge_band}")
         if self.T_p <= 0.0 or self.T_m <= 0.0:
             raise ConfigError("T_m and T_p must be positive")
         m = self.T_m / self.T_p
@@ -197,27 +200,23 @@ class Scenario:
         if self.linearization not in LINEARIZATIONS:
             raise ConfigError(f"linearization must be one of "
                               f"{LINEARIZATIONS}, got {self.linearization!r}")
-        cfg = self.nmpc
-        if cfg is not None:
-            # The solver reads these from the config; the plant loop, the
-            # violation count and the SGLOS law read them from the scenario.
-            # The config holds u_r as its reference input u_ref.
-            differ = [name for name, ours, theirs in (
-                ("T_m", self.T_m, cfg.T_m),
-                ("u_ref", InputCmd(self.u_r, 0.0, self.u_r), cfg.u_ref),
-                ("constraints", self.constraints, cfg.constraints),
-                ("terminal_law", self.sglos, cfg.terminal_law))
-                if ours != theirs]
+        if self.nmpc is not None:
+            differ = [name for name, ours in self._shared().items()
+                      if getattr(self.nmpc, name) != ours]
             if differ:
                 raise ConfigError(
                     f"the nmpc config disagrees with the scenario on {differ}")
 
+    def _shared(self) -> dict:
+        """The settings the nmpc config shares with the scenario, by config
+        field name.  The solver reads them from the config; the plant loop,
+        the violation count and the SGLOS law read them from the scenario."""
+        return dict(T_m=self.T_m, u_r=self.u_r, constraints=self.constraints,
+                    terminal_law=self.sglos)
+
     def guidance_config(self) -> NMPCConfig:
         """The predictive laws' config, with P synthesized when unset."""
-        cfg = self.nmpc
-        if cfg is None:
-            return make_config(self.path, u_r=self.u_r, terminal_law=self.sglos,
-                               constraints=self.constraints, T_m=self.T_m)
+        cfg = NMPCConfig(**self._shared()) if self.nmpc is None else self.nmpc
         if cfg.P is None:
             cfg = replace(cfg, P=synthesize_terminal_weight(self.path, cfg))
         return cfg

@@ -63,7 +63,9 @@ class TestScenarioFromConfig:
          "Q must be a list of 3"),
         (dict(BASE, law="nmpc", law_params={"R": 10.0}),
          "R must be a list of 3"),
-    ], ids=["omega-negative", "Q-length-2", "R-scalar"])
+        (dict(BASE, converge_band=-1.0), "converge_band must be positive"),
+    ], ids=["omega-negative", "Q-length-2", "R-scalar",
+            "converge_band-negative"])
     def test_out_of_range_values_rejected(self, doc, match):
         with pytest.raises(ConfigError, match=match):
             scenario_from_config(doc)
@@ -189,7 +191,7 @@ class TestCLI:
         assert report["pnmpc"]["violations"] == 0
 
     @pytest.mark.parametrize("laws", ["", " , ", "sglos,sglos",
-                                      "pnmpc, sglos,pnmpc"])
+                                      "pnmpc, sglos,pnmpc", "nmpc,bogus"])
     def test_compare_needs_distinct_laws(self, tmp_path, laws):
         cfgfile = self.write_config(tmp_path, dict(BASE, duration=5.0))
         outdir = tmp_path / "cmp"
@@ -291,10 +293,40 @@ class TestCLI:
             assert len(err) == 1 and err[0].startswith("config error: ")
         assert blocker.read_text() == ""
 
+    def test_simulate_into_unwritable_file(self, tmp_path, capsys):
+        cfgfile = self.write_config(tmp_path, BASE)
+        out = tmp_path / ("x" * 300 + ".csv")  # longer than a file name
+        assert cli.main(["simulate", "--config", cfgfile,
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("blocked", ["sglos.csv", "report.json"])
+    def test_compare_into_unwritable_file(self, tmp_path, capsys, blocked):
+        cfgfile = self.write_config(tmp_path, BASE)
+        outdir = tmp_path / "cmp"
+        (outdir / blocked).mkdir(parents=True)
+        assert cli.main(["compare", "--config", cfgfile,
+                         "--laws", "sglos", "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (outdir / "report.json").is_file()
+
     def test_check_derivatives(self, capsys):
         assert cli.main(["check-derivatives", "--samples", "50"]) == 0
         out = capsys.readouterr().out
         assert "all derivative checks passed" in out
+
+    def test_check_derivatives_reports_a_wrong_derivative(self, capsys,
+                                                         monkeypatch):
+        line = cli.line_path()
+        monkeypatch.setattr(cli, "line_path", lambda: replace(
+            line, deriv3=lambda w: (1.0, 0.0)))
+        assert cli.main(["check-derivatives", "--samples", "2"]) == 4
+        captured = capsys.readouterr()
+        assert "path derivative check FAILED" in captured.out
+        assert "passed" not in captured.out
+        assert captured.err.startswith("invariant violation: ")
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_check_derivatives_needs_a_sample(self, samples, capsys):

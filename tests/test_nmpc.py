@@ -27,9 +27,9 @@ def numeric_terminal_weight(path, cfg, h):
     x = (0, 0, 1e-2), u = (0.1 u_r, phi_p, 0.1 u_r)."""
     z_bar = nmpc_mod._SYN_Z
     x_bar = np.array([0.0, 0.0, z_bar])
-    u_bar = np.array([0.1 * cfg.u_ref.u,
+    u_bar = np.array([0.1 * cfg.u_r,
                       sample_path(path, 1.0 / z_bar - 1.0).phi_p,
-                      0.1 * cfg.u_ref.u])
+                      0.1 * cfg.u_r])
 
     def f(xv, uv):
         nxt = euler_step(GuidanceState(*xv), InputCmd(*uv), 0.0, cfg.T_m,
@@ -75,17 +75,21 @@ class TestConfig:
         NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
 
 
+def _reference(cfg):
+    """The cost's input reference (u_r, 0, u_r)."""
+    return InputCmd(cfg.u_r, 0.0, cfg.u_r)
+
+
 class TestStageCost:
     def test_zero_at_reference(self, demo_config):
         assert stage_cost(GuidanceState(0.0, 0.0, 1e-12),
-                          demo_config.u_ref, demo_config) \
+                          _reference(demo_config), demo_config) \
             == pytest.approx(0.0, abs=1e-20)
 
     def test_scalar_oracle_value(self, demo_config):
         # paper weights: 1*1 + 1*1 + 1e-5*1e-4 + 10*0.0025 + 1e-5*(0.01+0.0025)
         x = GuidanceState(1.0, 1.0, 0.01)
-        u = InputCmd(demo_config.u_ref.u + 0.05, demo_config.u_ref.psi + 0.1,
-                     demo_config.u_ref.u_tar + 0.05)
+        u = InputCmd(demo_config.u_r + 0.05, 0.1, demo_config.u_r + 0.05)
         ref = (1.0 + 1.0 + 1e-5 * 1e-4
                + 10.0 * 0.0025 + 1e-5 * 0.01 + 1e-5 * 0.0025)
         got = stage_cost(x, u, demo_config)
@@ -95,12 +99,12 @@ class TestStageCost:
     def test_quadratic_homogeneity(self, demo_config):
         x1 = GuidanceState(0.3, -0.7, 0.2)
         x2 = GuidanceState(0.6, -1.4, 0.4)
-        u = demo_config.u_ref
+        u = _reference(demo_config)
         assert stage_cost(x2, u, demo_config) \
             == pytest.approx(4.0 * stage_cost(x1, u, demo_config), rel=1e-12)
 
     def test_heading_deviation_wrapped(self, demo_config):
-        u = InputCmd(demo_config.u_ref.u, 2.0 * math.pi, demo_config.u_ref.u_tar)
+        u = InputCmd(demo_config.u_r, 2.0 * math.pi, demo_config.u_r)
         x = GuidanceState(0.0, 0.0, 1e-9)
         assert stage_cost(x, u, demo_config) == pytest.approx(0.0, abs=1e-15)
 
@@ -207,7 +211,7 @@ class TestSynthesis:
         """The analytic A, B and closed-form K agree with central
         differences of the model and of SGLOS, whose truncation error in
         P falls as h^2 (3e-5 relative at h = 1e-6 on case_study)."""
-        cfg = NMPCConfig(u_ref=InputCmd(0.15, 0.0, 0.15))
+        cfg = NMPCConfig(u_r=0.15)
         P = synthesize_terminal_weight(path, cfg)
         ref = numeric_terminal_weight(path, cfg, 1e-7)
         assert np.max(np.abs(P - ref)) <= 1e-6 * np.max(np.abs(ref))
@@ -312,13 +316,13 @@ class TestSolve:
 
     def test_single_step_vertex_solution(self, xaxis_path):
         """With references far outside the boxes, the optimum is a vertex;
-        enumerate all feasible vertices and pick the best by oracle."""
+        enumerate all feasible vertices and pick the best by oracle.  The
+        heading reference 0 lies 1 rad below the previous heading."""
         cfg = NMPCConfig(N=1, Q=np.array([1.0, 1.0, 0.0]),
-                         R=np.array([5.0, 5.0, 5.0]),
-                         u_ref=InputCmd(10.0, -1.0, 10.0))
+                         R=np.array([5.0, 5.0, 5.0]), u_r=10.0)
         cfg = replace(cfg, P=np.eye(3) * 1e-9 + np.diag([1e-6, 1e-6, 0]))
         c = cfg.constraints
-        up = InputCmd(0.1, 0.0, 0.3)
+        up = InputCmd(0.1, 1.0, 0.3)
         x = GuidanceState(0.0, 0.0, 0.5)
         res = NMPCSolver(cfg, xaxis_path).solve(x, 0.0, up)
 

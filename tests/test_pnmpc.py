@@ -357,6 +357,9 @@ class TestPredictionKernelsMatchOldForms:
 
     PATHS = {"case_study": case_study_path(),
              "line": line_path(origin=(1.0, -2.0), direction=(-0.6, 0.8)),
+             # atan2 gives exactly -pi on this tangent, which rollout_flat
+             # wraps to pi as path_frame does.
+             "line_west": line_path(direction=(-1.0, -0.0)),
              "polynomial": polynomial_path([0.0, 1.0, 0.01, 1e-4],
                                            [0.0, 0.5, -0.002, -1e-5])}
 
@@ -535,12 +538,12 @@ class TestPNMPCSolve:
             assert cmd.u_tar == pytest.approx(0.15, abs=1e-9)
 
     def test_single_step_clamped_least_squares(self, xaxis_path):
-        # N = 1 with the heading and target-speed weights pinned huge:
+        # N = 1 with the heading and target-speed weights pinned huge at
+        # the previous input, which sits on the reference (u_r, 0, u_r):
         # the surge solves a scalar quadratic, clamped to its interval.
         from pfguide import synthesize_terminal_weight
-        up = InputCmd(0.10, 0.0, 0.20)
-        cfg = NMPCConfig(N=1, R=np.array([10.0, 1e9, 1e9]),
-                         u_ref=InputCmd(0.15, up.psi, up.u_tar))
+        up = InputCmd(0.10, 0.0, 0.15)
+        cfg = NMPCConfig(N=1, R=np.array([10.0, 1e9, 1e9]), u_r=up.u_tar)
         cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))
         c = cfg.constraints
         x = GuidanceState(-0.8, 0.0, 0.3)

@@ -184,9 +184,8 @@ class TestScenarioValidation:
 
 
 class TestScenarioAgreesWithConfig:
-    """The solver reads T_m, u_r (as u_ref), the constraints and the
-    terminal law from the nmpc config, the plant loop and the SGLOS law
-    from the scenario."""
+    """The solver reads T_m, u_r, the constraints and the terminal law from
+    the nmpc config, the plant loop and the SGLOS law from the scenario."""
 
     GAINS = SGLOSParams(k1=0.4, k2=0.6, delta=0.8)
 
@@ -268,9 +267,11 @@ def test_library_types_reject_non_finite_numbers(build, error):
      "duration must be positive"),
     (lambda: _scenario(T_m=-1.0), ConfigError, "T_m and T_p must be positive"),
     (lambda: _scenario(T_p=0.0), ConfigError, "T_m and T_p must be positive"),
+    (lambda: _scenario(converge_band=0.0), ConfigError,
+     "converge_band must be positive"),
 ], ids=["amplitude-negative", "f0-zero", "switch_time-negative",
         "filter-T_p-zero", "Q-length-2", "R-length-4", "nmpc-T_m-zero",
-        "duration-zero", "T_m-negative", "T_p-zero"])
+        "duration-zero", "T_m-negative", "T_p-zero", "converge_band-zero"])
 def test_library_types_reject_out_of_range_numbers(build, error, match):
     with pytest.raises(error, match=match):
         build()
