@@ -43,13 +43,34 @@ def _write(filename: str, write) -> None:
         raise ConfigError(f"cannot write {filename!r}: {exc.strerror}") from exc
 
 
-def _cmd_simulate(args) -> int:
-    sc = load_scenario(args.config)
-    if os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out!r} is a directory")
-    parent = os.path.dirname(args.out) or "."
+def _check_writable(filename: str) -> None:
+    """Refuse, before a run, an output file that open() would refuse: a
+    missing directory or a directory in the way, no write permission on
+    the directory or on an existing file, or a base name longer than the
+    file system allows.  Creates and truncates nothing."""
+    if os.path.isdir(filename):
+        raise ConfigError(f"--out {filename!r} is a directory")
+    parent = os.path.dirname(filename) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"--out directory {parent!r} does not exist")
+    if os.path.exists(filename):
+        if not os.access(filename, os.W_OK):
+            raise ConfigError(f"cannot write {filename!r}: permission denied")
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {filename!r}: permission denied "
+                          f"in {parent!r}")
+    try:
+        name_max = os.pathconf(parent, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):  # no limit to read
+        return
+    if 0 < name_max < len(os.fsencode(os.path.basename(filename))):
+        raise ConfigError(f"cannot write {filename!r}: file name longer "
+                          f"than {name_max} bytes")
+
+
+def _cmd_simulate(args) -> int:
+    sc = load_scenario(args.config)
+    _check_writable(args.out)
     trace = run_scenario(sc)
     _write(args.out, trace.to_csv)
     report = compute_metrics(trace)

@@ -28,16 +28,17 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, pi, sin
+from math import atan2, cos, hypot, isfinite, pi, sin
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .angles import unwrap_near, wrap_angle
-from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
-from .exceptions import QPFailure
+from .errdyn import Z_MIN, GuidanceState, InputCmd, flat_inputs, rollout_flat
+from .exceptions import QPFailure, StateEscape
 from .los import InputConstraints, clamp_flat, require_in_box
-from .paths import Frame, PathDef, omega_of_z, path_frame
+from .paths import (F_MIN, Frame, PathDef, omega_of_z, path_frame,
+                    path_tangent)
 # Unused here since the prediction core samples through path_frame; the
 # binding stays because perfbench's tracer tests expect pnmpc.sample_path.
 from .paths import sample_path  # noqa: F401
@@ -282,7 +283,14 @@ def _stage_selector(N: int) -> np.ndarray:
     G = np.zeros((N, 6, 3 * N))
     for j in range(N):
         G[j, 3:, 3 * j:3 * j + 3] = _EYE3
-    return G
+    return _read_only(G)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: an lru-cached array is shared by every caller
+    with the same key, so an in-place write to it must raise."""
+    a.flags.writeable = False
+    return a
 
 
 def sensitivity_along(states: Sequence[GuidanceState],
@@ -303,7 +311,7 @@ def sensitivity_along(states: Sequence[GuidanceState],
 @lru_cache(maxsize=8)
 def _increment_lower(N: int) -> np.ndarray:
     """Cumulative-sum map from increments to absolute inputs (3N x 3N)."""
-    return np.kron(np.tril(np.ones((N, N))), np.eye(3))
+    return _read_only(np.kron(np.tril(np.ones((N, N))), np.eye(3)))
 
 
 @lru_cache(maxsize=8)
@@ -338,7 +346,8 @@ def _sqp_rows(N: int, c: InputConstraints
             rows.append(e)
             lo.append(lower)
             hi.append(upper)
-    return np.vstack(rows), np.array(lo), np.array(hi)
+    return tuple(map(_read_only, (np.vstack(rows), np.array(lo),
+                                  np.array(hi))))
 
 
 def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
@@ -353,15 +362,23 @@ def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
     and rate sets.
     """
     W, r_vec = weights
+    return _qp_at(S, X, U, U - Uref, u_prev,
+                  (W, r_vec, 2.0 * r_vec, _sqp_rows(U.shape[0] // 3, c)))
+
+
+def _qp_at(S: np.ndarray, X: Sequence[float], U: np.ndarray,
+           dev: np.ndarray, u_prev: InputCmd, consts: tuple) -> QPProblem:
+    """linearized_qp given dev = U - Uref and its per-configuration
+    constants (W, r, 2r, _sqp_rows(N, c))."""
+    W, r_vec, r2, (A, lo, hi) = consts
     X0 = np.array(X[3:])
     WS = W.dot(S)
     # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal bit
     # for bit to 0.5(H0 + H0') with H0 = 2(M + diag r): scaling by 2 is exact.
     M = S.T.dot(WS)
     H = M + M.T
-    H.ravel()[::H.shape[0] + 1] += 2.0 * r_vec  # a view of the diagonal
-    g = 2.0 * (WS.T.dot(X0) + r_vec * (U - Uref))
-    A, lo, hi = _sqp_rows(U.shape[0] // 3, c)
+    H.ravel()[::H.shape[0] + 1] += r2  # a view of the diagonal
+    g = 2.0 * (WS.T.dot(X0) + r_vec * dev)
     cur = A.dot(U)
     cur[0] -= u_prev.u
     cur[1] -= u_prev.psi
@@ -477,11 +494,151 @@ def horizon_cost(x_k: GuidanceState, states: Sequence[GuidanceState],
     return horizon_cost_flat(X, flat_inputs(u_seq), cost_weights(cfg))
 
 
+def _hold_sensitivity(x0: Sequence[float], u: float, psi: float,
+                      u_tar: float, N: int, v: float, T_m: float,
+                      path: PathDef) -> Tuple[List[float], Frame, np.ndarray]:
+    """rollout_flat of the hold [(u, psi, u_tar)] * N and sensitivity_flat
+    along it, in one loop: the stacked states 0..N, the step-0 frame and S.
+
+    Each step is rollout_flat's step, with its checks, errors and z clamp,
+    and writes T_m B_i into S as sensitivity_flat does; the two share the
+    heading trig and the entries of B that the Euler step reads, the same
+    IEEE operations.  Step 0 needs no A, so path.deriv3 runs from step 1.
+    The block products come after the rollout, as sensitivity_flat's come
+    after rollout_flat's: a state that escapes raises StateEscape before
+    numpy sees a non-finite A.
+    """
+    if not (isfinite(T_m) and T_m > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {T_m!r}")
+    if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
+        raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
+    deriv, deriv2, deriv3 = path.deriv, path.deriv2, path.deriv3
+    n = 3 * N
+    S = np.zeros((n, n))
+    flat = S.ravel()  # a view: entry (i, j) of S is flat[i n + j]
+    xe, ye, z = x0
+    X = [xe, ye, z]
+    Ads = []  # I + T_m A_i for steps 1..N-1
+    for r in range(0, n, 3):
+        omega = 1.0 / z - 1.0
+        dx, dy = deriv(omega)
+        F = hypot(dx, dy)
+        if F <= F_MIN:
+            path_tangent(path, omega)  # raises NonRegularPath
+        phi_p = atan2(dy, dx)
+        if not -pi < phi_p <= pi:
+            phi_p = wrap_angle(phi_p)
+        ddx, ddy = deriv2(omega)
+        dphi_dw = (dx * ddy - dy * ddx) / (F * F)
+        if not r:
+            frame0 = (phi_p, F, dphi_dw, dx, dy, ddx, ddy)
+        dpsi = psi - phi_p
+        if not -pi < dpsi <= pi:
+            dpsi = wrap_angle(dpsi)
+        c = cos(dpsi)
+        s = sin(dpsi)
+        kw = dphi_dw / F
+        b02 = kw * ye - 1.0
+        b11 = u * c - v * s
+        k = r * (n + 1)
+        flat[k:k + 3] = (T_m * c, T_m * (-u * s - v * c), T_m * b02)
+        flat[k + n:k + n + 3] = (T_m * s, T_m * b11, T_m * (-kw * xe))
+        flat[k + 2 * n + 2] = T_m * (-z * z / F)
+        us_vc = u * s + v * c
+        a01 = u_tar * kw
+        if r:
+            d3x, d3y = deriv3(omega)
+            dF = (dx * ddx + dy * ddy) / F
+            dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * kw * dF / F
+            dw_dz = -1.0 / (z * z)
+            a02 = dw_dz * (dphi_dw * us_vc + u_tar * dkw * ye)
+            a12 = -dw_dz * (dphi_dw * b11 + u_tar * dkw * xe)
+            a22 = -2.0 * z * u_tar / F - u_tar * dF / (F * F)
+            Ads.append(np.array((1.0, 0.0 + T_m * a01, 0.0 + T_m * a02,
+                                 0.0 + T_m * -a01, 1.0, 0.0 + T_m * a12,
+                                 0.0, 0.0, 1.0 + T_m * a22)).reshape(3, 3))
+        nxe = xe + T_m * (b11 + u_tar * b02)
+        nye = ye + T_m * (us_vc - a01 * xe)
+        nz = z + T_m * (-z * z * u_tar / F)
+        if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
+            raise StateEscape(f"non-finite state after Euler step from "
+                              f"{(xe, ye, z)!r}")
+        xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
+        X += (xe, ye, z)
+    for r, Ad in zip(range(3, n, 3), Ads):
+        S[r:r + 3, :r] = Ad.dot(S[r - 3:r, :r])
+    return X, frame0, S
+
+
+def _step_rollout(U: Sequence[float], u_prev: InputCmd, x0: Sequence[float],
+                  frame0: Frame, v: float, T_m: float, path: PathDef,
+                  c: InputConstraints, weights: tuple
+                  ) -> Tuple[Tuple[InputCmd, ...], List[float], float]:
+    """snap_feasible, rollout_flat and horizon_cost_flat in one loop: the
+    projected commands, the stacked states 0..N under them and their cost.
+
+    U stacks the QP's inputs; frame0 is the path frame at x0, which step 0
+    reuses.  Each step chain-projects its input through clamp_flat, takes
+    rollout_flat's Euler step with its errors and z clamp, and adds the
+    stage cost; the terminal cost comes last, as in horizon_cost_flat.  A
+    non-finite input raises InputCmd's ValueError, as snap_feasible does.
+    """
+    if not (isfinite(T_m) and T_m > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {T_m!r}")
+    deriv, deriv2 = path.deriv, path.deriv2
+    (q0, q1, q2), (r0, r1, r2), (ref0, ref1, ref2), lam, P = weights
+    cmds = []
+    u, psi = u_prev.u, u_prev.psi
+    xe, ye, z = x0
+    X = [xe, ye, z]
+    J = 0.0
+    for j in range(0, len(U), 3):
+        u, psi, u_tar = clamp_flat(U[j], U[j + 1], U[j + 2], u, psi, c)
+        cmds.append(InputCmd(u, psi, u_tar))
+        if j:
+            omega = 1.0 / z - 1.0
+            dx, dy = deriv(omega)
+            F = hypot(dx, dy)
+            if F <= F_MIN:
+                path_tangent(path, omega)  # raises NonRegularPath
+            phi_p = atan2(dy, dx)
+            if not -pi < phi_p <= pi:
+                phi_p = wrap_angle(phi_p)
+            ddx, ddy = deriv2(omega)
+            dphi_dw = (dx * ddy - dy * ddx) / (F * F)
+        else:
+            phi_p, F, dphi_dw = frame0[:3]
+        du = u - ref0
+        dh = psi - ref1
+        if not -pi < dh <= pi:
+            dh = wrap_angle(dh)
+        dtar = u_tar - ref2
+        J += (q0 * xe * xe + q1 * ye * ye + q2 * z * z
+              + r0 * du * du + r1 * dh * dh + r2 * dtar * dtar)
+        dpsi = psi - phi_p
+        if not -pi < dpsi <= pi:
+            dpsi = wrap_angle(dpsi)
+        cs = cos(dpsi)
+        sn = sin(dpsi)
+        kw = dphi_dw / F
+        nxe = xe + T_m * (u * cs - v * sn + u_tar * (kw * ye - 1.0))
+        nye = ye + T_m * (u * sn + v * cs - u_tar * kw * xe)
+        nz = z + T_m * (-z * z * u_tar / F)
+        if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
+            raise StateEscape(f"non-finite state after Euler step from "
+                              f"{(xe, ye, z)!r}")
+        xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
+        X += (xe, ye, z)
+    return tuple(cmds), X, J + lam * quadratic_form(xe, ye, z, P)
+
+
 class PNMPCSolver:
     """Fast guidance step: one full SQP step from the held previous input.
 
     Holds only per-configuration constants, so a step depends on its
-    arguments alone.
+    arguments alone.  A step is two passes on plain floats around the QP:
+    the hold's rollout with its linearization, then the projection of the
+    QP's step, its rollout and its cost.
     """
 
     def __init__(self, cfg: "NMPCConfig", path: PathDef,
@@ -491,7 +648,8 @@ class PNMPCSolver:
         self.cfg = cfg
         self.path = path
         self.linearization = linearization
-        self._qp_weights = horizon_weights(cfg)
+        W, r = horizon_weights(cfg)
+        self._qp_consts = (W, r, 2.0 * r, _sqp_rows(cfg.N, cfg.constraints))
         self._weights = cost_weights(cfg)
         self._zero = zero_start(cfg.N)
 
@@ -503,25 +661,29 @@ class PNMPCSolver:
         signature of NMPCSolver.solve."""
         t0 = timer()
         cfg = self.cfg
-        require_in_box(u_prev, cfg.constraints)
-        hold = [u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N
+        N, T_m, path, c = cfg.N, cfg.T_m, self.path, cfg.constraints
+        require_in_box(u_prev, c)
+        u, psi, u_tar = u_prev.u, u_prev.psi, u_prev.u_tar
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
-        X, frames = rollout_flat(x0, hold, v_k, cfg.T_m, self.path)
         if self.linearization == "exact":
-            S = sensitivity_flat(X, hold, frames, v_k, cfg.T_m, self.path)
+            X, frame0, S = _hold_sensitivity(x0, u, psi, u_tar, N, v_k, T_m,
+                                             path)
         else:
-            J = jacobian_block(x_k, u_prev, v_k, self.path).m
-            S = np.kron(np.tril(np.ones((cfg.N, cfg.N))), cfg.T_m * J)
-        U = np.array(hold)
-        qsol = solve_qp(linearized_qp(S, X, U, u_prev,
-                                      reference_stack(cfg, u_prev.psi),
-                                      self._qp_weights, cfg.constraints),
+            X, frames = rollout_flat(x0, [u, psi, u_tar] * N, v_k, T_m, path)
+            frame0 = frames[0]
+            J = jacobian_block(x_k, u_prev, v_k, path).m
+            S = np.kron(np.tril(np.ones((N, N))), T_m * J)
+        u_r = cfg.u_r
+        U = np.array([u, psi, u_tar] * N)
+        # U - reference_stack(cfg, psi), subtracted on floats
+        dev = np.array([u - u_r, psi - unwrap_near(0.0, psi), u_tar - u_r] * N)
+        qsol = solve_qp(_qp_at(S, X, U, dev, u_prev, self._qp_consts),
                         warm=self._zero)
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        u_seq, u_flat = snap_feasible(U + qsol.x, u_prev, cfg.constraints)
-        X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
-        cost = horizon_cost_flat(X, u_flat, self._weights)
+        u_seq, X, cost = _step_rollout((U + qsol.x).tolist(), u_prev, x0,
+                                       frame0, v_k, T_m, path, c,
+                                       self._weights)
         return SolveResult(u_seq, X, cost, qsol.iterations,
                            qsol.kkt_residual, timer() - t0)

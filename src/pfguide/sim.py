@@ -113,8 +113,9 @@ class LowLevelFilter:
     """
 
     def __init__(self, T_p: float, initial: Tuple[float, float] = (0.0, 0.0)):
-        if T_p <= 0.0:
-            raise ConfigError(f"plant step must be positive, got {T_p}")
+        if not (math.isfinite(T_p) and T_p > 0.0):
+            raise ConfigError(f"plant step must be positive and finite, "
+                              f"got {T_p}")
         a = FILTER_POLE
         T = float(T_p)
         self.T_p = T

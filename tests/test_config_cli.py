@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -300,6 +301,36 @@ class TestCLI:
                          "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("case", ["long-name", "read-only-file",
+                                      "read-only-directory"])
+    def test_simulate_refuses_an_unwritable_out_before_the_run(
+            self, tmp_path, capsys, monkeypatch, case):
+        if case != "long-name" and os.geteuid() == 0:
+            pytest.skip("root may write through any permission bits")
+        cfgfile = self.write_config(tmp_path, BASE)
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        out = outdir / "trace.csv"
+        if case == "long-name":
+            out = outdir / ("x" * 300 + ".csv")
+        elif case == "read-only-file":
+            out.write_text("kept")
+            out.chmod(0o444)
+        else:
+            outdir.chmod(0o555)
+        self.no_simulation(monkeypatch)
+        try:
+            assert cli.main(["simulate", "--config", cfgfile,
+                             "--out", str(out)]) == 2
+        finally:
+            outdir.chmod(0o755)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        if case == "read-only-file":
+            assert out.read_text() == "kept"
+        else:
+            assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("blocked", ["sglos.csv", "report.json"])
     def test_compare_into_unwritable_file(self, tmp_path, capsys, blocked):

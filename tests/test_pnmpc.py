@@ -1,14 +1,16 @@
 import math
 import struct
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
                      NMPCConfig, NMPCSolver, PNMPCSolver, QPFailure,
                      QPProblem, QPSolution, case_study_path, dynamics,
-                     horizon_cost, jacobian_block, line_path,
+                     horizon_cost, jacobian_block, line_path, make_config,
                      polynomial_path, run_scenario, sample_path, solve_qp,
                      transient_scenario, wrap_angle, z_of_omega)
 from pfguide import pnmpc
@@ -82,16 +84,16 @@ def increment_difference(N):
 
 
 def frozen_operator(monkeypatch, cfg, path, x, up, v, Jm=None):
-    """The S the frozen solver hands to linearized_qp; Jm, when given,
+    """The S the frozen solver builds its QP from; Jm, when given,
     replaces the instant-0 input Jacobian."""
     captured = []
-    real = pnmpc.linearized_qp
+    real = pnmpc._qp_at
 
     def capture(S, *args):
         captured.append(S)
         return real(S, *args)
 
-    monkeypatch.setattr(pnmpc, "linearized_qp", capture)
+    monkeypatch.setattr(pnmpc, "_qp_at", capture)
     if Jm is not None:
         monkeypatch.setattr(pnmpc, "jacobian_block",
                             lambda *args: JacobianBlock(Jm))
@@ -351,9 +353,10 @@ def _raised(fn, *args):
 
 
 class TestPredictionKernelsMatchOldForms:
-    """The float rollout, the Jacobian rows, the sensitivity build and the
-    float projection give the outputs of the per-call, per-block and
-    per-command forms they replaced, bit for bit."""
+    """The float rollout, the Jacobian rows, the sensitivity build, the
+    float projection and PNMPC's two fused passes give the outputs of the
+    per-call, per-block and per-command forms they replaced, bit for
+    bit."""
 
     PATHS = {"case_study": case_study_path(),
              "line": line_path(origin=(1.0, -2.0), direction=(-0.6, 0.8)),
@@ -475,6 +478,119 @@ class TestPredictionKernelsMatchOldForms:
             assert got.tobytes() == ref.tobytes()
             assert got.strides == ref.strides
 
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_hold_sensitivity(self, name):
+        """PNMPC's first pass is rollout_per_step of the hold, its step-0
+        frame and sensitivity_per_block along it."""
+        path = self.PATHS[name]
+        rng = np.random.default_rng(31 + len(name))
+        clamped = 0
+        for _ in range(200):
+            N = int(rng.integers(1, 6))
+            x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
+                  rng.choice([rng.uniform(0.05, 1.0), 1.0, Z_MIN]))
+            hold = self._draw_inputs(rng, 1) * N
+            v = rng.uniform(-0.15, 0.15)
+            T_m = rng.choice([0.1, 0.5, 1.0])
+            X, frame0, S = pnmpc._hold_sensitivity(x0, *hold[:3], N, v, T_m,
+                                                   path)
+            ref_X, ref_frames = rollout_per_step(x0, hold, v, T_m, path)
+            ref_S = sensitivity_per_block(ref_X, hold, ref_frames, v, T_m,
+                                          path)
+            assert _float_bits(X) == _float_bits(ref_X)
+            assert _float_bits(frame0) == _float_bits(ref_frames[0])
+            assert S.tobytes() == ref_S.tobytes()
+            clamped += Z_MIN in X[5::3] or 1.0 in X[5::3]
+        assert clamped >= 60
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_step_rollout(self, name):
+        """PNMPC's second pass is snap_feasible_cmds, rollout_per_step of
+        the projected inputs and horizon_cost_flat of both."""
+        path = self.PATHS[name]
+        c = InputConstraints()
+        rng = np.random.default_rng(43 + len(name))
+        clamped = 0
+        for _ in range(200):
+            N = int(rng.integers(1, 6))
+            x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
+                  rng.choice([rng.uniform(0.05, 1.0), 1.0, Z_MIN]))
+            U = self._draw_inputs(rng, N)
+            prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
+                            float(rng.uniform(-math.pi, math.pi)),
+                            float(rng.uniform(c.eps, c.u_tar_max)))
+            v = rng.uniform(-0.15, 0.15)
+            T_m = rng.choice([0.1, 0.5, 1.0])
+            P = rng.normal(size=(3, 3))
+            weights = (tuple(rng.uniform(0.0, 2.0, 3)),
+                       tuple(rng.uniform(0.0, 2.0, 3)),
+                       (0.15, 0.0, 0.15), rng.uniform(0.5, 2.0),
+                       tuple(map(tuple, (P @ P.T).tolist())))
+            frame0 = path_frame(path, 1.0 / x0[2] - 1.0)
+            cmds, X, J = pnmpc._step_rollout(U, prev, x0, frame0, v, T_m,
+                                             path, c, weights)
+            ref_cmds = snap_feasible_cmds(np.array(U), prev, c)
+            flat = flat_inputs(ref_cmds)
+            ref_X, _ = rollout_per_step(x0, flat, v, T_m, path)
+            assert _cmd_bits(cmds) == _cmd_bits(ref_cmds)
+            assert _float_bits(X) == _float_bits(ref_X)
+            assert _float_bits([J]) == _float_bits(
+                [pnmpc.horizon_cost_flat(ref_X, flat, weights)])
+            clamped += Z_MIN in X[5::3]
+        assert clamped >= 30
+
+    def test_fused_passes_raise_as_rollout_flat(self):
+        path = self.PATHS["case_study"]
+        cusp = polynomial_path([0.0, 1.0, -0.5], [0.0])
+        phi_p = path_frame(path, 1.0)[0]  # at z = 0.5
+        blowup = replace(path, deriv2=lambda w: (math.inf, 0.0) if w > 1.0
+                         else path.deriv2(w))
+        c = InputConstraints(u_max=1.7e308, u_tar_max=2.0, du_max=1.7e308,
+                             dpsi_max=math.pi)
+        w = ((1.0,) * 3, (1.0,) * 3, (0.15, 0.0, 0.15), 1.0,
+             ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+        holds = [
+            ((0.0, 0.0, 0.5), [0.1, math.nan, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], cusp),
+            ((0.0, 0.0, 1.0), [0.1, 0.0, 0.5], cusp),
+            ((1.7e308, 0.0, 0.5), [1.7e308, phi_p, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], blowup)]
+        kinds = set()
+        for x0, hold, p in holds:
+            for N in (1, 2):
+                got = _raised(pnmpc._hold_sensitivity, x0, *hold, N, 0.0,
+                              1.0, p)
+                ref = _raised(rollout_per_step, x0, hold * N, 0.0, 1.0, p)
+                assert got == ref
+                kinds.add(None if got is None else got[0])
+        assert kinds >= {ValueError, NonRegularPath, StateEscape}
+        steps = [
+            ((0.0, 0.0, 1.0), [0.1, 0.0, 0.5, 0.1, 0.0, 0.1], cusp),
+            ((1.7e308, 0.0, 0.5), [1.7e308, phi_p, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, 0.1, 0.0, 0.1], blowup)]
+        kinds = set()
+        prev = InputCmd(0.1, 0.0, 0.1)
+        for x0, U, p in steps:
+            frame0 = path_frame(p, 1.0 / x0[2] - 1.0)
+            got = _raised(pnmpc._step_rollout, U, prev, x0, frame0, 0.0, 1.0,
+                          p, c, w)
+            assert got is not None and got == _raised(
+                rollout_per_step, x0, U, 0.0, 1.0, p)
+            kinds.add(got[0])
+        assert kinds == {NonRegularPath, StateEscape}
+        with pytest.raises(ValueError, match="non-finite input command"):
+            pnmpc._step_rollout([0.1, 0.0, 0.1, math.nan, 0.0, 0.1], prev,
+                                (0.0, 0.0, 0.5), path_frame(path, 1.0), 0.0,
+                                1.0, path, c, w)
+        for dt in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                pnmpc._hold_sensitivity((0.0, 0.0, 0.5), 0.1, 0.0, 0.1, 1,
+                                        0.0, dt, path)
+            with pytest.raises(ValueError, match="dt must be finite"):
+                pnmpc._step_rollout([0.1, 0.0, 0.1], prev, (0.0, 0.0, 0.5),
+                                    path_frame(path, 1.0), 0.0, dt, path, c,
+                                    w)
+
     def test_snap_feasible(self):
         c = InputConstraints()
         rng = np.random.default_rng(21)
@@ -501,6 +617,115 @@ class TestPredictionKernelsMatchOldForms:
         assert crossings >= 40
 
 
+def unfused_solve(solver, x, v, up):
+    """PNMPCSolver.solve as the chain of public kernels it fuses: the hold
+    rollout, its sensitivity (or the frozen operator), linearized_qp,
+    solve_qp, snap_feasible, a second rollout and horizon_cost_flat."""
+    cfg, path = solver.cfg, solver.path
+    N, T_m = cfg.N, cfg.T_m
+    hold = [up.u, up.psi, up.u_tar] * N
+    x0 = (x.x_e, x.y_e, x.z)
+    X, frames = rollout_flat(x0, hold, v, T_m, path)
+    if solver.linearization == "exact":
+        S = pnmpc.sensitivity_flat(X, hold, frames, v, T_m, path)
+    else:
+        S = np.kron(np.tril(np.ones((N, N))),
+                    T_m * jacobian_block(x, up, v, path).m)
+    U = np.array(hold)
+    qp = pnmpc.linearized_qp(S, X, U, up, reference_stack(cfg, up.psi),
+                             horizon_weights(cfg), cfg.constraints)
+    qsol = solve_qp(qp, warm=pnmpc.zero_start(N))
+    if not qsol.converged:
+        raise QPFailure(f"QP stalled with KKT residual "
+                        f"{qsol.kkt_residual:.3e}")
+    u_seq, u_flat = snap_feasible(U + qsol.x, up, cfg.constraints)
+    X, _ = rollout_flat(x0, u_flat, v, T_m, path)
+    return (u_seq, X, pnmpc.horizon_cost_flat(X, u_flat,
+                                              pnmpc.cost_weights(cfg)),
+            qsol.iterations, qsol.kkt_residual, qp)
+
+
+def _qp_bits(qp):
+    return [a.tobytes() for a in (qp.H, qp.g, qp.A, qp.lb, qp.ub)]
+
+
+@lru_cache(maxsize=None)
+def _config(name, N, T_m):
+    return make_config(TestPredictionKernelsMatchOldForms.PATHS[name], N=N,
+                       T_m=T_m)
+
+
+_C = InputConstraints()
+
+
+class TestSolveMatchesUnfusedChain:
+    """PNMPCSolver.solve runs as two passes around its QP; its outputs,
+    and any error it raises, are those of the unfused kernel chain, bit
+    for bit."""
+
+    PATHS = TestPredictionKernelsMatchOldForms.PATHS
+
+    @pytest.mark.parametrize("linearization", pnmpc.LINEARIZATIONS)
+    @pytest.mark.parametrize("name", ["case_study", "line", "line_west",
+                                      "polynomial"])
+    def test_solve_matches_unfused_chain(self, monkeypatch, name,
+                                         linearization):
+        seen = {"unconstrained": 0, "constrained": 0, "clamped": 0}
+        path = self.PATHS[name]
+        # Last-bit changes in the linearization seldom survive into the
+        # step's commands, so the QP the solver builds is compared too.
+        problems = []
+        real = pnmpc.solve_qp
+        monkeypatch.setattr(pnmpc, "solve_qp", lambda qp, warm: real(
+            problems.append(qp) or qp, warm=warm))
+
+        # A calm draw (a start near the path, a hold near the reference)
+        # gives an unconstrained QP, a wide one mostly a constrained QP;
+        # z = Z_MIN steps into the clamp.
+        @given(calm=st.booleans(), xe=st.floats(-12.0, 12.0),
+               ye=st.floats(-12.0, 12.0),
+               z=st.one_of(st.floats(0.02, 1.0), st.just(1.0),
+                           st.just(Z_MIN)),
+               u=st.one_of(st.floats(0.0, _C.u_max),
+                           st.sampled_from([0.0, _C.u_max])),
+               heading=st.one_of(st.floats(-math.pi, math.pi),
+                                 st.just(math.pi)),
+               u_tar=st.one_of(st.floats(_C.eps, _C.u_tar_max),
+                               st.sampled_from([_C.eps, _C.u_tar_max])),
+               v=st.floats(-0.15, 0.15), N=st.sampled_from([1, 3, 5]),
+               T_m=st.sampled_from([0.3, 0.5, 1.0]))
+        @settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+        def check(calm, xe, ye, z, u, heading, u_tar, v, N, T_m):
+            if calm:
+                xe, ye, heading = 0.02 * xe, 0.02 * ye, 0.02 * heading
+                u = 0.15 + 0.1 * (u - 0.15)
+                u_tar = 0.15 + 0.1 * (u_tar - 0.15)
+            solver = PNMPCSolver(_config(name, N, T_m), path, linearization)
+            # heading is taken from the path tangent at z
+            psi = wrap_angle(path_frame(path, 1.0 / z - 1.0)[0] + heading)
+            x, up = GuidanceState(xe, ye, z), InputCmd(u, psi, u_tar)
+            problems.clear()
+            try:
+                ref = unfused_solve(solver, x, v, up)
+            except Exception as exc:
+                assert _raised(solver.solve, x, v, up) == \
+                    (type(exc), str(exc))
+                return
+            got = solver.solve(x, v, up)
+            assert _qp_bits(problems[0]) == _qp_bits(ref[5])
+            assert _cmd_bits(got.u_seq) == _cmd_bits(ref[0])
+            assert _float_bits(got.x_flat) == _float_bits(ref[1])
+            assert _float_bits([got.J_opt, got.kkt_residual]) == \
+                _float_bits([ref[2], ref[4]])
+            assert got.iterations == ref[3]
+            seen["constrained" if got.iterations else "unconstrained"] += 1
+            seen["clamped"] += Z_MIN in got.x_flat[5::3]
+
+        check()
+        assert min(seen.values()) >= 10, seen
+
+
 class TestLinearizedQP:
     def test_hessian_exactly_symmetric_and_bitwise_unchanged(self,
                                                              demo_config):
@@ -522,6 +747,24 @@ class TestLinearizedQP:
             H0 = 2.0 * (S.T @ (W @ S) + np.diag(r))
             assert np.array_equal(H, H.T)
             assert H.tobytes() == (0.5 * (H0 + H0.T)).tobytes()
+
+
+    def test_cached_rows_are_read_only(self):
+        # linearized_qp hands out _sqp_rows' cached A itself; a write into
+        # one QP's A would change every later QP with the same rows.
+        c = InputConstraints()
+        before = pnmpc._sqp_rows(3, c)[0].copy()
+        up = InputCmd(0.1, 0.2, 0.3)
+        U = stack_inputs([up] * 3)
+        qp = pnmpc.linearized_qp(np.eye(9), [0.0] * 12, U, up, U,
+                                 (np.eye(9), np.ones(9)), c)
+        with pytest.raises(ValueError, match="read-only"):
+            qp.A[0, 0] = 5.0
+        assert np.array_equal(pnmpc._sqp_rows(3, c)[0], before)
+        for cached in (*pnmpc._sqp_rows(3, c), pnmpc._increment_lower(3),
+                       pnmpc._stage_selector(3)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
 
 
 class TestPNMPCSolve:

@@ -995,14 +995,14 @@ class TestNonFiniteAndIndefinite:
 
     def test_indefinite_hessian_fails_the_step_and_the_cli(self, monkeypatch,
                                                            tmp_path):
-        real = pnmpc.linearized_qp
+        real = pnmpc._qp_at
 
         def negated(*args):
             prob = real(*args)
             prob.H = -prob.H
             return prob
 
-        monkeypatch.setattr(pnmpc, "linearized_qp", negated)
+        monkeypatch.setattr(pnmpc, "_qp_at", negated)
         with pytest.raises(QPFailure, match=r"guidance step failed at t=0 "
                                             r"\(plant step 0\)"):
             run_scenario(transient_scenario("pnmpc", duration=5.0))

@@ -258,6 +258,9 @@ def test_library_types_reject_non_finite_numbers(build, error):
                              f1=0.02, switch_time=-1.0),
      ConfigError, "positive f0, f1"),
     (lambda: LowLevelFilter(0.0), ConfigError, "plant step must be positive"),
+    (lambda: LowLevelFilter(-1.0), ConfigError, "plant step must be positive"),
+    (lambda: LowLevelFilter(NAN), ConfigError, "plant step must be positive"),
+    (lambda: LowLevelFilter(INF), ConfigError, "plant step must be positive"),
     (lambda: NMPCConfig(Q=np.array([1.0, 1.0])), ValueError,
      "length-3 diagonals"),
     (lambda: NMPCConfig(R=np.ones(4)), ValueError, "length-3 diagonals"),
@@ -270,7 +273,8 @@ def test_library_types_reject_non_finite_numbers(build, error):
     (lambda: _scenario(converge_band=0.0), ConfigError,
      "converge_band must be positive"),
 ], ids=["amplitude-negative", "f0-zero", "switch_time-negative",
-        "filter-T_p-zero", "Q-length-2", "R-length-4", "nmpc-T_m-zero",
+        "filter-T_p-zero", "filter-T_p-negative", "filter-T_p-nan",
+        "filter-T_p-inf", "Q-length-2", "R-length-4", "nmpc-T_m-zero",
         "duration-zero", "T_m-negative", "T_p-zero", "converge_band-zero"])
 def test_library_types_reject_out_of_range_numbers(build, error, match):
     with pytest.raises(error, match=match):
