@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errdyn import GuidanceState, InputCmd, dynamics_flat, rollout_flat
+from .errdyn import GuidanceState, InputCmd, dynamics_flat
 from .exceptions import (ConfigError, DomainError, Infeasible, InfeasibleStart,
                          NonRegularPath, PFGuideError, QPFailure, StateEscape,
                          TerminalWeightUnset, UnstableTerminalLoop)
@@ -24,7 +24,7 @@ from .paths import (case_study_path, check_path_derivatives, line_path,
                     path_frame, polynomial_path)
 from .nmpc import NMPCConfig
 from .pnmpc import (curvature_flat, horizon_weights, jacobian_block,
-                    linearized_qp, reference_stack, sensitivity_flat,
+                    linearize_flat, linearized_qp, reference_stack,
                     state_jacobian)
 from .sim import LAWS, compute_metrics, run_scenario
 
@@ -49,7 +49,7 @@ def _check_writable(filename: str) -> None:
     the directory or on an existing file, or a base name longer than the
     file system allows.  Creates and truncates nothing."""
     if os.path.isdir(filename):
-        raise ConfigError(f"--out {filename!r} is a directory")
+        raise ConfigError(f"cannot write {filename!r}: it is a directory")
     parent = os.path.dirname(filename) or "."
     if not os.path.isdir(parent):
         raise ConfigError(f"--out directory {parent!r} does not exist")
@@ -92,14 +92,16 @@ def _cmd_compare(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot make --out directory {args.out!r}: "
                           f"{exc.strerror}") from exc
+    report_path = os.path.join(args.out, "report.json")
+    outputs = [os.path.join(args.out, f"{law}.csv") for law in laws]
+    for filename in outputs + [report_path]:
+        _check_writable(filename)
     combined = {}
-    for law in laws:
+    for law, out_csv in zip(laws, outputs):
         trace = run_scenario(dataclasses.replace(sc, law=law))
-        out_csv = os.path.join(args.out, f"{law}.csv")
         _write(out_csv, trace.to_csv)
         combined[law] = compute_metrics(trace).to_dict()
         print(f"{law}: wrote {out_csv}")
-    report_path = os.path.join(args.out, "report.json")
     _write(report_path,
            lambda fh: fh.write(json.dumps(combined, indent=2) + "\n"))
     print(f"wrote {report_path}")
@@ -178,9 +180,7 @@ def _check_curvature(path, samples: int, seed: int) -> float:
         Uref = reference_stack(cfg, u_prev.psi)
 
         def linearize(Uv):
-            u = Uv.tolist()
-            X, frames = rollout_flat(x0, u, v, cfg.T_m, path)
-            S = sensitivity_flat(X, u, frames, v, cfg.T_m, path)
+            X, frames, S = linearize_flat(x0, Uv.tolist(), v, cfg.T_m, path)
             qp = linearized_qp(S, X, Uv, u_prev, Uref, weights,
                                cfg.constraints)
             return qp, S, X, frames

@@ -95,7 +95,12 @@ def _nmpc_kwargs(lp: dict) -> dict:
     if "lambda" in lp:
         kwargs["lam"] = _number(lp.pop("lambda"), "lambda")
     if "terminal_weight" in lp:
-        kwargs["P"] = lp.pop("terminal_weight")
+        P = lp.pop("terminal_weight")
+        if not (isinstance(P, list) and len(P) == 3 and all(
+                isinstance(row, list) and len(row) == 3 for row in P)):
+            raise ConfigError("terminal_weight must be 3 rows of 3 numbers")
+        kwargs["P"] = np.array([[_number(v, "terminal_weight") for v in row]
+                                for row in P])
     _reject_unknown(lp, "law_params")
     return kwargs
 
@@ -167,7 +172,7 @@ def scenario_from_config(doc: dict) -> Scenario:
             converge_band=_number(_take(d, "converge_band", 0.1),
                                   "converge_band"),
             initial_input=initial_input)
-    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric P
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     _reject_unknown(d, "config")
     return Scenario(**kwargs)

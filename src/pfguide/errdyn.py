@@ -3,9 +3,9 @@
 State x = (x_e, y_e, z): along-track error [m], cross-track error [m] and
 the bounded path variable z = 1/(omega+1).  Input u = (u, psi, u_tar):
 surge reference [m/s], heading reference [rad], virtual-target velocity
-[m/s].  The sway velocity v is the only disturbance.  Both predictive laws
-predict with rollout_flat: one path frame per predicted step and the
-error dynamics evaluated in place, on plain floats.
+[m/s].  The sway velocity v is the only disturbance.  rollout_flat
+predicts with one path frame per step and the error dynamics evaluated
+in place, on plain floats; the two passes of pnmpc take the same step.
 """
 
 from __future__ import annotations

@@ -12,29 +12,31 @@ SGLOS law as terminal controller: the model is linearized with the
 analytic Jacobians of the pnmpc module and the SGLOS gain is taken in
 closed form.
 
-The solver is an SQP.  Each major iteration linearizes the prediction
-with the exact sensitivities, solves the strictly convex QP that
-pnmpc.linearized_qp builds for the step and backtracks on the true
-nonlinear cost (Armijo).  A QP step that is not a certified descent
-direction, or a line search with no acceptable trial down to alpha =
-1e-7, keeps the incumbent, logs a warning and ends the solve at the
-stationarity residual it has.  Each QP is handed the working set the
-previous QP of the solve ended on (the first starts from an empty set),
-so a QP whose optimal set has not changed is settled by one KKT solve
-(qp.solve_qp).  The QP's Hessian starts as Gauss-Newton, 2(S'WS + diag
-r).  Far from the path the residuals are large and that Hessian only
-contracts the stationarity residual linearly, so from the first major
-iteration that leaves more than STALL_RATIO of the previous residual to
-the end of the solve, the exact second-order term of the rollout
-(pnmpc.curvature_flat) is added.  _convexified makes that sum positive
-definite; it keeps the curvature along the constraints active at the
-zero step unless the sum couples them strongly to the other directions.
-Near convergence, where the predicted decrease falls below the rounding
-of J, the line search also takes a trial whose cost rises by no more
-than that rounding, 10 eps |J|.  The constant hold of the previous input
-is always feasible, so a feasible incumbent exists from the start and
-only improves, up to that rounding.  The fast law in the pnmpc module is
-the first full step of this SQP from that hold.
+The solver is an SQP on the fast law's two passes.  Each major iteration
+linearizes the prediction along the incumbent (pnmpc.linearize_flat),
+solves the strictly convex QP of pnmpc.linearized_qp for the step and
+backtracks on the true nonlinear cost (Armijo).  A QP step that is not a
+certified descent direction, or a line search with no acceptable trial
+down to alpha = 1e-7, keeps the incumbent, logs a warning and ends the
+solve at the stationarity residual it has.  Each QP is handed the
+working set the previous QP of the solve ended on (the first starts from
+an empty set), so a QP whose optimal set has not changed is settled by
+one KKT solve (qp.solve_qp).  The QP's Hessian starts as Gauss-Newton,
+2(S'WS + diag r).  Far from the path the residuals are large and that
+Hessian only contracts the stationarity residual linearly, so from the
+first major iteration that leaves more than STALL_RATIO of the previous
+residual to the end of the solve, the exact second-order term of the
+rollout (pnmpc.curvature_flat) is added.  _convexified makes that sum
+positive definite; it keeps the curvature along the constraints active
+at the zero step unless the sum couples them strongly to the other
+directions.  Near convergence, where the predicted decrease falls below
+the rounding of J, the line search also takes a trial whose cost rises
+by no more than that rounding, 10 eps |J|.  The constant hold of the
+previous input is always feasible, so a feasible incumbent exists from
+the start and only improves, up to that rounding; the previous plan, its
+shift and the answer are projected onto the constraints by
+pnmpc.projected_rollout_flat.  The fast law in the pnmpc module is the
+first full step of this SQP from that hold.
 """
 
 from __future__ import annotations
@@ -47,15 +49,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errdyn import GuidanceState, InputCmd, rollout_flat
+from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import PathDef, omega_of_z, path_frame
-from .pnmpc import (SolveResult, cost_weights, curvature_flat,
-                    horizon_cost_flat, horizon_weights, jacobian_block,
-                    linearized_qp, reference_stack, sensitivity_flat,
-                    snap_feasible, stack_inputs, stage_cost_flat,
-                    state_jacobian, zero_start)
+from .pnmpc import (SolveResult, _qp_at, _sqp_rows, cost_weights,
+                    curvature_flat, horizon_cost_flat, horizon_weights,
+                    jacobian_block, linearize_flat, projected_rollout_flat,
+                    reference_stack, stage_cost_flat, state_jacobian,
+                    zero_start)
 from .qp import QPProblem, QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
@@ -129,11 +131,18 @@ class NMPCConfig:
             raise ValueError(f"guidance period must be positive, got {self.T_m}")
         if self.P is not None:
             P = np.asarray(self.P, dtype=float)
-            if P.shape != (3, 3) or not np.allclose(P, P.T, atol=1e-9):
+            if P.shape != (3, 3):
                 raise ValueError("P must be a symmetric 3x3 matrix")
-            if np.min(np.linalg.eigvalsh(0.5 * (P + P.T))) <= 0.0:
+            # Huge finite entries may overflow in the sums: tested below.
+            with np.errstate(over="ignore", invalid="ignore"):
+                P_sym = 0.5 * (P + P.T)
+                if not (np.all(np.isfinite(P)) and np.all(np.isfinite(P_sym))):
+                    raise ValueError("P and its symmetric part must be finite")
+                if not np.allclose(P, P.T, atol=1e-9):
+                    raise ValueError("P must be a symmetric 3x3 matrix")
+            if np.min(np.linalg.eigvalsh(P_sym)) <= 0.0:
                 raise ValueError("P must be positive definite")
-            object.__setattr__(self, "P", 0.5 * (P + P.T))
+            object.__setattr__(self, "P", P_sym)
 
     def terminal_weight(self) -> np.ndarray:
         if self.P is None:
@@ -283,31 +292,30 @@ class NMPCSolver:
     def __init__(self, cfg: NMPCConfig, path: PathDef):
         self.cfg = cfg
         self.path = path
-        self._qp_weights = horizon_weights(cfg)
+        W, r = horizon_weights(cfg)
+        self._qp_consts = (W, r, 2.0 * r, _sqp_rows(cfg.N, cfg.constraints))
         self._zero_warm = zero_start(cfg.N)
         self._weights = cost_weights(cfg)
 
     def _candidates(self, x0, v_k, u_prev, warm):
         """Best of the held previous input and, given a warm start, its
-        sequence and its shifted sequence: (U, states, frames, cost)."""
+        plan and shifted plan, both projected: (U, cost, frame at x0)."""
         cfg = self.cfg
-        cands = [stack_inputs([u_prev] * cfg.N)]
+        seqs = ()
         if warm is not None and len(warm.u_seq) == cfg.N:
-            cands.append(np.array(snap_feasible(
-                stack_inputs(warm.u_seq), u_prev, cfg.constraints)[1]))
             tail = sglos(GuidanceState(*warm.x_flat[-3:]), self.path,
                          cfg.terminal_law)
-            shifted = tuple(warm.u_seq[1:]) + (tail,)
-            cands.append(np.array(snap_feasible(
-                stack_inputs(shifted), u_prev, cfg.constraints)[1]))
-        best = None
-        for U in cands:
-            u_flat = U.tolist()
-            X, frames = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
-            J = horizon_cost_flat(X, u_flat, self._weights)
-            if best is None or J < best[3]:
-                best = (U, X, frames, J)
-        return best
+            seqs = (warm.u_seq, tuple(warm.u_seq[1:]) + (tail,))
+        U = [u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N
+        X, frames = rollout_flat(x0, U, v_k, cfg.T_m, self.path)
+        J = horizon_cost_flat(X, U, self._weights)
+        for seq in seqs:
+            cmds, _, J_seq = projected_rollout_flat(
+                flat_inputs(seq), u_prev, x0, frames[0], v_k, cfg.T_m,
+                self.path, cfg.constraints, self._weights)
+            if J_seq < J:
+                U, J = flat_inputs(cmds), J_seq
+        return np.array(U), J, frames[0]
 
     def solve(self, x_k: GuidanceState, v_k: float, u_prev: InputCmd,
               warm: Optional[SolveResult] = None,
@@ -315,8 +323,9 @@ class NMPCSolver:
         t0 = timer()
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
+        T_m, path = cfg.T_m, self.path
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
-        U, X, frames, J = self._candidates(x0, v_k, u_prev, warm)
+        U, J, frame0 = self._candidates(x0, v_k, u_prev, warm)
         Uref = reference_stack(cfg, u_prev.psi)
 
         kkt = math.inf
@@ -326,9 +335,8 @@ class NMPCSolver:
         for it in range(1, self.max_iterations + 1):
             prev_kkt = kkt
             u_flat = U.tolist()
-            S = sensitivity_flat(X, u_flat, frames, v_k, cfg.T_m, self.path)
-            qp = linearized_qp(S, X, U, u_prev, Uref, self._qp_weights,
-                               cfg.constraints)
+            X, frames, S = linearize_flat(x0, u_flat, v_k, T_m, path)
+            qp = _qp_at(S, X, U, U - Uref, u_prev, self._qp_consts)
             active = _active_at_zero(qp.lb, qp.ub)
             kkt = _stationarity_residual(qp.g, qp.A, active)
             if kkt <= self.kkt_tol:
@@ -336,8 +344,8 @@ class NMPCSolver:
             exact = exact or kkt > STALL_RATIO * prev_kkt
             if exact:  # a new problem, so QPProblem checks the new H
                 qp = QPProblem(_convexified(
-                    qp.H + curvature_flat(S, X, u_flat, frames, v_k, cfg.T_m,
-                                          self.path, self._qp_weights[0]),
+                    qp.H + curvature_flat(S, X, u_flat, frames, v_k, T_m,
+                                          path, self._qp_consts[0]),
                     qp.H, qp.A.take(active[0], axis=0)),
                     qp.g, qp.A, qp.lb, qp.ub)
             qsol = solve_qp(qp, warm=qp_warm)
@@ -362,9 +370,9 @@ class NMPCSolver:
             while alpha >= 1e-7:
                 U_try = U + alpha * delta
                 u_try = U_try.tolist()
-                X_try, frames_try = rollout_flat(x0, u_try, v_k, cfg.T_m,
-                                                 self.path)
-                J_try = horizon_cost_flat(X_try, u_try, self._weights)
+                J_try = horizon_cost_flat(
+                    rollout_flat(x0, u_try, v_k, T_m, path)[0], u_try,
+                    self._weights)
                 if J_try <= J + 1e-4 * alpha * gd or (
                         J_try - J <= rounding and -alpha * gd <= rounding):
                     break
@@ -375,15 +383,14 @@ class NMPCSolver:
                     "down to alpha 1e-7, KKT residual %.3e, g.d = %.3e); "
                     "keeping the incumbent", it, kkt, gd)
                 break
-            U, X, frames, J = U_try, X_try, frames_try, J_try
+            U, J = U_try, J_try
         else:
             logger.warning(
                 "SQP stopped at the iteration cap (%d) with KKT residual "
                 "%.3e above the tolerance %.1e", self.max_iterations, kkt,
                 self.kkt_tol)
 
-        u_seq, u_flat = snap_feasible(U, u_prev, cfg.constraints)
-        if u_flat != U.tolist():  # else X and J belong to u_seq already
-            X, _ = rollout_flat(x0, u_flat, v_k, cfg.T_m, self.path)
-            J = horizon_cost_flat(X, u_flat, self._weights)
+        u_seq, X, J = projected_rollout_flat(
+            U.tolist(), u_prev, x0, frame0, v_k, T_m, path, cfg.constraints,
+            self._weights)
         return SolveResult(u_seq, X, J, iters, kkt, timer() - t0)

@@ -6,7 +6,9 @@ X(U) + S . delta, and the horizon cost becomes one strictly convex QP in
 the per-step input perturbation delta, started from delta = 0.  The
 nonlinear law iterates it with a line search; the fast law (PNMPCSolver)
 is the first full step of that SQP from the held previous input, a
-real-time iteration.  It has two sources of S (LINEARIZATIONS):
+real-time iteration.  Both walk the horizon in the same two passes,
+linearize_flat and projected_rollout_flat.  The fast law has two
+sources of S (LINEARIZATIONS):
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
@@ -152,42 +154,6 @@ def state_jacobian(x0: GuidanceState, u0: InputCmd, v0: float,
     return np.array(A)
 
 
-def sensitivity_flat(X: Sequence[float], U: Sequence[float],
-                     frames: Sequence[Frame], v: float, T_m: float,
-                     path: PathDef) -> np.ndarray:
-    """Exact first-order sensitivity of the Euler rollout, on plain floats.
-
-    X stacks states 0..N, U the inputs and frames the path frame of each
-    step, as rollout_flat returns them.  Maps per-step absolute input
-    perturbations (stacked, 3N) to the stacked predicted-state
-    perturbations (states 1..N).
-
-    Block (i, i) is T_m B_i and block row i below the diagonal is
-    (I + T_m A_i) times block row i-1, scaled and summed on floats.  The
-    structural zeros of B_i and A_i are skipped: T_m, the rollout's dt, is
-    finite and positive, so they scale to 0.0.  The products keep the
-    operands and layouts of a per-block build, so the bits are the same.
-    """
-    n = 3 * len(frames)
-    S = np.zeros((n, n))
-    flat = S.ravel()  # a view: entry (i, j) of S is flat[i n + j]
-    for r, frame in zip(range(0, n, 3), frames):
-        B, A = _jacobians(X[r], X[r + 1], X[r + 2], U[r], U[r + 1], U[r + 2],
-                          v, frame, path)
-        (b00, b01, b02), (b10, b11, b12), (_, _, b22) = B
-        k = r * (n + 1)
-        flat[k:k + 3] = (T_m * b00, T_m * b01, T_m * b02)
-        flat[k + n:k + n + 3] = (T_m * b10, T_m * b11, T_m * b12)
-        flat[k + 2 * n + 2] = T_m * b22
-        if r:
-            (_, a01, a02), (a10, _, a12), (_, _, a22) = A
-            Ad = np.array((1.0, 0.0 + T_m * a01, 0.0 + T_m * a02,
-                           0.0 + T_m * a10, 1.0, 0.0 + T_m * a12,
-                           0.0, 0.0, 1.0 + T_m * a22)).reshape(3, 3)
-            S[r:r + 3, :r] = Ad.dot(S[r - 3:r, :r])
-    return S
-
-
 def _weighted_hessian(xe: float, ye: float, z: float, u: float, psi: float,
                       u_tar: float, v: float, frame: Frame, path: PathDef,
                       p: Sequence[float]) -> list:
@@ -240,15 +206,16 @@ def curvature_flat(S: np.ndarray, X: Sequence[float], U: Sequence[float],
                    path: PathDef, W: np.ndarray) -> np.ndarray:
     """Second-order term of the exact Hessian of the horizon cost in U.
 
-    With S, X, U and frames as for sensitivity_flat and W the state weight
-    of horizon_weights, returns the 3N x 3N matrix
+    With X, frames and S from linearize_flat along the stacked inputs U
+    and W the state weight of horizon_weights, returns the 3N x 3N matrix
 
         M = sum_j G_j' (sum_i p_{j+1,i} T_m Hess f_i(x_j, u_j)) G_j,
 
     G_j = [Z_j; E_j], where Z_j are the state-sensitivity rows of S
-    (Z_0 = 0), E_j picks out u_j and p is the costate of one backward pass: p_N = 2 W_N x_N and
-    p_j = 2 W_j x_j + (I + T_m A_j)' p_{j+1}.  The Gauss-Newton Hessian
-    2(S'WS + diag r) plus M is the exact Hessian of the cost.
+    (Z_0 = 0), E_j picks out u_j and p is the costate of one backward
+    pass: p_N = 2 W_N x_N and p_j = 2 W_j x_j + (I + T_m A_j)' p_{j+1}.
+    The Gauss-Newton Hessian 2(S'WS + diag r) plus M is the exact Hessian
+    of the cost.
     """
     N = len(frames)
     n = 3 * N
@@ -300,12 +267,15 @@ def sensitivity_along(states: Sequence[GuidanceState],
 
     Maps per-step absolute input perturbations (stacked, 3N) to the stacked
     predicted-state perturbations (states 1..N).  Jacobians are evaluated
-    along the supplied trajectory.
+    along the supplied trajectory, which must be the rollout of u_seq from
+    states[0]: its states 0..N, or 0..N-1.  Raises ValueError otherwise.
     """
-    N = len(u_seq)
-    X = [c for x in states[:N] for c in (x.x_e, x.y_e, x.z)]
-    frames = [path_frame(path, omega_of_z(x.z)) for x in states[:N]]
-    return sensitivity_flat(X, flat_inputs(u_seq), frames, v, T_m, path)
+    x0 = states[0]
+    X, _, S = linearize_flat((x0.x_e, x0.y_e, x0.z), flat_inputs(u_seq), v,
+                             T_m, path)
+    if [c for x in states for c in (x.x_e, x.y_e, x.z)] not in (X, X[:-3]):
+        raise ValueError("states must be the rollout of u_seq from states[0]")
+    return S
 
 
 @lru_cache(maxsize=8)
@@ -421,27 +391,6 @@ def reference_stack(cfg: "NMPCConfig", psi_branch: float) -> np.ndarray:
     return np.array([cfg.u_r, unwrap_near(0.0, psi_branch), cfg.u_r] * cfg.N)
 
 
-def snap_feasible(U: np.ndarray, u_prev: InputCmd, c: InputConstraints
-                  ) -> Tuple[Tuple[InputCmd, ...], List[float]]:
-    """Chain-project a stacked input sequence into U and U_g exactly.
-
-    The QP enforces the constraints to solver tolerance; this final pass
-    replays the same projection the membership checks use so the returned
-    commands satisfy them bit-exactly.  Each step goes through
-    los.clamp_flat on plain floats, the projection clamp_inputs applies,
-    with the previous step's projected surge and heading.  Returns the
-    commands and their flat_inputs stack.
-    """
-    cmds, flat = [], []
-    u, psi = u_prev.u, u_prev.psi
-    Ul = U.tolist()
-    for j in range(0, len(Ul) - 2, 3):
-        u, psi, u_tar = clamp_flat(Ul[j], Ul[j + 1], Ul[j + 2], u, psi, c)
-        cmds.append(InputCmd(u, psi, u_tar))
-        flat += (u, psi, u_tar)
-    return tuple(cmds), flat
-
-
 def cost_weights(cfg: "NMPCConfig") -> tuple:
     """The horizon cost's weights as plain floats, for horizon_cost_flat:
     the Q and R diagonals, the input reference, lambda and the terminal
@@ -494,32 +443,43 @@ def horizon_cost(x_k: GuidanceState, states: Sequence[GuidanceState],
     return horizon_cost_flat(X, flat_inputs(u_seq), cost_weights(cfg))
 
 
-def _hold_sensitivity(x0: Sequence[float], u: float, psi: float,
-                      u_tar: float, N: int, v: float, T_m: float,
-                      path: PathDef) -> Tuple[List[float], Frame, np.ndarray]:
-    """rollout_flat of the hold [(u, psi, u_tar)] * N and sensitivity_flat
-    along it, in one loop: the stacked states 0..N, the step-0 frame and S.
+@lru_cache(maxsize=8)
+def _block_index(n: int) -> np.ndarray:
+    """Where linearize_flat's T_m B_i go in S.ravel(), zeros skipped."""
+    k = np.arange(0, n * n, 3 * n + 3)[:, None]  # entry (0, 0) of each block
+    return _read_only((k + (0, 1, 2, n, n + 1, n + 2, 2 * n + 2)).ravel())
 
-    Each step is rollout_flat's step, with its checks, errors and z clamp,
-    and writes T_m B_i into S as sensitivity_flat does; the two share the
-    heading trig and the entries of B that the Euler step reads, the same
-    IEEE operations.  Step 0 needs no A, so path.deriv3 runs from step 1.
-    The block products come after the rollout, as sensitivity_flat's come
-    after rollout_flat's: a state that escapes raises StateEscape before
+
+def linearize_flat(x0: Sequence[float], U: Sequence[float], v: float,
+                   T_m: float, path: PathDef
+                   ) -> Tuple[List[float], List[Frame], np.ndarray]:
+    """Pass 1: rollout_flat of the stacked inputs U from x0 (states and
+    frames) and the exact first-order sensitivity S along it, in one loop.
+
+    S maps per-step input perturbations (stacked, 3N) to those of states
+    1..N: block (i, i) is T_m B_i and block row i below the diagonal is
+    (I + T_m A_i) times block row i-1, B_i and A_i as in _jacobians.  Each
+    step is rollout_flat's, with its checks, errors and z clamp.  The
+    block products follow the rollout, in the operand layouts of a
+    per-block build, so a state that escapes raises StateEscape before
     numpy sees a non-finite A.
     """
     if not (isfinite(T_m) and T_m > 0.0):
         raise ValueError(f"dt must be finite and positive, got {T_m!r}")
-    if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
-        raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
+    n = len(U)
+    if n % 3:
+        raise ValueError(f"inputs must stack (u, psi, u_tar) per step, got "
+                         f"{n} values")
     deriv, deriv2, deriv3 = path.deriv, path.deriv2, path.deriv3
-    n = 3 * N
-    S = np.zeros((n, n))
-    flat = S.ravel()  # a view: entry (i, j) of S is flat[i n + j]
     xe, ye, z = x0
     X = [xe, ye, z]
+    frames = []
+    B = []  # the entries of each T_m B_i, in _block_index(n) order
     Ads = []  # I + T_m A_i for steps 1..N-1
     for r in range(0, n, 3):
+        u, psi, u_tar = U[r], U[r + 1], U[r + 2]
+        if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
+            raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
         omega = 1.0 / z - 1.0
         dx, dy = deriv(omega)
         F = hypot(dx, dy)
@@ -530,8 +490,7 @@ def _hold_sensitivity(x0: Sequence[float], u: float, psi: float,
             phi_p = wrap_angle(phi_p)
         ddx, ddy = deriv2(omega)
         dphi_dw = (dx * ddy - dy * ddx) / (F * F)
-        if not r:
-            frame0 = (phi_p, F, dphi_dw, dx, dy, ddx, ddy)
+        frames.append((phi_p, F, dphi_dw, dx, dy, ddx, ddy))
         dpsi = psi - phi_p
         if not -pi < dpsi <= pi:
             dpsi = wrap_angle(dpsi)
@@ -540,10 +499,8 @@ def _hold_sensitivity(x0: Sequence[float], u: float, psi: float,
         kw = dphi_dw / F
         b02 = kw * ye - 1.0
         b11 = u * c - v * s
-        k = r * (n + 1)
-        flat[k:k + 3] = (T_m * c, T_m * (-u * s - v * c), T_m * b02)
-        flat[k + n:k + n + 3] = (T_m * s, T_m * b11, T_m * (-kw * xe))
-        flat[k + 2 * n + 2] = T_m * (-z * z / F)
+        B += (T_m * c, T_m * (-u * s - v * c), T_m * b02, T_m * s,
+              T_m * b11, T_m * (-kw * xe), T_m * (-z * z / F))
         us_vc = u * s + v * c
         a01 = u_tar * kw
         if r:
@@ -565,23 +522,28 @@ def _hold_sensitivity(x0: Sequence[float], u: float, psi: float,
                               f"{(xe, ye, z)!r}")
         xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
         X += (xe, ye, z)
+    S = np.zeros((n, n))
+    S.ravel()[_block_index(n)] = B  # ravel() is a view of S
     for r, Ad in zip(range(3, n, 3), Ads):
         S[r:r + 3, :r] = Ad.dot(S[r - 3:r, :r])
-    return X, frame0, S
+    return X, frames, S
 
 
-def _step_rollout(U: Sequence[float], u_prev: InputCmd, x0: Sequence[float],
-                  frame0: Frame, v: float, T_m: float, path: PathDef,
-                  c: InputConstraints, weights: tuple
-                  ) -> Tuple[Tuple[InputCmd, ...], List[float], float]:
-    """snap_feasible, rollout_flat and horizon_cost_flat in one loop: the
-    projected commands, the stacked states 0..N under them and their cost.
+def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
+                           x0: Sequence[float], frame0: Frame, v: float,
+                           T_m: float, path: PathDef, c: InputConstraints,
+                           weights: tuple
+                           ) -> Tuple[Tuple[InputCmd, ...], List[float],
+                                      float]:
+    """Pass 2: the commands of the stacked inputs U chain-projected into
+    U and U_g, the stacked states 0..N under them from x0 and their cost.
 
-    U stacks the QP's inputs; frame0 is the path frame at x0, which step 0
-    reuses.  Each step chain-projects its input through clamp_flat, takes
-    rollout_flat's Euler step with its errors and z clamp, and adds the
-    stage cost; the terminal cost comes last, as in horizon_cost_flat.  A
-    non-finite input raises InputCmd's ValueError, as snap_feasible does.
+    Each step goes through los.clamp_flat, the projection the membership
+    checks use, so the commands meet the constraints bit-exactly, where
+    the QP meets them to solver tolerance.  It then takes rollout_flat's
+    Euler step, with its errors and z clamp, and adds its stage cost;
+    step 0 reuses frame0, the path frame at x0.  weights come from
+    cost_weights.  A non-finite input raises InputCmd's ValueError.
     """
     if not (isfinite(T_m) and T_m > 0.0):
         raise ValueError(f"dt must be finite and positive, got {T_m!r}")
@@ -636,9 +598,9 @@ class PNMPCSolver:
     """Fast guidance step: one full SQP step from the held previous input.
 
     Holds only per-configuration constants, so a step depends on its
-    arguments alone.  A step is two passes on plain floats around the QP:
-    the hold's rollout with its linearization, then the projection of the
-    QP's step, its rollout and its cost.
+    arguments alone.  A step is linearize_flat along the hold (frozen: the
+    hold's rollout and J at its step-0 frame), the QP, then
+    projected_rollout_flat of the QP's step.
     """
 
     def __init__(self, cfg: "NMPCConfig", path: PathDef,
@@ -665,16 +627,15 @@ class PNMPCSolver:
         require_in_box(u_prev, c)
         u, psi, u_tar = u_prev.u, u_prev.psi, u_prev.u_tar
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
+        hold = [u, psi, u_tar] * N
         if self.linearization == "exact":
-            X, frame0, S = _hold_sensitivity(x0, u, psi, u_tar, N, v_k, T_m,
-                                             path)
+            X, frames, S = linearize_flat(x0, hold, v_k, T_m, path)
         else:
-            X, frames = rollout_flat(x0, [u, psi, u_tar] * N, v_k, T_m, path)
-            frame0 = frames[0]
-            J = jacobian_block(x_k, u_prev, v_k, path).m
-            S = np.kron(np.tril(np.ones((N, N))), T_m * J)
+            X, frames = rollout_flat(x0, hold, v_k, T_m, path)
+            B = _jacobians(*x0, u, psi, u_tar, v_k, frames[0], path)[0]
+            S = np.kron(np.tril(np.ones((N, N))), T_m * np.array(B))
         u_r = cfg.u_r
-        U = np.array([u, psi, u_tar] * N)
+        U = np.array(hold)
         # U - reference_stack(cfg, psi), subtracted on floats
         dev = np.array([u - u_r, psi - unwrap_near(0.0, psi), u_tar - u_r] * N)
         qsol = solve_qp(_qp_at(S, X, U, dev, u_prev, self._qp_consts),
@@ -682,8 +643,8 @@ class PNMPCSolver:
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        u_seq, X, cost = _step_rollout((U + qsol.x).tolist(), u_prev, x0,
-                                       frame0, v_k, T_m, path, c,
-                                       self._weights)
+        u_seq, X, cost = projected_rollout_flat(
+            (U + qsol.x).tolist(), u_prev, x0, frames[0], v_k, T_m, path, c,
+            self._weights)
         return SolveResult(u_seq, X, cost, qsol.iterations,
                            qsol.kkt_residual, timer() - t0)

@@ -221,6 +221,29 @@ class TestCLI:
                              "--out", str(tmp_path / "x.csv")]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("P", [
+        [[math.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+        [[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+        ids=["infinite", "nan", "sum-overflows", "two-rows"])
+    def test_non_finite_terminal_weight_exit_code(self, tmp_path, capsys,
+                                                  monkeypatch, P):
+        """A terminal weight that is not 3 rows of finite numbers, or whose
+        symmetric part overflows, is refused before the run: one config
+        error line, no traceback and no RuntimeWarning."""
+        doc = json.loads((CONFIGS / "transient.json").read_text())
+        doc["law_params"]["terminal_weight"] = P
+        self.no_simulation(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config",
+                         self.write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "terminal_weight" in err[0] or "P " in err[0]
+        assert not out.exists()
+
     def test_non_finite_number_exit_code(self, tmp_path, capsys):
         # json.dumps writes NaN, which Python's json reads back
         cfgfile = self.write_config(tmp_path, dict(BASE, duration=math.nan))
@@ -342,6 +365,21 @@ class TestCLI:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert not (outdir / "report.json").is_file()
+
+    def test_compare_checks_every_output_before_the_first_run(
+            self, tmp_path, capsys, monkeypatch):
+        """An output of a later law that cannot be written stops compare
+        before any law runs, and no earlier law's CSV is written."""
+        self.no_simulation(monkeypatch)
+        cfgfile = self.write_config(tmp_path, BASE)
+        outdir = tmp_path / "cmp"
+        (outdir / "pnmpc.csv").mkdir(parents=True)
+        assert cli.main(["compare", "--config", cfgfile,
+                         "--laws", "sglos,pnmpc", "--out", str(outdir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "pnmpc.csv" in err[0]
+        assert sorted(p.name for p in outdir.iterdir()) == ["pnmpc.csv"]
 
     def test_check_derivatives(self, capsys):
         assert cli.main(["check-derivatives", "--samples", "50"]) == 0

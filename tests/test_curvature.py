@@ -17,13 +17,12 @@ from pfguide import (GuidanceState, InputCmd, NMPCConfig, NMPCSolver,
                      case_study_path, compute_metrics, line_path,
                      make_config, polynomial_path, realistic_scenario,
                      run_scenario, transient_scenario)
-from pfguide.errdyn import rollout_flat
 from pfguide.los import InputConstraints
 from pfguide.nmpc import (KKT_TOL, MAX_MAJOR_ITER, _PENALTY,
                          _active_at_zero, _convexified,
                          _stationarity_residual)
 from pfguide.pnmpc import (_sqp_rows, curvature_flat, horizon_weights,
-                           linearized_qp, reference_stack, sensitivity_flat)
+                           linearize_flat, linearized_qp, reference_stack)
 
 PATHS = {"line": line_path(origin=(1.0, -2.0), direction=(0.6, 0.8)),
          "cubic": polynomial_path([0.0, 1.0, 0.01, 1e-4],
@@ -45,9 +44,7 @@ sways = st.floats(min_value=-0.15, max_value=0.15)
 
 
 def linearize(x0, U, v, path, u_prev):
-    u = U.tolist()
-    X, frames = rollout_flat(x0, u, v, CFG.T_m, path)
-    S = sensitivity_flat(X, u, frames, v, CFG.T_m, path)
+    X, frames, S = linearize_flat(x0, U.tolist(), v, CFG.T_m, path)
     qp = linearized_qp(S, X, U, u_prev, reference_stack(CFG, u_prev.psi),
                        WEIGHTS, CFG.constraints)
     return qp, S, X, frames

@@ -66,6 +66,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             NMPCConfig(P=np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
 
+    @pytest.mark.parametrize("P", [
+        [[math.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]],
+        [[1e308, 1e308, 0.0], [1e308, 1e308, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 1.7e308, 0.0], [-1.7e308, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+        ids=["infinite", "nan", "sum-overflows", "difference-overflows"])
+    def test_terminal_weight_must_be_finite(self, P):
+        """A P that is not finite, or whose symmetric part 0.5 (P + P')
+        overflows, is refused with a ValueError naming P; the overflow
+        raises no RuntimeWarning."""
+        with pytest.raises(ValueError, match="^P "):
+            NMPCConfig(P=np.array(P))
+
     @pytest.mark.parametrize("N", [2.0, True])
     def test_horizon_must_be_an_int_not_a_boolean(self, N):
         with pytest.raises(ValueError, match="horizon"):
@@ -377,7 +390,7 @@ class TestSQPWork:
         x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
             InputCmd(0.0, 0.56, 0.01)
         solver = NMPCSolver(demo_config, demo_path)
-        best_U, _, _, best_J = solver._candidates(
+        best_U, best_J, _ = solver._candidates(
             (x.x_e, x.y_e, x.z), 0.0, u_prev, None)
         problems = []
         real_cost = nmpc_mod.horizon_cost_flat
@@ -411,7 +424,7 @@ class TestSQPWork:
         x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
             InputCmd(0.0, 0.56, 0.01)
         solver = NMPCSolver(demo_config, demo_path)
-        best_U, _, _, best_J = solver._candidates(
+        best_U, best_J, _ = solver._candidates(
             (x.x_e, x.y_e, x.z), 0.0, u_prev, None)
         problems = []
 
@@ -433,7 +446,7 @@ class TestSQPWork:
         """Every QP carries, bit for bit, the Hessian its linearization
         built or _convexified's output for it: no damping term is added."""
         built, carried = [], []
-        real_qp, real_conv = nmpc_mod.linearized_qp, nmpc_mod._convexified
+        real_qp, real_conv = nmpc_mod._qp_at, nmpc_mod._convexified
         real_solve = nmpc_mod.solve_qp
 
         def lin(*args):
@@ -450,7 +463,7 @@ class TestSQPWork:
             carried.append(prob.H.tobytes() in built)
             return real_solve(prob, warm=warm)
 
-        for name, fake in (("linearized_qp", lin), ("_convexified", conv),
+        for name, fake in (("_qp_at", lin), ("_convexified", conv),
                            ("solve_qp", solve)):
             monkeypatch.setattr(nmpc_mod, name, fake)
         run_scenario(realistic_scenario("nmpc", duration=20.0))

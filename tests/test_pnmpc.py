@@ -11,8 +11,10 @@ from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
                      NMPCConfig, NMPCSolver, PNMPCSolver, QPFailure,
                      QPProblem, QPSolution, case_study_path, dynamics,
                      horizon_cost, jacobian_block, line_path, make_config,
-                     polynomial_path, run_scenario, sample_path, solve_qp,
+                     polynomial_path, run_scenario, sample_path, sglos,
+                     solve_qp,
                      transient_scenario, wrap_angle, z_of_omega)
+from pfguide import nmpc as nmpc_mod
 from pfguide import pnmpc
 from pfguide.errdyn import (Z_MIN, dynamics_flat, flat_inputs, rollout,
                             rollout_flat)
@@ -20,8 +22,7 @@ from pfguide.exceptions import NonRegularPath, StateEscape
 from pfguide.los import clamp_inputs
 from pfguide.paths import path_frame
 from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
-                           sensitivity_along, snap_feasible, stack_inputs,
-                           stack_states)
+                           sensitivity_along, stack_inputs, stack_states)
 
 
 class TestJacobianBlock:
@@ -94,9 +95,8 @@ def frozen_operator(monkeypatch, cfg, path, x, up, v, Jm=None):
         return real(S, *args)
 
     monkeypatch.setattr(pnmpc, "_qp_at", capture)
-    if Jm is not None:
-        monkeypatch.setattr(pnmpc, "jacobian_block",
-                            lambda *args: JacobianBlock(Jm))
+    if Jm is not None:  # the frozen step's only call of _jacobians
+        monkeypatch.setattr(pnmpc, "_jacobians", lambda *args: (Jm, None))
     PNMPCSolver(cfg, path, "frozen").solve(x, v, up)
     assert len(captured) == 1
     return captured[0]
@@ -226,6 +226,25 @@ class TestSensitivity:
         fd = (pred(U0 + h * d) - pred(U0 - h * d)) / (2 * h)
         assert np.allclose(S @ d, fd, atol=1e-7)
 
+    def test_refuses_states_that_are_not_the_rollout(self, demo_path,
+                                                     demo_config):
+        """The states must be the rollout of u_seq from states[0], with or
+        without the last state."""
+        T_m = demo_config.T_m
+        x = GuidanceState(2.0, -1.5, 0.25)
+        hold = [InputCmd(0.12, 0.3, 0.2)] * demo_config.N
+        states = rollout(x, hold, 0.02, T_m, demo_path)
+        S = sensitivity_along(states, hold, 0.02, T_m, demo_path)
+        assert S.tobytes() == sensitivity_along(states[:-1], hold, 0.02, T_m,
+                                                demo_path).tobytes()
+        nudged = replace(states[2], y_e=states[2].y_e + 1e-9)
+        for bad in (states[:2] + [nudged] + states[3:],
+                    states[:1] + states[2:],
+                    states + [states[-1]],
+                    rollout(x, hold, 0.0, T_m, demo_path)):
+            with pytest.raises(ValueError, match="rollout of u_seq"):
+                sensitivity_along(bad, hold, 0.02, T_m, demo_path)
+
     def test_first_order_residual_locked(self, demo_path, demo_config):
         """||rollout(u+du) - (y_free + G du)|| <= c ||du||^2 with c locked."""
         cfg = demo_config
@@ -252,7 +271,7 @@ class TestSensitivity:
 
 
 def sensitivity_per_block(X, U, frames, v, T_m, path):
-    """Block-by-block reference for pnmpc.sensitivity_flat."""
+    """Block-by-block reference for the S of pnmpc.linearize_flat."""
     N = len(frames)
     S = np.zeros((3 * N, 3 * N))
     for i in range(N):
@@ -267,8 +286,9 @@ def sensitivity_per_block(X, U, frames, v, T_m, path):
 
 
 def snap_feasible_cmds(U, u_prev, c):
-    """Command-by-command reference for pnmpc.snap_feasible: the rate
-    projection, then the box clips, as InputCmds."""
+    """Command-by-command reference for the chain projection of
+    pnmpc.projected_rollout_flat: the rate projection, then the box clips,
+    as InputCmds."""
     def clip(value, lo, hi):
         return lo if value < lo else hi if value > hi else value
 
@@ -461,27 +481,36 @@ class TestPredictionKernelsMatchOldForms:
     @pytest.mark.parametrize("name", sorted(PATHS))
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
     def test_sensitivity_flat(self, name, N):
+        """Pass 1 (linearize_flat) along any stacked inputs is
+        rollout_per_step, its frames and sensitivity_per_block along it."""
         path = self.PATHS[name]
         rng = np.random.default_rng(N)
+        clamped_low = clamped_high = wrapped = 0
         for _ in range(60):
             x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
-                  rng.uniform(0.05, 1.0))
-            U = [c for _ in range(N)
-                 for c in (rng.uniform(0.0, 0.225),
-                           rng.uniform(-4.0, 4.0),
-                           rng.uniform(0.01, 0.75))]
+                  rng.choice([rng.uniform(0.05, 1.0), 1.0, Z_MIN]))
+            U = self._draw_inputs(rng, N)
             v = rng.uniform(-0.15, 0.15)
-            T_m = rng.choice([0.5, 1.0])
-            X, frames = rollout_flat(x0, U, v, T_m, path)
-            got = pnmpc.sensitivity_flat(X, U, frames, v, T_m, path)
-            ref = sensitivity_per_block(X, U, frames, v, T_m, path)
-            assert got.tobytes() == ref.tobytes()
-            assert got.strides == ref.strides
+            T_m = rng.choice([0.1, 0.5, 1.0])
+            X, frames, S = pnmpc.linearize_flat(x0, U, v, T_m, path)
+            ref_X, ref_frames = rollout_per_step(x0, U, v, T_m, path)
+            ref_S = sensitivity_per_block(ref_X, U, ref_frames, v, T_m, path)
+            assert _float_bits(X) == _float_bits(ref_X)
+            assert [_float_bits(f) for f in frames] == \
+                [_float_bits(f) for f in ref_frames]
+            assert S.tobytes() == ref_S.tobytes()
+            assert S.strides == ref_S.strides
+            clamped_low += Z_MIN in X[5::3]
+            clamped_high += 1.0 in X[5::3]
+            wrapped += any(abs(U[j] - f[0]) > math.pi
+                           for j, f in zip(range(1, 3 * N, 3), frames))
+        assert min(clamped_low, clamped_high) >= 5
+        assert wrapped >= 30
 
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_hold_sensitivity(self, name):
-        """PNMPC's first pass is rollout_per_step of the hold, its step-0
-        frame and sensitivity_per_block along it."""
+        """Pass 1 along PNMPC's hold is rollout_per_step of the hold, its
+        frames and sensitivity_per_block along it."""
         path = self.PATHS[name]
         rng = np.random.default_rng(31 + len(name))
         clamped = 0
@@ -492,33 +521,54 @@ class TestPredictionKernelsMatchOldForms:
             hold = self._draw_inputs(rng, 1) * N
             v = rng.uniform(-0.15, 0.15)
             T_m = rng.choice([0.1, 0.5, 1.0])
-            X, frame0, S = pnmpc._hold_sensitivity(x0, *hold[:3], N, v, T_m,
-                                                   path)
+            X, frames, S = pnmpc.linearize_flat(x0, hold, v, T_m, path)
             ref_X, ref_frames = rollout_per_step(x0, hold, v, T_m, path)
             ref_S = sensitivity_per_block(ref_X, hold, ref_frames, v, T_m,
                                           path)
             assert _float_bits(X) == _float_bits(ref_X)
-            assert _float_bits(frame0) == _float_bits(ref_frames[0])
+            assert [_float_bits(f) for f in frames] == \
+                [_float_bits(f) for f in ref_frames]
             assert S.tobytes() == ref_S.tobytes()
             clamped += Z_MIN in X[5::3] or 1.0 in X[5::3]
         assert clamped >= 60
 
+    NEAR_PI = [math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12,
+               math.pi + 0.3, -math.pi - 0.3, 3.0, -3.0, 7.5, -9.0]
+
+    @classmethod
+    def _draw_near_pi(cls, rng, N, c):
+        """Inputs outside the boxes with headings at and across +-pi, and
+        a previous input with its heading there too."""
+        U = np.column_stack([
+            rng.uniform(-0.1, 0.35, N),
+            rng.choice(cls.NEAR_PI, N) + rng.normal(size=N)
+            * rng.choice([0.0, 1e-3, 0.5]),
+            rng.uniform(-0.2, 1.0, N)]).ravel().tolist()
+        prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
+                        wrap_angle(float(rng.choice(cls.NEAR_PI))),
+                        float(rng.uniform(c.eps, c.u_tar_max)))
+        return U, prev
+
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_step_rollout(self, name):
-        """PNMPC's second pass is snap_feasible_cmds, rollout_per_step of
-        the projected inputs and horizon_cost_flat of both."""
+        """Pass 2 (projected_rollout_flat) is snap_feasible_cmds,
+        rollout_per_step of the projected inputs and horizon_cost_flat of
+        both.  Half the draws put the headings at and across +-pi."""
         path = self.PATHS[name]
         c = InputConstraints()
         rng = np.random.default_rng(43 + len(name))
-        clamped = 0
-        for _ in range(200):
+        clamped = crossings = 0
+        for i in range(300):
             N = int(rng.integers(1, 6))
             x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
                   rng.choice([rng.uniform(0.05, 1.0), 1.0, Z_MIN]))
-            U = self._draw_inputs(rng, N)
-            prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
-                            float(rng.uniform(-math.pi, math.pi)),
-                            float(rng.uniform(c.eps, c.u_tar_max)))
+            if i % 2:
+                U, prev = self._draw_near_pi(rng, N, c)
+            else:
+                U = self._draw_inputs(rng, N)
+                prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
+                                float(rng.uniform(-math.pi, math.pi)),
+                                float(rng.uniform(c.eps, c.u_tar_max)))
             v = rng.uniform(-0.15, 0.15)
             T_m = rng.choice([0.1, 0.5, 1.0])
             P = rng.normal(size=(3, 3))
@@ -527,8 +577,8 @@ class TestPredictionKernelsMatchOldForms:
                        (0.15, 0.0, 0.15), rng.uniform(0.5, 2.0),
                        tuple(map(tuple, (P @ P.T).tolist())))
             frame0 = path_frame(path, 1.0 / x0[2] - 1.0)
-            cmds, X, J = pnmpc._step_rollout(U, prev, x0, frame0, v, T_m,
-                                             path, c, weights)
+            cmds, X, J = pnmpc.projected_rollout_flat(
+                U, prev, x0, frame0, v, T_m, path, c, weights)
             ref_cmds = snap_feasible_cmds(np.array(U), prev, c)
             flat = flat_inputs(ref_cmds)
             ref_X, _ = rollout_per_step(x0, flat, v, T_m, path)
@@ -537,7 +587,11 @@ class TestPredictionKernelsMatchOldForms:
             assert _float_bits([J]) == _float_bits(
                 [pnmpc.horizon_cost_flat(ref_X, flat, weights)])
             clamped += Z_MIN in X[5::3]
+            heads = [prev.psi] + [cmd.psi for cmd in cmds]
+            crossings += any(abs(a - b) > math.pi
+                             for a, b in zip(heads, heads[1:]))
         assert clamped >= 30
+        assert crossings >= 40
 
     def test_fused_passes_raise_as_rollout_flat(self):
         path = self.PATHS["case_study"]
@@ -549,18 +603,21 @@ class TestPredictionKernelsMatchOldForms:
                              dpsi_max=math.pi)
         w = ((1.0,) * 3, (1.0,) * 3, (0.15, 0.0, 0.15), 1.0,
              ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-        holds = [
+        stacks = [
             ((0.0, 0.0, 0.5), [0.1, math.nan, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, 0.1, math.nan, 0.1], path),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, math.inf, 0.0, 0.1], path),
             ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], cusp),
             ((0.0, 0.0, 1.0), [0.1, 0.0, 0.5], cusp),
+            ((0.0, 0.0, 1.0), [0.1, 0.0, 0.5, 0.1, 0.0, 0.1], cusp),
             ((1.7e308, 0.0, 0.5), [1.7e308, phi_p, 0.1], path),
-            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], blowup)]
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], blowup),
+            ((0.0, 0.0, 0.5), [0.1, 0.0, 0.1, 0.1, 0.0, 0.1], blowup)]
         kinds = set()
-        for x0, hold, p in holds:
-            for N in (1, 2):
-                got = _raised(pnmpc._hold_sensitivity, x0, *hold, N, 0.0,
-                              1.0, p)
-                ref = _raised(rollout_per_step, x0, hold * N, 0.0, 1.0, p)
+        for x0, U, p in stacks:
+            for N in (1, 2):  # the stack, then the stack twice over
+                got = _raised(pnmpc.linearize_flat, x0, U * N, 0.0, 1.0, p)
+                ref = _raised(rollout_per_step, x0, U * N, 0.0, 1.0, p)
                 assert got == ref
                 kinds.add(None if got is None else got[0])
         assert kinds >= {ValueError, NonRegularPath, StateEscape}
@@ -572,62 +629,42 @@ class TestPredictionKernelsMatchOldForms:
         prev = InputCmd(0.1, 0.0, 0.1)
         for x0, U, p in steps:
             frame0 = path_frame(p, 1.0 / x0[2] - 1.0)
-            got = _raised(pnmpc._step_rollout, U, prev, x0, frame0, 0.0, 1.0,
-                          p, c, w)
+            got = _raised(pnmpc.projected_rollout_flat, U, prev, x0, frame0,
+                          0.0, 1.0, p, c, w)
             assert got is not None and got == _raised(
                 rollout_per_step, x0, U, 0.0, 1.0, p)
             kinds.add(got[0])
         assert kinds == {NonRegularPath, StateEscape}
         with pytest.raises(ValueError, match="non-finite input command"):
-            pnmpc._step_rollout([0.1, 0.0, 0.1, math.nan, 0.0, 0.1], prev,
-                                (0.0, 0.0, 0.5), path_frame(path, 1.0), 0.0,
-                                1.0, path, c, w)
+            pnmpc.projected_rollout_flat(
+                [0.1, 0.0, 0.1, math.nan, 0.0, 0.1], prev, (0.0, 0.0, 0.5),
+                path_frame(path, 1.0), 0.0, 1.0, path, c, w)
+        for U in ([0.1, 0.2], [0.1, 0.2, 0.3, 0.1]):
+            assert _raised(pnmpc.linearize_flat, (0.0, 0.0, 0.5), U, 0.0,
+                           1.0, path) == _raised(rollout_flat, (0.0, 0.0, 0.5),
+                                                 U, 0.0, 1.0, path)
         for dt in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="dt must be finite"):
-                pnmpc._hold_sensitivity((0.0, 0.0, 0.5), 0.1, 0.0, 0.1, 1,
-                                        0.0, dt, path)
+                pnmpc.linearize_flat((0.0, 0.0, 0.5), [0.1, 0.0, 0.1], 0.0,
+                                     dt, path)
             with pytest.raises(ValueError, match="dt must be finite"):
-                pnmpc._step_rollout([0.1, 0.0, 0.1], prev, (0.0, 0.0, 0.5),
-                                    path_frame(path, 1.0), 0.0, dt, path, c,
-                                    w)
-
-    def test_snap_feasible(self):
-        c = InputConstraints()
-        rng = np.random.default_rng(21)
-        near_pi = [math.pi, -math.pi, math.pi - 1e-12, -math.pi + 1e-12,
-                   math.pi + 0.3, -math.pi - 0.3, 3.0, -3.0, 7.5, -9.0]
-        crossings = 0
-        for _ in range(400):
-            N = int(rng.integers(1, 6))
-            U = np.column_stack([
-                rng.uniform(-0.1, 0.35, N),
-                rng.choice(near_pi, N) + rng.normal(size=N)
-                * rng.choice([0.0, 1e-3, 0.5]),
-                rng.uniform(-0.2, 1.0, N)]).ravel()
-            prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
-                            wrap_angle(float(rng.choice(near_pi))),
-                            float(rng.uniform(c.eps, c.u_tar_max)))
-            got, flat = pnmpc.snap_feasible(U, prev, c)
-            ref = snap_feasible_cmds(U, prev, c)
-            assert _cmd_bits(got) == _cmd_bits(ref)
-            assert flat == flat_inputs(got)
-            heads = [prev.psi] + [cmd.psi for cmd in got]
-            crossings += any(abs(a - b) > math.pi
-                             for a, b in zip(heads, heads[1:]))
-        assert crossings >= 40
+                pnmpc.projected_rollout_flat(
+                    [0.1, 0.0, 0.1], prev, (0.0, 0.0, 0.5),
+                    path_frame(path, 1.0), 0.0, dt, path, c, w)
 
 
 def unfused_solve(solver, x, v, up):
-    """PNMPCSolver.solve as the chain of public kernels it fuses: the hold
+    """PNMPCSolver.solve as the chain of kernels it fuses: the hold
     rollout, its sensitivity (or the frozen operator), linearized_qp,
-    solve_qp, snap_feasible, a second rollout and horizon_cost_flat."""
+    solve_qp, the chain projection, a second rollout and
+    horizon_cost_flat."""
     cfg, path = solver.cfg, solver.path
     N, T_m = cfg.N, cfg.T_m
     hold = [up.u, up.psi, up.u_tar] * N
     x0 = (x.x_e, x.y_e, x.z)
     X, frames = rollout_flat(x0, hold, v, T_m, path)
     if solver.linearization == "exact":
-        S = pnmpc.sensitivity_flat(X, hold, frames, v, T_m, path)
+        S = sensitivity_per_block(X, hold, frames, v, T_m, path)
     else:
         S = np.kron(np.tril(np.ones((N, N))),
                     T_m * jacobian_block(x, up, v, path).m)
@@ -638,7 +675,8 @@ def unfused_solve(solver, x, v, up):
     if not qsol.converged:
         raise QPFailure(f"QP stalled with KKT residual "
                         f"{qsol.kkt_residual:.3e}")
-    u_seq, u_flat = snap_feasible(U + qsol.x, up, cfg.constraints)
+    u_seq = snap_feasible_cmds(U + qsol.x, up, cfg.constraints)
+    u_flat = flat_inputs(u_seq)
     X, _ = rollout_flat(x0, u_flat, v, T_m, path)
     return (u_seq, X, pnmpc.horizon_cost_flat(X, u_flat,
                                               pnmpc.cost_weights(cfg)),
@@ -721,6 +759,145 @@ class TestSolveMatchesUnfusedChain:
             assert got.iterations == ref[3]
             seen["constrained" if got.iterations else "unconstrained"] += 1
             seen["clamped"] += Z_MIN in got.x_flat[5::3]
+
+        check()
+        assert min(seen.values()) >= 10, seen
+
+
+def unfused_nmpc_solve(solver, x, v, up, warm, seen):
+    """NMPCSolver.solve as the loop it replaced: the candidates projected
+    by snap_feasible_cmds, then rolled out and costed; per major iteration
+    sensitivity_per_block along the incumbent's rollout and linearized_qp;
+    line-search trials through rollout_flat; and a final projection that
+    rolls out again only when it changes U.  seen counts the exact-phase
+    iterations, the winning warm or shifted candidates and the final
+    projections that changed U."""
+    cfg, path = solver.cfg, solver.path
+    N, T_m, c = cfg.N, cfg.T_m, cfg.constraints
+    weights, qp_weights = pnmpc.cost_weights(cfg), horizon_weights(cfg)
+    x0 = (x.x_e, x.y_e, x.z)
+    cands = [stack_inputs([up] * N)]
+    if warm is not None and len(warm.u_seq) == N:
+        tail = sglos(GuidanceState(*warm.x_flat[-3:]), path, cfg.terminal_law)
+        for seq in (warm.u_seq, tuple(warm.u_seq[1:]) + (tail,)):
+            cands.append(stack_inputs(snap_feasible_cmds(stack_inputs(seq),
+                                                         up, c)))
+    best = None
+    for k, U in enumerate(cands):
+        X, frames = rollout_flat(x0, U.tolist(), v, T_m, path)
+        J = pnmpc.horizon_cost_flat(X, U.tolist(), weights)
+        if best is None or J < best[3]:
+            best = (U, X, frames, J, k)
+    U, X, frames, J, k = best
+    seen["warm or shifted wins"] += k > 0
+    Uref = reference_stack(cfg, up.psi)
+    kkt, iters, exact = math.inf, 0, False
+    qp_warm = pnmpc.zero_start(N)
+    for it in range(1, nmpc_mod.MAX_MAJOR_ITER + 1):
+        prev_kkt = kkt
+        u_flat = U.tolist()
+        S = sensitivity_per_block(X, u_flat, frames, v, T_m, path)
+        qp = pnmpc.linearized_qp(S, X, U, up, Uref, qp_weights, c)
+        active = nmpc_mod._active_at_zero(qp.lb, qp.ub)
+        kkt = nmpc_mod._stationarity_residual(qp.g, qp.A, active)
+        if kkt <= nmpc_mod.KKT_TOL:
+            break
+        exact = exact or kkt > nmpc_mod.STALL_RATIO * prev_kkt
+        if exact:
+            seen["exact-phase iterations"] += 1
+            qp = QPProblem(nmpc_mod._convexified(
+                qp.H + pnmpc.curvature_flat(S, X, u_flat, frames, v, T_m,
+                                            path, qp_weights[0]),
+                qp.H, qp.A.take(active[0], axis=0)),
+                qp.g, qp.A, qp.lb, qp.ub)
+        qsol = solve_qp(qp, warm=qp_warm)
+        qp_warm = QPSolution(np.zeros(3 * N), qsol.active_set, math.inf, 0)
+        iters = it
+        delta = qsol.x
+        if qsol.converged and \
+                float(np.max(np.abs(delta), initial=0.0)) <= 1e-12:
+            break
+        gd = float(qp.g @ delta)
+        if not qsol.converged or gd >= 0.0:
+            break
+        alpha = 1.0
+        rounding = nmpc_mod._ROUNDING * abs(J)
+        while alpha >= 1e-7:
+            U_try = U + alpha * delta
+            u_try = U_try.tolist()
+            X_try, frames_try = rollout_flat(x0, u_try, v, T_m, path)
+            J_try = pnmpc.horizon_cost_flat(X_try, u_try, weights)
+            if J_try <= J + 1e-4 * alpha * gd or (
+                    J_try - J <= rounding and -alpha * gd <= rounding):
+                break
+            alpha *= 0.5
+        else:
+            break
+        U, X, frames, J = U_try, X_try, frames_try, J_try
+    u_seq = snap_feasible_cmds(U, up, c)
+    u_flat = flat_inputs(u_seq)
+    if u_flat != U.tolist():
+        seen["projection changed U"] += 1
+        X, _ = rollout_flat(x0, u_flat, v, T_m, path)
+        J = pnmpc.horizon_cost_flat(X, u_flat, weights)
+    return u_seq, X, J, iters, kkt
+
+
+def _result_bits(res):
+    u_seq, X, J, iters, kkt = res
+    return _cmd_bits(u_seq), _float_bits(X), _float_bits([J, kkt]), iters
+
+
+class TestNMPCSolveMatchesUnfusedLoop:
+    """NMPCSolver.solve runs on PNMPC's two passes; its outputs, and any
+    error it raises, are those of the loop of unfused kernels it
+    replaced, bit for bit, cold and warm-started."""
+
+    PATHS = TestPredictionKernelsMatchOldForms.PATHS
+
+    def test_solve_matches_unfused_loop(self):
+        seen = dict.fromkeys(("exact-phase iterations", "warm or shifted wins",
+                              "projection changed U"), 0)
+
+        def check_one(solver, x, v, up, warm):
+            """The solve's result, or None where the reference raises."""
+            try:
+                ref = unfused_nmpc_solve(solver, x, v, up, warm, seen)
+            except Exception as exc:
+                assert _raised(solver.solve, x, v, up, warm) == \
+                    (type(exc), str(exc))
+                return None
+            got = solver.solve(x, v, up, warm)
+            assert _result_bits((got.u_seq, got.x_flat, got.J_opt,
+                                 got.iterations, got.kkt_residual)) == \
+                _result_bits(ref)
+            return got
+
+        # A wide start hits the exact phase; the warm solve starts from
+        # the cold plan's next state, moved by (dxe, dye), so the held
+        # input, the plan or its shift may win.
+        @given(name=st.sampled_from(["case_study", "line_west",
+                                     "polynomial"]),
+               xe=st.floats(-12.0, 12.0), ye=st.floats(-12.0, 12.0),
+               z=st.one_of(st.floats(0.02, 1.0), st.just(1.0)),
+               u=st.floats(0.0, _C.u_max),
+               heading=st.floats(-math.pi, math.pi),
+               u_tar=st.floats(_C.eps, _C.u_tar_max),
+               v=st.floats(-0.15, 0.15), N=st.sampled_from([1, 3]),
+               T_m=st.sampled_from([0.5, 1.0]),
+               dxe=st.floats(-0.5, 0.5), dye=st.floats(-0.5, 0.5))
+        @settings(max_examples=100, deadline=None, derandomize=True,
+                  database=None)
+        def check(name, xe, ye, z, u, heading, u_tar, v, N, T_m, dxe, dye):
+            path = self.PATHS[name]
+            solver = NMPCSolver(_config(name, N, T_m), path)
+            psi = wrap_angle(path_frame(path, 1.0 / z - 1.0)[0] + heading)
+            cold = check_one(solver, GuidanceState(xe, ye, z), v,
+                             InputCmd(u, psi, u_tar), None)
+            if cold is not None:
+                xe1, ye1, z1 = cold.x_flat[3:6]
+                check_one(solver, GuidanceState(xe1 + dxe, ye1 + dye, z1), v,
+                          cold.u_seq[0], cold)
 
         check()
         assert min(seen.values()) >= 10, seen
@@ -839,6 +1016,20 @@ class TestPNMPCSolve:
         with pytest.raises(ValueError):
             PNMPCSolver(demo_config, demo_path, "other")
 
+    @pytest.mark.parametrize("linearization", pnmpc.LINEARIZATIONS)
+    def test_each_frame_evaluated_once(self, demo_path, demo_config,
+                                       linearization):
+        """An N = 3 step evaluates the path at the measured state once and
+        at each of the two later states of each pass once."""
+        calls = []
+        path = replace(demo_path,
+                       deriv=lambda w: calls.append(w) or demo_path.deriv(w))
+        assert demo_config.N == 3
+        PNMPCSolver(demo_config, path, linearization).solve(
+            GuidanceState(0.5, 0.5, 0.3), 0.0, InputCmd(0.1, 0.5, 0.1))
+        assert len(calls) == 5
+        assert calls.count(1.0 / 0.3 - 1.0) == 1
+
     def test_unconverged_qp_fails_the_step(self, monkeypatch, demo_path,
                                            demo_config):
         def stalled(prob, warm=None):
@@ -891,7 +1082,7 @@ def _increment_qp_commands(x, up, v, cfg, path, linearization):
     sol = solve_qp(QPProblem(0.5 * (H + H.T), g, np.array(rows),
                              np.array(lb), np.array(ub)))
     assert sol.converged
-    return snap_feasible(U0 + L @ sol.x, up, c)[0]
+    return snap_feasible_cmds(U0 + L @ sol.x, up, c)
 
 
 @pytest.mark.parametrize("linearization", ["exact", "frozen"])
