@@ -53,12 +53,12 @@ from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import PathDef, omega_of_z, path_frame
-from .pnmpc import (SolveResult, _qp_at, _sqp_rows, cost_weights,
+from .pnmpc import (SolveResult, _qp_at, _qp_constants, cost_weights,
                     curvature_flat, horizon_cost_flat, horizon_weights,
                     jacobian_block, linearize_flat, projected_rollout_flat,
                     reference_stack, stage_cost_flat, state_jacobian,
                     zero_start)
-from .qp import QPProblem, QPSolution, solve_qp
+from .qp import QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -292,8 +292,8 @@ class NMPCSolver:
     def __init__(self, cfg: NMPCConfig, path: PathDef):
         self.cfg = cfg
         self.path = path
-        W, r = horizon_weights(cfg)
-        self._qp_consts = (W, r, 2.0 * r, _sqp_rows(cfg.N, cfg.constraints))
+        self._qp_consts = _qp_constants(*horizon_weights(cfg),
+                                        cfg.constraints)
         self._zero_warm = zero_start(cfg.N)
         self._weights = cost_weights(cfg)
 
@@ -342,12 +342,11 @@ class NMPCSolver:
             if kkt <= self.kkt_tol:
                 break
             exact = exact or kkt > STALL_RATIO * prev_kkt
-            if exact:  # a new problem, so QPProblem checks the new H
-                qp = QPProblem(_convexified(
+            if exact:  # a new H, which gets every check of a new QP
+                qp = qp.with_hessian(_convexified(
                     qp.H + curvature_flat(S, X, u_flat, frames, v_k, T_m,
                                           path, self._qp_consts[0]),
-                    qp.H, qp.A.take(active[0], axis=0)),
-                    qp.g, qp.A, qp.lb, qp.ub)
+                    qp.H, qp.A.take(active[0], axis=0)))
             qsol = solve_qp(qp, warm=qp_warm)
             qp_warm = QPSolution(self._zero_warm.x, qsol.active_set,
                                  math.inf, 0)

@@ -44,7 +44,7 @@ from .paths import (F_MIN, Frame, PathDef, omega_of_z, path_frame,
 # Unused here since the prediction core samples through path_frame; the
 # binding stays because perfbench's tracer tests expect pnmpc.sample_path.
 from .paths import sample_path  # noqa: F401
-from .qp import QPProblem, QPSolution, solve_qp
+from .qp import QPProblem, QPRows, QPSolution, solve_qp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .nmpc import NMPCConfig
@@ -285,14 +285,13 @@ def _increment_lower(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sqp_rows(N: int, c: InputConstraints
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sqp_rows(N: int, c: InputConstraints) -> QPRows:
     """Constraint rows for the per-step perturbation vector, with bounds.
 
-    Returns (A, lo, hi) such that lo <= A (U + delta) - s <= hi keeps
-    U + delta in the box and rate sets, s being zero except on the first
-    two rows, where it is the previous input's surge and heading.  Per
-    step j the rows are the rates of u and psi (steps j and j-1
+    Returns the QPRows (A, lo, hi) such that lo <= A (U + delta) - s <= hi
+    keeps U + delta in the box and rate sets, s being zero except on the
+    first two rows, where it is the previous input's surge and heading.
+    Per step j the rows are the rates of u and psi (steps j and j-1
     differenced, step 0 against the previous input), then the boxes of u
     and u_tar (identity rows).  Heading has no box row (wrapped output
     always lies in the box) and the target speed has no rate row.
@@ -316,8 +315,14 @@ def _sqp_rows(N: int, c: InputConstraints
             rows.append(e)
             lo.append(lower)
             hi.append(upper)
-    return tuple(map(_read_only, (np.vstack(rows), np.array(lo),
-                                  np.array(hi))))
+    return QPRows(np.vstack(rows), lo, hi)
+
+
+def _qp_constants(W: np.ndarray, r: np.ndarray, c: InputConstraints
+                  ) -> tuple:
+    """_qp_at's per-configuration constants (W, r, 2r, _sqp_rows(N, c))
+    for the weights (W, r) of horizon_weights."""
+    return W, r, 2.0 * r, _sqp_rows(r.shape[0] // 3, c)
 
 
 def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
@@ -331,16 +336,19 @@ def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
     H = 2(S'WS + diag r), and the _sqp_rows rows keep U + delta in the box
     and rate sets.
     """
-    W, r_vec = weights
-    return _qp_at(S, X, U, U - Uref, u_prev,
-                  (W, r_vec, 2.0 * r_vec, _sqp_rows(U.shape[0] // 3, c)))
+    return _qp_at(S, X, U, U - Uref, u_prev, _qp_constants(*weights, c))
 
 
 def _qp_at(S: np.ndarray, X: Sequence[float], U: np.ndarray,
            dev: np.ndarray, u_prev: InputCmd, consts: tuple) -> QPProblem:
-    """linearized_qp given dev = U - Uref and its per-configuration
-    constants (W, r, 2r, _sqp_rows(N, c))."""
-    W, r_vec, r2, (A, lo, hi) = consts
+    """linearized_qp given dev = U - Uref and the constants of
+    _qp_constants.  QPProblem.on_rows skips the checks of the rows that
+    _sqp_rows made.  Its shift A U - s stays within the sizes of the box
+    and rate sets, as the laws' U meet those constraints: the hold of the
+    checked u_prev and the projected plans exactly, NMPC's line-search
+    iterates (convex combinations of such points) to the QP's tolerance.
+    """
+    W, r_vec, r2, rows = consts
     X0 = np.array(X[3:])
     WS = W.dot(S)
     # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal bit
@@ -349,10 +357,10 @@ def _qp_at(S: np.ndarray, X: Sequence[float], U: np.ndarray,
     H = M + M.T
     H.ravel()[::H.shape[0] + 1] += r2  # a view of the diagonal
     g = 2.0 * (WS.T.dot(X0) + r_vec * dev)
-    cur = A.dot(U)
+    cur = rows.A.dot(U)
     cur[0] -= u_prev.u
     cur[1] -= u_prev.psi
-    return QPProblem(H, g, A, lo - cur, hi - cur)
+    return QPProblem.on_rows(H, g, rows, cur)
 
 
 def zero_start(N: int) -> QPSolution:
@@ -610,8 +618,8 @@ class PNMPCSolver:
         self.cfg = cfg
         self.path = path
         self.linearization = linearization
-        W, r = horizon_weights(cfg)
-        self._qp_consts = (W, r, 2.0 * r, _sqp_rows(cfg.N, cfg.constraints))
+        self._qp_consts = _qp_constants(*horizon_weights(cfg),
+                                        cfg.constraints)
         self._weights = cost_weights(cfg)
         self._zero = zero_start(cfg.N)
 

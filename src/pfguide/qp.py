@@ -20,9 +20,14 @@ lowest row.
 One rule (_certified) certifies both the warm set's answer and the one
 the active-set iteration stops on; converged reads its last test.  A
 singular system makes a warm set miss, and it ends the active-set
-iteration as the iteration cap does, unconverged as a rule.  QPProblem
-refuses an H that is not symmetric to rounding: the solver factors its
-symmetric part, while the certificate's gradient reads H itself.
+iteration as the iteration cap does, unconverged as a rule.
+
+A QPProblem built from arrays checks every field; it refuses an H that
+is not symmetric to rounding, as the solver factors its symmetric part
+while the certificate's gradient reads H itself.  Rows that many QPs
+share are a QPRows, checked once when built.  QPProblem.on_rows builds a
+QP on them for an H symmetric by construction, checking only that H and
+g are finite; with_hessian checks a new H as a new QP does.
 
 The per-row scans take one tolist() of the numpy product they need and
 loop over plain floats (with at most a dozen rows, numpy temporaries cost
@@ -45,6 +50,7 @@ flag raises LinAlgError; outside it a singular system returns NaN.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -70,6 +76,54 @@ _SYM_TOL = 1e-13  # largest max|H - H^T| / max|H| that QPProblem accepts
 Active = Tuple[Tuple[int, int], ...]
 
 
+def _check_hessian(H: np.ndarray, n: int) -> None:
+    """H is (n, n), finite and symmetric to rounding."""
+    if H.shape != (n, n):
+        raise ValueError(f"H must be ({n},{n}), got {H.shape}")
+    if np.count_nonzero(np.isfinite(H)) < H.size:
+        raise ValueError("H must be finite")
+    if H.tobytes() != H.T.tobytes() \
+            and np.abs(H - H.T).max() > _SYM_TOL * np.abs(H).max():
+        raise ValueError("H must be symmetric")
+
+
+def _check_rows(A: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                n: int) -> None:
+    """A is (m, n) and finite, and lb <= ub with lb below +inf, ub above
+    -inf and no bound NaN, m being the length of lb and ub."""
+    m = lb.shape[0]
+    if A.shape != (m, n):
+        raise ValueError(f"A must be ({m},{n}), got {A.shape}")
+    if ub.shape != (m,):
+        raise ValueError("lb and ub must have matching shapes")
+    if np.count_nonzero(np.isfinite(A)) < A.size:
+        raise ValueError("A must be finite")
+    for lo, hi in zip(lb.tolist(), ub.tolist()):
+        # A NaN bound fails lo <= hi too.
+        if not lo <= hi or lo == math.inf or hi == -math.inf:
+            raise ValueError("need lb <= ub with lb below +inf, ub "
+                             "above -inf and no bound NaN")
+
+
+class QPRows(namedtuple("QPRows", "A lb ub")):
+    """Constraint rows lb <= A x <= ub that many QPs share (on_rows),
+    checked once, when built, as QPProblem checks its rows.  They hold
+    read-only copies of the arrays, so the checks hold for their life."""
+
+    __slots__ = ()
+
+    def __new__(cls, A, lb, ub):
+        A, lb, ub = arrays = [np.array(a, dtype=float) for a in (A, lb, ub)]
+        _check_rows(A, lb, ub, A.shape[-1] if A.ndim else 0)
+        for a in arrays:
+            a.flags.writeable = False
+        return super().__new__(cls, A, lb, ub)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's _make and _replace check too
+        return cls(*iterable)
+
+
 @dataclass
 class QPProblem:
     H: np.ndarray   # (n, n) symmetric positive definite (after regularization)
@@ -85,26 +139,36 @@ class QPProblem:
         self.lb = np.asarray(self.lb, dtype=float)
         self.ub = np.asarray(self.ub, dtype=float)
         n = self.g.shape[0]
-        m = self.lb.shape[0]
-        if self.H.shape != (n, n):
-            raise ValueError(f"H must be ({n},{n}), got {self.H.shape}")
-        if self.A.shape != (m, n):
-            raise ValueError(f"A must be ({m},{n}), got {self.A.shape}")
-        if self.ub.shape != (m,):
-            raise ValueError("lb and ub must have matching shapes")
-        if not all(map(math.isfinite, self.g.tolist())) \
-                or np.count_nonzero(np.isfinite(self.H)) < self.H.size \
-                or np.count_nonzero(np.isfinite(self.A)) < self.A.size:
-            raise ValueError("H, g and A must be finite")
-        H = self.H
-        if H.tobytes() != H.T.tobytes() and np.abs(H - H.T).max() \
-                > _SYM_TOL * np.abs(H).max():
-            raise ValueError("H must be symmetric")
-        for lo, hi in zip(self.lb.tolist(), self.ub.tolist()):
-            # A NaN bound fails lo <= hi too.
-            if not lo <= hi or lo == math.inf or hi == -math.inf:
-                raise ValueError("need lb <= ub with lb below +inf, ub "
-                                 "above -inf and no bound NaN")
+        _check_hessian(self.H, n)
+        if not all(map(math.isfinite, self.g.tolist())):
+            raise ValueError("g must be finite")
+        _check_rows(self.A, self.lb, self.ub, n)
+
+    @classmethod
+    def on_rows(cls, H: np.ndarray, g: np.ndarray, rows: QPRows,
+                shift: np.ndarray) -> "QPProblem":
+        """The QP with A = rows.A, the bounds rows.lb - shift and
+        rows.ub - shift, and the float arrays H (n, n), symmetric bit for
+        bit by construction (as M + M' is), and g (n,).  It checks only
+        that H and g are finite.  The shapes and the shift are the
+        caller's: a finite shift keeps lb <= ub (rounding is monotone),
+        and one within the sizes of the rows' bounds keeps them finite."""
+        if np.count_nonzero(np.isfinite(H)) < H.size \
+                or not all(map(math.isfinite, g.tolist())):
+            raise ValueError("H and g must be finite")
+        prob = object.__new__(cls)
+        prob.H, prob.g, prob.A = H, g, rows.A
+        prob.lb, prob.ub = rows.lb - shift, rows.ub - shift
+        return prob
+
+    def with_hessian(self, H) -> "QPProblem":
+        """This QP with the Hessian H, which gets every check of a new QP;
+        g and the rows were checked when this QP was built."""
+        H = np.asarray(H, dtype=float)
+        _check_hessian(H, self.g.shape[0])
+        prob = object.__new__(type(self))
+        prob.__dict__.update(vars(self), H=H)
+        return prob
 
 
 @dataclass

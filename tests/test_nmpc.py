@@ -65,6 +65,9 @@ class TestConfig:
             NMPCConfig(P=np.diag([1.0, 1.0, 0.0]))  # must be PD
         with pytest.raises(ValueError):
             NMPCConfig(P=np.array([[1, 0.5, 0], [0, 1, 0], [0, 0, 1.0]]))
+        with pytest.raises(ValueError,
+                           match="P must be a symmetric 3x3 matrix"):
+            NMPCConfig(P=np.eye(2))
 
     @pytest.mark.parametrize("P", [
         [[math.inf, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],

@@ -11,8 +11,8 @@ from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
                      NMPCConfig, NMPCSolver, PNMPCSolver, QPFailure,
                      QPProblem, QPSolution, case_study_path, dynamics,
                      horizon_cost, jacobian_block, line_path, make_config,
-                     polynomial_path, run_scenario, sample_path, sglos,
-                     solve_qp,
+                     polynomial_path, realistic_scenario, run_scenario,
+                     sample_path, sglos, solve_qp,
                      transient_scenario, wrap_angle, z_of_omega)
 from pfguide import nmpc as nmpc_mod
 from pfguide import pnmpc
@@ -23,6 +23,7 @@ from pfguide.los import clamp_inputs
 from pfguide.paths import path_frame
 from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
                            sensitivity_along, stack_inputs, stack_states)
+from pfguide.qp import QPRows
 
 
 class TestJacobianBlock:
@@ -942,6 +943,105 @@ class TestLinearizedQP:
                        pnmpc._stage_selector(3)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
+        # The rows are one frozen, checked object, which the QP's A is.
+        rows = pnmpc._sqp_rows(3, c)
+        assert isinstance(rows, QPRows) and qp.A is rows.A
+        with pytest.raises(AttributeError):
+            rows.A = np.zeros_like(rows.A)
+        with pytest.raises(ValueError, match="need lb <= ub"):
+            rows._replace(lb=rows.ub + 1.0)
+        # Built from caller arrays, the rows keep read-only copies: a
+        # later write into the caller's arrays leaves them as checked.
+        A, lb, ub = np.eye(2), np.zeros(2), np.ones(2)
+        rows = QPRows(A, lb, ub)
+        A[0, 0] = lb[0] = ub[0] = np.nan
+        assert rows.A[0, 0] == 1.0 and rows.lb[0] == 0.0 and rows.ub[0] == 1.0
+        for a in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    @pytest.mark.parametrize("A, lb, ub, match", [
+        ([[np.nan, 0.0]], [0.0], [1.0], "A must be finite"),
+        ([[0.0, np.inf]], [0.0], [1.0], "A must be finite"),
+        ([[1.0, 0.0]], [1.0], [0.0], "need lb <= ub"),
+        ([[1.0, 0.0]], [np.nan], [1.0], "need lb <= ub"),
+        ([[1.0, 0.0]], [np.inf], [np.inf], "need lb <= ub"),
+        ([[1.0, 0.0]], [-np.inf], [-np.inf], "need lb <= ub"),
+        ([1.0, 0.0], [0.0], [1.0], r"A must be \(1,2\)"),
+        ([[1.0, 0.0]], [0.0, 0.0], [1.0, 1.0], r"A must be \(2,2\)"),
+        ([[1.0, 0.0]], [0.0], [1.0, 1.0], "matching shapes")])
+    def test_rows_refused_when_built(self, A, lb, ub, match):
+        """QPRows checks its rows once, when built, as QPProblem checks
+        its own."""
+        with pytest.raises(ValueError, match=match):
+            QPRows(A, lb, ub)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["S", "X", "dev"])
+    def test_non_finite_hessian_or_gradient_refused(self, where, bad):
+        """A law-built QP skips the row checks, but a non-finite H or g
+        (from S, the states or the input deviation) is still refused."""
+        up = InputCmd(0.1, 0.2, 0.3)
+        args = {"S": np.eye(9), "X": [0.5] * 12,
+                "U": stack_inputs([up] * 3), "dev": np.full(9, 0.1)}
+        if where == "X":
+            args["X"][7] = bad
+        else:
+            args[where][4] = bad
+        consts = pnmpc._qp_constants(np.eye(9), np.ones(9),
+                                     InputConstraints())
+        # inf * 0 in the products is NaN: numpy's warning is not the test.
+        with pytest.raises(ValueError, match="finite"), \
+                np.errstate(invalid="ignore"):
+            pnmpc._qp_at(args["S"], args["X"], args["U"], args["dev"], up,
+                         consts)
+
+
+def _qp_fields(qp):
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (qp.H, qp.g, qp.A, qp.lb, qp.ub)]
+
+
+def _solution_bits(sol):
+    return (sol.x.tobytes(), sol.active_set, _float_bits([sol.kkt_residual]),
+            sol.iterations,
+            [(k, _float_bits([v])) for k, v in sol.multipliers.items()])
+
+
+class TestLawQPsMatchCheckedQPs:
+    """The laws build their QPs with QPProblem.on_rows and with_hessian,
+    which skip the checks that the rows passed when they were built.  Each
+    QP of a short realistic run passes every QPProblem check, equals field
+    for field the QPProblem built from copies of its arrays, and solves to
+    the same bits."""
+
+    @pytest.mark.parametrize("law", ["pnmpc", "nmpc"])
+    def test_law_qps_match_checked_qps(self, law, monkeypatch):
+        module = pnmpc if law == "pnmpc" else nmpc_mod
+        real, seen = module.solve_qp, []
+
+        def capture(prob, warm=None):
+            sol = real(prob, warm=warm)
+            seen.append((prob, warm, sol))
+            return sol
+
+        monkeypatch.setattr(module, "solve_qp", capture)
+        run_scenario(realistic_scenario(law, duration=30.0),
+                     timer=lambda: 0.0)
+        counts = dict.fromkeys(("constrained", "warm set", "exact phase"), 0)
+        for prob, warm, sol in seen:
+            assert not prob.A.flags.writeable  # the shared, checked rows
+            checked = QPProblem(*(np.array(a) for a in (
+                prob.H, prob.g, prob.A, prob.lb, prob.ub)))
+            assert _qp_fields(checked) == _qp_fields(prob)
+            assert _solution_bits(solve_qp(checked, warm=warm)) \
+                == _solution_bits(sol)
+            counts["constrained"] += bool(sol.active_set)
+            counts["warm set"] += bool(warm.active_set)
+            counts["exact phase"] += prob.H.tobytes() != prob.H.T.tobytes()
+        assert len(seen) >= 30 and counts["constrained"] >= 5, counts
+        if law == "nmpc":
+            assert min(counts.values()) >= 5, counts
 
 
 class TestPNMPCSolve:
