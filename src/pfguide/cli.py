@@ -22,10 +22,9 @@ from .exceptions import (ConfigError, DomainError, Infeasible, InfeasibleStart,
 from .config import load_scenario
 from .paths import (case_study_path, check_path_derivatives, line_path,
                     path_frame, polynomial_path)
-from .nmpc import NMPCConfig
+from .nmpc import NMPCConfig, NMPCSolver
 from .pnmpc import (curvature_flat, horizon_weights, jacobian_block,
-                    linearize_flat, linearized_qp, reference_stack,
-                    state_jacobian)
+                    reference_stack, state_jacobian)
 from .sim import LAWS, compute_metrics, run_scenario
 
 _SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
@@ -159,12 +158,12 @@ def _check_curvature(path, samples: int, seed: int) -> float:
     curvature term) against central differences of the exact cost
     gradient, relative to the largest entry, over random horizons.
 
-    The gradient is linearized_qp's g, re-linearized along the rollout of
-    each perturbed input sequence.
+    The gradient is the g of the solver's linearized_qp, re-linearized
+    along the rollout of each perturbed input sequence.
     """
     rng = np.random.default_rng(seed)
     cfg = NMPCConfig(P=np.eye(3))
-    weights = horizon_weights(cfg)
+    solver = NMPCSolver(cfg, path)
     n = 3 * cfg.N
     h = 1e-6
     worst = 0.0
@@ -179,21 +178,17 @@ def _check_curvature(path, samples: int, seed: int) -> float:
         u_prev = InputCmd(*U[:3])
         Uref = reference_stack(cfg, u_prev.psi)
 
-        def linearize(Uv):
-            X, frames, S = linearize_flat(x0, Uv.tolist(), v, cfg.T_m, path)
-            qp = linearized_qp(S, X, Uv, u_prev, Uref, weights,
-                               cfg.constraints)
-            return qp, S, X, frames
+        def gradient(Uv):
+            return solver.linearized_qp(x0, Uv, v, u_prev, Uref)[0].g
 
-        qp, S, X, frames = linearize(U)
+        qp, X, frames, S = solver.linearized_qp(x0, U, v, u_prev, Uref)
         H = qp.H + curvature_flat(S, X, U.tolist(), frames, v, cfg.T_m,
-                                  path, weights[0])
+                                  path, horizon_weights(cfg)[0])
         fd = np.empty((n, n))
         for col in range(n):
             d = np.zeros(n)
             d[col] = h
-            fd[:, col] = (linearize(U + d)[0].g
-                          - linearize(U - d)[0].g) / (2.0 * h)
+            fd[:, col] = (gradient(U + d) - gradient(U - d)) / (2.0 * h)
         worst = max(worst, float(np.abs(H - fd).max())
                     / max(float(np.abs(fd).max()), 1e-3))
     return worst

@@ -12,9 +12,9 @@ SGLOS law as terminal controller: the model is linearized with the
 analytic Jacobians of the pnmpc module and the SGLOS gain is taken in
 closed form.
 
-The solver is an SQP on the fast law's two passes.  Each major iteration
-linearizes the prediction along the incumbent (pnmpc.linearize_flat),
-solves the strictly convex QP of pnmpc.linearized_qp for the step and
+The solver is an SQP on the steps of pnmpc.HorizonSolver.  Each major
+iteration linearizes the prediction along the incumbent, builds the
+strictly convex QP there (HorizonSolver.linearized_qp), solves it and
 backtracks on the true nonlinear cost (Armijo).  A QP step that is not a
 certified descent direction, or a line search with no acceptable trial
 down to alpha = 1e-7, keeps the incumbent, logs a warning and ends the
@@ -36,7 +36,9 @@ previous input is always feasible, so a feasible incumbent exists from
 the start and only improves, up to that rounding; the previous plan, its
 shift and the answer are projected onto the constraints by
 pnmpc.projected_rollout_flat.  The fast law in the pnmpc module is the
-first full step of this SQP from that hold.
+first full step of this SQP from that hold.  Its loop stays apart: it
+has none of the candidates, stationarity test, exact Hessian, handed-on
+working set or line search above, and fails on an unconverged QP.
 """
 
 from __future__ import annotations
@@ -53,11 +55,10 @@ from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import PathDef, omega_of_z, path_frame
-from .pnmpc import (SolveResult, _qp_at, _qp_constants, cost_weights,
-                    curvature_flat, horizon_cost_flat, horizon_weights,
-                    jacobian_block, linearize_flat, projected_rollout_flat,
-                    reference_stack, stage_cost_flat, state_jacobian,
-                    zero_start)
+from .pnmpc import (HorizonSolver, SolveResult, cost_weights,
+                    curvature_flat, horizon_cost_flat, jacobian_block,
+                    projected_rollout_flat, reference_stack, stage_cost_flat,
+                    state_jacobian)
 from .qp import QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
@@ -279,23 +280,11 @@ def _convexified(H: np.ndarray, H_gn: np.ndarray,
     return (V * np.maximum(w, np.linalg.eigvalsh(H_gn)[0])) @ V.T
 
 
-class NMPCSolver:
-    """SQP nonlinear solver.
-
-    Holds only per-configuration constants, so a solve depends on its
-    arguments alone.
-    """
+class NMPCSolver(HorizonSolver):
+    """SQP nonlinear solver on HorizonSolver's steps."""
 
     kkt_tol = KKT_TOL
     max_iterations = MAX_MAJOR_ITER
-
-    def __init__(self, cfg: NMPCConfig, path: PathDef):
-        self.cfg = cfg
-        self.path = path
-        self._qp_consts = _qp_constants(*horizon_weights(cfg),
-                                        cfg.constraints)
-        self._zero_warm = zero_start(cfg.N)
-        self._weights = cost_weights(cfg)
 
     def _candidates(self, x0, v_k, u_prev, warm):
         """Best of the held previous input and, given a warm start, its
@@ -331,12 +320,10 @@ class NMPCSolver:
         kkt = math.inf
         iters = 0
         exact = False  # Gauss-Newton Hessian until its contraction stalls
-        qp_warm = self._zero_warm
+        qp_warm = self._zero
         for it in range(1, self.max_iterations + 1):
             prev_kkt = kkt
-            u_flat = U.tolist()
-            X, frames, S = linearize_flat(x0, u_flat, v_k, T_m, path)
-            qp = _qp_at(S, X, U, U - Uref, u_prev, self._qp_consts)
+            qp, X, frames, S = self.linearized_qp(x0, U, v_k, u_prev, Uref)
             active = _active_at_zero(qp.lb, qp.ub)
             kkt = _stationarity_residual(qp.g, qp.A, active)
             if kkt <= self.kkt_tol:
@@ -344,11 +331,11 @@ class NMPCSolver:
             exact = exact or kkt > STALL_RATIO * prev_kkt
             if exact:  # a new H, which gets every check of a new QP
                 qp = qp.with_hessian(_convexified(
-                    qp.H + curvature_flat(S, X, u_flat, frames, v_k, T_m,
-                                          path, self._qp_consts[0]),
+                    qp.H + curvature_flat(S, X, U.tolist(), frames, v_k,
+                                          T_m, path, self._W),
                     qp.H, qp.A.take(active[0], axis=0)))
             qsol = solve_qp(qp, warm=qp_warm)
-            qp_warm = QPSolution(self._zero_warm.x, qsol.active_set,
+            qp_warm = QPSolution(self._zero.x, qsol.active_set,
                                  math.inf, 0)
             iters = it
             delta = qsol.x
@@ -389,7 +376,4 @@ class NMPCSolver:
                 "%.3e above the tolerance %.1e", self.max_iterations, kkt,
                 self.kkt_tol)
 
-        u_seq, X, J = projected_rollout_flat(
-            U.tolist(), u_prev, x0, frame0, v_k, T_m, path, cfg.constraints,
-            self._weights)
-        return SolveResult(u_seq, X, J, iters, kkt, timer() - t0)
+        return self._result(U, u_prev, x0, frame0, v_k, iters, kkt, t0, timer)

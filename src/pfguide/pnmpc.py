@@ -1,14 +1,14 @@
 """Linearized receding-horizon machinery and the fast guidance step.
 
-Both predictive laws step on the same QP (linearized_qp): the Euler
-prediction is linearized around an input sequence U, X(U + delta) ~
-X(U) + S . delta, and the horizon cost becomes one strictly convex QP in
-the per-step input perturbation delta, started from delta = 0.  The
-nonlinear law iterates it with a line search; the fast law (PNMPCSolver)
-is the first full step of that SQP from the held previous input, a
-real-time iteration.  Both walk the horizon in the same two passes,
-linearize_flat and projected_rollout_flat.  The fast law has two
-sources of S (LINEARIZATIONS):
+Both predictive laws step on the same QP (HorizonSolver.linearized_qp):
+the Euler prediction is linearized around an input sequence U, X(U +
+delta) ~ X(U) + S . delta, and the horizon cost becomes one strictly
+convex QP in the per-step input perturbation delta, started from delta =
+0.  HorizonSolver also holds both laws' constants and pass 2; each law
+runs its own loop over these steps.  The nonlinear law iterates them
+with a line search; the fast law (PNMPCSolver) is the first full step of
+that SQP from the held previous input, a real-time iteration.  The fast
+law has two sources of S (LINEARIZATIONS):
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
@@ -112,19 +112,17 @@ def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
     columns of A are (0, -u_tar kappa, 0) and (u_tar kappa, 0, 0).  The z
     column differentiates phi_p, kappa and F along omega, with
     domega/dz = -1/z^2; the curvature rate needs the path's third
-    derivative.  The rates of F and kappa are _frame_rates' written out;
-    wrap_angle is called only outside (-pi, pi].
+    derivative (_frame_rates); wrap_angle is called only outside
+    (-pi, pi].
     """
-    phi_p, F, dphi_dw, dx, dy, ddx, ddy = frame
+    phi_p, F, dphi_dw = frame[:3]
     dpsi = psi - phi_p
     if not -pi < dpsi <= pi:
         dpsi = wrap_angle(dpsi)
     c = cos(dpsi)
     s = sin(dpsi)
     kw = dphi_dw / F
-    d3x, d3y = path.deriv3(1.0 / z - 1.0)
-    dF = (dx * ddx + dy * ddy) / F
-    dkw = (dx * d3y - dy * d3x) / (F * F * F) - 3.0 * kw * dF / F
+    dF, dkw = _frame_rates(frame, path, z)
     dw_dz = -1.0 / (z * z)
     return ([[c, -u * s - v * c, kw * ye - 1.0],
              [s, u * c - v * s, -kw * xe],
@@ -316,56 +314,6 @@ def _sqp_rows(N: int, c: InputConstraints) -> QPRows:
             lo.append(lower)
             hi.append(upper)
     return QPRows(np.vstack(rows), lo, hi)
-
-
-def _qp_constants(W: np.ndarray, r: np.ndarray, c: InputConstraints
-                  ) -> tuple:
-    """_qp_at's per-configuration constants (W, r, 2r, _sqp_rows(N, c))
-    for the weights (W, r) of horizon_weights."""
-    return W, r, 2.0 * r, _sqp_rows(r.shape[0] // 3, c)
-
-
-def linearized_qp(S: np.ndarray, X: Sequence[float], U: np.ndarray,
-                  u_prev: InputCmd, Uref: np.ndarray,
-                  weights: Tuple[np.ndarray, np.ndarray],
-                  c: InputConstraints) -> QPProblem:
-    """The Gauss-Newton QP in the perturbation delta of the inputs U.
-
-    X stacks the states 0..N predicted under U, S is their sensitivity to
-    U, weights is (W, r) from horizon_weights and Uref the input reference:
-    H = 2(S'WS + diag r), and the _sqp_rows rows keep U + delta in the box
-    and rate sets.
-    """
-    return _qp_at(S, X, U, U - Uref, u_prev, _qp_constants(*weights, c))
-
-
-def _qp_at(S: np.ndarray, X: Sequence[float], U: np.ndarray,
-           dev: np.ndarray, u_prev: InputCmd, consts: tuple) -> QPProblem:
-    """linearized_qp given dev = U - Uref and the constants of
-    _qp_constants.  QPProblem.on_rows skips the checks of the rows that
-    _sqp_rows made.  Its shift A U - s stays within the sizes of the box
-    and rate sets, as the laws' U meet those constraints: the hold of the
-    checked u_prev and the projected plans exactly, NMPC's line-search
-    iterates (convex combinations of such points) to the QP's tolerance.
-    """
-    W, r_vec, r2, rows = consts
-    X0 = np.array(X[3:])
-    WS = W.dot(S)
-    # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal bit
-    # for bit to 0.5(H0 + H0') with H0 = 2(M + diag r): scaling by 2 is exact.
-    M = S.T.dot(WS)
-    H = M + M.T
-    H.ravel()[::H.shape[0] + 1] += r2  # a view of the diagonal
-    g = 2.0 * (WS.T.dot(X0) + r_vec * dev)
-    cur = rows.A.dot(U)
-    cur[0] -= u_prev.u
-    cur[1] -= u_prev.psi
-    return QPProblem.on_rows(H, g, rows, cur)
-
-
-def zero_start(N: int) -> QPSolution:
-    """QP warm start at delta = 0, feasible whenever U is."""
-    return QPSolution(np.zeros(3 * N), (), math.inf, 0)
 
 
 def stack_inputs(u_seq: Sequence[InputCmd]) -> np.ndarray:
@@ -602,26 +550,87 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
     return tuple(cmds), X, J + lam * quadratic_form(xe, ye, z, P)
 
 
-class PNMPCSolver:
-    """Fast guidance step: one full SQP step from the held previous input.
+class HorizonSolver:
+    """The steps both predictive laws take alike: linearized_qp (pass 1
+    and the QP at U) and _result (pass 2 and its SolveResult), on
+    per-configuration constants built once.  A solve depends on its
+    arguments alone; each law's solve is its own loop over these steps."""
 
-    Holds only per-configuration constants, so a step depends on its
-    arguments alone.  A step is linearize_flat along the hold (frozen: the
-    hold's rollout and J at its step-0 frame), the QP, then
-    projected_rollout_flat of the QP's step.
-    """
+    _linearize = staticmethod(linearize_flat)  # pass 1
+
+    def __init__(self, cfg: "NMPCConfig", path: PathDef):
+        self.cfg = cfg
+        self.path = path
+        self._W, self._r = horizon_weights(cfg)
+        self._r2 = 2.0 * self._r
+        self._rows = _sqp_rows(cfg.N, cfg.constraints)
+        self._weights = cost_weights(cfg)
+        self._zero = QPSolution(np.zeros(3 * cfg.N), (), math.inf, 0)
+
+    def linearized_qp(self, x0: Sequence[float], U: np.ndarray, v: float,
+                      u_prev: InputCmd, Uref: np.ndarray) -> tuple:
+        """The Gauss-Newton QP in the perturbation delta of the inputs U,
+        with pass 1's states 0..N, frames and sensitivity S along U:
+        (qp, X, frames, S).
+
+        Uref is reference_stack's.  H = 2(S'WS + diag r), and the
+        _sqp_rows rows keep U + delta in the box and rate sets;
+        QPProblem.on_rows skips their checks.  Its shift A U - s stays
+        within the sizes of those sets, as the laws' U meet them: the hold
+        of the checked u_prev and the projected plans exactly, NMPC's
+        line-search iterates (convex combinations of such points) to the
+        QP's tolerance.
+        """
+        X, frames, S = self._linearize(x0, U.tolist(), v, self.cfg.T_m,
+                                       self.path)
+        WS = self._W.dot(S)
+        # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal
+        # bit for bit to 0.5(H0 + H0') with H0 = 2(M + diag r): scaling by
+        # 2 is exact.
+        M = S.T.dot(WS)
+        H = M + M.T
+        H.ravel()[::H.shape[0] + 1] += self._r2  # a view of the diagonal
+        g = 2.0 * (WS.T.dot(np.array(X[3:])) + self._r * (U - Uref))
+        cur = self._rows.A.dot(U)
+        cur[0] -= u_prev.u
+        cur[1] -= u_prev.psi
+        return QPProblem.on_rows(H, g, self._rows, cur), X, frames, S
+
+    def _result(self, U: np.ndarray, u_prev: InputCmd, x0: Sequence[float],
+                frame0: Frame, v: float, iterations: int, kkt: float,
+                t0: float, timer) -> SolveResult:
+        """Pass 2 of U from x0 (frame0 the path frame there) as a
+        SolveResult, timed from t0."""
+        cfg = self.cfg
+        u_seq, X, J = projected_rollout_flat(
+            U.tolist(), u_prev, x0, frame0, v, cfg.T_m, self.path,
+            cfg.constraints, self._weights)
+        return SolveResult(u_seq, X, J, iterations, kkt, timer() - t0)
+
+
+class PNMPCSolver(HorizonSolver):
+    """Fast guidance step: one full SQP step from the held previous input.
+    The frozen linearization replaces pass 1 with _frozen."""
 
     def __init__(self, cfg: "NMPCConfig", path: PathDef,
                  linearization: str = "exact"):
         if linearization not in LINEARIZATIONS:
             raise ValueError(f"unknown linearization {linearization!r}")
-        self.cfg = cfg
-        self.path = path
+        super().__init__(cfg, path)
         self.linearization = linearization
-        self._qp_consts = _qp_constants(*horizon_weights(cfg),
-                                        cfg.constraints)
-        self._weights = cost_weights(cfg)
-        self._zero = zero_start(cfg.N)
+        if linearization == "frozen":
+            self._linearize = self._frozen
+
+    @staticmethod
+    def _frozen(x0: Sequence[float], U: List[float], v: float, T_m: float,
+                path: PathDef):
+        """Pass 1 under the frozen linearization: the rollout of U and S =
+        kron(tril(ones), T_m B), B the input Jacobian of U's first step at
+        the step-0 frame."""
+        X, frames = rollout_flat(x0, U, v, T_m, path)
+        N = len(U) // 3
+        B = _jacobians(*x0, *U[:3], v, frames[0], path)[0]
+        return X, frames, np.kron(np.tril(np.ones((N, N))), T_m * np.array(B))
 
     def solve(self, x_k: GuidanceState, v_k: float, u_prev: InputCmd,
               warm: Optional[SolveResult] = None,
@@ -631,28 +640,14 @@ class PNMPCSolver:
         signature of NMPCSolver.solve."""
         t0 = timer()
         cfg = self.cfg
-        N, T_m, path, c = cfg.N, cfg.T_m, self.path, cfg.constraints
-        require_in_box(u_prev, c)
-        u, psi, u_tar = u_prev.u, u_prev.psi, u_prev.u_tar
+        require_in_box(u_prev, cfg.constraints)
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
-        hold = [u, psi, u_tar] * N
-        if self.linearization == "exact":
-            X, frames, S = linearize_flat(x0, hold, v_k, T_m, path)
-        else:
-            X, frames = rollout_flat(x0, hold, v_k, T_m, path)
-            B = _jacobians(*x0, u, psi, u_tar, v_k, frames[0], path)[0]
-            S = np.kron(np.tril(np.ones((N, N))), T_m * np.array(B))
-        u_r = cfg.u_r
-        U = np.array(hold)
-        # U - reference_stack(cfg, psi), subtracted on floats
-        dev = np.array([u - u_r, psi - unwrap_near(0.0, psi), u_tar - u_r] * N)
-        qsol = solve_qp(_qp_at(S, X, U, dev, u_prev, self._qp_consts),
-                        warm=self._zero)
+        U = np.array([u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N)
+        qp, _, frames, _ = self.linearized_qp(
+            x0, U, v_k, u_prev, reference_stack(cfg, u_prev.psi))
+        qsol = solve_qp(qp, warm=self._zero)
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        u_seq, X, cost = projected_rollout_flat(
-            (U + qsol.x).tolist(), u_prev, x0, frames[0], v_k, T_m, path, c,
-            self._weights)
-        return SolveResult(u_seq, X, cost, qsol.iterations,
-                           qsol.kkt_residual, timer() - t0)
+        return self._result(U + qsol.x, u_prev, x0, frames[0], v_k,
+                            qsol.iterations, qsol.kkt_residual, t0, timer)

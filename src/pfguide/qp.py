@@ -545,27 +545,32 @@ def solve_qp(prob: QPProblem, warm: Optional[QPSolution] = None) -> QPSolution:
     active-set iteration starts from warm.x if that is feasible, else from
     a Phase-1 point.  converged means that the certificate passed (KKT
     residual <= KKT_TOL); else the result is the last feasible iterate
-    with its larger residual.  Raises Infeasible when no point is feasible.
+    with its larger residual.  Raises Infeasible when no point is feasible,
+    and QPFailure from a LinAlgError that reaches this boundary, such as
+    the NaN of an overflow in a refinement step on an ill-conditioned H.
     """
     H, g, A, lb, ub = prob.H, prob.g, prob.A, prob.lb, prob.ub
     n = g.shape[0]
-    with _lapack_scope():
-        if warm is not None and warm.active_set \
-                and _usable_warm_set(g, lb, ub, warm.active_set):
-            sol = _certified(H, g, A, lb, ub, warm.active_set, 1)
-            if sol is not None:
-                return sol
-        Hinv = _inverse(H)
-        ng = -g  # Hinv.dot(-g) is -Hinv.dot(g) bit for bit
-        x = Hinv.dot(ng)
-        x += Hinv.dot(ng - H.dot(x))
-        violation = _violation(A, lb, ub, x)
-        if violation <= FEAS_TOL:
-            return QPSolution(
-                x, (), _kkt_residual(H, g, A, lb, ub, x, {}, violation), 0)
-        if (warm is not None and warm.x.shape == (n,)
-                and _violation(A, lb, ub, warm.x) <= FEAS_TOL):
-            x = np.array(warm.x, dtype=float)
-        else:
-            x = _phase1(A, lb, ub, x)
-        return _active_set(H, Hinv, g, A, lb, ub, x)
+    try:
+        with _lapack_scope():
+            if warm is not None and warm.active_set \
+                    and _usable_warm_set(g, lb, ub, warm.active_set):
+                sol = _certified(H, g, A, lb, ub, warm.active_set, 1)
+                if sol is not None:
+                    return sol
+            Hinv = _inverse(H)
+            ng = -g  # Hinv.dot(-g) is -Hinv.dot(g) bit for bit
+            x = Hinv.dot(ng)
+            x += Hinv.dot(ng - H.dot(x))
+            violation = _violation(A, lb, ub, x)
+            if violation <= FEAS_TOL:
+                return QPSolution(
+                    x, (), _kkt_residual(H, g, A, lb, ub, x, {}, violation), 0)
+            if (warm is not None and warm.x.shape == (n,)
+                    and _violation(A, lb, ub, warm.x) <= FEAS_TOL):
+                x = np.array(warm.x, dtype=float)
+            else:
+                x = _phase1(A, lb, ub, x)
+            return _active_set(H, Hinv, g, A, lb, ub, x)
+    except LinAlgError as exc:
+        raise QPFailure(f"QP linear algebra failed: {exc}") from exc

@@ -287,6 +287,22 @@ class TestCLI:
         assert len(err) == 1 and err[0].startswith("invariant violation: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("law", ["nmpc", "pnmpc"])
+    def test_overflowing_qp_exit_code(self, tmp_path, capsys, law):
+        """A huge surge weight, R = (1e300, 1e-5, 1e-5), makes the QP's
+        arithmetic overflow: a solver failure, not a diverged state."""
+        doc = json.loads((CONFIGS / "transient.json").read_text())
+        doc.update(law=law, duration=5.0)
+        doc["law_params"]["R"] = [1e300, 1e-5, 1e-5]
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config",
+                         self.write_config(tmp_path, doc),
+                         "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure: ")
+        assert "QP linear algebra failed" in err[0]
+        assert not out.exists()
+
     @staticmethod
     def no_simulation(monkeypatch):
         def fail(*args, **kwargs):

@@ -22,7 +22,7 @@ from pfguide.nmpc import (KKT_TOL, MAX_MAJOR_ITER, _PENALTY,
                          _active_at_zero, _convexified,
                          _stationarity_residual)
 from pfguide.pnmpc import (_sqp_rows, curvature_flat, horizon_weights,
-                           linearize_flat, linearized_qp, reference_stack)
+                           reference_stack)
 
 PATHS = {"line": line_path(origin=(1.0, -2.0), direction=(0.6, 0.8)),
          "cubic": polynomial_path([0.0, 1.0, 0.01, 1e-4],
@@ -44,9 +44,8 @@ sways = st.floats(min_value=-0.15, max_value=0.15)
 
 
 def linearize(x0, U, v, path, u_prev):
-    X, frames, S = linearize_flat(x0, U.tolist(), v, CFG.T_m, path)
-    qp = linearized_qp(S, X, U, u_prev, reference_stack(CFG, u_prev.psi),
-                       WEIGHTS, CFG.constraints)
+    qp, X, frames, S = NMPCSolver(CFG, path).linearized_qp(
+        x0, U, v, u_prev, reference_stack(CFG, u_prev.psi))
     return qp, S, X, frames
 
 
@@ -254,13 +253,13 @@ class TestArrayFormsMatchLoops:
         c = InputConstraints()
         for N in (1, 3, 5):
             A, _, _ = _sqp_rows(N, c)
+            solver = NMPCSolver(replace(CFG, N=N), PATHS["line"])
             for _ in range(200):
                 U = rng.uniform(-1.0, 1.0, 3 * N) * rng.choice(
                     [1e-3, 1.0, 4.0], 3 * N)
                 u_prev = InputCmd(*rng.uniform(-1.0, 1.0, 3))
-                qp = linearized_qp(np.eye(3 * N), [0.0] * (3 * N + 3), U,
-                                   u_prev, np.zeros(3 * N),
-                                   (np.eye(3 * N), np.ones(3 * N)), c)
+                qp = solver.linearized_qp((0.0, 0.0, 0.5), U, 0.0, u_prev,
+                                          np.zeros(3 * N))[0]
                 lb, ub = _bounds_loop(U, u_prev, c)
                 assert qp.A is A
                 assert np.array_equal(qp.lb, lb)

@@ -449,13 +449,13 @@ class TestSQPWork:
         """Every QP carries, bit for bit, the Hessian its linearization
         built or _convexified's output for it: no damping term is added."""
         built, carried = [], []
-        real_qp, real_conv = nmpc_mod._qp_at, nmpc_mod._convexified
-        real_solve = nmpc_mod.solve_qp
+        real_qp = NMPCSolver.linearized_qp
+        real_conv, real_solve = nmpc_mod._convexified, nmpc_mod.solve_qp
 
-        def lin(*args):
-            qp = real_qp(*args)
-            built[:] = [qp.H.tobytes()]
-            return qp
+        def lin(self, *args):
+            out = real_qp(self, *args)
+            built[:] = [out[0].H.tobytes()]
+            return out
 
         def conv(*args):
             H = real_conv(*args)
@@ -466,8 +466,8 @@ class TestSQPWork:
             carried.append(prob.H.tobytes() in built)
             return real_solve(prob, warm=warm)
 
-        for name, fake in (("_qp_at", lin), ("_convexified", conv),
-                           ("solve_qp", solve)):
+        monkeypatch.setattr(NMPCSolver, "linearized_qp", lin)
+        for name, fake in (("_convexified", conv), ("solve_qp", solve)):
             monkeypatch.setattr(nmpc_mod, name, fake)
         run_scenario(realistic_scenario("nmpc", duration=20.0))
         assert len(carried) >= 50

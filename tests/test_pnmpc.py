@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 from dataclasses import replace
@@ -89,13 +90,14 @@ def frozen_operator(monkeypatch, cfg, path, x, up, v, Jm=None):
     """The S the frozen solver builds its QP from; Jm, when given,
     replaces the instant-0 input Jacobian."""
     captured = []
-    real = pnmpc._qp_at
+    real = pnmpc.HorizonSolver.linearized_qp
 
-    def capture(S, *args):
-        captured.append(S)
-        return real(S, *args)
+    def capture(self, *args):
+        out = real(self, *args)
+        captured.append(out[3])
+        return out
 
-    monkeypatch.setattr(pnmpc, "_qp_at", capture)
+    monkeypatch.setattr(pnmpc.HorizonSolver, "linearized_qp", capture)
     if Jm is not None:  # the frozen step's only call of _jacobians
         monkeypatch.setattr(pnmpc, "_jacobians", lambda *args: (Jm, None))
     PNMPCSolver(cfg, path, "frozen").solve(x, v, up)
@@ -654,6 +656,22 @@ class TestPredictionKernelsMatchOldForms:
                     path_frame(path, 1.0), 0.0, dt, path, c, w)
 
 
+def qp_along(solver, S, X, U, up, Uref, weights=None):
+    """solver.linearized_qp at U on the given pass 1 (states X, operator
+    S), with weights = (W, r), when given, in place of the solver's."""
+    solver = copy.copy(solver)
+    solver._linearize = lambda *args: (X, None, S)
+    if weights is not None:
+        solver._W, solver._r = weights
+        solver._r2 = 2.0 * solver._r
+    return solver.linearized_qp(None, U, None, up, Uref)[0]
+
+
+def zero_start(N):
+    """The QP's start at delta = 0, with no working set."""
+    return QPSolution(np.zeros(3 * N), (), math.inf, 0)
+
+
 def unfused_solve(solver, x, v, up):
     """PNMPCSolver.solve as the chain of kernels it fuses: the hold
     rollout, its sensitivity (or the frozen operator), linearized_qp,
@@ -670,9 +688,8 @@ def unfused_solve(solver, x, v, up):
         S = np.kron(np.tril(np.ones((N, N))),
                     T_m * jacobian_block(x, up, v, path).m)
     U = np.array(hold)
-    qp = pnmpc.linearized_qp(S, X, U, up, reference_stack(cfg, up.psi),
-                             horizon_weights(cfg), cfg.constraints)
-    qsol = solve_qp(qp, warm=pnmpc.zero_start(N))
+    qp = qp_along(solver, S, X, U, up, reference_stack(cfg, up.psi))
+    qsol = solve_qp(qp, warm=zero_start(N))
     if not qsol.converged:
         raise QPFailure(f"QP stalled with KKT residual "
                         f"{qsol.kkt_residual:.3e}")
@@ -775,7 +792,7 @@ def unfused_nmpc_solve(solver, x, v, up, warm, seen):
     projections that changed U."""
     cfg, path = solver.cfg, solver.path
     N, T_m, c = cfg.N, cfg.T_m, cfg.constraints
-    weights, qp_weights = pnmpc.cost_weights(cfg), horizon_weights(cfg)
+    weights, W = pnmpc.cost_weights(cfg), horizon_weights(cfg)[0]
     x0 = (x.x_e, x.y_e, x.z)
     cands = [stack_inputs([up] * N)]
     if warm is not None and len(warm.u_seq) == N:
@@ -793,12 +810,12 @@ def unfused_nmpc_solve(solver, x, v, up, warm, seen):
     seen["warm or shifted wins"] += k > 0
     Uref = reference_stack(cfg, up.psi)
     kkt, iters, exact = math.inf, 0, False
-    qp_warm = pnmpc.zero_start(N)
+    qp_warm = zero_start(N)
     for it in range(1, nmpc_mod.MAX_MAJOR_ITER + 1):
         prev_kkt = kkt
         u_flat = U.tolist()
         S = sensitivity_per_block(X, u_flat, frames, v, T_m, path)
-        qp = pnmpc.linearized_qp(S, X, U, up, Uref, qp_weights, c)
+        qp = qp_along(solver, S, X, U, up, Uref)
         active = nmpc_mod._active_at_zero(qp.lb, qp.ub)
         kkt = nmpc_mod._stationarity_residual(qp.g, qp.A, active)
         if kkt <= nmpc_mod.KKT_TOL:
@@ -808,7 +825,7 @@ def unfused_nmpc_solve(solver, x, v, up, warm, seen):
             seen["exact-phase iterations"] += 1
             qp = QPProblem(nmpc_mod._convexified(
                 qp.H + pnmpc.curvature_flat(S, X, u_flat, frames, v, T_m,
-                                            path, qp_weights[0]),
+                                            path, W),
                 qp.H, qp.A.take(active[0], axis=0)),
                 qp.g, qp.A, qp.lb, qp.ub)
         qsol = solve_qp(qp, warm=qp_warm)
@@ -905,8 +922,8 @@ class TestNMPCSolveMatchesUnfusedLoop:
 
 
 class TestLinearizedQP:
-    def test_hessian_exactly_symmetric_and_bitwise_unchanged(self,
-                                                             demo_config):
+    def test_hessian_exactly_symmetric_and_bitwise_unchanged(
+            self, demo_path, demo_config):
         # H is built as M + M' + diag(2r), M = S'WS; it must equal the
         # symmetrized 2(S'WS + diag r) bit for bit.
         cfg = demo_config
@@ -920,22 +937,23 @@ class TestLinearizedQP:
             r = rng.random(3 * N) * rng.choice([1e-4, 1.0, 1e3])
             X = rng.normal(size=3 * (N + 1)).tolist()
             U = stack_inputs([up] * N)
-            H = pnmpc.linearized_qp(S, X, U, up, U, (W, r),
-                                    cfg.constraints).H
+            H = qp_along(PNMPCSolver(cfg, demo_path), S, X, U, up, U,
+                         (W, r)).H
             H0 = 2.0 * (S.T @ (W @ S) + np.diag(r))
             assert np.array_equal(H, H.T)
             assert H.tobytes() == (0.5 * (H0 + H0.T)).tobytes()
 
 
-    def test_cached_rows_are_read_only(self):
+    def test_cached_rows_are_read_only(self, demo_path, demo_config):
         # linearized_qp hands out _sqp_rows' cached A itself; a write into
         # one QP's A would change every later QP with the same rows.
         c = InputConstraints()
+        assert demo_config.constraints == c and demo_config.N == 3
         before = pnmpc._sqp_rows(3, c)[0].copy()
         up = InputCmd(0.1, 0.2, 0.3)
         U = stack_inputs([up] * 3)
-        qp = pnmpc.linearized_qp(np.eye(9), [0.0] * 12, U, up, U,
-                                 (np.eye(9), np.ones(9)), c)
+        qp = qp_along(PNMPCSolver(demo_config, demo_path), np.eye(9),
+                      [0.0] * 12, U, up, U, (np.eye(9), np.ones(9)))
         with pytest.raises(ValueError, match="read-only"):
             qp.A[0, 0] = 5.0
         assert np.array_equal(pnmpc._sqp_rows(3, c)[0], before)
@@ -978,7 +996,8 @@ class TestLinearizedQP:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["S", "X", "dev"])
-    def test_non_finite_hessian_or_gradient_refused(self, where, bad):
+    def test_non_finite_hessian_or_gradient_refused(self, where, bad,
+                                                    demo_path, demo_config):
         """A law-built QP skips the row checks, but a non-finite H or g
         (from S, the states or the input deviation) is still refused."""
         up = InputCmd(0.1, 0.2, 0.3)
@@ -988,13 +1007,12 @@ class TestLinearizedQP:
             args["X"][7] = bad
         else:
             args[where][4] = bad
-        consts = pnmpc._qp_constants(np.eye(9), np.ones(9),
-                                     InputConstraints())
+        solver = PNMPCSolver(demo_config, demo_path)
         # inf * 0 in the products is NaN: numpy's warning is not the test.
         with pytest.raises(ValueError, match="finite"), \
                 np.errstate(invalid="ignore"):
-            pnmpc._qp_at(args["S"], args["X"], args["U"], args["dev"], up,
-                         consts)
+            qp_along(solver, args["S"], args["X"], args["U"], up,
+                     args["U"] - args["dev"], (np.eye(9), np.ones(9)))
 
 
 def _qp_fields(qp):
@@ -1042,6 +1060,54 @@ class TestLawQPsMatchCheckedQPs:
         assert len(seen) >= 30 and counts["constrained"] >= 5, counts
         if law == "nmpc":
             assert min(counts.values()) >= 5, counts
+
+
+class TestPNMPCIsNMPCsFirstStep:
+    """PNMPC is the first full step of NMPC's SQP from the held input.  Each
+    PNMPC call of 100 s of the realistic and transient presets, replayed
+    through a cold NMPC solve capped at one major iteration, builds the
+    same first QP bit for bit; where NMPC's line search accepts its first
+    trial (alpha = 1), the two results are equal bit for bit too."""
+
+    def test_replayed_calls_match(self, monkeypatch):
+        calls, pnmpc_qps = [], []
+        real_solve, real_qp = PNMPCSolver.solve, pnmpc.solve_qp
+
+        def record(self, x, v, up, *args, **kwargs):
+            res = real_solve(self, x, v, up, *args, **kwargs)
+            calls.append((self, x, v, up, res))
+            return res
+
+        monkeypatch.setattr(PNMPCSolver, "solve", record)
+        monkeypatch.setattr(pnmpc, "solve_qp", lambda qp, warm: real_qp(
+            pnmpc_qps.append(qp) or qp, warm=warm))
+        for preset in (realistic_scenario, transient_scenario):
+            run_scenario(preset("pnmpc", duration=100.0), timer=lambda: 0.0)
+        assert len(calls) == len(pnmpc_qps) == 200
+
+        nmpc_qps, trials = [], []
+        real_cost = nmpc_mod.horizon_cost_flat
+        assert nmpc_mod.solve_qp is real_qp  # both laws call qp.solve_qp
+        monkeypatch.setattr(nmpc_mod, "solve_qp", lambda qp, warm: real_qp(
+            nmpc_qps.append(qp) or qp, warm=warm))
+        # The cold start costs the hold once; each later cost is a trial.
+        monkeypatch.setattr(nmpc_mod, "horizon_cost_flat", lambda *args: (
+            trials.append(None) or real_cost(*args)))
+        same = 0
+        for (solver, x, v, up, res), qp in zip(calls, pnmpc_qps):
+            nmpc = NMPCSolver(solver.cfg, solver.path)
+            nmpc.max_iterations = 1
+            nmpc_qps.clear()
+            trials.clear()
+            got = nmpc.solve(x, v, up, timer=lambda: 0.0)
+            assert len(nmpc_qps) == 1
+            assert _qp_bits(nmpc_qps[0]) == _qp_bits(qp)
+            if len(trials) == 2:  # the hold, then the accepted alpha = 1
+                assert _cmd_bits(got.u_seq) == _cmd_bits(res.u_seq)
+                assert _float_bits(got.x_flat) == _float_bits(res.x_flat)
+                assert _float_bits([got.J_opt]) == _float_bits([res.J_opt])
+                same += 1
+        assert same >= 100, same
 
 
 class TestPNMPCSolve:

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.linalg import LinAlgError
 
-from pfguide import (InputConstraints, Infeasible, QPFailure, QPProblem,
-                     QPSolution, cli, nmpc, pnmpc, qp, run_scenario, solve_qp,
+from pfguide import (InputCmd, InputConstraints, Infeasible, QPFailure,
+                     QPProblem, QPSolution, case_study_path, cli, make_config,
+                     nmpc, pnmpc, qp, run_scenario, solve_qp,
                      transient_scenario)
 from qp_oracle import qp_oracle, random_feasible_qp
+
+# The laws' QP start for N = 2: delta = 0, no working set.
+ZERO_START = QPSolution(np.zeros(6), (), math.inf, 0)
 
 
 def random_qp_around_zero(rng, constrained, n_max=6, m_max=10):
@@ -534,7 +538,7 @@ class TestIndependentWorkingSet:
         assert solve(*TestCertificate.problem()).converged
         assert all(keeps_every_row(A, rows) for A, rows in held)
         for prob in TestDegenerateVertex.draws():
-            assert solve(prob, warm=pnmpc.zero_start(2)).converged
+            assert solve(prob, warm=ZERO_START).converged
         assert all(keeps_every_row(A, rows) for A, rows in held)
         assert sum(len(rows) >= 3 for _, rows in held) >= 400
 
@@ -993,16 +997,34 @@ class TestNonFiniteAndIndefinite:
             solve_qp(QPProblem(np.diag([1.0, -1.0]), np.ones(2),
                                np.eye(2), -np.ones(2), np.ones(2)))
 
+    def test_overflow_in_the_qp_is_a_qp_failure(self):
+        """PNMPC's QP at t = 1 s of configs/transient.json with R = (1e300,
+        1e-5, 1e-5): H carries 2e300 on its surge diagonal, the
+        refinement of the unconstrained step overflows H x, and LAPACK's
+        error scope turns the NaN into a LinAlgError.  solve_qp reports it
+        as the QP's failure, not as a ValueError (a diverged state)."""
+        path = case_study_path()
+        cfg = make_config(path, R=np.array([1e300, 1e-5, 1e-5]))
+        up = InputCmd(0.05, 0.0, 0.75)
+        prob = pnmpc.PNMPCSolver(cfg, path).linearized_qp(
+            (0.6877254162673379, 5.823805675772588, 0.2677384610987393),
+            np.array([up.u, up.psi, up.u_tar] * 3), 0.01567926949014802, up,
+            pnmpc.reference_stack(cfg, up.psi))[0]
+        assert prob.H[0, 0] == 2e300
+        with pytest.raises(QPFailure, match="QP linear algebra failed") as exc:
+            solve_qp(prob, warm=QPSolution(np.zeros(9), (), math.inf, 0))
+        assert isinstance(exc.value.__cause__, LinAlgError)
+
     def test_indefinite_hessian_fails_the_step_and_the_cli(self, monkeypatch,
                                                            tmp_path):
-        real = pnmpc._qp_at
+        real = pnmpc.HorizonSolver.linearized_qp
 
-        def negated(*args):
-            prob = real(*args)
+        def negated(self, *args):
+            prob, *rest = real(self, *args)
             prob.H = -prob.H
-            return prob
+            return (prob, *rest)
 
-        monkeypatch.setattr(pnmpc, "_qp_at", negated)
+        monkeypatch.setattr(pnmpc.HorizonSolver, "linearized_qp", negated)
         with pytest.raises(QPFailure, match=r"guidance step failed at t=0 "
                                             r"\(plant step 0\)"):
             run_scenario(transient_scenario("pnmpc", duration=5.0))
@@ -1307,7 +1329,7 @@ class TestDegenerateVertex:
         A = pnmpc._sqp_rows(2, InputConstraints())[0]
         draws = []
         for prob in self.draws():
-            sol = solve_qp(prob, warm=pnmpc.zero_start(2))
+            sol = solve_qp(prob, warm=ZERO_START)
             assert sol.converged
             draws.append((prob, sol))
         prob = draws[0][0]
