@@ -44,7 +44,8 @@ The factorizations and solves call the LAPACK gufuncs behind
 np.linalg.cholesky, inv and solve (numpy.linalg._umath_linalg) directly,
 for the same bits at a fraction of the wrappers' cost.  solve_qp enters
 the wrappers' error state once (_lapack_scope), where LAPACK's failure
-flag raises LinAlgError; outside it a singular system returns NaN.
+flag, or any other NaN an operation makes, raises LinAlgError; outside it
+a singular system returns NaN.
 """
 
 from __future__ import annotations
@@ -185,12 +186,17 @@ class QPSolution:
 
 
 def _lapack_failed(err, flag):
-    raise LinAlgError("singular or not positive definite matrix")
+    # An invalid operation calls this alike whether it is LAPACK's failure
+    # flag or the NaN of an overflow in plain arithmetic, so the message
+    # names both.
+    raise LinAlgError("singular or not positive definite matrix, or an "
+                      "overflow to a non-finite value")
 
 
 def _lapack_scope() -> np.errstate:
     """np.linalg's error state around each gufunc, which solve_qp enters
-    once: LAPACK's failure flag raises LinAlgError, the rest passes."""
+    once: an invalid operation (LAPACK's failure flag, or a NaN such as
+    inf - inf after an overflow) raises LinAlgError, the rest passes."""
     return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
 

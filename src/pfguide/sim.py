@@ -8,18 +8,29 @@ The guidance law runs every T_m = m * T_p, measuring the PF errors from
 the true pose and the sway at its own instant, and holding its command
 until the next guidance instant.
 
-Each plant instant evaluates the path position and tangent once (the
-tangent angle and speed factor, not the second derivative) and samples
-the sway once.  One filter step advances the surge and heading channels together, on plain
-floats, so its last bits do not depend on the BLAS kernel a numpy
-matrix-vector product uses.  Each value is recorded, formatted and
-checked at the rate it changes.  The plant-rate columns are packed as
-native doubles into one float buffer row per plant instant; the
-guidance-rate columns get one record per guidance instant, repeated
-over the rows that hold it when the run ends.  The CSV is written
-CSV_CHUNK rows at a time with each run of repeated values formatted
-once, and the metrics scan the guidance instants' commands on plain
-floats.
+The loop works a guidance period at a time.  At each guidance instant
+one LowLevelFilter.hold call advances the filter over the whole period
+under the held command, and each plant instant of the period reads its
+output from that list.  Each plant instant measures once: z, the path
+position and the tangent (angle and speed factor, no second derivative)
+are computed in place from path.eval and path.deriv, and z_of_omega and
+path_tangent run only to raise their errors.  The sway comes from a
+profile of disturbance_sample(spec, i * T_p) over the run's plant
+instants, held in an LRU cache of at most four read-only tuples (one
+float per plant instant per entry), so the runs that share a time grid
+and a sway (compare's laws, a batch of starts) compute it once.  Its key
+is the bits of the spec's numbers with T_p and the step count: specs
+that differ only in the sign of a zero compare equal, yet their sways
+differ in the sign of zero.  The filter advances the surge and heading
+channels together, on plain floats, so its last bits do not depend on
+the BLAS kernel a numpy matrix-vector product uses.  Each value is
+recorded, formatted and checked at the rate it changes.  The plant-rate
+columns are packed as native doubles into one float buffer row per plant
+instant; the guidance-rate columns get one record per guidance instant,
+repeated over the rows that hold it when the run ends.  The CSV is
+written CSV_CHUNK rows at a time with each run of repeated values
+formatted once, and the metrics scan the guidance instants' commands on
+plain floats.
 
 Runs are fully deterministic; the only wall-clock quantity is the solver
 timing column, and the clock itself is injectable.
@@ -27,9 +38,11 @@ timing column, and the clock itself is injectable.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -41,7 +54,7 @@ from .exceptions import ConfigError, EmptyTrace, PFGuideError, StateEscape
 from .los import (InputConstraints, SGLOSParams, clamp_flat, require_in_box,
                   sglos)
 from .nmpc import NMPCConfig, NMPCSolver, synthesize_terminal_weight
-from .paths import PathDef, path_tangent, sample_path, z_of_omega
+from .paths import F_MIN, PathDef, path_tangent, sample_path, z_of_omega
 from .pnmpc import LINEARIZATIONS, PNMPCSolver
 
 LAWS = ("nmpc", "pnmpc", "sglos")
@@ -100,6 +113,29 @@ def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:
     return spec.amplitude * math.sin(phase)
 
 
+# A spec's numbers in field order, packed for the sway cache's key.
+_SWAY_NUMBERS = struct.Struct("6d")
+
+
+def _sway_profile(spec: DisturbanceSpec, T_p: float, steps: int) -> tuple:
+    """disturbance_sample(spec, i * T_p) for i = 0 .. steps.
+
+    Runs on one time grid under one sway share the profile.  The cache
+    is keyed by the bits of the spec's numbers rather than by the spec,
+    since specs that differ only in the sign of a zero compare and hash
+    equal, yet their sways differ in the sign of zero.
+    """
+    numbers = _SWAY_NUMBERS.pack(spec.amplitude, spec.period, spec.phase,
+                                 spec.f0, spec.f1, spec.switch_time)
+    return _sway_of_bits(spec.kind, numbers, T_p, steps)
+
+
+@functools.lru_cache(maxsize=4)
+def _sway_of_bits(kind: str, numbers: bytes, T_p: float, steps: int) -> tuple:
+    spec = DisturbanceSpec(kind, *_SWAY_NUMBERS.unpack(numbers))
+    return tuple([disturbance_sample(spec, i * T_p) for i in range(steps + 1)])
+
+
 class LowLevelFilter:
     """Unit-DC-gain double-pole filter with a fractional input delay, on
     the surge and heading channels at once.
@@ -139,20 +175,30 @@ class LowLevelFilter:
     def step(self, u: float, psi: float) -> Tuple[float, float]:
         """Advance both channels one plant step, each driven by its delayed
         command history; returns the new (surge, heading) outputs."""
-        hist = self._hist
-        hist.append((u, psi))
-        del hist[0]
-        (u1, p1), (u2, p2) = hist[-1 - self._lag], hist[-2 - self._lag]
-        w = 1.0 - self._frac
+        return self.hold(u, psi, 1)[0]
+
+    def hold(self, u: float, psi: float, n: int) -> List[Tuple[float, float]]:
+        """Hold the command (u, psi) for n plant steps; returns the n new
+        (surge, heading) outputs, oldest first.  step is hold with n = 1,
+        so n step calls give the same outputs and state, bit for bit."""
+        hist, lag = self._hist, self._lag
         f = self._frac
-        ud, pd = w * u1 + f * u2, w * p1 + f * p2
+        w = 1.0 - f
         a00, a01, a10, a11, b0, b1 = self._coef
         (xu, xp), (ru, rp) = self.output, self._rate
-        self.output = (a00 * xu + a01 * ru + b0 * ud,
-                       a00 * xp + a01 * rp + b0 * pd)
-        self._rate = (a10 * xu + a11 * ru + b1 * ud,
-                      a10 * xp + a11 * rp + b1 * pd)
-        return self.output
+        outputs = []
+        for _ in range(n):
+            hist.append((u, psi))
+            del hist[0]
+            (u1, p1), (u2, p2) = hist[-1 - lag], hist[-2 - lag]
+            ud, pd = w * u1 + f * u2, w * p1 + f * p2
+            xu, xp, ru, rp = (a00 * xu + a01 * ru + b0 * ud,
+                              a00 * xp + a01 * rp + b0 * pd,
+                              a10 * xu + a11 * ru + b1 * ud,
+                              a10 * xp + a11 * rp + b1 * pd)
+            outputs.append((xu, xp))
+        self.output, self._rate = (xu, xp), (ru, rp)
+        return outputs
 
 
 @dataclass(frozen=True)
@@ -232,6 +278,8 @@ TRACE_COLUMNS = ("t", "x", "y", "psi_cmd", "psi_act", "u_cmd", "u_act",
 _GUIDANCE_COLUMNS = ("psi_cmd", "u_cmd", "u_tar", "J_opt", "kkt_residual",
                      "iterations", "solve_time_s")
 _PLANT_COLUMNS = tuple(c for c in TRACE_COLUMNS if c not in _GUIDANCE_COLUMNS)
+# One guidance instant's record, built by column name in column order.
+_GuidanceRecord = namedtuple("_GuidanceRecord", _GUIDANCE_COLUMNS)
 # One plant-rate row as native doubles, packed straight into the buffer.
 _ROW = struct.Struct(f"{len(_PLANT_COLUMNS)}d")
 
@@ -334,53 +382,73 @@ def _closed_loop(sc: Scenario, timer) -> Trace:
     psi_cmd_cont = psi0 if sc.initial_input is None else \
         unwrap_near(cmd.psi, psi0)  # continuous branch fed to the filter
     u_act, psi_act = 0.0, psi0  # filter outputs; unfiltered, step 0 sets them
+    held = None  # the filter's outputs over the current guidance period
     warm = None
     records = []  # the guidance-rate columns, one per guidance instant
-    disturbance = sc.disturbance
+    sway = _sway_profile(sc.disturbance, T_p, steps)
+    evaluate, deriv = path.eval, path.deriv
 
     rows = np.empty((steps + 1, len(_PLANT_COLUMNS)))
     pack_row, width = _ROW.pack_into, _ROW.size
     for i in range(steps + 1):
         t_now = i * T_p
         # One measurement per instant: the errors, the guidance state and
-        # the row read it, and F advances the target in the next plant step.
+        # the row read it, and F advances the target in the next plant
+        # step.  z, phi_p and F are z_of_omega's and path_tangent's, which
+        # run only to raise their errors.
         try:
-            z = z_of_omega(omega)
-            x_p, y_p = path.eval(omega)
-            phi_p, F = path_tangent(path, omega)[:2]
+            if not 0.0 <= omega < math.inf:
+                z_of_omega(omega)  # raises DomainError
+            z = 1.0 / (omega + 1.0)
+            x_p, y_p = evaluate(omega)
+            tx, ty = deriv(omega)
+            F = math.hypot(tx, ty)
+            if F <= F_MIN:
+                path_tangent(path, omega)  # raises NonRegularPath
         except PFGuideError as exc:
             raise type(exc)(f"plant step {i} failed: {exc}") from exc
+        phi_p = math.atan2(ty, tx)
+        if not -math.pi < phi_p <= math.pi:
+            phi_p = wrap_angle(phi_p)
         dx, dy = x - x_p, y - y_p
         c, s = math.cos(phi_p), math.sin(phi_p)
         x_e, y_e = c * dx + s * dy, -s * dx + c * dy
         if not (math.isfinite(x_e) and math.isfinite(y_e)):
             raise StateEscape(f"plant step {i} failed: non-finite PF errors "
                               f"({x_e!r}, {y_e!r})")
-        v = disturbance_sample(disturbance, t_now)
+        v = sway[i]
 
-        if i % m == 0 and i < steps:
+        k = i % m  # plant steps since the last guidance instant
+        if k == 0 and i < steps:
             state = GuidanceState(x_e, y_e, z)
             try:
                 if solver is not None:
                     warm = solver.solve(state, v, cmd, warm, timer=timer)
                     cmd = warm.u_seq[0]
-                    diag = (warm.J_opt, warm.kkt_residual,
-                            float(warm.iterations), warm.solve_time)
+                    J_opt, kkt, iterations, took = (
+                        warm.J_opt, warm.kkt_residual,
+                        float(warm.iterations), warm.solve_time)
                 else:
                     t0 = timer()
                     raw = sglos(state, path, sc.sglos)
                     cmd = InputCmd(*clamp_flat(raw.u, raw.psi, raw.u_tar,
                                                cmd.u, cmd.psi, sc.constraints))
-                    diag = (math.nan, math.nan, 0.0, timer() - t0)
+                    J_opt, kkt, iterations, took = (
+                        math.nan, math.nan, 0.0, timer() - t0)
             except (PFGuideError, ValueError) as exc:
                 # A ValueError is a non-finite value met by the step.
                 error = type(exc) if isinstance(exc, PFGuideError) \
                     else StateEscape
                 raise error(f"guidance step failed at t={t_now:g} (plant "
                             f"step {i}): {exc}") from exc
-            records.append((wrap_angle(cmd.psi), cmd.u, cmd.u_tar) + diag)
+            records.append(_GuidanceRecord(
+                psi_cmd=wrap_angle(cmd.psi), u_cmd=cmd.u, u_tar=cmd.u_tar,
+                J_opt=J_opt, kkt_residual=kkt, iterations=iterations,
+                solve_time_s=took))
             psi_cmd_cont = unwrap_near(cmd.psi, psi_cmd_cont)
-            if not filtered:
+            if filtered:
+                held = actuators.hold(cmd.u, psi_cmd_cont, min(m, steps - i))
+            else:
                 u_act, psi_act = cmd.u, psi_cmd_cont
 
         pack_row(rows, i * width, t_now, x, y, wrap_angle(psi_act), u_act, v,
@@ -392,15 +460,17 @@ def _closed_loop(sc: Scenario, timer) -> Trace:
         y += T_p * (u_act * sp + v * cp)
         omega += T_p * cmd.u_tar / F
         if filtered:
-            u_act, psi_act = actuators.step(cmd.u, psi_cmd_cont)
+            u_act, psi_act = held[k]
 
     meta = dict(law=sc.law, T_m=sc.T_m, T_p=T_p, duration=sc.duration,
                 guidance_stride=m, constraints=sc.constraints,
                 initial_input=u_initial, converge_band=sc.converge_band,
                 disturbance=sc.disturbance, filter_enabled=filtered)
     if not records:  # a zero-step run records the start's command
-        records.append((wrap_angle(cmd.psi), cmd.u, cmd.u_tar,
-                        math.nan, math.nan, 0.0, math.nan))
+        records.append(_GuidanceRecord(
+            psi_cmd=wrap_angle(cmd.psi), u_cmd=cmd.u, u_tar=cmd.u_tar,
+            J_opt=math.nan, kkt_residual=math.nan, iterations=0.0,
+            solve_time_s=math.nan))
     # Instant k's record covers rows k*m .. k*m + m - 1; the last also
     # covers the final row.
     counts = np.full(len(records), m)

@@ -300,7 +300,8 @@ class TestCLI:
                          "--out", str(out)]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("solver failure: ")
-        assert "QP linear algebra failed" in err[0]
+        assert "QP linear algebra failed: " in err[0]
+        assert "overflow" in err[0]
         assert not out.exists()
 
     @staticmethod

@@ -1014,6 +1014,11 @@ class TestNonFiniteAndIndefinite:
         with pytest.raises(QPFailure, match="QP linear algebra failed") as exc:
             solve_qp(prob, warm=QPSolution(np.zeros(9), (), math.inf, 0))
         assert isinstance(exc.value.__cause__, LinAlgError)
+        # The error scope cannot tell LAPACK's flag from this NaN, so the
+        # message names both causes.
+        assert str(exc.value) == (
+            "QP linear algebra failed: singular or not positive definite "
+            "matrix, or an overflow to a non-finite value")
 
     def test_indefinite_hessian_fails_the_step_and_the_cli(self, monkeypatch,
                                                            tmp_path):

@@ -72,6 +72,77 @@ class TestDisturbance:
             disturbance_sample(DisturbanceSpec(), -1.0)
 
 
+class TestSwayProfile:
+    """The sway of a run comes from one cached profile per (spec bits,
+    T_p, step count), equal bit for bit to disturbance_sample."""
+
+    SPEC = DisturbanceSpec(kind="sinusoid", amplitude=0.1, period=7.0,
+                           phase=0.3)
+
+    @staticmethod
+    def reference(spec, T_p, steps):
+        return np.array([disturbance_sample(spec, i * T_p)
+                         for i in range(steps + 1)])
+
+    def test_runs_on_one_grid_share_one_profile(self, monkeypatch):
+        calls = [0]
+
+        def counting(spec, t):
+            calls[0] += 1
+            return disturbance_sample(spec, t)
+
+        monkeypatch.setattr(sim, "disturbance_sample", counting)
+        sim._sway_of_bits.cache_clear()
+        first = realistic_scenario("sglos", duration=30.0)
+        second = replace(realistic_scenario("pnmpc", duration=30.0),
+                         x0=12.0, y0=7.0, omega0=3.0)
+        a, b = run_scenario(first), run_scenario(second)
+        sim._sway_of_bits.cache_clear()
+        assert calls[0] == len(a) == 301
+        ref = self.reference(first.disturbance, first.T_p, 300)
+        assert a["v"].tobytes() == ref.tobytes()
+        assert b["v"].tobytes() == ref.tobytes()
+
+    def test_profile_is_read_only(self):
+        profile = sim._sway_profile(self.SPEC, 0.1, 50)
+        assert isinstance(profile, tuple)
+        with pytest.raises(TypeError):
+            profile[3] = 1.0
+        assert sim._sway_profile(self.SPEC, 0.1, 50) is profile
+
+    def test_grid_or_spec_change_gets_its_own_profile(self):
+        base = sim._sway_profile(self.SPEC, 0.1, 50)
+        other_spec = replace(self.SPEC, phase=0.4)
+        for spec, T_p, steps in ((self.SPEC, 0.2, 50), (self.SPEC, 0.1, 60),
+                                 (other_spec, 0.1, 50)):
+            profile = sim._sway_profile(spec, T_p, steps)
+            assert profile is not base
+            assert np.array(profile).tobytes() == \
+                self.reference(spec, T_p, steps).tobytes()
+        assert sim._sway_profile(self.SPEC, 0.1, 50) is base
+
+    @pytest.mark.parametrize("amplitudes", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_signed_zero_amplitudes_keep_their_own_sway(self, amplitudes):
+        """The two specs compare and hash equal, yet one sway prints 0
+        where the other prints -0."""
+        specs = [DisturbanceSpec(kind="sinusoid", amplitude=a, period=7.0)
+                 for a in amplitudes]
+        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+        texts = []
+        for spec in specs:
+            sc = replace(realistic_scenario("sglos", duration=10.0),
+                         disturbance=spec)
+            out = io.StringIO()
+            run_scenario(sc).to_csv(out)
+            column = TRACE_COLUMNS.index("v")
+            got = [row.split(",")[column]
+                   for row in out.getvalue().splitlines()[1:]]
+            assert got == [f"{v:.9g}" for v in self.reference(spec, 0.1, 100)]
+            assert {"0", "-0"} <= set(got)
+            texts.append(got)
+        assert texts[0] != texts[1]
+
+
 class TestLowLevelFilter:
     A = 7.6923
     DELAY = 0.13
@@ -143,6 +214,44 @@ class TestLowLevelFilter:
             out = np.array(f.step(*cmd.tolist()))
             worst = max(worst, np.max(np.abs(out - x[0]) / np.abs(x[0])))
         assert worst <= 1e-14
+
+
+class TestFilterHold:
+    """hold(u, psi, m) gives the outputs and leaves the state of m step
+    calls with the command held, bit for bit."""
+
+    @staticmethod
+    def bits(outputs):
+        return [tuple(map(float.hex, out)) for out in outputs]
+
+    @staticmethod
+    def state(f):
+        return ([tuple(map(float.hex, pair)) for pair in f._hist],
+                tuple(map(float.hex, f.output)),
+                tuple(map(float.hex, f._rate)))
+
+    # T_p and the input delay in whole plant steps it gives: 2.6, 1.3,
+    # exactly 1, 0.65 and 0.13 steps.
+    @pytest.mark.parametrize("T_p, lag", [(0.05, 2), (0.1, 1), (0.13, 1),
+                                          (0.2, 0), (1.0, 0)])
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_hold_equals_successive_steps(self, T_p, lag, m):
+        initial = (0.4, -2.9)
+        held, stepped = LowLevelFilter(T_p, initial), \
+            LowLevelFilter(T_p, initial)
+        assert held._lag == lag
+        assert (held._frac == 0.0) == (T_p == 0.13)
+        rng = np.random.default_rng(11)
+        for period in range(8):
+            u, psi = rng.uniform(0.0, 1.5), rng.uniform(-4.0, 4.0)
+            if period % 3 == 2:  # a step call between two periods
+                assert self.bits([held.step(u, psi)]) == \
+                    self.bits([stepped.step(u, psi)])
+            got = held.hold(u, psi, m)
+            want = [stepped.step(u, psi) for _ in range(m)]
+            assert len(got) == m
+            assert self.bits(got) == self.bits(want)
+            assert self.state(held) == self.state(stepped)
 
 
 class ScalarFilter:
