@@ -14,23 +14,16 @@ under the held command, and each plant instant of the period reads its
 output from that list.  Each plant instant measures once: z, the path
 position and the tangent (angle and speed factor, no second derivative)
 are computed in place from path.eval and path.deriv, and z_of_omega and
-path_tangent run only to raise their errors.  The sway comes from a
-profile of disturbance_sample(spec, i * T_p) over the run's plant
-instants, held in an LRU cache of at most four read-only tuples (one
-float per plant instant per entry), so the runs that share a time grid
-and a sway (compare's laws, a batch of starts) compute it once.  Its key
-is the bits of the spec's numbers with T_p and the step count: specs
-that differ only in the sign of a zero compare equal, yet their sways
-differ in the sign of zero.  The filter advances the surge and heading
-channels together, on plain floats, so its last bits do not depend on
-the BLAS kernel a numpy matrix-vector product uses.  Each value is
-recorded, formatted and checked at the rate it changes.  The plant-rate
-columns are packed as native doubles into one float buffer row per plant
-instant; the guidance-rate columns get one record per guidance instant,
-repeated over the rows that hold it when the run ends.  The CSV is
-written CSV_CHUNK rows at a time with each run of repeated values
-formatted once, and the metrics scan the guidance instants' commands on
-plain floats.
+path_tangent run only to raise their errors.  It samples the sway once.
+The filter advances the surge and heading channels together, on plain
+floats, so its last bits do not depend on the BLAS kernel a numpy
+matrix-vector product uses.  Each value is recorded, formatted and
+checked at the rate it changes.  The plant-rate columns are packed as
+native doubles into one float buffer row per plant instant; the
+guidance-rate columns get one record per guidance instant, repeated over
+the rows that hold it when the run ends.  The CSV is written CSV_CHUNK
+rows at a time with each run of repeated values formatted once, and the
+metrics scan the guidance instants' commands on plain floats.
 
 Runs are fully deterministic; the only wall-clock quantity is the solver
 timing column, and the clock itself is injectable.
@@ -38,11 +31,9 @@ timing column, and the clock itself is injectable.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 import time
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -111,29 +102,6 @@ def disturbance_sample(spec: DisturbanceSpec, t: float) -> float:
     phase = 2.0 * math.pi * (spec.f0 * tt
                              + (spec.f1 - spec.f0) * tt * tt / (2.0 * ts))
     return spec.amplitude * math.sin(phase)
-
-
-# A spec's numbers in field order, packed for the sway cache's key.
-_SWAY_NUMBERS = struct.Struct("6d")
-
-
-def _sway_profile(spec: DisturbanceSpec, T_p: float, steps: int) -> tuple:
-    """disturbance_sample(spec, i * T_p) for i = 0 .. steps.
-
-    Runs on one time grid under one sway share the profile.  The cache
-    is keyed by the bits of the spec's numbers rather than by the spec,
-    since specs that differ only in the sign of a zero compare and hash
-    equal, yet their sways differ in the sign of zero.
-    """
-    numbers = _SWAY_NUMBERS.pack(spec.amplitude, spec.period, spec.phase,
-                                 spec.f0, spec.f1, spec.switch_time)
-    return _sway_of_bits(spec.kind, numbers, T_p, steps)
-
-
-@functools.lru_cache(maxsize=4)
-def _sway_of_bits(kind: str, numbers: bytes, T_p: float, steps: int) -> tuple:
-    spec = DisturbanceSpec(kind, *_SWAY_NUMBERS.unpack(numbers))
-    return tuple([disturbance_sample(spec, i * T_p) for i in range(steps + 1)])
 
 
 class LowLevelFilter:
@@ -278,8 +246,6 @@ TRACE_COLUMNS = ("t", "x", "y", "psi_cmd", "psi_act", "u_cmd", "u_act",
 _GUIDANCE_COLUMNS = ("psi_cmd", "u_cmd", "u_tar", "J_opt", "kkt_residual",
                      "iterations", "solve_time_s")
 _PLANT_COLUMNS = tuple(c for c in TRACE_COLUMNS if c not in _GUIDANCE_COLUMNS)
-# One guidance instant's record, built by column name in column order.
-_GuidanceRecord = namedtuple("_GuidanceRecord", _GUIDANCE_COLUMNS)
 # One plant-rate row as native doubles, packed straight into the buffer.
 _ROW = struct.Struct(f"{len(_PLANT_COLUMNS)}d")
 
@@ -340,6 +306,15 @@ def _write_rows(write, block: np.ndarray) -> None:
         write((outer % tuple(h)) * (b - a) % tuple(varying[a * k:b * k]))
 
 
+def _guidance_record(cmd: InputCmd, J_opt: float, kkt_residual: float,
+                     iterations: float, solve_time_s: float) -> tuple:
+    """One guidance instant's values in _GUIDANCE_COLUMNS order: the held
+    command (psi_cmd wrapped, u_cmd, u_tar), then the step's diagnostics
+    by their column names."""
+    return (wrap_angle(cmd.psi), cmd.u, cmd.u_tar, J_opt, kkt_residual,
+            iterations, solve_time_s)
+
+
 def run_scenario(sc: Scenario, timer=time.perf_counter) -> Trace:
     """Simulate the closed loop and return the full trace.
 
@@ -385,7 +360,7 @@ def _closed_loop(sc: Scenario, timer) -> Trace:
     held = None  # the filter's outputs over the current guidance period
     warm = None
     records = []  # the guidance-rate columns, one per guidance instant
-    sway = _sway_profile(sc.disturbance, T_p, steps)
+    disturbance = sc.disturbance
     evaluate, deriv = path.eval, path.deriv
 
     rows = np.empty((steps + 1, len(_PLANT_COLUMNS)))
@@ -407,16 +382,14 @@ def _closed_loop(sc: Scenario, timer) -> Trace:
                 path_tangent(path, omega)  # raises NonRegularPath
         except PFGuideError as exc:
             raise type(exc)(f"plant step {i} failed: {exc}") from exc
-        phi_p = math.atan2(ty, tx)
-        if not -math.pi < phi_p <= math.pi:
-            phi_p = wrap_angle(phi_p)
+        phi_p = wrap_angle(math.atan2(ty, tx))
         dx, dy = x - x_p, y - y_p
         c, s = math.cos(phi_p), math.sin(phi_p)
         x_e, y_e = c * dx + s * dy, -s * dx + c * dy
         if not (math.isfinite(x_e) and math.isfinite(y_e)):
             raise StateEscape(f"plant step {i} failed: non-finite PF errors "
                               f"({x_e!r}, {y_e!r})")
-        v = sway[i]
+        v = disturbance_sample(disturbance, t_now)
 
         k = i % m  # plant steps since the last guidance instant
         if k == 0 and i < steps:
@@ -425,26 +398,21 @@ def _closed_loop(sc: Scenario, timer) -> Trace:
                 if solver is not None:
                     warm = solver.solve(state, v, cmd, warm, timer=timer)
                     cmd = warm.u_seq[0]
-                    J_opt, kkt, iterations, took = (
-                        warm.J_opt, warm.kkt_residual,
-                        float(warm.iterations), warm.solve_time)
+                    diag = (warm.J_opt, warm.kkt_residual,
+                            float(warm.iterations), warm.solve_time)
                 else:
                     t0 = timer()
                     raw = sglos(state, path, sc.sglos)
                     cmd = InputCmd(*clamp_flat(raw.u, raw.psi, raw.u_tar,
                                                cmd.u, cmd.psi, sc.constraints))
-                    J_opt, kkt, iterations, took = (
-                        math.nan, math.nan, 0.0, timer() - t0)
+                    diag = (math.nan, math.nan, 0.0, timer() - t0)
             except (PFGuideError, ValueError) as exc:
                 # A ValueError is a non-finite value met by the step.
                 error = type(exc) if isinstance(exc, PFGuideError) \
                     else StateEscape
                 raise error(f"guidance step failed at t={t_now:g} (plant "
                             f"step {i}): {exc}") from exc
-            records.append(_GuidanceRecord(
-                psi_cmd=wrap_angle(cmd.psi), u_cmd=cmd.u, u_tar=cmd.u_tar,
-                J_opt=J_opt, kkt_residual=kkt, iterations=iterations,
-                solve_time_s=took))
+            records.append(_guidance_record(cmd, *diag))
             psi_cmd_cont = unwrap_near(cmd.psi, psi_cmd_cont)
             if filtered:
                 held = actuators.hold(cmd.u, psi_cmd_cont, min(m, steps - i))
@@ -467,10 +435,8 @@ def _closed_loop(sc: Scenario, timer) -> Trace:
                 initial_input=u_initial, converge_band=sc.converge_band,
                 disturbance=sc.disturbance, filter_enabled=filtered)
     if not records:  # a zero-step run records the start's command
-        records.append(_GuidanceRecord(
-            psi_cmd=wrap_angle(cmd.psi), u_cmd=cmd.u, u_tar=cmd.u_tar,
-            J_opt=math.nan, kkt_residual=math.nan, iterations=0.0,
-            solve_time_s=math.nan))
+        records.append(_guidance_record(cmd, math.nan, math.nan, 0.0,
+                                        math.nan))
     # Instant k's record covers rows k*m .. k*m + m - 1; the last also
     # covers the final row.
     counts = np.full(len(records), m)

@@ -1,3 +1,4 @@
+import inspect
 import io
 import math
 import struct
@@ -71,76 +72,25 @@ class TestDisturbance:
         with pytest.raises(ConfigError):
             disturbance_sample(DisturbanceSpec(), -1.0)
 
-
-class TestSwayProfile:
-    """The sway of a run comes from one cached profile per (spec bits,
-    T_p, step count), equal bit for bit to disturbance_sample."""
-
-    SPEC = DisturbanceSpec(kind="sinusoid", amplitude=0.1, period=7.0,
-                           phase=0.3)
-
-    @staticmethod
-    def reference(spec, T_p, steps):
-        return np.array([disturbance_sample(spec, i * T_p)
-                         for i in range(steps + 1)])
-
-    def test_runs_on_one_grid_share_one_profile(self, monkeypatch):
-        calls = [0]
-
-        def counting(spec, t):
-            calls[0] += 1
-            return disturbance_sample(spec, t)
-
-        monkeypatch.setattr(sim, "disturbance_sample", counting)
-        sim._sway_of_bits.cache_clear()
-        first = realistic_scenario("sglos", duration=30.0)
-        second = replace(realistic_scenario("pnmpc", duration=30.0),
-                         x0=12.0, y0=7.0, omega0=3.0)
-        a, b = run_scenario(first), run_scenario(second)
-        sim._sway_of_bits.cache_clear()
-        assert calls[0] == len(a) == 301
-        ref = self.reference(first.disturbance, first.T_p, 300)
-        assert a["v"].tobytes() == ref.tobytes()
-        assert b["v"].tobytes() == ref.tobytes()
-
-    def test_profile_is_read_only(self):
-        profile = sim._sway_profile(self.SPEC, 0.1, 50)
-        assert isinstance(profile, tuple)
-        with pytest.raises(TypeError):
-            profile[3] = 1.0
-        assert sim._sway_profile(self.SPEC, 0.1, 50) is profile
-
-    def test_grid_or_spec_change_gets_its_own_profile(self):
-        base = sim._sway_profile(self.SPEC, 0.1, 50)
-        other_spec = replace(self.SPEC, phase=0.4)
-        for spec, T_p, steps in ((self.SPEC, 0.2, 50), (self.SPEC, 0.1, 60),
-                                 (other_spec, 0.1, 50)):
-            profile = sim._sway_profile(spec, T_p, steps)
-            assert profile is not base
-            assert np.array(profile).tobytes() == \
-                self.reference(spec, T_p, steps).tobytes()
-        assert sim._sway_profile(self.SPEC, 0.1, 50) is base
-
-    @pytest.mark.parametrize("amplitudes", [(0.0, -0.0), (-0.0, 0.0)])
-    def test_signed_zero_amplitudes_keep_their_own_sway(self, amplitudes):
-        """The two specs compare and hash equal, yet one sway prints 0
-        where the other prints -0."""
-        specs = [DisturbanceSpec(kind="sinusoid", amplitude=a, period=7.0)
-                 for a in amplitudes]
-        assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
-        texts = []
-        for spec in specs:
+    def test_signed_zero_amplitude_keeps_its_sign_in_the_csv(self):
+        """Specs with amplitude 0.0 and -0.0 compare and hash equal, yet
+        one sway prints 0 where the other prints -0.  Each run, whatever
+        ran before it, writes its own spec's signs."""
+        column = TRACE_COLUMNS.index("v")
+        for amplitude in (0.0, -0.0, 0.0):
+            spec = DisturbanceSpec(kind="sinusoid", amplitude=amplitude,
+                                   period=7.0)
+            assert spec == DisturbanceSpec(kind="sinusoid", amplitude=0.0,
+                                           period=7.0)
             sc = replace(realistic_scenario("sglos", duration=10.0),
                          disturbance=spec)
             out = io.StringIO()
             run_scenario(sc).to_csv(out)
-            column = TRACE_COLUMNS.index("v")
             got = [row.split(",")[column]
                    for row in out.getvalue().splitlines()[1:]]
-            assert got == [f"{v:.9g}" for v in self.reference(spec, 0.1, 100)]
+            assert got == [f"{disturbance_sample(spec, i * 0.1):.9g}"
+                           for i in range(101)]
             assert {"0", "-0"} <= set(got)
-            texts.append(got)
-        assert texts[0] != texts[1]
 
 
 class TestLowLevelFilter:
@@ -622,6 +572,17 @@ class TestRunScenario:
             (start.u, start.psi, start.u_tar)
         assert np.isnan(tr["J_opt"][0]) and tr["iterations"][0] == 0.0
         assert compute_metrics(tr).guidance_steps == 0
+
+    def test_guidance_record_takes_its_columns_by_name(self):
+        """Both guidance records come from one helper: the held command
+        gives the first three columns, the rest go in by column name."""
+        params = list(inspect.signature(sim._guidance_record).parameters)
+        assert params == ["cmd", *sim._GUIDANCE_COLUMNS[3:]]
+        assert sim._GUIDANCE_COLUMNS[:3] == ("psi_cmd", "u_cmd", "u_tar")
+        record = sim._guidance_record(
+            InputCmd(0.2, 7.0, 0.1), J_opt=1.5, kkt_residual=2.5,
+            iterations=3.0, solve_time_s=4.5)
+        assert record == (wrap_angle(7.0), 0.2, 0.1, 1.5, 2.5, 3.0, 4.5)
 
     def test_step_error_context(self):
         from pfguide.exceptions import PFGuideError
