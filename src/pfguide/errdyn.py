@@ -4,21 +4,21 @@ State x = (x_e, y_e, z): along-track error [m], cross-track error [m] and
 the bounded path variable z = 1/(omega+1).  Input u = (u, psi, u_tar):
 surge reference [m/s], heading reference [rad], virtual-target velocity
 [m/s].  The sway velocity v is the only disturbance.  rollout_flat
-predicts with one path frame per step and the error dynamics evaluated
-in place, on plain floats; the two passes of pnmpc take the same step.
+predicts on plain floats, one path_frame and one dynamics_flat per step.
+It is the reference form of the Euler step: the solvers predict with the
+two passes of pnmpc, which write the same step out, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan2, cos, hypot, isfinite, pi, sin
+from math import isfinite
 from typing import List, Sequence, Tuple
 
 from .angles import wrap_angle
 from .exceptions import StateEscape
-from .paths import (F_MIN, Frame, PathDef, omega_of_z, path_frame,
-                    path_tangent)
+from .paths import Frame, PathDef, omega_of_z, path_frame
 from .paths import sample_path  # noqa: F401 -- perfbench's tracer binds it
 
 # z is kept strictly positive so omega = 1/z - 1 stays defined; omega -> inf
@@ -85,20 +85,18 @@ def rollout_flat(x0: Sequence[float], U: Sequence[float], v: float, dt: float,
 
     x0 is (x_e, y_e, z) with z in (0, 1]; U stacks (u, psi, u_tar) per
     step.  Returns the stacked states 0..N as one flat list and the frame
-    each step was taken from, so the linearization along the same
-    trajectory needs no further path evaluation.  Every z is clamped into
-    (Z_MIN, 1].  Raises ValueError on a dt that is not finite and positive,
-    a non-finite input or a length of U that is not a multiple of 3, and
-    StateEscape if a step produces a non-finite state.  Each step is
-    path_frame and dynamics_flat written out, with wrap_angle called only
-    outside (-pi, pi], the same bits.
+    each step was taken from.  Each step is path_frame at the state's
+    omega and dynamics_flat, and every z is clamped into (Z_MIN, 1].
+    Raises ValueError on a dt that is not finite and positive, a
+    non-finite input or a length of U that is not a multiple of 3, and
+    StateEscape if a step produces a non-finite state.  This is the
+    reference form of the step that pnmpc's two passes write out.
     """
     if not (isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     if len(U) % 3:
         raise ValueError(f"inputs must stack (u, psi, u_tar) per step, got "
                          f"{len(U)} values")
-    deriv, deriv2 = path.deriv, path.deriv2
     xe, ye, z = x0
     X = [xe, ye, z]
     frames = []
@@ -106,31 +104,15 @@ def rollout_flat(x0: Sequence[float], U: Sequence[float], v: float, dt: float,
         u, psi, u_tar = U[j], U[j + 1], U[j + 2]
         if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
             raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
-        omega = 1.0 / z - 1.0
-        dx, dy = deriv(omega)
-        F = hypot(dx, dy)
-        if F <= F_MIN:
-            path_tangent(path, omega)  # raises NonRegularPath
-        phi_p = atan2(dy, dx)
-        if not -pi < phi_p <= pi:
-            phi_p = wrap_angle(phi_p)
-        ddx, ddy = deriv2(omega)
-        dphi_dw = (dx * ddy - dy * ddx) / (F * F)
-        frames.append((phi_p, F, dphi_dw, dx, dy, ddx, ddy))
-        dpsi = psi - phi_p
-        if not -pi < dpsi <= pi:
-            dpsi = wrap_angle(dpsi)
-        c = cos(dpsi)
-        s = sin(dpsi)
-        kw = dphi_dw / F
-        nxe = xe + dt * (u * c - v * s + u_tar * (kw * ye - 1.0))
-        nye = ye + dt * (u * s + v * c - u_tar * kw * xe)
-        nz = z + dt * (-z * z * u_tar / F)
+        frame = path_frame(path, 1.0 / z - 1.0)
+        dxe, dye, dz = dynamics_flat(xe, ye, z, u, psi, u_tar, v, frame)
+        nxe, nye, nz = xe + dt * dxe, ye + dt * dye, z + dt * dz
         if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
             raise StateEscape(f"non-finite state after Euler step from "
                               f"{(xe, ye, z)!r}")
         xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
         X += (xe, ye, z)
+        frames.append(frame)
     return X, frames
 
 

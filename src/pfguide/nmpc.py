@@ -15,30 +15,35 @@ closed form.
 The solver is an SQP on the steps of pnmpc.HorizonSolver.  Each major
 iteration linearizes the prediction along the incumbent, builds the
 strictly convex QP there (HorizonSolver.linearized_qp), solves it and
-backtracks on the true nonlinear cost (Armijo).  A QP step that is not a
-certified descent direction, or a line search with no acceptable trial
-down to alpha = 1e-7, keeps the incumbent, logs a warning and ends the
-solve at the stationarity residual it has.  Each QP is handed the
-working set the previous QP of the solve ended on (the first starts from
-an empty set), so a QP whose optimal set has not changed is settled by
-one KKT solve (qp.solve_qp).  The QP's Hessian starts as Gauss-Newton,
-2(S'WS + diag r).  Far from the path the residuals are large and that
-Hessian only contracts the stationarity residual linearly, so from the
-first major iteration that leaves more than STALL_RATIO of the previous
-residual to the end of the solve, the exact second-order term of the
-rollout (pnmpc.curvature_flat) is added.  _convexified makes that sum
-positive definite; it keeps the curvature along the constraints active
-at the zero step unless the sum couples them strongly to the other
-directions.  Near convergence, where the predicted decrease falls below
-the rounding of J, the line search also takes a trial whose cost rises
-by no more than that rounding, 10 eps |J|.  The constant hold of the
-previous input is always feasible, so a feasible incumbent exists from
-the start and only improves, up to that rounding; the previous plan, its
-shift and the answer are projected onto the constraints by
-pnmpc.projected_rollout_flat.  The fast law in the pnmpc module is the
-first full step of this SQP from that hold.  Its loop stays apart: it
-has none of the candidates, stationarity test, exact Hessian, handed-on
-working set or line search above, and fails on an unconverged QP.
+backtracks on the true nonlinear cost (Armijo).  The starts and every
+trial are costed by pass 2 (pnmpc.projected_rollout_flat), on the
+commands they apply, and the accepted trial's pass 2 is the answer.  The
+next linearization point stays the unprojected trial: pass 2 wraps
+headings, which the QP's rate rows difference unwrapped.  A QP step that
+is not a certified descent direction, or a line search with no
+acceptable trial down to alpha = 1e-7, keeps the incumbent, logs a
+warning and ends the solve at the stationarity residual it has.  Each QP
+is handed the working set the previous QP of the solve ended on (the
+first starts from an empty set), so a QP whose optimal set has not
+changed is settled by one KKT solve (qp.solve_qp).  The QP's Hessian
+starts as Gauss-Newton, 2(S'WS + diag r).  Far from the path the
+residuals are large and that Hessian only contracts the stationarity
+residual linearly, so from the first major iteration that leaves more
+than STALL_RATIO of the previous residual to the end of the solve, the
+exact second-order term of the rollout (pnmpc.curvature_flat) is added.
+_convexified makes that sum positive definite; it keeps the curvature
+along the constraints active at the zero step unless the sum couples
+them strongly to the other directions.  Near convergence, where the
+predicted decrease falls below the rounding of J, the line search also
+takes a trial whose cost rises by no more than that rounding, 10 eps
+|J|.  The constant hold of the previous input is always feasible, so a
+feasible incumbent exists from the start and only improves, up to that
+rounding: the answer costs no more than the cheapest of the hold, the
+previous plan and its shift, each costed by pass 2.  The fast law in the
+pnmpc module is the first full step of this SQP from that hold.  Its
+loop stays apart: it has none of the candidates, stationarity test,
+exact Hessian, handed-on working set or line search above, and fails on
+an unconverged QP.
 """
 
 from __future__ import annotations
@@ -51,13 +56,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errdyn import GuidanceState, InputCmd, flat_inputs, rollout_flat
+from .errdyn import GuidanceState, InputCmd, flat_inputs
 from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import PathDef, omega_of_z, path_frame
-from .pnmpc import (HorizonSolver, SolveResult, cost_weights,
-                    curvature_flat, horizon_cost_flat, jacobian_block,
-                    projected_rollout_flat, reference_stack, stage_cost_flat,
+from .pnmpc import (HorizonSolver, SolveResult, curvature_flat,
+                    jacobian_block, reference_stack, stage_cost_flat,
                     state_jacobian)
 from .qp import QPSolution, solve_qp
 
@@ -153,9 +157,10 @@ class NMPCConfig:
 
 def stage_cost(x: GuidanceState, u: InputCmd, cfg: NMPCConfig) -> float:
     """x'Qx + (u - ref)'R(u - ref), heading deviation wrapped, with the
-    input reference ref = (u_r, 0, u_r)."""
-    q, r, ref = cost_weights(cfg)[:3]
-    return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar, q, r, ref)
+    input reference ref = (u_r, 0, u_r).  Needs no terminal weight."""
+    return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar,
+                           cfg.Q.tolist(), cfg.R.tolist(),
+                           (cfg.u_r, 0.0, cfg.u_r))
 
 
 def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -286,25 +291,22 @@ class NMPCSolver(HorizonSolver):
     kkt_tol = KKT_TOL
     max_iterations = MAX_MAJOR_ITER
 
-    def _candidates(self, x0, v_k, u_prev, warm):
-        """Best of the held previous input and, given a warm start, its
-        plan and shifted plan, both projected: (U, cost, frame at x0)."""
+    def _candidates(self, x0, frame0, v_k, u_prev, warm):
+        """Cheapest of the held previous input and, given a warm start,
+        its plan and shifted plan, by their pass-2 costs: (U, pass 2 of
+        U).  U, the point to linearize at, is the hold as held or the
+        plan's projected inputs."""
         cfg = self.cfg
-        seqs = ()
+        U = [u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N
+        best = self._pass2(U, u_prev, x0, frame0, v_k)
         if warm is not None and len(warm.u_seq) == cfg.N:
             tail = sglos(GuidanceState(*warm.x_flat[-3:]), self.path,
                          cfg.terminal_law)
-            seqs = (warm.u_seq, tuple(warm.u_seq[1:]) + (tail,))
-        U = [u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N
-        X, frames = rollout_flat(x0, U, v_k, cfg.T_m, self.path)
-        J = horizon_cost_flat(X, U, self._weights)
-        for seq in seqs:
-            cmds, _, J_seq = projected_rollout_flat(
-                flat_inputs(seq), u_prev, x0, frames[0], v_k, cfg.T_m,
-                self.path, cfg.constraints, self._weights)
-            if J_seq < J:
-                U, J = flat_inputs(cmds), J_seq
-        return np.array(U), J, frames[0]
+            for seq in (warm.u_seq, tuple(warm.u_seq[1:]) + (tail,)):
+                cand = self._pass2(flat_inputs(seq), u_prev, x0, frame0, v_k)
+                if cand[2] < best[2]:
+                    U, best = cand[0], cand
+        return np.array(U), best
 
     def solve(self, x_k: GuidanceState, v_k: float, u_prev: InputCmd,
               warm: Optional[SolveResult] = None,
@@ -314,7 +316,9 @@ class NMPCSolver(HorizonSolver):
         require_in_box(u_prev, cfg.constraints)
         T_m, path = cfg.T_m, self.path
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
-        U, J, frame0 = self._candidates(x0, v_k, u_prev, warm)
+        frame0 = path_frame(path, omega_of_z(x_k.z))
+        U, plan = self._candidates(x0, frame0, v_k, u_prev, warm)
+        J = plan[2]
         Uref = reference_stack(cfg, u_prev.psi)
 
         kkt = math.inf
@@ -355,10 +359,8 @@ class NMPCSolver(HorizonSolver):
             rounding = _ROUNDING * abs(J)
             while alpha >= 1e-7:
                 U_try = U + alpha * delta
-                u_try = U_try.tolist()
-                J_try = horizon_cost_flat(
-                    rollout_flat(x0, u_try, v_k, T_m, path)[0], u_try,
-                    self._weights)
+                trial = self._pass2(U_try.tolist(), u_prev, x0, frame0, v_k)
+                J_try = trial[2]
                 if J_try <= J + 1e-4 * alpha * gd or (
                         J_try - J <= rounding and -alpha * gd <= rounding):
                     break
@@ -369,11 +371,13 @@ class NMPCSolver(HorizonSolver):
                     "down to alpha 1e-7, KKT residual %.3e, g.d = %.3e); "
                     "keeping the incumbent", it, kkt, gd)
                 break
-            U, J = U_try, J_try
+            U, plan, J = U_try, trial, J_try
         else:
             logger.warning(
                 "SQP stopped at the iteration cap (%d) with KKT residual "
                 "%.3e above the tolerance %.1e", self.max_iterations, kkt,
                 self.kkt_tol)
 
-        return self._result(U, u_prev, x0, frame0, v_k, iters, kkt, t0, timer)
+        V, X, J = plan
+        return SolveResult(tuple(map(InputCmd, V[::3], V[1::3], V[2::3])), X,
+                           J, iters, kkt, timer() - t0)

@@ -4,11 +4,12 @@ Both predictive laws step on the same QP (HorizonSolver.linearized_qp):
 the Euler prediction is linearized around an input sequence U, X(U +
 delta) ~ X(U) + S . delta, and the horizon cost becomes one strictly
 convex QP in the per-step input perturbation delta, started from delta =
-0.  HorizonSolver also holds both laws' constants and pass 2; each law
-runs its own loop over these steps.  The nonlinear law iterates them
-with a line search; the fast law (PNMPCSolver) is the first full step of
-that SQP from the held previous input, a real-time iteration.  The fast
-law has two sources of S (LINEARIZATIONS):
+0.  HorizonSolver also holds both laws' constants and pass 2, which
+projects, rolls out and costs the commands a law applies; each law runs
+its own loop over these steps.  The nonlinear law iterates them with a
+line search; the fast law (PNMPCSolver) is the first full step of that
+SQP from the held previous input, a real-time iteration.  The fast law
+has two sources of S (LINEARIZATIONS):
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
@@ -489,30 +490,31 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
                            x0: Sequence[float], frame0: Frame, v: float,
                            T_m: float, path: PathDef, c: InputConstraints,
                            weights: tuple
-                           ) -> Tuple[Tuple[InputCmd, ...], List[float],
-                                      float]:
-    """Pass 2: the commands of the stacked inputs U chain-projected into
-    U and U_g, the stacked states 0..N under them from x0 and their cost.
+                           ) -> Tuple[List[float], List[float], float]:
+    """Pass 2: the stacked inputs U chain-projected into U and U_g, the
+    stacked states 0..N under them from x0 and their cost.
 
     Each step goes through los.clamp_flat, the projection the membership
-    checks use, so the commands meet the constraints bit-exactly, where
-    the QP meets them to solver tolerance.  It then takes rollout_flat's
-    Euler step, with its errors and z clamp, and adds its stage cost;
-    step 0 reuses frame0, the path frame at x0.  weights come from
-    cost_weights.  A non-finite input raises InputCmd's ValueError.
+    checks use, so the projected inputs meet the constraints bit-exactly,
+    where the QP meets them to solver tolerance.  It then takes
+    rollout_flat's Euler step, with its errors and z clamp, and adds its
+    stage cost; step 0 reuses frame0, the path frame at x0.  weights come
+    from cost_weights.  Returns the projected inputs stacked as U is, the
+    states and the cost.  A non-finite input raises rollout_flat's
+    ValueError.
     """
     if not (isfinite(T_m) and T_m > 0.0):
         raise ValueError(f"dt must be finite and positive, got {T_m!r}")
     deriv, deriv2 = path.deriv, path.deriv2
     (q0, q1, q2), (r0, r1, r2), (ref0, ref1, ref2), lam, P = weights
-    cmds = []
+    V = []
     u, psi = u_prev.u, u_prev.psi
     xe, ye, z = x0
     X = [xe, ye, z]
     J = 0.0
     for j in range(0, len(U), 3):
         u, psi, u_tar = clamp_flat(U[j], U[j + 1], U[j + 2], u, psi, c)
-        cmds.append(InputCmd(u, psi, u_tar))
+        V += (u, psi, u_tar)
         if j:
             omega = 1.0 / z - 1.0
             dx, dy = deriv(omega)
@@ -543,16 +545,20 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
         nye = ye + T_m * (u * sn + v * cs - u_tar * kw * xe)
         nz = z + T_m * (-z * z * u_tar / F)
         if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
+            # A non-finite projected input always leaves a non-finite state.
+            if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
+                raise ValueError(
+                    f"non-finite input command {(u, psi, u_tar)!r}")
             raise StateEscape(f"non-finite state after Euler step from "
                               f"{(xe, ye, z)!r}")
         xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
         X += (xe, ye, z)
-    return tuple(cmds), X, J + lam * quadratic_form(xe, ye, z, P)
+    return V, X, J + lam * quadratic_form(xe, ye, z, P)
 
 
 class HorizonSolver:
     """The steps both predictive laws take alike: linearized_qp (pass 1
-    and the QP at U) and _result (pass 2 and its SolveResult), on
+    and the QP at U) and _pass2 (pass 2 of stacked inputs), on
     per-configuration constants built once.  A solve depends on its
     arguments alone; each law's solve is its own loop over these steps."""
 
@@ -596,16 +602,14 @@ class HorizonSolver:
         cur[1] -= u_prev.psi
         return QPProblem.on_rows(H, g, self._rows, cur), X, frames, S
 
-    def _result(self, U: np.ndarray, u_prev: InputCmd, x0: Sequence[float],
-                frame0: Frame, v: float, iterations: int, kkt: float,
-                t0: float, timer) -> SolveResult:
-        """Pass 2 of U from x0 (frame0 the path frame there) as a
-        SolveResult, timed from t0."""
+    def _pass2(self, U: Sequence[float], u_prev: InputCmd,
+               x0: Sequence[float], frame0: Frame, v: float) -> tuple:
+        """Pass 2 of the stacked inputs U from x0, frame0 the path frame
+        there: (projected inputs, states, cost)."""
         cfg = self.cfg
-        u_seq, X, J = projected_rollout_flat(
-            U.tolist(), u_prev, x0, frame0, v, cfg.T_m, self.path,
-            cfg.constraints, self._weights)
-        return SolveResult(u_seq, X, J, iterations, kkt, timer() - t0)
+        return projected_rollout_flat(U, u_prev, x0, frame0, v, cfg.T_m,
+                                      self.path, cfg.constraints,
+                                      self._weights)
 
 
 class PNMPCSolver(HorizonSolver):
@@ -636,8 +640,8 @@ class PNMPCSolver(HorizonSolver):
               warm: Optional[SolveResult] = None,
               timer=time.perf_counter) -> SolveResult:
         """Linearize at the hold, solve the QP from delta = 0 and return
-        the hold plus the full step.  warm is unused; it keeps the call
-        signature of NMPCSolver.solve."""
+        pass 2 of the hold plus the full step.  warm is unused; it keeps
+        the call signature of NMPCSolver.solve."""
         t0 = timer()
         cfg = self.cfg
         require_in_box(u_prev, cfg.constraints)
@@ -649,5 +653,8 @@ class PNMPCSolver(HorizonSolver):
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        return self._result(U + qsol.x, u_prev, x0, frames[0], v_k,
-                            qsol.iterations, qsol.kkt_residual, t0, timer)
+        V, X, J = self._pass2((U + qsol.x).tolist(), u_prev, x0, frames[0],
+                              v_k)
+        return SolveResult(tuple(map(InputCmd, V[::3], V[1::3], V[2::3])),
+                           X, J, qsol.iterations, qsol.kkt_residual,
+                           timer() - t0)

@@ -10,13 +10,15 @@ from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
                      NMPCSolver, TerminalWeightUnset,
                      UnstableTerminalLoop, case_study_path,
                      discrete_lyapunov, euler_step, line_path,
-                     polynomial_path, realistic_scenario, run_scenario,
-                     sample_path, sglos, stage_cost,
+                     make_config, polynomial_path, realistic_scenario,
+                     run_scenario, sample_path, sglos, stage_cost,
                      synthesize_terminal_weight, wrap_angle, z_of_omega)
 from pfguide import nmpc as nmpc_mod
+from pfguide import pnmpc
 from pfguide import qp as qp_mod
 from pfguide.errdyn import flat_inputs, rollout
 from pfguide.los import clamp_inputs
+from pfguide.paths import path_frame
 from pfguide.pnmpc import horizon_cost, quadratic_form
 from pfguide.qp import QPSolution
 
@@ -105,12 +107,15 @@ class TestStageCost:
     def test_scalar_oracle_value(self, demo_config):
         # paper weights: 1*1 + 1*1 + 1e-5*1e-4 + 10*0.0025 + 1e-5*(0.01+0.0025)
         x = GuidanceState(1.0, 1.0, 0.01)
-        u = InputCmd(demo_config.u_r + 0.05, 0.1, demo_config.u_r + 0.05)
         ref = (1.0 + 1.0 + 1e-5 * 1e-4
                + 10.0 * 0.0025 + 1e-5 * 0.01 + 1e-5 * 0.0025)
-        got = stage_cost(x, u, demo_config)
-        assert got == pytest.approx(ref, rel=1e-12)
-        assert got == pytest.approx(2.0250001, abs=1e-6)
+        # The default config has no terminal weight, which the stage cost
+        # does not need.
+        for cfg in (demo_config, NMPCConfig()):
+            u = InputCmd(cfg.u_r + 0.05, 0.1, cfg.u_r + 0.05)
+            got = stage_cost(x, u, cfg)
+            assert got == pytest.approx(ref, rel=1e-12)
+            assert got == pytest.approx(2.0250001, abs=1e-6)
 
     def test_quadratic_homogeneity(self, demo_config):
         x1 = GuidanceState(0.3, -0.7, 0.2)
@@ -387,33 +392,34 @@ class TestSQPWork:
     def test_failed_line_search_keeps_the_incumbent(self, monkeypatch,
                                                     caplog, demo_path,
                                                     demo_config):
-        """The first line search fails (the patched cost rejects every
-        trial), so the solve ends after one iteration on the best
-        candidate, reports the KKT residual it has and says why."""
+        """The first line search fails (the patched pass 2 costs every
+        trial at infinity), so the solve ends after one iteration on the
+        best candidate, reports the KKT residual it has and says why."""
         x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
             InputCmd(0.0, 0.56, 0.01)
         solver = NMPCSolver(demo_config, demo_path)
-        best_U, best_J, _ = solver._candidates(
-            (x.x_e, x.y_e, x.z), 0.0, u_prev, None)
+        _, (best_U, _, best_J) = solver._candidates(
+            (x.x_e, x.y_e, x.z), path_frame(demo_path, 1.0 / x.z - 1.0),
+            0.0, u_prev, None)
         problems = []
-        real_cost = nmpc_mod.horizon_cost_flat
+        real_pass2 = pnmpc.projected_rollout_flat
         real_solve = nmpc_mod.solve_qp
 
         def solve(prob, warm=None):
             problems.append(prob)
             return real_solve(prob, warm=warm)
 
-        def cost(X, u_flat, weights):
+        def pass2(*args):
             # Line-search trials of the first QP step all fail.
-            return math.inf if len(problems) == 1 else \
-                real_cost(X, u_flat, weights)
+            V, X, J = real_pass2(*args)
+            return V, X, math.inf if len(problems) == 1 else J
 
-        monkeypatch.setattr(nmpc_mod, "horizon_cost_flat", cost)
+        monkeypatch.setattr(pnmpc, "projected_rollout_flat", pass2)
         monkeypatch.setattr(nmpc_mod, "solve_qp", solve)
         with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
             res = solver.solve(x, 0.0, u_prev)
         assert res.iterations == 1 and len(problems) == 1
-        assert flat_inputs(res.u_seq) == best_U.tolist()
+        assert flat_inputs(res.u_seq) == best_U
         assert res.J_opt == best_J
         assert res.kkt_residual > nmpc_mod.KKT_TOL
         msgs = [r.getMessage() for r in caplog.records
@@ -427,8 +433,9 @@ class TestSQPWork:
         x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
             InputCmd(0.0, 0.56, 0.01)
         solver = NMPCSolver(demo_config, demo_path)
-        best_U, best_J, _ = solver._candidates(
-            (x.x_e, x.y_e, x.z), 0.0, u_prev, None)
+        _, (best_U, _, best_J) = solver._candidates(
+            (x.x_e, x.y_e, x.z), path_frame(demo_path, 1.0 / x.z - 1.0),
+            0.0, u_prev, None)
         problems = []
 
         def solve(prob, warm=None):
@@ -439,7 +446,7 @@ class TestSQPWork:
         with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
             res = solver.solve(x, 0.0, u_prev)
         assert res.iterations == 1 and len(problems) == 1
-        assert flat_inputs(res.u_seq) == best_U.tolist()
+        assert flat_inputs(res.u_seq) == best_U
         assert res.J_opt == best_J
         assert res.kkt_residual > nmpc_mod.KKT_TOL
         assert [r for r in caplog.records if r.name == "pfguide.nmpc"] == []
@@ -486,6 +493,26 @@ class TestSQPWork:
         assert [r.getMessage() for r in caplog.records
                 if r.name == "pfguide.nmpc"] == []
         assert trace["kkt_residual"][0] <= nmpc_mod.KKT_TOL
+
+    def test_iterate_is_not_projected(self, monkeypatch, caplog):
+        """The point the SQP linearizes at is the hold as held and each
+        accepted trial unprojected.  Pass 2 maps a heading of -pi to +pi,
+        and the QP's rate rows difference headings unwrapped, so taking
+        the projected commands as the iterate here made delta = 0
+        infeasible: two QPs went to Phase 1 and a line search failed at
+        KKT residual 7.4."""
+        path = line_path(direction=(-1.0, 0.0))
+        phase1, real = [], qp_mod._phase1
+        monkeypatch.setattr(qp_mod, "_phase1", lambda *args: (
+            phase1.append(args) or real(*args)))
+        with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
+            res = NMPCSolver(make_config(path), path).solve(
+                GuidanceState(0.0, 0.5, 1.0 / 6.0), 0.0,
+                InputCmd(0.1, -math.pi, 0.1))
+        assert phase1 == []
+        assert not any("line search failed" in r.getMessage()
+                       for r in caplog.records)
+        assert res.kkt_residual < 1e-4
 
     def test_exact_phase_hessian_is_checked(self, monkeypatch):
         """The exact-phase Hessian is handed to the QP in a new QPProblem,

@@ -19,7 +19,7 @@ from pfguide import nmpc as nmpc_mod
 from pfguide import pnmpc
 from pfguide.errdyn import (Z_MIN, dynamics_flat, flat_inputs, rollout,
                             rollout_flat)
-from pfguide.exceptions import NonRegularPath, StateEscape
+from pfguide.exceptions import NonRegularPath, PFGuideError, StateEscape
 from pfguide.los import clamp_inputs
 from pfguide.paths import path_frame
 from pfguide.pnmpc import (_increment_lower, horizon_weights, reference_stack,
@@ -554,7 +554,7 @@ class TestPredictionKernelsMatchOldForms:
 
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_step_rollout(self, name):
-        """Pass 2 (projected_rollout_flat) is snap_feasible_cmds,
+        """Pass 2 (projected_rollout_flat) is snap_feasible_cmds, stacked,
         rollout_per_step of the projected inputs and horizon_cost_flat of
         both.  Half the draws put the headings at and across +-pi."""
         path = self.PATHS[name]
@@ -580,17 +580,16 @@ class TestPredictionKernelsMatchOldForms:
                        (0.15, 0.0, 0.15), rng.uniform(0.5, 2.0),
                        tuple(map(tuple, (P @ P.T).tolist())))
             frame0 = path_frame(path, 1.0 / x0[2] - 1.0)
-            cmds, X, J = pnmpc.projected_rollout_flat(
+            V, X, J = pnmpc.projected_rollout_flat(
                 U, prev, x0, frame0, v, T_m, path, c, weights)
-            ref_cmds = snap_feasible_cmds(np.array(U), prev, c)
-            flat = flat_inputs(ref_cmds)
+            flat = flat_inputs(snap_feasible_cmds(np.array(U), prev, c))
             ref_X, _ = rollout_per_step(x0, flat, v, T_m, path)
-            assert _cmd_bits(cmds) == _cmd_bits(ref_cmds)
+            assert type(V) is list and _float_bits(V) == _float_bits(flat)
             assert _float_bits(X) == _float_bits(ref_X)
             assert _float_bits([J]) == _float_bits(
                 [pnmpc.horizon_cost_flat(ref_X, flat, weights)])
             clamped += Z_MIN in X[5::3]
-            heads = [prev.psi] + [cmd.psi for cmd in cmds]
+            heads = [prev.psi] + V[1::3]
             crossings += any(abs(a - b) > math.pi
                              for a, b in zip(heads, heads[1:]))
         assert clamped >= 30
@@ -782,38 +781,58 @@ class TestSolveMatchesUnfusedChain:
         assert min(seen.values()) >= 10, seen
 
 
+def unfused_pass2(solver, x0, v, up, U):
+    """Pass 2 of the stacked inputs U as the kernels it fuses:
+    snap_feasible_cmds, rollout_flat of the projected inputs and
+    horizon_cost_flat, as (commands, states, cost)."""
+    cfg = solver.cfg
+    u_seq = snap_feasible_cmds(np.asarray(U), up, cfg.constraints)
+    u_flat = flat_inputs(u_seq)
+    X, _ = rollout_flat(x0, u_flat, v, cfg.T_m, solver.path)
+    return u_seq, X, pnmpc.horizon_cost_flat(X, u_flat,
+                                             pnmpc.cost_weights(cfg))
+
+
+def warm_plans(solver, warm):
+    """The warm start's plan and its shift closed by the SGLOS tail, as
+    NMPC's candidates besides the hold, stacked."""
+    cfg = solver.cfg
+    if warm is None or len(warm.u_seq) != cfg.N:
+        return []
+    tail = sglos(GuidanceState(*warm.x_flat[-3:]), solver.path,
+                 cfg.terminal_law)
+    return [stack_inputs(seq)
+            for seq in (warm.u_seq, tuple(warm.u_seq[1:]) + (tail,))]
+
+
 def unfused_nmpc_solve(solver, x, v, up, warm, seen):
-    """NMPCSolver.solve as the loop it replaced: the candidates projected
-    by snap_feasible_cmds, then rolled out and costed; per major iteration
-    sensitivity_per_block along the incumbent's rollout and linearized_qp;
-    line-search trials through rollout_flat; and a final projection that
-    rolls out again only when it changes U.  seen counts the exact-phase
-    iterations, the winning warm or shifted candidates and the final
-    projections that changed U."""
+    """NMPCSolver.solve as a loop of unfused kernels.  The candidates and
+    every line-search trial go through unfused_pass2, and the answer is
+    the accepted trial's (or the winning candidate's) pass 2.  The point
+    linearized at is the hold as held, a winning plan's projection or
+    the unprojected trial; per major iteration rollout_flat and
+    sensitivity_per_block along it feed linearized_qp.  seen counts the
+    exact-phase iterations, the winning warm or shifted candidates and
+    the accepted trials that the projection changed."""
     cfg, path = solver.cfg, solver.path
-    N, T_m, c = cfg.N, cfg.T_m, cfg.constraints
-    weights, W = pnmpc.cost_weights(cfg), horizon_weights(cfg)[0]
+    N, T_m = cfg.N, cfg.T_m
+    W = horizon_weights(cfg)[0]
     x0 = (x.x_e, x.y_e, x.z)
-    cands = [stack_inputs([up] * N)]
-    if warm is not None and len(warm.u_seq) == N:
-        tail = sglos(GuidanceState(*warm.x_flat[-3:]), path, cfg.terminal_law)
-        for seq in (warm.u_seq, tuple(warm.u_seq[1:]) + (tail,)):
-            cands.append(stack_inputs(snap_feasible_cmds(stack_inputs(seq),
-                                                         up, c)))
-    best = None
-    for k, U in enumerate(cands):
-        X, frames = rollout_flat(x0, U.tolist(), v, T_m, path)
-        J = pnmpc.horizon_cost_flat(X, U.tolist(), weights)
-        if best is None or J < best[3]:
-            best = (U, X, frames, J, k)
-    U, X, frames, J, k = best
-    seen["warm or shifted wins"] += k > 0
+    hold = U = stack_inputs([up] * N)
+    plan = unfused_pass2(solver, x0, v, up, hold)
+    for seq in warm_plans(solver, warm):
+        cand = unfused_pass2(solver, x0, v, up, seq)
+        if cand[2] < plan[2]:
+            U, plan = stack_inputs(cand[0]), cand
+    seen["warm or shifted wins"] += U is not hold
+    J = plan[2]
     Uref = reference_stack(cfg, up.psi)
     kkt, iters, exact = math.inf, 0, False
     qp_warm = zero_start(N)
     for it in range(1, nmpc_mod.MAX_MAJOR_ITER + 1):
         prev_kkt = kkt
         u_flat = U.tolist()
+        X, frames = rollout_flat(x0, u_flat, v, T_m, path)
         S = sensitivity_per_block(X, u_flat, frames, v, T_m, path)
         qp = qp_along(solver, S, X, U, up, Uref)
         active = nmpc_mod._active_at_zero(qp.lb, qp.ub)
@@ -842,23 +861,17 @@ def unfused_nmpc_solve(solver, x, v, up, warm, seen):
         rounding = nmpc_mod._ROUNDING * abs(J)
         while alpha >= 1e-7:
             U_try = U + alpha * delta
-            u_try = U_try.tolist()
-            X_try, frames_try = rollout_flat(x0, u_try, v, T_m, path)
-            J_try = pnmpc.horizon_cost_flat(X_try, u_try, weights)
-            if J_try <= J + 1e-4 * alpha * gd or (
-                    J_try - J <= rounding and -alpha * gd <= rounding):
+            trial = unfused_pass2(solver, x0, v, up, U_try)
+            if trial[2] <= J + 1e-4 * alpha * gd or (
+                    trial[2] - J <= rounding and -alpha * gd <= rounding):
                 break
             alpha *= 0.5
         else:
             break
-        U, X, frames, J = U_try, X_try, frames_try, J_try
-    u_seq = snap_feasible_cmds(U, up, c)
-    u_flat = flat_inputs(u_seq)
-    if u_flat != U.tolist():
-        seen["projection changed U"] += 1
-        X, _ = rollout_flat(x0, u_flat, v, T_m, path)
-        J = pnmpc.horizon_cost_flat(X, u_flat, weights)
-    return u_seq, X, J, iters, kkt
+        seen["projection changed a trial"] += \
+            flat_inputs(trial[0]) != U_try.tolist()
+        U, plan, J = U_try, trial, trial[2]
+    return (*plan, iters, kkt)
 
 
 def _result_bits(res):
@@ -866,16 +879,44 @@ def _result_bits(res):
     return _cmd_bits(u_seq), _float_bits(X), _float_bits([J, kkt]), iters
 
 
+def on_nmpc_draws(check_one):
+    """Calls check_one(solver, x, v, up, warm) on drawn cold NMPC solves
+    and, where check_one returns a result, on a warm solve from the next
+    state of its plan moved by (dxe, dye).  A wide start hits the exact
+    phase; in the warm solve the held input, the plan or its shift may
+    win."""
+    @given(name=st.sampled_from(["case_study", "line_west", "polynomial"]),
+           xe=st.floats(-12.0, 12.0), ye=st.floats(-12.0, 12.0),
+           z=st.one_of(st.floats(0.02, 1.0), st.just(1.0)),
+           u=st.floats(0.0, _C.u_max), heading=st.floats(-math.pi, math.pi),
+           u_tar=st.floats(_C.eps, _C.u_tar_max),
+           v=st.floats(-0.15, 0.15), N=st.sampled_from([1, 3]),
+           T_m=st.sampled_from([0.5, 1.0]),
+           dxe=st.floats(-0.5, 0.5), dye=st.floats(-0.5, 0.5))
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    def check(name, xe, ye, z, u, heading, u_tar, v, N, T_m, dxe, dye):
+        path = TestPredictionKernelsMatchOldForms.PATHS[name]
+        solver = NMPCSolver(_config(name, N, T_m), path)
+        psi = wrap_angle(path_frame(path, 1.0 / z - 1.0)[0] + heading)
+        cold = check_one(solver, GuidanceState(xe, ye, z), v,
+                         InputCmd(u, psi, u_tar), None)
+        if cold is not None:
+            xe1, ye1, z1 = cold.x_flat[3:6]
+            check_one(solver, GuidanceState(xe1 + dxe, ye1 + dye, z1), v,
+                      cold.u_seq[0], cold)
+
+    check()
+
+
 class TestNMPCSolveMatchesUnfusedLoop:
     """NMPCSolver.solve runs on PNMPC's two passes; its outputs, and any
     error it raises, are those of the loop of unfused kernels it
     replaced, bit for bit, cold and warm-started."""
 
-    PATHS = TestPredictionKernelsMatchOldForms.PATHS
-
     def test_solve_matches_unfused_loop(self):
         seen = dict.fromkeys(("exact-phase iterations", "warm or shifted wins",
-                              "projection changed U"), 0)
+                              "projection changed a trial"), 0)
 
         def check_one(solver, x, v, up, warm):
             """The solve's result, or None where the reference raises."""
@@ -891,34 +932,57 @@ class TestNMPCSolveMatchesUnfusedLoop:
                 _result_bits(ref)
             return got
 
-        # A wide start hits the exact phase; the warm solve starts from
-        # the cold plan's next state, moved by (dxe, dye), so the held
-        # input, the plan or its shift may win.
-        @given(name=st.sampled_from(["case_study", "line_west",
-                                     "polynomial"]),
-               xe=st.floats(-12.0, 12.0), ye=st.floats(-12.0, 12.0),
-               z=st.one_of(st.floats(0.02, 1.0), st.just(1.0)),
-               u=st.floats(0.0, _C.u_max),
-               heading=st.floats(-math.pi, math.pi),
-               u_tar=st.floats(_C.eps, _C.u_tar_max),
-               v=st.floats(-0.15, 0.15), N=st.sampled_from([1, 3]),
-               T_m=st.sampled_from([0.5, 1.0]),
-               dxe=st.floats(-0.5, 0.5), dye=st.floats(-0.5, 0.5))
-        @settings(max_examples=100, deadline=None, derandomize=True,
-                  database=None)
-        def check(name, xe, ye, z, u, heading, u_tar, v, N, T_m, dxe, dye):
-            path = self.PATHS[name]
-            solver = NMPCSolver(_config(name, N, T_m), path)
-            psi = wrap_angle(path_frame(path, 1.0 / z - 1.0)[0] + heading)
-            cold = check_one(solver, GuidanceState(xe, ye, z), v,
-                             InputCmd(u, psi, u_tar), None)
-            if cold is not None:
-                xe1, ye1, z1 = cold.x_flat[3:6]
-                check_one(solver, GuidanceState(xe1 + dxe, ye1 + dye, z1), v,
-                          cold.u_seq[0], cold)
-
-        check()
+        on_nmpc_draws(check_one)
         assert min(seen.values()) >= 10, seen
+
+
+class TestNMPCAnswerIsItsBestStart:
+    """NMPC's answer costs no more than the pass-2 cost of its cheapest
+    candidate: the hold and, warm-started, the plan and its shift.  The
+    line search may accept a rise of _ROUNDING |J| per iteration, the
+    rounding of J, so that much is allowed."""
+
+    @staticmethod
+    def _check(solver, x, v, up, warm):
+        x0 = (x.x_e, x.y_e, x.z)
+        starts = [stack_inputs([up] * solver.cfg.N)] + warm_plans(solver,
+                                                                   warm)
+        J0 = min(unfused_pass2(solver, x0, v, up, U)[2] for U in starts)
+        got = solver.solve(x, v, up, warm)
+        assert got.J_opt <= J0 * (1.0 + nmpc_mod._ROUNDING) ** got.iterations
+        return got
+
+    def test_on_drawn_solves(self):
+        solved = []
+
+        def check_one(solver, x, v, up, warm):
+            try:
+                solved.append(self._check(solver, x, v, up, warm))
+            except PFGuideError:
+                return None
+            return solved[-1]
+
+        on_nmpc_draws(check_one)
+        assert len(solved) >= 100
+
+    def test_shifted_plan_case(self):
+        """A warm solve whose shifted plan costs 25.98809353 by pass 2,
+        where costing trials unprojected returned 26.09277859."""
+        path = TestPredictionKernelsMatchOldForms.PATHS["case_study"]
+        solver = NMPCSolver(_config("case_study", 3, 1.0), path)
+        z, heading, v = 0.02, -1.4710316596731374, -0.0771835000740833
+        up = InputCmd(0.17128245229649322,
+                      wrap_angle(path_frame(path, 1.0 / z - 1.0)[0]
+                                 + heading), 0.1)
+        cold = self._check(solver, GuidanceState(1.9004260272436872e-98,
+                                                 heading, z), v, up, None)
+        xe, ye, z1 = cold.x_flat[3:6]
+        x = GuidanceState(xe + 0.10330037816231152, ye + 1e-11, z1)
+        shifted = unfused_pass2(solver, (x.x_e, x.y_e, x.z), v,
+                                cold.u_seq[0], warm_plans(solver, cold)[1])
+        assert shifted[2] == pytest.approx(25.98809353, abs=1e-8)
+        got = self._check(solver, x, v, cold.u_seq[0], cold)
+        assert got.J_opt == pytest.approx(25.98809353, abs=1e-8)
 
 
 class TestLinearizedQP:
@@ -1086,13 +1150,16 @@ class TestPNMPCIsNMPCsFirstStep:
         assert len(calls) == len(pnmpc_qps) == 200
 
         nmpc_qps, trials = [], []
-        real_cost = nmpc_mod.horizon_cost_flat
+        real_pass2 = pnmpc.projected_rollout_flat
         assert nmpc_mod.solve_qp is real_qp  # both laws call qp.solve_qp
+        assert NMPCSolver._pass2 is PNMPCSolver._pass2  # and one pass 2
         monkeypatch.setattr(nmpc_mod, "solve_qp", lambda qp, warm: real_qp(
             nmpc_qps.append(qp) or qp, warm=warm))
-        # The cold start costs the hold once; each later cost is a trial.
-        monkeypatch.setattr(nmpc_mod, "horizon_cost_flat", lambda *args: (
-            trials.append(None) or real_cost(*args)))
+        # The cold start costs the hold once by pass 2; each later pass 2
+        # is a trial.
+        monkeypatch.setattr(pnmpc, "projected_rollout_flat",
+                            lambda *args: (trials.append(None)
+                                           or real_pass2(*args)))
         same = 0
         for (solver, x, v, up, res), qp in zip(calls, pnmpc_qps):
             nmpc = NMPCSolver(solver.cfg, solver.path)
