@@ -13,18 +13,18 @@ from .errdyn import (GuidanceState, InputCmd, Z_MIN, dynamics, euler_step,
                      rollout)
 from .exceptions import (ConfigError, DomainError, EmptyTrace, Infeasible,
                          InfeasibleStart, NonRegularPath, PFGuideError,
-                         QPFailure, StateEscape, TerminalWeightUnset,
-                         UnstableTerminalLoop)
+                         QPFailure, StateEscape, UnstableTerminalLoop)
 from .los import (InputConstraints, SGLOSParams, clamp_inputs, in_box,
                   in_rate, sglos)
-from .nmpc import (NMPCConfig, NMPCSolver, discrete_lyapunov, make_config,
-                   stage_cost, synthesize_terminal_weight)
+from .nmpc import NMPCConfig, NMPCSolver, stage_cost
 from .paths import (F_MIN, PathDef, PathPoint, case_study_path,
                     check_path_derivatives, line_path, omega_of_z,
                     path_from_config, polynomial_path, sample_path,
                     z_of_omega)
-from .pnmpc import (JacobianBlock, PNMPCSolver, SolveResult, horizon_cost,
-                    jacobian_block, sensitivity_along, state_jacobian)
+from .pnmpc import (JacobianBlock, PNMPCSolver, SolveResult,
+                    discrete_lyapunov, horizon_cost, jacobian_block,
+                    sensitivity_along, state_jacobian,
+                    synthesize_terminal_weight)
 from .qp import QPProblem, QPSolution, solve_qp
 from .config import load_scenario, scenario_from_config
 from .presets import equilibrium_scenario, realistic_scenario, transient_scenario

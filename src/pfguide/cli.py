@@ -18,7 +18,7 @@ import numpy as np
 from .errdyn import GuidanceState, InputCmd, dynamics_flat
 from .exceptions import (ConfigError, DomainError, Infeasible, InfeasibleStart,
                          NonRegularPath, PFGuideError, QPFailure, StateEscape,
-                         TerminalWeightUnset, UnstableTerminalLoop)
+                         UnstableTerminalLoop)
 from .config import load_scenario
 from .paths import (case_study_path, check_path_derivatives, line_path,
                     path_frame, polynomial_path)
@@ -27,8 +27,7 @@ from .pnmpc import (curvature_flat, horizon_weights, jacobian_block,
                     reference_stack, state_jacobian)
 from .sim import LAWS, compute_metrics, run_scenario
 
-_SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, TerminalWeightUnset,
-                  UnstableTerminalLoop)
+_SOLVER_ERRORS = (Infeasible, InfeasibleStart, QPFailure, UnstableTerminalLoop)
 _INVARIANT_ERRORS = (NonRegularPath, StateEscape, DomainError)
 
 

@@ -21,10 +21,6 @@ class StateEscape(PFGuideError):
     """Integration produced a non-finite state."""
 
 
-class TerminalWeightUnset(PFGuideError):
-    """Terminal cost requested but no terminal weight configured."""
-
-
 class UnstableTerminalLoop(PFGuideError):
     """Terminal controller does not stabilize the linearized model."""
 

@@ -1,4 +1,4 @@
-"""Nonlinear receding-horizon guidance: cost, terminal synthesis, SQP solve.
+"""Nonlinear receding-horizon guidance: config, stage cost, SQP solve.
 
 The optimization minimizes
 
@@ -6,11 +6,11 @@ The optimization minimizes
 
 over input sequences subject to the box set U and the rate set U_g, with
 the prediction chained through the forward-Euler model and the sway held
-at its last measured value.  The terminal weight P comes from a discrete
-Lyapunov equation around a far-along-the-path equilibrium, closed with the
-SGLOS law as terminal controller: the model is linearized with the
-analytic Jacobians of the pnmpc module and the SGLOS gain is taken in
-closed form.
+at its last measured value.  The terminal weight P of V_f = x'Px is the
+config's when it sets one; otherwise the solver base derives it
+(pnmpc.synthesize_terminal_weight, a discrete Lyapunov equation around a
+far-along-the-path equilibrium, closed with the SGLOS law as terminal
+controller).
 
 The solver is an SQP on the steps of pnmpc.HorizonSolver.  Each major
 iteration linearizes the prediction along the incumbent, builds the
@@ -51,18 +51,18 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errdyn import GuidanceState, InputCmd, flat_inputs
-from .exceptions import TerminalWeightUnset, UnstableTerminalLoop
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
-from .paths import PathDef, omega_of_z, path_frame
+from .paths import omega_of_z, path_frame
 from .pnmpc import (HorizonSolver, SolveResult, curvature_flat,
-                    jacobian_block, reference_stack, stage_cost_flat,
-                    state_jacobian)
+                    reference_stack, stage_cost_flat)
+# Unused here; perfbench's tracer looks the synthesis up in this module.
+from .pnmpc import synthesize_terminal_weight  # noqa: F401
 from .qp import QPSolution, solve_qp
 
 logger = logging.getLogger(__name__)
@@ -82,8 +82,6 @@ _PENALTY = 10.0
 # decrease both lie within this share of |J|: the rounding of J.
 _ROUNDING = 10.0 * float(np.finfo(float).eps)
 
-_SYN_Z = 1e-2  # linearization point z for the terminal synthesis
-
 
 def _default_Q() -> np.ndarray:
     return np.array([1.0, 1.0, 1e-5])
@@ -97,8 +95,10 @@ def _default_R() -> np.ndarray:
 class NMPCConfig:
     """Horizon, weights, reference, constraints and guidance period.
 
-    Q and R are the diagonals of the stage weights; P is the full terminal
-    weight (symmetric positive definite).  u_r is the reference speed: the
+    Q and R are the diagonals of the stage weights.  P, the full terminal
+    weight (symmetric positive definite), is an optional override: a
+    solver given a config without it derives it for its path
+    (pnmpc.synthesize_terminal_weight).  u_r is the reference speed: the
     cost's input reference is (u_r, 0, u_r).  Instances are immutable and
     freely shareable between solvers.
     """
@@ -149,11 +149,6 @@ class NMPCConfig:
                 raise ValueError("P must be positive definite")
             object.__setattr__(self, "P", P_sym)
 
-    def terminal_weight(self) -> np.ndarray:
-        if self.P is None:
-            raise TerminalWeightUnset("terminal weight P has not been set")
-        return self.P
-
 
 def stage_cost(x: GuidanceState, u: InputCmd, cfg: NMPCConfig) -> float:
     """x'Qx + (u - ref)'R(u - ref), heading deviation wrapped, with the
@@ -161,65 +156,6 @@ def stage_cost(x: GuidanceState, u: InputCmd, cfg: NMPCConfig) -> float:
     return stage_cost_flat(x.x_e, x.y_e, x.z, u.u, u.psi, u.u_tar,
                            cfg.Q.tolist(), cfg.R.tolist(),
                            (cfg.u_r, 0.0, cfg.u_r))
-
-
-def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Solve A' P A - P = -S for P via the Kronecker linear system."""
-    A = np.asarray(A, dtype=float)
-    S = np.asarray(S, dtype=float)
-    n = A.shape[0]
-    M = np.kron(A.T, A.T) - np.eye(n * n)
-    P = np.linalg.solve(M, -S.reshape(n * n)).reshape(n, n)
-    return 0.5 * (P + P.T)
-
-
-def synthesize_terminal_weight(path: PathDef, cfg: NMPCConfig) -> np.ndarray:
-    """Terminal weight from the discrete Lyapunov equation.
-
-    Linearizes the discrete model at the far-along equilibrium x = (0, 0,
-    1e-2) with input (0.1 u_r, phi_p, 0.1 u_r) through the analytic
-    Jacobians, A = I + T_m state_jacobian and B = T_m jacobian_block,
-    takes the gain K of the terminal controller cfg.terminal_law in closed
-    form and solves
-
-        (A + B K)' P (A + B K) - P = -(Q + K' R K).
-
-    At y_e = 0 the SGLOS surge k1 sqrt(y_e^2 + delta^2) is flat, the
-    heading phi_p - atan(y_e / delta) moves by -1/delta in y_e and by
-    -(dphi_p/domega) / z^2 in z, and the target speed is k2 x_e + k1 delta.
-
-    Raises UnstableTerminalLoop when the closed loop is not a contraction.
-    The returned P is symmetric with eigenvalues floored at 1e-12 so the
-    terminal cost stays positive definite even when the z mode decouples.
-    """
-    p = cfg.terminal_law
-    z_bar = _SYN_Z
-    phi_bar, _, dphi_dw = path_frame(path, omega_of_z(z_bar))[:3]
-    x_bar = GuidanceState(0.0, 0.0, z_bar)
-    u_bar = InputCmd(0.1 * cfg.u_r, phi_bar, 0.1 * cfg.u_r)
-    A = np.eye(3) + cfg.T_m * state_jacobian(x_bar, u_bar, 0.0, path)
-    B = cfg.T_m * jacobian_block(x_bar, u_bar, 0.0, path).m
-    K = np.array([[0.0, 0.0, 0.0],
-                  [0.0, -1.0 / p.delta, -dphi_dw / (z_bar * z_bar)],
-                  [p.k2, 0.0, 0.0]])
-    A_K = A + B @ K
-    rho = float(np.max(np.abs(np.linalg.eigvals(A_K))))
-    if rho >= 1.0:
-        raise UnstableTerminalLoop(
-            f"terminal loop spectral radius {rho:.6f} >= 1")
-    S = np.diag(cfg.Q) + K.T @ np.diag(cfg.R) @ K
-    P = discrete_lyapunov(A_K, S)
-    evmin = float(np.min(np.linalg.eigvalsh(P)))
-    if evmin < 1e-12:
-        P = P + (1e-12 - min(evmin, 0.0)) * np.eye(3)
-    return P
-
-
-def make_config(path: PathDef, **overrides) -> NMPCConfig:
-    """Config with the default tuning and the given field overrides, and a
-    terminal weight synthesized for its terminal law."""
-    cfg = NMPCConfig(**overrides)
-    return replace(cfg, P=synthesize_terminal_weight(path, cfg))
 
 
 def _active_at_zero(lb: np.ndarray, ub: np.ndarray) -> tuple:

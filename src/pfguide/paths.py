@@ -165,6 +165,8 @@ def polynomial_path(x_coeffs: Sequence[float], y_coeffs: Sequence[float]) -> Pat
         raise DomainError("polynomial path needs at least one coefficient per axis")
     if not all(map(math.isfinite, cx + cy)):
         raise DomainError("polynomial coefficients must be finite")
+    if not any(cx[1:] + cy[1:]):
+        raise DomainError("polynomial path must not be constant")
 
     def _poly(c, w):
         acc = 0.0

@@ -4,12 +4,13 @@ Both predictive laws step on the same QP (HorizonSolver.linearized_qp):
 the Euler prediction is linearized around an input sequence U, X(U +
 delta) ~ X(U) + S . delta, and the horizon cost becomes one strictly
 convex QP in the per-step input perturbation delta, started from delta =
-0.  HorizonSolver also holds both laws' constants and pass 2, which
-projects, rolls out and costs the commands a law applies; each law runs
-its own loop over these steps.  The nonlinear law iterates them with a
-line search; the fast law (PNMPCSolver) is the first full step of that
-SQP from the held previous input, a real-time iteration.  The fast law
-has two sources of S (LINEARIZATIONS):
+0.  HorizonSolver also holds both laws' constants, with the terminal
+weight P derived when the config sets none (synthesize_terminal_weight),
+and pass 2, which projects, rolls out and costs the commands a law
+applies; each law runs its own loop over these steps.  The nonlinear law
+iterates them with a line search; the fast law (PNMPCSolver) is the
+first full step of that SQP from the held previous input, a real-time
+iteration.  The fast law has two sources of S (LINEARIZATIONS):
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import atan2, cos, hypot, isfinite, pi, sin
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -38,7 +39,7 @@ import numpy as np
 
 from .angles import unwrap_near, wrap_angle
 from .errdyn import Z_MIN, GuidanceState, InputCmd, flat_inputs, rollout_flat
-from .exceptions import QPFailure, StateEscape
+from .exceptions import QPFailure, StateEscape, UnstableTerminalLoop
 from .los import InputConstraints, clamp_flat, require_in_box
 from .paths import (F_MIN, Frame, PathDef, omega_of_z, path_frame,
                     path_tangent)
@@ -53,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 LINEARIZATIONS = ("exact", "frozen")
 _ZZ_STEP = 1e-5  # relative z step of the curvature's z-z difference
 _EYE3 = np.eye(3)
+_SYN_Z = 1e-2  # linearization point z for the terminal synthesis
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,60 @@ def _jacobians(xe: float, ye: float, z: float, u: float, psi: float,
              [-u_tar * kw, 0.0,
               -dw_dz * (dphi_dw * (u * c - v * s) + u_tar * dkw * xe)],
              [0.0, 0.0, -2.0 * z * u_tar / F - u_tar * dF / (F * F)]])
+
+
+def discrete_lyapunov(A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Solve A' P A - P = -S for P via the Kronecker linear system."""
+    A = np.asarray(A, dtype=float)
+    S = np.asarray(S, dtype=float)
+    n = A.shape[0]
+    M = np.kron(A.T, A.T) - np.eye(n * n)
+    P = np.linalg.solve(M, -S.reshape(n * n)).reshape(n, n)
+    return 0.5 * (P + P.T)
+
+
+def synthesize_terminal_weight(path: PathDef, cfg: "NMPCConfig") -> np.ndarray:
+    """Terminal weight from the discrete Lyapunov equation.
+
+    Linearizes the discrete model at the far-along equilibrium x = (0, 0,
+    1e-2) with input (0.1 u_r, phi_p, 0.1 u_r) through the analytic
+    Jacobians of _jacobians at one path frame, A = I + T_m A_c and B =
+    T_m B_c, takes the gain K of the terminal controller cfg.terminal_law
+    in closed form and solves
+
+        (A + B K)' P (A + B K) - P = -(Q + K' R K).
+
+    At y_e = 0 the SGLOS surge k1 sqrt(y_e^2 + delta^2) is flat, the
+    heading phi_p - atan(y_e / delta) moves by -1/delta in y_e and by
+    -(dphi_p/domega) / z^2 in z, and the target speed is k2 x_e + k1 delta.
+
+    Raises UnstableTerminalLoop when the closed loop is not a contraction.
+    The returned P is symmetric with eigenvalues floored at 1e-12 so the
+    terminal cost stays positive definite even when the z mode decouples.
+    """
+    p = cfg.terminal_law
+    z_bar = _SYN_Z
+    frame = path_frame(path, omega_of_z(z_bar))
+    phi_bar, _, dphi_dw = frame[:3]
+    u_bar = 0.1 * cfg.u_r
+    B_c, A_c = _jacobians(0.0, 0.0, z_bar, u_bar, phi_bar, u_bar, 0.0, frame,
+                          path)
+    A = np.eye(3) + cfg.T_m * np.array(A_c)
+    B = cfg.T_m * np.array(B_c)
+    K = np.array([[0.0, 0.0, 0.0],
+                  [0.0, -1.0 / p.delta, -dphi_dw / (z_bar * z_bar)],
+                  [p.k2, 0.0, 0.0]])
+    A_K = A + B @ K
+    rho = float(np.max(np.abs(np.linalg.eigvals(A_K))))
+    if rho >= 1.0:
+        raise UnstableTerminalLoop(
+            f"terminal loop spectral radius {rho:.6f} >= 1")
+    S = np.diag(cfg.Q) + K.T @ np.diag(cfg.R) @ K
+    P = discrete_lyapunov(A_K, S)
+    evmin = float(np.min(np.linalg.eigvalsh(P)))
+    if evmin < 1e-12:
+        P = P + (1e-12 - min(evmin, 0.0)) * np.eye(3)
+    return P
 
 
 def jacobian_block(x0: GuidanceState, u0: InputCmd, v0: float,
@@ -277,13 +333,11 @@ def sensitivity_along(states: Sequence[GuidanceState],
     return S
 
 
-@lru_cache(maxsize=8)
 def _increment_lower(N: int) -> np.ndarray:
     """Cumulative-sum map from increments to absolute inputs (3N x 3N)."""
-    return _read_only(np.kron(np.tril(np.ones((N, N))), np.eye(3)))
+    return np.kron(np.tril(np.ones((N, N))), np.eye(3))
 
 
-@lru_cache(maxsize=8)
 def _sqp_rows(N: int, c: InputConstraints) -> QPRows:
     """Constraint rows for the per-step perturbation vector, with bounds.
 
@@ -338,7 +392,7 @@ def horizon_weights(cfg: "NMPCConfig") -> Tuple[np.ndarray, np.ndarray]:
     W = np.zeros((3 * N, 3 * N))
     for j in range(N - 1):
         W[3 * j:3 * j + 3, 3 * j:3 * j + 3] = np.diag(cfg.Q)
-    W[3 * (N - 1):, 3 * (N - 1):] = cfg.lam * cfg.terminal_weight()
+    W[3 * (N - 1):, 3 * (N - 1):] = cfg.lam * cfg.P
     return W, np.tile(cfg.R, N)
 
 
@@ -354,7 +408,7 @@ def cost_weights(cfg: "NMPCConfig") -> tuple:
     weight rows."""
     return (tuple(cfg.Q.tolist()), tuple(cfg.R.tolist()),
             (cfg.u_r, 0.0, cfg.u_r), cfg.lam,
-            tuple(tuple(row) for row in cfg.terminal_weight().tolist()))
+            tuple(tuple(row) for row in cfg.P.tolist()))
 
 
 def stage_cost_flat(xe: float, ye: float, z: float, u: float, psi: float,
@@ -394,7 +448,10 @@ def horizon_cost_flat(X: Sequence[float], U: Sequence[float],
 
 def horizon_cost(x_k: GuidanceState, states: Sequence[GuidanceState],
                  u_seq: Sequence[InputCmd], cfg: "NMPCConfig") -> float:
-    """Nonlinear horizon cost: sum of stage costs plus weighted terminal."""
+    """Nonlinear horizon cost: stage costs plus lambda x'Px; needs cfg.P."""
+    if cfg.P is None:
+        raise ValueError("horizon_cost needs a config with a terminal "
+                         "weight P")
     X = [x_k.x_e, x_k.y_e, x_k.z]
     X += [c for x in states[1:len(u_seq) + 1] for c in (x.x_e, x.y_e, x.z)]
     return horizon_cost_flat(X, flat_inputs(u_seq), cost_weights(cfg))
@@ -559,12 +616,15 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
 class HorizonSolver:
     """The steps both predictive laws take alike: linearized_qp (pass 1
     and the QP at U) and _pass2 (pass 2 of stacked inputs), on
-    per-configuration constants built once.  A solve depends on its
-    arguments alone; each law's solve is its own loop over these steps."""
+    per-configuration constants built once; a config without P is held
+    with synthesize_terminal_weight's.  A solve depends on its arguments
+    alone; each law's solve is its own loop over these steps."""
 
     _linearize = staticmethod(linearize_flat)  # pass 1
 
     def __init__(self, cfg: "NMPCConfig", path: PathDef):
+        if cfg.P is None:
+            cfg = replace(cfg, P=synthesize_terminal_weight(path, cfg))
         self.cfg = cfg
         self.path = path
         self._W, self._r = horizon_weights(cfg)

@@ -8,8 +8,8 @@ realistic_scenario: the same geometry under multirate integration (plant
 at 100 ms), the low-level actuator filter, and the mirrored-chirp sway.
 
 equilibrium_scenario: a straight line followed from an exactly matched
-initial condition.  The z weight is zeroed here (and the terminal weight
-re-synthesized accordingly) so that holding the matched command is the
+initial condition.  The z weight is zeroed here (and the solver derives
+the terminal weight for it) so that holding the matched command is the
 exact optimum of the horizon cost; with a z pull the optimizer would
 trade a microscopic along-track offset for faster progress, which is
 exactly what this scenario must not contain.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errdyn import InputCmd
-from .nmpc import make_config
+from .nmpc import NMPCConfig
 from .paths import case_study_path, line_path
 from .sim import DisturbanceSpec, Scenario
 
@@ -51,7 +51,7 @@ def equilibrium_scenario(law: str = "nmpc", duration: float = 400.0,
     """On-path start on a straight line with the matched command held."""
     path = line_path()
     u_r = 0.15
-    cfg = make_config(path, u_r=u_r, Q=np.array([1.0, 1.0, 0.0]))
+    cfg = NMPCConfig(u_r=u_r, Q=np.array([1.0, 1.0, 0.0]))
     return Scenario(
         path=path, x0=float(omega0), y0=0.0, psi0=0.0, omega0=float(omega0),
         u_r=u_r, T_m=1.0, T_p=1.0, duration=duration, law=law, nmpc=cfg,

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -44,7 +44,7 @@ from .errdyn import GuidanceState, InputCmd
 from .exceptions import ConfigError, EmptyTrace, PFGuideError, StateEscape
 from .los import (InputConstraints, SGLOSParams, clamp_flat, require_in_box,
                   sglos)
-from .nmpc import NMPCConfig, NMPCSolver, synthesize_terminal_weight
+from .nmpc import NMPCConfig, NMPCSolver
 from .paths import F_MIN, PathDef, path_tangent, sample_path, z_of_omega
 from .pnmpc import LINEARIZATIONS, PNMPCSolver
 
@@ -185,7 +185,7 @@ class Scenario:
     law: str = "nmpc"
     sglos: SGLOSParams = field(default_factory=SGLOSParams)
     constraints: InputConstraints = field(default_factory=InputConstraints)
-    nmpc: Optional[NMPCConfig] = None  # None: default tuning, synthesized P
+    nmpc: Optional[NMPCConfig] = None  # None: default tuning
     linearization: str = "exact"       # pnmpc forced-response operator
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     filter_enabled: bool = False
@@ -230,11 +230,10 @@ class Scenario:
                     terminal_law=self.sglos)
 
     def guidance_config(self) -> NMPCConfig:
-        """The predictive laws' config, with P synthesized when unset."""
-        cfg = NMPCConfig(**self._shared()) if self.nmpc is None else self.nmpc
-        if cfg.P is None:
-            cfg = replace(cfg, P=synthesize_terminal_weight(self.path, cfg))
-        return cfg
+        """The predictive laws' config: the nmpc config, or the default
+        tuning on the shared settings.  Without a P, the solver derives
+        it."""
+        return NMPCConfig(**self._shared()) if self.nmpc is None else self.nmpc
 
 
 TRACE_COLUMNS = ("t", "x", "y", "psi_cmd", "psi_act", "u_cmd", "u_act",

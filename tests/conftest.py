@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from pfguide import (case_study_path, line_path, make_config,
-                     realistic_scenario)
+from pfguide import (NMPCConfig, case_study_path, line_path,
+                     realistic_scenario, synthesize_terminal_weight)
 
 # Two starts (x0, y0, omega0) of the benchmark's seed-1 ring
 # (perfbench/scenarios.py) whose approach phases once ended NMPC solves on
@@ -25,7 +25,8 @@ def xaxis_path():
 @pytest.fixture(scope="session")
 def demo_config(demo_path):
     """Default tuning with the terminal weight synthesized once."""
-    return make_config(demo_path)
+    cfg = NMPCConfig()
+    return replace(cfg, P=synthesize_terminal_weight(demo_path, cfg))
 
 
 @pytest.fixture(scope="session")

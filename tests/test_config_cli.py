@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pfguide import (cli, load_scenario, realistic_scenario, run_scenario,
-                     scenario_from_config, transient_scenario)
+                     scenario_from_config, synthesize_terminal_weight,
+                     transient_scenario)
 from pfguide.exceptions import ConfigError
 from pfguide.sim import TRACE_COLUMNS
 
@@ -212,6 +213,21 @@ class TestCLI:
             load_scenario(bad)
         assert cli.main(["simulate", "--config", str(bad),
                          "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_constant_polynomial_path_exit_code(self, tmp_path, capsys):
+        """A constant polynomial path is refused as a config error before
+        the run, not as a singular path at plant step 0."""
+        doc = json.loads((CONFIGS / "transient.json").read_text())
+        doc["path"] = {"name": "polynomial",
+                       "params": {"x_coeffs": [1.0], "y_coeffs": [2.0]}}
+        out = tmp_path / "x.csv"
+        assert cli.main(["simulate", "--config",
+                         self.write_config(tmp_path, doc),
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: bad path config: polynomial path must not be "
+            "constant"]
+        assert not out.exists()
 
     def test_non_numeric_terminal_weight_exit_code(self, tmp_path, capsys):
         for P in ({"a": 1}, [[1.0, 0.0, 0.0], [0.0, {}, 0.0], [0.0, 0.0, 1]]):
@@ -437,3 +453,24 @@ def test_shipped_config_reproduces_preset(name, preset):
     ref = run_scenario(preset("nmpc", duration=30.0), timer=zero)
     for col in TRACE_COLUMNS:
         assert got[col].tobytes() == ref[col].tobytes(), col
+
+
+def test_terminal_weight_override_is_the_derived_weight(tmp_path):
+    """law_params.terminal_weight set to the P the solver derives runs as
+    the config that leaves it out: a 30 s zero-clock run of
+    configs/transient.json writes the same CSV bytes."""
+    doc = json.loads((CONFIGS / "transient.json").read_text())
+    doc["duration"] = 30.0
+    csvs = []
+    for name in ("derived.json", "given.json"):
+        cfgfile = tmp_path / name
+        cfgfile.write_text(json.dumps(doc))
+        sc = load_scenario(cfgfile)
+        cfg = sc.guidance_config()
+        out = tmp_path / f"{name}.csv"
+        run_scenario(sc, timer=lambda: 0.0).write_csv(out)
+        csvs.append(out.read_bytes())
+        doc["law_params"]["terminal_weight"] = \
+            synthesize_terminal_weight(sc.path, cfg).tolist()
+    assert cfg.P is not None
+    assert csvs[0] == csvs[1]

@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 import pfguide.nmpc as nmpc_mod
 from pfguide import (GuidanceState, InputCmd, NMPCConfig, NMPCSolver,
                      case_study_path, compute_metrics, line_path,
-                     make_config, polynomial_path, realistic_scenario,
-                     run_scenario, transient_scenario)
+                     polynomial_path, realistic_scenario, run_scenario,
+                     transient_scenario)
 from pfguide.los import InputConstraints
 from pfguide.nmpc import (KKT_TOL, MAX_MAJOR_ITER, _PENALTY,
                          _active_at_zero, _convexified,
@@ -150,7 +150,7 @@ def test_no_cap_exits_from_wide_starts(wide_start_scenarios):
 @pytest.mark.parametrize("N", [1, 2, 4, 6, 10])
 def test_every_horizon_converges_closed_loop(N):
     sc = realistic_scenario("nmpc", duration=200.0)
-    trace = run_scenario(replace(sc, nmpc=make_config(sc.path, N=N)))
+    trace = run_scenario(replace(sc, nmpc=NMPCConfig(N=N)))
     assert float(trace["kkt_residual"].max()) <= KKT_TOL
     assert compute_metrics(trace).violations == 0
 
@@ -252,8 +252,9 @@ class TestArrayFormsMatchLoops:
         rng = np.random.default_rng(5)
         c = InputConstraints()
         for N in (1, 3, 5):
-            A, _, _ = _sqp_rows(N, c)
             solver = NMPCSolver(replace(CFG, N=N), PATHS["line"])
+            A = solver._rows.A
+            assert np.array_equal(A, _sqp_rows(N, c).A)
             for _ in range(200):
                 U = rng.uniform(-1.0, 1.0, 3 * N) * rng.choice(
                     [1e-3, 1.0, 4.0], 3 * N)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from pfguide import (GuidanceState, InfeasibleStart, InputCmd, NMPCConfig,
-                     NMPCSolver, TerminalWeightUnset,
+                     NMPCSolver, PNMPCSolver, SGLOSParams,
                      UnstableTerminalLoop, case_study_path,
-                     discrete_lyapunov, euler_step, line_path,
-                     make_config, polynomial_path, realistic_scenario,
+                     discrete_lyapunov, euler_step, jacobian_block,
+                     line_path, polynomial_path, realistic_scenario,
                      run_scenario, sample_path, sglos, stage_cost,
-                     synthesize_terminal_weight, wrap_angle, z_of_omega)
+                     state_jacobian, synthesize_terminal_weight, wrap_angle,
+                     z_of_omega)
 from pfguide import nmpc as nmpc_mod
 from pfguide import pnmpc
 from pfguide import qp as qp_mod
@@ -27,7 +28,7 @@ def numeric_terminal_weight(path, cfg, h):
     """The terminal weight with A, B and the SGLOS gain K taken by central
     differences of euler_step and sglos at step h, at the synthesis point
     x = (0, 0, 1e-2), u = (0.1 u_r, phi_p, 0.1 u_r)."""
-    z_bar = nmpc_mod._SYN_Z
+    z_bar = pnmpc._SYN_Z
     x_bar = np.array([0.0, 0.0, z_bar])
     u_bar = np.array([0.1 * cfg.u_r,
                       sample_path(path, 1.0 / z_bar - 1.0).phi_p,
@@ -51,6 +52,28 @@ def numeric_terminal_weight(path, cfg, h):
         K[1, i] = wrap_angle(hi[1] - lo[1]) / (2.0 * h)
     return discrete_lyapunov(A + B @ K,
                              np.diag(cfg.Q) + K.T @ np.diag(cfg.R) @ K)
+
+
+def public_jacobian_terminal_weight(path, cfg):
+    """The terminal synthesis with A = I + T_m state_jacobian and B = T_m
+    jacobian_block, each taken at its own path frame, and phi_p and
+    dphi/domega from a third: the composition the synthesis replaced."""
+    p = cfg.terminal_law
+    z_bar = pnmpc._SYN_Z
+    phi_bar, _, dphi_dw = path_frame(path, 1.0 / z_bar - 1.0)[:3]
+    x_bar = GuidanceState(0.0, 0.0, z_bar)
+    u_bar = InputCmd(0.1 * cfg.u_r, phi_bar, 0.1 * cfg.u_r)
+    A = np.eye(3) + cfg.T_m * state_jacobian(x_bar, u_bar, 0.0, path)
+    B = cfg.T_m * jacobian_block(x_bar, u_bar, 0.0, path).m
+    K = np.array([[0.0, 0.0, 0.0],
+                  [0.0, -1.0 / p.delta, -dphi_dw / (z_bar * z_bar)],
+                  [p.k2, 0.0, 0.0]])
+    P = discrete_lyapunov(A + B @ K,
+                          np.diag(cfg.Q) + K.T @ np.diag(cfg.R) @ K)
+    evmin = float(np.min(np.linalg.eigvalsh(P)))
+    if evmin < 1e-12:
+        P = P + (1e-12 - min(evmin, 0.0)) * np.eye(3)
+    return P
 
 
 class TestConfig:
@@ -134,17 +157,17 @@ class TestTerminalCost:
     """x'Px, as quadratic_form evaluates it on the terminal weight's rows."""
 
     def test_zero_at_origin(self, demo_config):
-        P = demo_config.terminal_weight().tolist()
+        P = demo_config.P.tolist()
         assert quadratic_form(0.0, 0.0, 1e-12, P) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_weight(self):
-        P = NMPCConfig(P=np.eye(3)).terminal_weight().tolist()
+        P = NMPCConfig(P=np.eye(3)).P.tolist()
         assert quadratic_form(1.0, 2.0, 0.9, P) \
             == pytest.approx(1.0 + 4.0 + 0.81, rel=1e-14)
 
     def test_even_symmetry(self, demo_config):
-        P = demo_config.terminal_weight()
+        P = demo_config.P
         a = quadratic_form(1.0, -2.0, 0.3, P.tolist())
         b = quadratic_form(-1.0, 2.0, 0.3, P.tolist())
         # z cannot be negated (domain), so compare the quadratic form directly
@@ -154,9 +177,14 @@ class TestTerminalCost:
                                         @ (-v + 2 * np.array([0, 0, 0.3]))),
                                   rel=1e-12)
 
-    def test_unset_raises(self):
-        with pytest.raises(TerminalWeightUnset):
-            quadratic_form(0.0, 0.0, 0.5, NMPCConfig().terminal_weight())
+    def test_unset_raises(self, demo_path):
+        """Outside a solver, which derives P for its path, a config without
+        P has no terminal cost to evaluate."""
+        x = GuidanceState(0.0, 0.0, 0.5)
+        seq = [InputCmd(0.15, 0.0, 0.15)] * 3
+        states = rollout(x, seq, 0.0, 1.0, demo_path)
+        with pytest.raises(ValueError, match="terminal weight P"):
+            horizon_cost(x, states, seq, NMPCConfig())
 
 
 class TestLyapunov:
@@ -182,7 +210,7 @@ class TestLyapunov:
 
 class TestSynthesis:
     def test_demo_weight_is_spd_and_loop_stable(self, demo_path, demo_config):
-        P = demo_config.terminal_weight()
+        P = demo_config.P
         assert np.allclose(P, P.T)
         assert np.min(np.linalg.eigvalsh(P)) > 0.0
 
@@ -194,7 +222,7 @@ class TestSynthesis:
         reference is 0 while the path tangent is not.
         """
         cfg = demo_config
-        P = cfg.terminal_weight()
+        P = cfg.P
         rows = P.tolist()
         gamma = 0.003
         rng = np.random.default_rng(3)
@@ -242,6 +270,38 @@ class TestSynthesis:
         P = synthesize_terminal_weight(xaxis_path, cfg)
         evals = np.linalg.eigvalsh(P)
         assert evals.min() >= 1e-12  # decoupled z mode floored, still PD
+
+    @pytest.mark.parametrize("path", [
+        case_study_path(), line_path(), line_path(direction=(-1.0, 0.0)),
+        line_path(origin=(1.0, -2.0), direction=(0.6, 0.8)),
+        polynomial_path([0.0, 1.0, 0.01, 1e-4], [0.0, 0.5, -0.002, -1e-5])],
+        ids=["case_study", "east", "west", "oblique", "cubic"])
+    def test_linearizes_once(self, monkeypatch, path):
+        """One path frame and one Jacobian evaluation give, bit for bit,
+        the P of the public Jacobians at their own frames."""
+        configs = (NMPCConfig(), NMPCConfig(u_r=0.3, T_m=2.0),
+                   NMPCConfig(Q=np.array([1.0, 1.0, 0.0])),
+                   NMPCConfig(terminal_law=SGLOSParams(k1=0.4, k2=0.6,
+                                                       delta=0.8)))
+        expected = [public_jacobian_terminal_weight(path, cfg)
+                    for cfg in configs]
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        for name in ("path_frame", "_jacobians", "state_jacobian",
+                     "jacobian_block"):
+            monkeypatch.setattr(pnmpc, name,
+                                counted(name, getattr(pnmpc, name)))
+        for cfg, P in zip(configs, expected):
+            calls.clear()
+            assert synthesize_terminal_weight(path, cfg).tobytes() \
+                == P.tobytes()
+            assert calls == ["path_frame", "_jacobians"]
 
 
 class TestPredict:
@@ -299,9 +359,27 @@ class TestSolve:
             NMPCSolver(demo_config, demo_path).solve(
                 GuidanceState(0, 0, 0.5), 0.0, InputCmd(0.5, 0.0, 0.1))
 
-    def test_terminal_weight_required(self, demo_path):
-        with pytest.raises(TerminalWeightUnset):
-            NMPCSolver(NMPCConfig(), demo_path)
+    @pytest.mark.parametrize("path", [case_study_path(), line_path()],
+                             ids=["case_study", "line"])
+    @pytest.mark.parametrize("law", ["nmpc", "pnmpc-exact", "pnmpc-frozen"])
+    def test_terminal_weight_derived_when_unset(self, path, law):
+        """A solver handed a config without P holds the synthesized P, bit
+        for bit, and solves as one handed a config that carries it."""
+        def solver(cfg):
+            if law == "nmpc":
+                return NMPCSolver(cfg, path)
+            return PNMPCSolver(cfg, path, law.split("-")[1])
+
+        cfg = NMPCConfig()
+        P = synthesize_terminal_weight(path, cfg)
+        derived = solver(cfg)
+        given = solver(replace(cfg, P=P))
+        assert derived.cfg.P.tobytes() == P.tobytes()
+        x = GuidanceState(1.5, -2.0, 1.0 / 4.0)
+        u_prev = InputCmd(0.1, 0.3, 0.2)
+        results = [s.solve(x, 0.02, u_prev, timer=lambda: 0.0)
+                   for s in (derived, given)]
+        assert repr(results[0]) == repr(results[1])
 
     def test_tolerances_are_the_module_constants(self, demo_path,
                                                  demo_config):
@@ -506,7 +584,7 @@ class TestSQPWork:
         monkeypatch.setattr(qp_mod, "_phase1", lambda *args: (
             phase1.append(args) or real(*args)))
         with caplog.at_level(logging.WARNING, logger="pfguide.nmpc"):
-            res = NMPCSolver(make_config(path), path).solve(
+            res = NMPCSolver(NMPCConfig(), path).solve(
                 GuidanceState(0.0, 0.5, 1.0 / 6.0), 0.0,
                 InputCmd(0.1, -math.pi, 0.1))
         assert phase1 == []

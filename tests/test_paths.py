@@ -151,7 +151,12 @@ class TestPathFromConfig:
         ("line", {"direction": [0.0, 0.0]}, "direction must be non-zero"),
         ("polynomial", {"x_coeffs": [], "y_coeffs": [0.0]},
          "at least one coefficient"),
-    ], ids=["line-zero-direction", "polynomial-empty"])
+        ("polynomial", {"x_coeffs": [1.0], "y_coeffs": [2.0]},
+         "must not be constant"),
+        ("polynomial", {"x_coeffs": [1.0, 0.0, 0.0], "y_coeffs": [2.0, -0.0]},
+         "must not be constant"),
+    ], ids=["line-zero-direction", "polynomial-empty", "polynomial-constant",
+            "polynomial-zero-slopes"])
     def test_rejects_degenerate_parameters(self, name, params, match):
         with pytest.raises(DomainError, match=match):
             path_from_config(name, params)
@@ -192,6 +197,10 @@ class TestPathFromConfig:
         for trial in range(200):
             cx = rng.normal(0.0, 10.0, 1 + trial % 8).tolist()
             cy = rng.normal(0.0, 10.0, 1 + (trial // 8) % 8).tolist()
+            if len(cx) == len(cy) == 1:  # a constant: no path
+                with pytest.raises(DomainError, match="must not be constant"):
+                    polynomial_path(cx, cy)
+                continue
             path = polynomial_path(cx, cy)
             funcs = (path.eval, path.deriv, path.deriv2, path.deriv3)
             for w in rng.uniform(-50.0, 50.0, 10).tolist():

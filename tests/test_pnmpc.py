@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from pfguide import (GuidanceState, InputCmd, InputConstraints, JacobianBlock,
                      NMPCConfig, NMPCSolver, PNMPCSolver, QPFailure,
                      QPProblem, QPSolution, case_study_path, dynamics,
-                     horizon_cost, jacobian_block, line_path, make_config,
+                     horizon_cost, jacobian_block, line_path,
                      polynomial_path, realistic_scenario, run_scenario,
-                     sample_path, sglos, solve_qp,
+                     sample_path, sglos, solve_qp, synthesize_terminal_weight,
                      transient_scenario, wrap_angle, z_of_omega)
 from pfguide import nmpc as nmpc_mod
 from pfguide import pnmpc
@@ -706,8 +706,9 @@ def _qp_bits(qp):
 
 @lru_cache(maxsize=None)
 def _config(name, N, T_m):
-    return make_config(TestPredictionKernelsMatchOldForms.PATHS[name], N=N,
-                       T_m=T_m)
+    cfg = NMPCConfig(N=N, T_m=T_m)
+    return replace(cfg, P=synthesize_terminal_weight(
+        TestPredictionKernelsMatchOldForms.PATHS[name], cfg))
 
 
 _C = InputConstraints()
@@ -1009,24 +1010,25 @@ class TestLinearizedQP:
 
 
     def test_cached_rows_are_read_only(self, demo_path, demo_config):
-        # linearized_qp hands out _sqp_rows' cached A itself; a write into
-        # one QP's A would change every later QP with the same rows.
+        # linearized_qp hands out the solver's _sqp_rows A itself; a write
+        # into one QP's A would change every later QP of the solver.
         c = InputConstraints()
         assert demo_config.constraints == c and demo_config.N == 3
-        before = pnmpc._sqp_rows(3, c)[0].copy()
+        solver = PNMPCSolver(demo_config, demo_path)
+        rows = solver._rows
+        before = rows.A.copy()
         up = InputCmd(0.1, 0.2, 0.3)
         U = stack_inputs([up] * 3)
-        qp = qp_along(PNMPCSolver(demo_config, demo_path), np.eye(9),
-                      [0.0] * 12, U, up, U, (np.eye(9), np.ones(9)))
+        qp = qp_along(solver, np.eye(9), [0.0] * 12, U, up, U,
+                      (np.eye(9), np.ones(9)))
         with pytest.raises(ValueError, match="read-only"):
             qp.A[0, 0] = 5.0
-        assert np.array_equal(pnmpc._sqp_rows(3, c)[0], before)
-        for cached in (*pnmpc._sqp_rows(3, c), pnmpc._increment_lower(3),
-                       pnmpc._stage_selector(3)):
+        assert np.array_equal(rows.A, before)
+        assert np.array_equal(pnmpc._sqp_rows(3, c).A, before)
+        for cached in (*rows, pnmpc._stage_selector(3)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
         # The rows are one frozen, checked object, which the QP's A is.
-        rows = pnmpc._sqp_rows(3, c)
         assert isinstance(rows, QPRows) and qp.A is rows.A
         with pytest.raises(AttributeError):
             rows.A = np.zeros_like(rows.A)
@@ -1180,7 +1182,6 @@ class TestPNMPCIsNMPCsFirstStep:
 class TestPNMPCSolve:
     def test_equilibrium_returns_hold(self, xaxis_path):
         cfg = NMPCConfig(Q=np.array([1.0, 1.0, 0.0]))
-        from pfguide import synthesize_terminal_weight
         cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))
         up = InputCmd(0.15, 0.0, 0.15)
         res = PNMPCSolver(cfg, xaxis_path).solve(
@@ -1194,7 +1195,6 @@ class TestPNMPCSolve:
         # N = 1 with the heading and target-speed weights pinned huge at
         # the previous input, which sits on the reference (u_r, 0, u_r):
         # the surge solves a scalar quadratic, clamped to its interval.
-        from pfguide import synthesize_terminal_weight
         up = InputCmd(0.10, 0.0, 0.15)
         cfg = NMPCConfig(N=1, R=np.array([10.0, 1e9, 1e9]), u_r=up.u_tar)
         cfg = replace(cfg, P=synthesize_terminal_weight(xaxis_path, cfg))

@@ -98,7 +98,7 @@ def test_horizon_cost_matches_stage_and_terminal_costs(demo_path, demo_config):
     xN = states[-1]
     ref = (sum(stage_cost(s, u, cfg) for s, u in zip(states, seq))
            + cfg.lam * quadratic_form(xN.x_e, xN.y_e, xN.z,
-                                      cfg.terminal_weight().tolist()))
+                                      cfg.P.tolist()))
     assert horizon_cost(x, states, seq, cfg) == pytest.approx(ref, rel=1e-12)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.linalg import LinAlgError
 
 from pfguide import (InputCmd, InputConstraints, Infeasible, QPFailure,
-                     QPProblem, QPSolution, case_study_path, cli, make_config,
+                     NMPCConfig, QPProblem, QPSolution, case_study_path, cli,
                      nmpc, pnmpc, qp, run_scenario, solve_qp,
                      transient_scenario)
 from qp_oracle import qp_oracle, random_feasible_qp
@@ -1004,7 +1004,7 @@ class TestNonFiniteAndIndefinite:
         error scope turns the NaN into a LinAlgError.  solve_qp reports it
         as the QP's failure, not as a ValueError (a diverged state)."""
         path = case_study_path()
-        cfg = make_config(path, R=np.array([1e300, 1e-5, 1e-5]))
+        cfg = NMPCConfig(R=np.array([1e300, 1e-5, 1e-5]))
         up = InputCmd(0.05, 0.0, 0.75)
         prob = pnmpc.PNMPCSolver(cfg, path).linearized_qp(
             (0.6877254162673379, 5.823805675772588, 0.2677384610987393),

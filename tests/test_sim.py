@@ -16,7 +16,7 @@ from pfguide import (DisturbanceSpec, DomainError, EmptyTrace, GuidanceState,
                      NonRegularPath, PathDef, PNMPCSolver, Scenario,
                      SGLOSParams, StateEscape, Trace, case_study_path,
                      compute_metrics, disturbance_sample, equilibrium_scenario,
-                     make_config, realistic_scenario, rollout, run_scenario,
+                     realistic_scenario, rollout, run_scenario,
                      synthesize_terminal_weight, transient_scenario)
 from pfguide import sim
 from pfguide.angles import unwrap_near, wrap_angle
@@ -256,7 +256,7 @@ class TestScenarioAgreesWithConfig:
     ])
     def test_mismatch_rejected(self, field, value):
         sc = transient_scenario("nmpc", duration=20.0)
-        cfg = make_config(sc.path)
+        cfg = NMPCConfig()
         with pytest.raises(ConfigError, match="disagrees"):
             replace(sc, nmpc=cfg, **{field: value})
 
@@ -264,14 +264,27 @@ class TestScenarioAgreesWithConfig:
         with pytest.raises(ConfigError, match="linearization"):
             replace(transient_scenario("pnmpc"), linearization="exactly")
 
-    def test_terminal_weight_from_the_config_terminal_law(self):
-        sc = replace(transient_scenario("nmpc"), sglos=self.GAINS)
+    def test_terminal_weight_from_the_config_terminal_law(self, monkeypatch):
+        """Each predictive law's solver derives P for the terminal law of
+        the config, given or built from the scenario."""
+        held = []
+        for cls in (sim.NMPCSolver, PNMPCSolver):
+            def init(self, cfg, path, *args, _init=cls.__init__):
+                _init(self, cfg, path, *args)
+                held.append(self.cfg.P)
+            monkeypatch.setattr(cls, "__init__", init)
         cfg = NMPCConfig(terminal_law=self.GAINS)
-        got = replace(sc, nmpc=cfg).guidance_config().P
-        assert got.tobytes() == synthesize_terminal_weight(sc.path, cfg).tobytes()
-        assert not np.allclose(
-            got, synthesize_terminal_weight(sc.path, NMPCConfig()))
-        assert got.tobytes() == sc.guidance_config().P.tobytes()
+        path = transient_scenario().path
+        P = synthesize_terminal_weight(path, cfg)
+        assert not np.allclose(P,
+                               synthesize_terminal_weight(path, NMPCConfig()))
+        for law in ("nmpc", "pnmpc"):
+            sc = replace(transient_scenario(law, duration=2.0),
+                         sglos=self.GAINS)
+            run_scenario(replace(sc, nmpc=cfg))
+            run_scenario(sc)
+        assert len(held) == 4
+        assert all(got.tobytes() == P.tobytes() for got in held)
 
 
 NAN, INF = math.nan, math.inf
@@ -492,7 +505,10 @@ class TestRunScenario:
         path = PathDef(base.eval, counting("deriv", base.deriv),
                        counting("deriv2", base.deriv2), base.deriv3)
         sc = replace(realistic_scenario(law, duration=20.0), path=path)
-        sc = replace(sc, nmpc=sc.guidance_config())
+        # A config that carries P, so that no synthesis counts as the loop's.
+        cfg = sc.guidance_config()
+        sc = replace(sc, nmpc=replace(
+            cfg, P=synthesize_terminal_weight(path, cfg)))
         calls.update(dict.fromkeys(calls, 0))
         tr = run_scenario(sc)
         steps = len(tr) - 1
