@@ -13,13 +13,18 @@ far-along-the-path equilibrium, closed with the SGLOS law as terminal
 controller).
 
 The solver is an SQP on the steps of pnmpc.HorizonSolver.  Each major
-iteration linearizes the prediction along the incumbent, builds the
-strictly convex QP there (HorizonSolver.linearized_qp), solves it and
-backtracks on the true nonlinear cost (Armijo).  The starts and every
-trial are costed by pass 2 (pnmpc.projected_rollout_flat), on the
+iteration linearizes the prediction along the incumbent (pass 1,
+pnmpc.linearize_flat), tests stationarity on the gradient and the rows
+(HorizonSolver._gradient), and only where that test fails builds the
+Hessian (HorizonSolver._hessian) and the strictly convex QP, solves it
+and backtracks on the true nonlinear cost (Armijo).  The starts and
+every trial are costed by pass 2 (pnmpc.projected_rollout_flat), on the
 commands they apply, and the accepted trial's pass 2 is the answer.  The
 next linearization point stays the unprojected trial: pass 2 wraps
-headings, which the QP's rate rows difference unwrapped.  A QP step that
+headings, which the QP's rate rows difference unwrapped.  Where pass 2
+applied that point byte for byte, as it almost always does, pass 1
+takes pass 2's states and frames instead of rolling the point out
+again, and builds only the Jacobians and S, bit for bit.  A QP step that
 is not a certified descent direction, or a line search with no
 acceptable trial down to alpha = 1e-7, keeps the incumbent, logs a
 warning and ends the solve at the stationarity residual it has.  Each QP
@@ -51,6 +56,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,10 +66,10 @@ from .errdyn import GuidanceState, InputCmd, flat_inputs
 from .los import InputConstraints, SGLOSParams, require_in_box, sglos
 from .paths import omega_of_z, path_frame
 from .pnmpc import (HorizonSolver, SolveResult, curvature_flat,
-                    reference_stack, stage_cost_flat)
+                    stage_cost_flat)
 # Unused here; perfbench's tracer looks the synthesis up in this module.
 from .pnmpc import synthesize_terminal_weight  # noqa: F401
-from .qp import QPSolution, solve_qp
+from .qp import QPProblem, QPSolution, _largest, solve_qp
 
 logger = logging.getLogger(__name__)
 
@@ -184,7 +190,7 @@ def _stationarity_residual(g: np.ndarray, A: np.ndarray,
     """
     rows, signs = active
     if not rows:
-        return float(np.max(np.abs(g), initial=0.0))
+        return _largest(map(abs, g.tolist()))
     # C order: lstsq's last bits depend on the memory layout of C.
     C = np.ascontiguousarray(A.take(rows, axis=0).T) * np.array(signs)
     lam, *_ = np.linalg.lstsq(C, g, rcond=None)
@@ -221,6 +227,15 @@ def _convexified(H: np.ndarray, H_gn: np.ndarray,
     return (V * np.maximum(w, np.linalg.eigvalsh(H_gn)[0])) @ V.T
 
 
+def _along(U: np.ndarray, plan: tuple) -> Optional[tuple]:
+    """Pass 2's (states, frames) of plan when the commands it applied are
+    the inputs U bit for bit, so that pass 1 at U would roll the same
+    states out again; None otherwise.  The bytes are compared, not the
+    values, so a 0.0 that pass 2 made of a -0.0 does not pass as equal."""
+    V, X, _, frames = plan
+    return (X, frames) if array("d", V).tobytes() == U.tobytes() else None
+
+
 class NMPCSolver(HorizonSolver):
     """SQP nonlinear solver on HorizonSolver's steps."""
 
@@ -255,32 +270,40 @@ class NMPCSolver(HorizonSolver):
         frame0 = path_frame(path, omega_of_z(x_k.z))
         U, plan = self._candidates(x0, frame0, v_k, u_prev, warm)
         J = plan[2]
-        Uref = reference_stack(cfg, u_prev.psi)
+        Uref = self._reference(u_prev.psi)
 
+        rows = self._rows
         kkt = math.inf
         iters = 0
         exact = False  # Gauss-Newton Hessian until its contraction stalls
         qp_warm = self._zero
+        along = _along(U, plan)
         for it in range(1, self.max_iterations + 1):
             prev_kkt = kkt
-            qp, X, frames, S = self.linearized_qp(x0, U, v_k, u_prev, Uref)
-            active = _active_at_zero(qp.lb, qp.ub)
-            kkt = _stationarity_residual(qp.g, qp.A, active)
+            U_flat = U.tolist()
+            X, frames, S = self._linearize(x0, U_flat, v_k, T_m, path, along)
+            WS, g, shift = self._gradient(X, S, U, u_prev, Uref)
+            if not all(map(math.isfinite, g.tolist())):
+                # QPProblem.on_rows' refusal, as for the QP this g makes.
+                raise ValueError("H and g must be finite")
+            active = _active_at_zero(rows.lb - shift, rows.ub - shift)
+            kkt = _stationarity_residual(g, rows.A, active)
             if kkt <= self.kkt_tol:
                 break
             exact = exact or kkt > STALL_RATIO * prev_kkt
+            H = self._hessian(S, WS)
+            qp = QPProblem.on_rows(H, g, rows, shift)
             if exact:  # a new H, which gets every check of a new QP
                 qp = qp.with_hessian(_convexified(
-                    qp.H + curvature_flat(S, X, U.tolist(), frames, v_k,
-                                          T_m, path, self._W),
-                    qp.H, qp.A.take(active[0], axis=0)))
+                    H + curvature_flat(S, X, U_flat, frames, v_k, T_m, path,
+                                       self._W),
+                    H, rows.A.take(active[0], axis=0)))
             qsol = solve_qp(qp, warm=qp_warm)
             qp_warm = QPSolution(self._zero.x, qsol.active_set,
                                  math.inf, 0)
             iters = it
             delta = qsol.x
-            if qsol.converged and \
-                    float(np.max(np.abs(delta), initial=0.0)) <= 1e-12:
+            if qsol.converged and _largest(map(abs, delta.tolist())) <= 1e-12:
                 break
             gd = float(qp.g @ delta)
             if not qsol.converged or gd >= 0.0:
@@ -308,12 +331,13 @@ class NMPCSolver(HorizonSolver):
                     "keeping the incumbent", it, kkt, gd)
                 break
             U, plan, J = U_try, trial, J_try
+            along = _along(U, plan)
         else:
             logger.warning(
                 "SQP stopped at the iteration cap (%d) with KKT residual "
                 "%.3e above the tolerance %.1e", self.max_iterations, kkt,
                 self.kkt_tol)
 
-        V, X, J = plan
+        V, X, J, _ = plan
         return SolveResult(tuple(map(InputCmd, V[::3], V[1::3], V[2::3])), X,
                            J, iters, kkt, timer() - t0)

@@ -7,10 +7,12 @@ convex QP in the per-step input perturbation delta, started from delta =
 0.  HorizonSolver also holds both laws' constants, with the terminal
 weight P derived when the config sets none (synthesize_terminal_weight),
 and pass 2, which projects, rolls out and costs the commands a law
-applies; each law runs its own loop over these steps.  The nonlinear law
-iterates them with a line search; the fast law (PNMPCSolver) is the
-first full step of that SQP from the held previous input, a real-time
-iteration.  The fast law has two sources of S (LINEARIZATIONS):
+applies and returns the states and frames it rolled out, for the
+nonlinear law's next pass 1 to reuse; each law runs its own loop over
+these steps.  The nonlinear law iterates them with a line search; the
+fast law (PNMPCSolver) is the first full step of that SQP from the held
+previous input, a real-time iteration.  The fast law has two sources of
+S (LINEARIZATIONS):
 
 * "exact": the first-order sensitivity of the Euler recursion, with state
   and input Jacobians evaluated along the held-input prediction;
@@ -465,7 +467,8 @@ def _block_index(n: int) -> np.ndarray:
 
 
 def linearize_flat(x0: Sequence[float], U: Sequence[float], v: float,
-                   T_m: float, path: PathDef
+                   T_m: float, path: PathDef,
+                   along: Optional[Tuple[List[float], List[Frame]]] = None
                    ) -> Tuple[List[float], List[Frame], np.ndarray]:
     """Pass 1: rollout_flat of the stacked inputs U from x0 (states and
     frames) and the exact first-order sensitivity S along it, in one loop.
@@ -477,6 +480,12 @@ def linearize_flat(x0: Sequence[float], U: Sequence[float], v: float,
     block products follow the rollout, in the operand layouts of a
     per-block build, so a state that escapes raises StateEscape before
     numpy sees a non-finite A.
+
+    along, when given, is pass 2's (states, frames) of inputs equal to U
+    bit for bit: that pass has rolled U out from x0 already, step for
+    step as this loop would.  The loop then rolls nothing out; it builds
+    S on those states and frames, still reading deriv3 per step, and
+    returns them as they are.
     """
     if not (isfinite(T_m) and T_m > 0.0):
         raise ValueError(f"dt must be finite and positive, got {T_m!r}")
@@ -485,26 +494,36 @@ def linearize_flat(x0: Sequence[float], U: Sequence[float], v: float,
         raise ValueError(f"inputs must stack (u, psi, u_tar) per step, got "
                          f"{n} values")
     deriv, deriv2, deriv3 = path.deriv, path.deriv2, path.deriv3
-    xe, ye, z = x0
-    X = [xe, ye, z]
-    frames = []
+    fresh = along is None
+    if fresh:
+        xe, ye, z = x0
+        X = [xe, ye, z]
+        frames = []
+    else:
+        X, frames = along
     B = []  # the entries of each T_m B_i, in _block_index(n) order
     Ads = []  # I + T_m A_i for steps 1..N-1
     for r in range(0, n, 3):
         u, psi, u_tar = U[r], U[r + 1], U[r + 2]
-        if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
-            raise ValueError(f"non-finite input command {(u, psi, u_tar)!r}")
-        omega = 1.0 / z - 1.0
-        dx, dy = deriv(omega)
-        F = hypot(dx, dy)
-        if F <= F_MIN:
-            path_tangent(path, omega)  # raises NonRegularPath
-        phi_p = atan2(dy, dx)
-        if not -pi < phi_p <= pi:
-            phi_p = wrap_angle(phi_p)
-        ddx, ddy = deriv2(omega)
-        dphi_dw = (dx * ddy - dy * ddx) / (F * F)
-        frames.append((phi_p, F, dphi_dw, dx, dy, ddx, ddy))
+        if fresh:
+            if not (isfinite(u) and isfinite(psi) and isfinite(u_tar)):
+                raise ValueError(
+                    f"non-finite input command {(u, psi, u_tar)!r}")
+            omega = 1.0 / z - 1.0
+            dx, dy = deriv(omega)
+            F = hypot(dx, dy)
+            if F <= F_MIN:
+                path_tangent(path, omega)  # raises NonRegularPath
+            phi_p = atan2(dy, dx)
+            if not -pi < phi_p <= pi:
+                phi_p = wrap_angle(phi_p)
+            ddx, ddy = deriv2(omega)
+            dphi_dw = (dx * ddy - dy * ddx) / (F * F)
+            frames.append((phi_p, F, dphi_dw, dx, dy, ddx, ddy))
+        else:
+            xe, ye, z = X[r], X[r + 1], X[r + 2]
+            omega = 1.0 / z - 1.0
+            phi_p, F, dphi_dw, dx, dy, ddx, ddy = frames[r // 3]
         dpsi = psi - phi_p
         if not -pi < dpsi <= pi:
             dpsi = wrap_angle(dpsi)
@@ -528,14 +547,15 @@ def linearize_flat(x0: Sequence[float], U: Sequence[float], v: float,
             Ads.append(np.array((1.0, 0.0 + T_m * a01, 0.0 + T_m * a02,
                                  0.0 + T_m * -a01, 1.0, 0.0 + T_m * a12,
                                  0.0, 0.0, 1.0 + T_m * a22)).reshape(3, 3))
-        nxe = xe + T_m * (b11 + u_tar * b02)
-        nye = ye + T_m * (us_vc - a01 * xe)
-        nz = z + T_m * (-z * z * u_tar / F)
-        if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
-            raise StateEscape(f"non-finite state after Euler step from "
-                              f"{(xe, ye, z)!r}")
-        xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
-        X += (xe, ye, z)
+        if fresh:
+            nxe = xe + T_m * (b11 + u_tar * b02)
+            nye = ye + T_m * (us_vc - a01 * xe)
+            nz = z + T_m * (-z * z * u_tar / F)
+            if not (isfinite(nxe) and isfinite(nye) and isfinite(nz)):
+                raise StateEscape(f"non-finite state after Euler step from "
+                                  f"{(xe, ye, z)!r}")
+            xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
+            X += (xe, ye, z)
     S = np.zeros((n, n))
     S.ravel()[_block_index(n)] = B  # ravel() is a view of S
     for r, Ad in zip(range(3, n, 3), Ads):
@@ -547,9 +567,11 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
                            x0: Sequence[float], frame0: Frame, v: float,
                            T_m: float, path: PathDef, c: InputConstraints,
                            weights: tuple
-                           ) -> Tuple[List[float], List[float], float]:
+                           ) -> Tuple[List[float], List[float], float,
+                                      List[Frame]]:
     """Pass 2: the stacked inputs U chain-projected into U and U_g, the
-    stacked states 0..N under them from x0 and their cost.
+    stacked states 0..N under them from x0, their cost and the path frame
+    of each step.
 
     Each step goes through los.clamp_flat, the projection the membership
     checks use, so the projected inputs meet the constraints bit-exactly,
@@ -557,7 +579,9 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
     rollout_flat's Euler step, with its errors and z clamp, and adds its
     stage cost; step 0 reuses frame0, the path frame at x0.  weights come
     from cost_weights.  Returns the projected inputs stacked as U is, the
-    states and the cost.  A non-finite input raises rollout_flat's
+    states, the cost and the frames, step 0's being frame0: the states
+    and frames are those linearize_flat rolls out along the projected
+    inputs, bit for bit.  A non-finite input raises rollout_flat's
     ValueError.
     """
     if not (isfinite(T_m) and T_m > 0.0):
@@ -568,6 +592,7 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
     u, psi = u_prev.u, u_prev.psi
     xe, ye, z = x0
     X = [xe, ye, z]
+    frames = [frame0]
     J = 0.0
     for j in range(0, len(U), 3):
         u, psi, u_tar = clamp_flat(U[j], U[j + 1], U[j + 2], u, psi, c)
@@ -583,6 +608,7 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
                 phi_p = wrap_angle(phi_p)
             ddx, ddy = deriv2(omega)
             dphi_dw = (dx * ddy - dy * ddx) / (F * F)
+            frames.append((phi_p, F, dphi_dw, dx, dy, ddx, ddy))
         else:
             phi_p, F, dphi_dw = frame0[:3]
         du = u - ref0
@@ -610,15 +636,18 @@ def projected_rollout_flat(U: Sequence[float], u_prev: InputCmd,
                               f"{(xe, ye, z)!r}")
         xe, ye, z = nxe, nye, min(max(nz, Z_MIN), 1.0)
         X += (xe, ye, z)
-    return V, X, J + lam * quadratic_form(xe, ye, z, P)
+    return V, X, J + lam * quadratic_form(xe, ye, z, P), frames
 
 
 class HorizonSolver:
     """The steps both predictive laws take alike: linearized_qp (pass 1
-    and the QP at U) and _pass2 (pass 2 of stacked inputs), on
-    per-configuration constants built once; a config without P is held
-    with synthesize_terminal_weight's.  A solve depends on its arguments
-    alone; each law's solve is its own loop over these steps."""
+    and the QP at U, from _gradient and _hessian) and _pass2 (pass 2 of
+    stacked inputs), on per-configuration constants built once; a config
+    without P is held with synthesize_terminal_weight's.  NMPC takes
+    linearized_qp's parts one at a time: its pass 1 reuses pass 2's states
+    and frames where pass 2 applied U itself, and it builds H only for a
+    QP it solves.  A solve depends on its arguments alone; each law's
+    solve is its own loop over these steps."""
 
     _linearize = staticmethod(linearize_flat)  # pass 1
 
@@ -632,6 +661,13 @@ class HorizonSolver:
         self._rows = _sqp_rows(cfg.N, cfg.constraints)
         self._weights = cost_weights(cfg)
         self._zero = QPSolution(np.zeros(3 * cfg.N), (), math.inf, 0)
+        self._Uref0 = _read_only(reference_stack(cfg, 0.0))
+
+    def _reference(self, psi: float) -> np.ndarray:
+        """reference_stack(self.cfg, psi) for a heading psi in [-pi, pi]:
+        below pi, unwrap_near(0, psi) is psi + (-psi) = +0.0, so the stack
+        is the one on branch 0, built once."""
+        return self._Uref0 if psi < pi else reference_stack(self.cfg, psi)
 
     def linearized_qp(self, x0: Sequence[float], U: np.ndarray, v: float,
                       u_prev: InputCmd, Uref: np.ndarray) -> tuple:
@@ -649,23 +685,37 @@ class HorizonSolver:
         """
         X, frames, S = self._linearize(x0, U.tolist(), v, self.cfg.T_m,
                                        self.path)
+        WS, g, shift = self._gradient(X, S, U, u_prev, Uref)
+        return (QPProblem.on_rows(self._hessian(S, WS), g, self._rows,
+                                  shift), X, frames, S)
+
+    def _gradient(self, X: Sequence[float], S: np.ndarray, U: np.ndarray,
+                  u_prev: InputCmd, Uref: np.ndarray) -> tuple:
+        """The QP's parts that need no H, for pass 1's states X and
+        sensitivity S at U: (WS, g, shift), W S for _hessian, the gradient
+        g = 2(S'W X + r (U - Uref)) at delta = 0 and the shift A U - s of
+        the rows (_sqp_rows).  g is not checked here."""
         WS = self._W.dot(S)
+        g = 2.0 * (WS.T.dot(np.array(X[3:])) + self._r * (U - Uref))
+        shift = self._rows.A.dot(U)
+        shift[0] -= u_prev.u
+        shift[1] -= u_prev.psi
+        return WS, g, shift
+
+    def _hessian(self, S: np.ndarray, WS: np.ndarray) -> np.ndarray:
+        """H = 2(S'WS + diag r) from _gradient's WS, exactly symmetric."""
         # M + M' + diag(2r) with M = S'WS is exactly symmetric, and equal
         # bit for bit to 0.5(H0 + H0') with H0 = 2(M + diag r): scaling by
         # 2 is exact.
         M = S.T.dot(WS)
         H = M + M.T
         H.ravel()[::H.shape[0] + 1] += self._r2  # a view of the diagonal
-        g = 2.0 * (WS.T.dot(np.array(X[3:])) + self._r * (U - Uref))
-        cur = self._rows.A.dot(U)
-        cur[0] -= u_prev.u
-        cur[1] -= u_prev.psi
-        return QPProblem.on_rows(H, g, self._rows, cur), X, frames, S
+        return H
 
     def _pass2(self, U: Sequence[float], u_prev: InputCmd,
                x0: Sequence[float], frame0: Frame, v: float) -> tuple:
         """Pass 2 of the stacked inputs U from x0, frame0 the path frame
-        there: (projected inputs, states, cost)."""
+        there: (projected inputs, states, cost, frames)."""
         cfg = self.cfg
         return projected_rollout_flat(U, u_prev, x0, frame0, v, cfg.T_m,
                                       self.path, cfg.constraints,
@@ -708,13 +758,13 @@ class PNMPCSolver(HorizonSolver):
         x0 = (x_k.x_e, x_k.y_e, x_k.z)
         U = np.array([u_prev.u, u_prev.psi, u_prev.u_tar] * cfg.N)
         qp, _, frames, _ = self.linearized_qp(
-            x0, U, v_k, u_prev, reference_stack(cfg, u_prev.psi))
+            x0, U, v_k, u_prev, self._reference(u_prev.psi))
         qsol = solve_qp(qp, warm=self._zero)
         if not qsol.converged:
             raise QPFailure(
                 f"QP stalled with KKT residual {qsol.kkt_residual:.3e}")
-        V, X, J = self._pass2((U + qsol.x).tolist(), u_prev, x0, frames[0],
-                              v_k)
+        V, X, J, _ = self._pass2((U + qsol.x).tolist(), u_prev, x0,
+                                 frames[0], v_k)
         return SolveResult(tuple(map(InputCmd, V[::3], V[1::3], V[2::3])),
                            X, J, qsol.iterations, qsol.kkt_residual,
                            timer() - t0)

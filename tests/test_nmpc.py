@@ -476,7 +476,7 @@ class TestSQPWork:
         x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
             InputCmd(0.0, 0.56, 0.01)
         solver = NMPCSolver(demo_config, demo_path)
-        _, (best_U, _, best_J) = solver._candidates(
+        _, (best_U, _, best_J, _) = solver._candidates(
             (x.x_e, x.y_e, x.z), path_frame(demo_path, 1.0 / x.z - 1.0),
             0.0, u_prev, None)
         problems = []
@@ -489,8 +489,8 @@ class TestSQPWork:
 
         def pass2(*args):
             # Line-search trials of the first QP step all fail.
-            V, X, J = real_pass2(*args)
-            return V, X, math.inf if len(problems) == 1 else J
+            V, X, J, frames = real_pass2(*args)
+            return V, X, math.inf if len(problems) == 1 else J, frames
 
         monkeypatch.setattr(pnmpc, "projected_rollout_flat", pass2)
         monkeypatch.setattr(nmpc_mod, "solve_qp", solve)
@@ -511,7 +511,7 @@ class TestSQPWork:
         x, u_prev = GuidanceState(1.38, 5.85, 1.0 / 3.5), \
             InputCmd(0.0, 0.56, 0.01)
         solver = NMPCSolver(demo_config, demo_path)
-        _, (best_U, _, best_J) = solver._candidates(
+        _, (best_U, _, best_J, _) = solver._candidates(
             (x.x_e, x.y_e, x.z), path_frame(demo_path, 1.0 / x.z - 1.0),
             0.0, u_prev, None)
         problems = []
@@ -532,15 +532,16 @@ class TestSQPWork:
     def test_qp_hessian_is_the_linearization_or_its_convexification(
             self, monkeypatch):
         """Every QP carries, bit for bit, the Hessian its linearization
-        built or _convexified's output for it: no damping term is added."""
+        built (_hessian) or _convexified's output for it: no damping term
+        is added."""
         built, carried = [], []
-        real_qp = NMPCSolver.linearized_qp
+        real_hessian = NMPCSolver._hessian
         real_conv, real_solve = nmpc_mod._convexified, nmpc_mod.solve_qp
 
-        def lin(self, *args):
-            out = real_qp(self, *args)
-            built[:] = [out[0].H.tobytes()]
-            return out
+        def hessian(self, *args):
+            H = real_hessian(self, *args)
+            built[:] = [H.tobytes()]
+            return H
 
         def conv(*args):
             H = real_conv(*args)
@@ -551,12 +552,71 @@ class TestSQPWork:
             carried.append(prob.H.tobytes() in built)
             return real_solve(prob, warm=warm)
 
-        monkeypatch.setattr(NMPCSolver, "linearized_qp", lin)
+        monkeypatch.setattr(NMPCSolver, "_hessian", hessian)
         for name, fake in (("_convexified", conv), ("solve_qp", solve)):
             monkeypatch.setattr(nmpc_mod, name, fake)
         run_scenario(realistic_scenario("nmpc", duration=20.0))
         assert len(carried) >= 50
         assert all(carried)
+
+    def test_pass1_rollouts_and_hessians_counted(self, monkeypatch):
+        """On 30 s of the realistic NMPC run, at most 30% of the pass-1
+        calls (one per major iteration) roll the prediction out; the
+        others take the states of the pass 2 that applied their point.  H
+        is built once per QP solved, and never for a stationarity test
+        that ends the solve."""
+        counts = dict.fromkeys(("pass 1", "rollouts", "hessians", "QPs"), 0)
+        real_pass1, real_hessian = NMPCSolver._linearize, NMPCSolver._hessian
+        real_solve = nmpc_mod.solve_qp
+
+        def pass1(x0, U, v, T_m, path, along=None):
+            counts["pass 1"] += 1
+            counts["rollouts"] += along is None
+            return real_pass1(x0, U, v, T_m, path, along)
+
+        def hessian(self, *args):
+            counts["hessians"] += 1
+            return real_hessian(self, *args)
+
+        def solve(prob, warm=None):
+            counts["QPs"] += 1
+            return real_solve(prob, warm=warm)
+
+        monkeypatch.setattr(NMPCSolver, "_linearize", staticmethod(pass1))
+        monkeypatch.setattr(NMPCSolver, "_hessian", hessian)
+        monkeypatch.setattr(nmpc_mod, "solve_qp", solve)
+        run_scenario(realistic_scenario("nmpc", duration=30.0),
+                     timer=lambda: 0.0)
+        assert counts["pass 1"] >= 60, counts
+        assert counts["rollouts"] <= 0.3 * counts["pass 1"], counts
+        assert counts["hessians"] == counts["QPs"] >= 30, counts
+
+    def test_non_finite_gradient_is_refused(self, demo_path):
+        """A gradient that overflows (surge weight 10 on a deviation from
+        the reference 1.7e308) fails the solve before the stationarity
+        test reads it, with QPProblem.on_rows' ValueError for such a g."""
+        solver = NMPCSolver(NMPCConfig(u_r=1.7e308, P=np.eye(3)), demo_path)
+        hessians, real = [], NMPCSolver._hessian
+        solver._hessian = lambda *args: hessians.append(None) or real(
+            solver, *args)
+        # numpy's overflow warning is not the test.
+        with pytest.raises(ValueError) as exc, np.errstate(over="ignore"):
+            solver.solve(GuidanceState(1.0, 2.0, 0.5), 0.0,
+                         InputCmd(0.1, 0.0, 0.1))
+        assert str(exc.value) == "H and g must be finite"
+        assert hessians == []
+
+    def test_a_nan_step_is_not_a_zero_step(self, monkeypatch, demo_path,
+                                           demo_config):
+        """A converged QP whose step holds a NaN does not end the solve as
+        a zero step would: the trial it makes fails pass 2."""
+        monkeypatch.setattr(nmpc_mod, "solve_qp", lambda prob, warm=None:
+                            QPSolution(np.full(prob.g.shape, math.nan), (),
+                                       0.0, 1))
+        with pytest.raises(ValueError, match="non-finite input command"):
+            NMPCSolver(demo_config, demo_path).solve(
+                GuidanceState(1.38, 5.85, 1.0 / 3.5), 0.0,
+                InputCmd(0.0, 0.56, 0.01))
 
     def test_ill_conditioned_qp_step_is_taken(self, caplog):
         """The benchmark's seed-4245 start of scenario 3: the second QP of

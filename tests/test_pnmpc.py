@@ -555,8 +555,9 @@ class TestPredictionKernelsMatchOldForms:
     @pytest.mark.parametrize("name", sorted(PATHS))
     def test_step_rollout(self, name):
         """Pass 2 (projected_rollout_flat) is snap_feasible_cmds, stacked,
-        rollout_per_step of the projected inputs and horizon_cost_flat of
-        both.  Half the draws put the headings at and across +-pi."""
+        rollout_per_step of the projected inputs (states and frames, step
+        0's being frame0 itself) and horizon_cost_flat of both.  Half the
+        draws put the headings at and across +-pi."""
         path = self.PATHS[name]
         c = InputConstraints()
         rng = np.random.default_rng(43 + len(name))
@@ -580,12 +581,15 @@ class TestPredictionKernelsMatchOldForms:
                        (0.15, 0.0, 0.15), rng.uniform(0.5, 2.0),
                        tuple(map(tuple, (P @ P.T).tolist())))
             frame0 = path_frame(path, 1.0 / x0[2] - 1.0)
-            V, X, J = pnmpc.projected_rollout_flat(
+            V, X, J, frames = pnmpc.projected_rollout_flat(
                 U, prev, x0, frame0, v, T_m, path, c, weights)
             flat = flat_inputs(snap_feasible_cmds(np.array(U), prev, c))
-            ref_X, _ = rollout_per_step(x0, flat, v, T_m, path)
+            ref_X, ref_frames = rollout_per_step(x0, flat, v, T_m, path)
             assert type(V) is list and _float_bits(V) == _float_bits(flat)
             assert _float_bits(X) == _float_bits(ref_X)
+            assert frames[0] is frame0 and len(frames) == N
+            assert [_float_bits(f) for f in frames] == \
+                [_float_bits(f) for f in ref_frames]
             assert _float_bits([J]) == _float_bits(
                 [pnmpc.horizon_cost_flat(ref_X, flat, weights)])
             clamped += Z_MIN in X[5::3]
@@ -937,6 +941,102 @@ class TestNMPCSolveMatchesUnfusedLoop:
         assert min(seen.values()) >= 10, seen
 
 
+def _pass1_bits(out):
+    X, frames, S = out
+    return _float_bits(X), [_float_bits(f) for f in frames], S.tobytes()
+
+
+class TestPass1AlongPass2:
+    """NMPC's pass 1 takes the states and frames of the pass 2 that
+    applied its linearization point: linearize_flat along them equals a
+    fresh linearize_flat bit for bit (X, frames and S).  They are handed
+    on only where pass 2's commands are the point byte for byte: a trial
+    that the projection changes, or a signed zero that it rebuilds, takes
+    the full pass 1."""
+
+    PATHS = TestPredictionKernelsMatchOldForms.PATHS
+
+    @pytest.mark.parametrize("name", sorted(PATHS))
+    def test_pass1_along_pass2_is_a_fresh_pass1(self, name):
+        """Half the draws are projected already, so pass 2 applies them
+        as they are; the other half are raw, and mostly projected."""
+        path = self.PATHS[name]
+        c = InputConstraints()
+        rng = np.random.default_rng(7 + len(name))
+        weights = pnmpc.cost_weights(_config(name, 3, 1.0))
+        seen = {"reused": 0, "changed": 0, "clamped": 0}
+        for i in range(300):
+            N = int(rng.integers(1, 6))
+            x0 = (rng.uniform(-10, 10), rng.uniform(-10, 10),
+                  rng.choice([rng.uniform(0.05, 1.0), 1.0, Z_MIN]))
+            prev = InputCmd(float(rng.uniform(0.0, c.u_max)),
+                            float(rng.uniform(-math.pi, math.pi)),
+                            float(rng.uniform(c.eps, c.u_tar_max)))
+            v = rng.uniform(-0.15, 0.15)
+            T_m = rng.choice([0.5, 1.0])
+            frame0 = path_frame(path, 1.0 / x0[2] - 1.0)
+            U = TestPredictionKernelsMatchOldForms._draw_inputs(rng, N)
+            if i % 2:
+                U = pnmpc.projected_rollout_flat(U, prev, x0, frame0, v, T_m,
+                                                 path, c, weights)[0]
+            plan = pnmpc.projected_rollout_flat(U, prev, x0, frame0, v, T_m,
+                                                path, c, weights)
+            along = nmpc_mod._along(np.array(U), plan)
+            if _float_bits(plan[0]) != _float_bits(U):
+                assert along is None
+                seen["changed"] += 1
+                continue
+            assert along == (plan[1], plan[3])
+            got = pnmpc.linearize_flat(x0, U, v, T_m, path, along)
+            assert got[0] is plan[1] and got[1] is plan[3]
+            assert _pass1_bits(got) == _pass1_bits(
+                pnmpc.linearize_flat(x0, U, v, T_m, path))
+            seen["reused"] += 1
+            seen["clamped"] += Z_MIN in got[0][5::3]
+        assert min(seen.values()) >= 20, seen
+
+    def test_a_rebuilt_signed_zero_is_not_a_match(self):
+        path = self.PATHS["line"]
+        U = np.array([-0.0, 0.5, 0.1])
+        x0 = (0.0, 0.0, 0.5)
+        frame0 = path_frame(path, 1.0)
+        plan = ([0.0, 0.5, 0.1], [*x0, 0.1, -0.2, 0.4], 1.0, [frame0])
+        assert plan[0] == U.tolist()  # equal as values
+        assert nmpc_mod._along(U, plan) is None
+        assert nmpc_mod._along(np.array(plan[0]), plan) == \
+            (plan[1], plan[3])
+
+    def test_nmpc_reuses_where_pass2_applied_the_point(self, monkeypatch):
+        """Each pass 1 of drawn NMPC solves equals a fresh one bit for bit,
+        and takes pass 2's states exactly where pass 2 of the point
+        applies it byte for byte."""
+        seen = {"reused": 0, "full": 0}
+        solving = {}
+
+        def linearize(x0, U, v, T_m, path, along=None):
+            got = pnmpc.linearize_flat(x0, U, v, T_m, path, along)
+            assert _pass1_bits(got) == _pass1_bits(
+                pnmpc.linearize_flat(x0, U, v, T_m, path))
+            V = solving["solver"]._pass2(U, solving["up"], x0,
+                                         path_frame(path, 1.0 / x0[2] - 1.0),
+                                         v)[0]
+            assert (along is not None) == (_float_bits(V) == _float_bits(U))
+            seen["full" if along is None else "reused"] += 1
+            return got
+
+        monkeypatch.setattr(NMPCSolver, "_linearize", staticmethod(linearize))
+
+        def check_one(solver, x, v, up, warm):
+            solving.update(solver=solver, up=up)
+            try:
+                return solver.solve(x, v, up, warm)
+            except PFGuideError:
+                return None
+
+        on_nmpc_draws(check_one)
+        assert min(seen.values()) >= 10, seen
+
+
 class TestNMPCAnswerIsItsBestStart:
     """NMPC's answer costs no more than the pass-2 cost of its cheapest
     candidate: the hold and, warm-started, the plan and its shift.  The
@@ -1008,6 +1108,22 @@ class TestLinearizedQP:
             assert np.array_equal(H, H.T)
             assert H.tobytes() == (0.5 * (H0 + H0.T)).tobytes()
 
+
+    def test_reference_is_reference_stack(self, demo_path, demo_config):
+        """The solver's input reference is reference_stack's bit for bit
+        at every heading of the box: below pi it is one read-only stack,
+        built once, and at pi the stack on the 2 pi branch."""
+        solver = PNMPCSolver(demo_config, demo_path)
+        psis = [-math.pi, -1.0, -0.0, 0.0, 5e-324, 2.0,
+                math.nextafter(math.pi, 0.0), math.pi]
+        psis += np.random.default_rng(3).uniform(-math.pi, math.pi,
+                                                 200).tolist()
+        for psi in psis:
+            assert solver._reference(psi).tobytes() == \
+                reference_stack(solver.cfg, psi).tobytes()
+        assert solver._reference(0.5) is solver._reference(-math.pi)
+        assert not solver._reference(0.5).flags.writeable
+        assert solver._reference(math.pi)[1] == 2.0 * math.pi
 
     def test_cached_rows_are_read_only(self, demo_path, demo_config):
         # linearized_qp hands out the solver's _sqp_rows A itself; a write
